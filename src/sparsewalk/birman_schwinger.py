@@ -31,7 +31,7 @@ from .errors import (
     Epsilon0Zero,
     LambdaInSpectrum,
 )
-from .lattice import LatticeBox, WalkKernel, _sup_norm
+from .lattice import LatticeBox, WalkKernel, _dense_P, _sup_norm
 from .potential import PotentialSpec
 from .resolvent import decay_rate_estimate, g_lambda_quadrature, green_table
 
@@ -100,10 +100,9 @@ def assemble_bs(
     matrix = sq[:, None] * base * sq[None, :]
     off = matrix.copy()
     np.fill_diagonal(off, 0.0)
-    g0 = g_lambda_quadrature(kernel, lam, pts_per_axis).value
     return BSAssembly(
         lam=lam,
-        gamma=g0 - 1.0,
+        gamma=lam * table[(0,) * kernel.dimension] - 1.0,
         matrix=matrix,
         off_diag=off,
         green=G,
@@ -215,14 +214,7 @@ def resolvent_via_bs(
         R = G
 
     dvec = 1.0 + (spec.values_on(sites) if spec is not None else 0.0)
-    P0 = np.zeros((vol, vol))
-    rows = np.arange(vol)
-    sidew = box.side ** np.arange(kernel.dimension - 1, -1, -1)
-    for off, p in zip(kernel.offsets, kernel.probs):
-        shifted = sites + np.asarray(off)
-        ok = np.all(np.abs(shifted) <= L, axis=1)
-        P0[rows[ok], (shifted[ok] + L) @ sidew] = p
-    M = dvec[:, None] * P0
+    M = dvec[:, None] * _dense_P(kernel, sites, L)
     ident = (lam * np.eye(vol) - M) @ R
     interior = np.max(np.abs(sites), axis=1) <= L // 2
     resid = ident - np.eye(vol)
@@ -297,16 +289,17 @@ def neumann_invertibility(
     _guard_margin(kernel, lam)
     excluded = {tuple(int(c) for c in (k if not isinstance(k, int) else (k,))) for k in K}
 
+    origin = (0,) * kernel.dimension
     probe = range(1, 13)
-    disp = [(t,) + (0,) * (kernel.dimension - 1) for t in probe]
-    table = green_table(kernel, lam, disp, pts_per_axis)
+    disp = [(t,) + origin[1:] for t in probe]
+    table = green_table(kernel, lam, [origin] + disp, pts_per_axis)
     fit = decay_rate_estimate([(t, abs(table[d])) for t, d in zip(probe, disp)])
     if alpha >= fit.rate:
         raise AlphaTooLarge(f"alpha={alpha} not below fitted Green rate {fit.rate:.4f}")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
 
-    gamma = g_lambda_quadrature(kernel, lam, pts_per_axis).value - 1.0
+    gamma = lam * table[origin] - 1.0
     supp = [(s, h) for s, h in zip(spec.sites, spec.heights) if s not in excluded]
     supp = [(s, h) for s, h in supp if _sup_norm(s) <= box.radius]
     eps0 = 1.0  # V_K = 0 sites always contribute |1 - 0|

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +293,7 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     return payload
 
 
-def run_suite(name: str, out_dir, threads: int = 1, only=None) -> bool:
+def run_suite(name: str, out_dir, only=None) -> bool:
     if name != "paper-repro":
         raise ConfigInvalid(f"unknown suite {name!r}; available: paper-repro")
     indices = sorted(acceptance.CRITERIA) if not only else sorted(only)
@@ -303,11 +302,7 @@ def run_suite(name: str, out_dir, threads: int = 1, only=None) -> bool:
         raise ConfigInvalid(f"unknown criteria {bad}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(acceptance.run_criterion, indices))
-    else:
-        results = [acceptance.run_criterion(i) for i in indices]
+    results = [acceptance.run_criterion(i) for i in indices]
     # timings go to stdout only: artifact files must be byte-identical run to run
     rows = [(r.index, r.name, "PASS" if r.passed else "FAIL") for r in results]
     _write_csv(out / "suite.csv", ["criterion", "name", "status"], rows)
@@ -339,12 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1)
     p = sub.add_parser("suite", help="run an aggregate verification suite")
     p.add_argument("name", nargs="?", default="paper-repro")
     p.add_argument("--out", default="results/suite")
     p.add_argument("--only", type=int, nargs="*", default=None, help="criteria subset")
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -352,7 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "suite":
-            ok = run_suite(args.name, args.out, threads=args.threads, only=args.only)
+            ok = run_suite(args.name, args.out, only=args.only)
             return 0 if ok else 1
         cfg = load_config(args.config)
         cfg["experiment"] = args.command

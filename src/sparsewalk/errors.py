@@ -46,6 +46,14 @@ class QuadratureNotConverged(SparseWalkError):
     """Richardson comparison of grid levels failed to contract."""
 
 
+class GridTooCoarse(SparseWalkError):
+    """Quadrature grid below the floor of 64 points per axis.
+
+    Deliberately not a QuadratureNotConverged: a grid that is too coarse is
+    a caller error, not a level that a finer grid may still fix.
+    """
+
+
 class SeriesDiverges(SparseWalkError):
     """Resolvent power series requested with |lambda| <= 1."""
 

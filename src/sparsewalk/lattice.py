@@ -303,24 +303,36 @@ def char_function(kernel: WalkKernel, theta) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _grid_phase(x: Offset, pts_per_axis: int) -> np.ndarray:
+    """theta . x on the midpoint tensor grid of [-pi, pi]^d, d = len(x).
+
+    Broadcastable: axes along which x vanishes have length 1, so the phase
+    of an axis-aligned offset costs one axis, not a full grid.
+    """
+    d = len(x)
+    axis = -np.pi + (np.arange(pts_per_axis) + 0.5) * (2.0 * np.pi / pts_per_axis)
+    phase = np.zeros((1,) * d)
+    for ax, o in enumerate(x):
+        if o:
+            shape = [1] * d
+            shape[ax] = pts_per_axis
+            phase = phase + (o * axis).reshape(shape)
+    return phase
+
+
 @lru_cache(maxsize=32)
 def char_on_grid(kernel: WalkKernel, pts_per_axis: int) -> np.ndarray:
     """p-hat on the midpoint tensor grid of [-pi, pi]^d, flattened.
 
-    Cached: the grid is reused heavily by quadrature and root finding.
+    Cached: the grid is reused heavily by quadrature and root finding.  The
+    array is shared by every caller, so it is returned read-only.
     """
-    d = kernel.dimension
-    axis = -np.pi + (np.arange(pts_per_axis) + 0.5) * (2.0 * np.pi / pts_per_axis)
-    out = np.zeros((pts_per_axis,) * d)
+    out = np.zeros((pts_per_axis,) * kernel.dimension)
     for off, p in zip(kernel.offsets, kernel.probs):
-        phase = np.zeros((pts_per_axis,) * d)
-        for ax, o in enumerate(off):
-            if o:
-                shape = [1] * d
-                shape[ax] = pts_per_axis
-                phase = phase + (o * axis).reshape(shape)
-        out += p * np.cos(phase)
-    return out.ravel()
+        out += p * np.cos(_grid_phase(off, pts_per_axis))
+    out = out.ravel()
+    out.flags.writeable = False
+    return out
 
 
 def spectrum_bounds(kernel: WalkKernel, grid_density: int = 256) -> SpectrumInterval:
@@ -347,6 +359,19 @@ def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
         sl = tuple(slice(r - o, r - o + s) for o, s in zip(off, f.shape))
         out += p * padded[sl]
     return out
+
+
+def _dense_P(kernel: WalkKernel, sites: np.ndarray, radius: int) -> np.ndarray:
+    """Dense matrix of P on the sites of Q(0, radius), zero outside the box."""
+    vol = len(sites)
+    weights = (2 * radius + 1) ** np.arange(kernel.dimension - 1, -1, -1)
+    P0 = np.zeros((vol, vol))
+    rows = np.arange(vol)
+    for off, p in zip(kernel.offsets, kernel.probs):
+        shifted = sites + np.asarray(off, dtype=int)
+        mask = np.all(np.abs(shifted) <= radius, axis=1)
+        P0[rows[mask], (shifted[mask] + radius) @ weights] = p
+    return P0
 
 
 def convolution_power_at_zero(kernel: WalkKernel, n: int) -> float:

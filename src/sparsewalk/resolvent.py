@@ -11,6 +11,21 @@ off-diagonal Green values.  Three mutually checking evaluation routes are
 provided: torus quadrature (any dimension), a Neumann power series valid
 for |lambda| > 1 (path counting, independent of Fourier analysis), and the
 explicit closed form for the 1d lazy walk.
+
+Every quadrature value is a midpoint-rule mean of 1/(lambda - p-hat) over
+the torus grid of ``char_on_grid``, computed by one of two evaluators:
+
+* ``_green_levels`` (certified): G_lambda(0, x) for a set of displacements
+  at pts, 2 pts and 4 pts points per axis, pts >= 64; each value is kept
+  only if its Richardson differences contract.  ``green_table``,
+  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
+* ``_g0_on_grid`` (uncertified): lambda * mean 1/(lambda - p-hat) at a
+  single grid, for many lambda at once.
+
+The level-crossing solver chooses grids per dimension: ``_PTS_SWEEP`` for
+the sign scan below the spectrum, ``_PTS_BISECT`` for every bisection step,
+and ``_PTS_LADDER`` for the certified check of each root, whose base grids
+are tried in turn until the Richardson error falls below 1e-11 |g|.
 """
 
 from __future__ import annotations
@@ -21,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    GridTooCoarse,
     LambdaInSpectrum,
     NonPositiveValue,
     QuadratureNotConverged,
     SeriesDiverges,
     TooFewPoints,
 )
-from .lattice import LatticeBox, WalkKernel, apply_P, char_on_grid
+from .lattice import LatticeBox, WalkKernel, _as_offset, _grid_phase, apply_P, char_on_grid
 
 #: points where spectrum proximity is rejected outright
 SPECTRUM_GUARD = 1e-12
@@ -60,62 +76,61 @@ def _guard_spectrum(kernel: WalkKernel, lam: float) -> None:
         )
 
 
-def _mean_levels(kernel: WalkKernel, lam: float, pts: int, weights=None):
-    """Integrand means at grid levels pts, 2*pts, 4*pts.
-
-    weights, if given, is a callable mapping the flattened theta grid of a
-    level to a cosine weight array (for off-diagonal Green values).
-    Returns (means, mean_abs) with mean_abs the absolute mean at the finest
-    level; it sets the rounding-noise floor for the convergence check
-    (near-singular integrands amplify cancellation noise far above eps).
-    """
-    means = []
-    mean_abs = 0.0
-    for level in (pts, 2 * pts, 4 * pts):
-        phat = char_on_grid(kernel, level)
-        integrand = 1.0 / (lam - phat)
-        if weights is not None:
-            integrand = integrand * weights(level)
-        means.append(float(np.mean(integrand)))
-        mean_abs = float(np.mean(np.abs(integrand)))
-    return means, mean_abs
-
-
-def _axis(level: int) -> np.ndarray:
-    return -np.pi + (np.arange(level) + 0.5) * (2.0 * np.pi / level)
-
-
-def _cos_weights(kernel: WalkKernel, x: tuple[int, ...]):
-    d = kernel.dimension
-
-    def weights(level: int) -> np.ndarray:
-        ax = _axis(level)
-        phase = np.zeros((level,) * d)
-        for a, coord in enumerate(x):
-            if coord:
-                shape = [1] * d
-                shape[a] = level
-                phase = phase + (coord * ax).reshape(shape)
-        return np.cos(phase).ravel()
-
-    return weights
-
-
-def _richardson(vals, scale: float, noise_scale: float = 0.0) -> float:
+def _richardson(vals, noise) -> float:
     """Error estimate from three grid levels; raises if not contracting.
 
-    Differences below the rounding floor (set by the magnitude of the
-    integrand, not of its mean, which may be heavily cancelled) count as
-    converged.
+    Differences below the rounding floor count as converged.  The floor is
+    set by noise(), the mean magnitude of the finest-level integrand (not of
+    its mean, which may be heavily cancelled; near-singular integrands
+    amplify cancellation noise far above eps).  It is evaluated only when
+    the difference alone would fail the check.
     """
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
-    floor = 1e-12 * (1.0 + abs(vals[2])) + 1e-11 * noise_scale
-    if d2 > floor and d2 > 0.5 * d1:
-        raise QuadratureNotConverged(
-            f"grid doubling contracted {d1:.3e} -> {d2:.3e}; refine pts_per_axis"
-        )
-    return max(d2 * scale, 0.0)
+    if d2 > 0.5 * d1 and d2 > 1e-12 * (1.0 + abs(vals[2])):
+        floor = 1e-12 * (1.0 + abs(vals[2])) + 1e-11 * noise()
+        if d2 > floor:
+            raise QuadratureNotConverged(
+                f"grid doubling contracted {d1:.3e} -> {d2:.3e}; refine pts_per_axis"
+            )
+    return d2
+
+
+def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
+    """1/(lam - p-hat) on a flattened grid, weighted by cos(theta . x)."""
+    if not any(x):
+        return base
+    return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
+
+
+def _green_levels(
+    kernel: WalkKernel, lam: float, displacements, pts_per_axis: int
+) -> dict[tuple[int, ...], tuple[float, float]]:
+    """Certified G_lambda(0, x) and its Richardson error for each displacement.
+
+    One integrand per grid level (pts, 2 pts, 4 pts per axis) serves every
+    displacement; by the symmetry of p, x and -x share one evaluation.
+    """
+    if pts_per_axis < 64:
+        raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
+    _guard_spectrum(kernel, lam)
+    canon = {}
+    for x in displacements:
+        x = _as_offset(x, None)
+        # missing trailing coordinates are 0, so x = 0 is the origin in any d
+        full = x + (0,) * (kernel.dimension - len(x))
+        canon[x] = min(full, tuple(-c for c in full))
+    means: dict[tuple[int, ...], list[float]] = {x: [] for x in sorted(set(canon.values()))}
+    for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
+        base = 1.0 / (lam - char_on_grid(kernel, level))
+        for x, vals in means.items():
+            vals.append(float(np.mean(_integrand(base, x, level))))
+    # base is the finest level here, the one that sets the noise floor
+    results = {
+        x: (vals[2], _richardson(vals, lambda: float(np.mean(np.abs(_integrand(base, x, level))))))
+        for x, vals in means.items()
+    }
+    return {x: results[c] for x, c in canon.items()}
 
 
 def g_lambda_quadrature(kernel: WalkKernel, lam: float, pts_per_axis: int = 256) -> GreenEvaluation:
@@ -124,12 +139,8 @@ def g_lambda_quadrature(kernel: WalkKernel, lam: float, pts_per_axis: int = 256)
     Periodic trapezoid on the torus (spectrally accurate off the spectrum);
     the error estimate compares two grid doublings.
     """
-    if pts_per_axis < 64:
-        raise ValueError("pts_per_axis must be >= 64")
-    _guard_spectrum(kernel, lam)
-    means, mean_abs = _mean_levels(kernel, lam, pts_per_axis)
-    err = _richardson(means, abs(lam), mean_abs)
-    return GreenEvaluation(lam=lam, value=lam * means[2], method="quadrature", est_error=err)
+    [(mean, err)] = _green_levels(kernel, lam, [(0,) * kernel.dimension], pts_per_axis).values()
+    return GreenEvaluation(lam=lam, value=lam * mean, method="quadrature", est_error=err * abs(lam))
 
 
 def green_kernel(
@@ -140,45 +151,16 @@ def green_kernel(
     By translation invariance G_lambda(x, y) = G_lambda(0, y - x); by the
     symmetry of p the value depends on x only through +-x.
     """
-    if pts_per_axis < 64:
-        raise ValueError("pts_per_axis must be >= 64")
-    _guard_spectrum(kernel, lam)
-    if isinstance(x, (int, np.integer)):
-        x = (int(x),)
-    x = tuple(int(c) for c in x)
-    means, mean_abs = _mean_levels(kernel, lam, pts_per_axis, weights=_cos_weights(kernel, x))
-    err = _richardson(means, 1.0, mean_abs)
-    return GreenEvaluation(lam=lam, value=means[2], method="quadrature", est_error=err)
+    [(value, err)] = _green_levels(kernel, lam, [x], pts_per_axis).values()
+    return GreenEvaluation(lam=lam, value=value, method="quadrature", est_error=err)
 
 
 def green_table(
     kernel: WalkKernel, lam: float, displacements, pts_per_axis: int = 256
 ) -> dict[tuple[int, ...], float]:
     """G_lambda(0, x) for many displacements sharing one set of grids."""
-    _guard_spectrum(kernel, lam)
-    disps = []
-    for x in displacements:
-        if isinstance(x, (int, np.integer)):
-            x = (int(x),)
-        disps.append(tuple(int(c) for c in x))
-    # canonicalize by symmetry G(0,x) = G(0,-x)
-    canon = {x: min(x, tuple(-c for c in x)) for x in disps}
-    levels = (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis)
-    needed = sorted(set(canon.values()))
-    vals: dict[tuple[int, ...], list[float]] = {x: [] for x in needed}
-    mean_abs = 0.0
-    for level in levels:
-        phat = char_on_grid(kernel, level)
-        base = 1.0 / (lam - phat)
-        mean_abs = float(np.mean(np.abs(base)))
-        for x in needed:
-            w = _cos_weights(kernel, x)(level)
-            vals[x].append(float(np.mean(base * w)))
-    out = {}
-    for x in needed:
-        _richardson(vals[x], 1.0, mean_abs)
-        out[x] = vals[x][2]
-    return {x: out[canon[x]] for x in disps}
+    levels = _green_levels(kernel, lam, displacements, pts_per_axis)
+    return {x: value for x, (value, _) in levels.items()}
 
 
 def g_lambda_series(kernel: WalkKernel, lam: float, tol: float = 1e-10) -> GreenEvaluation:
@@ -266,6 +248,8 @@ def decay_rate_estimate(values) -> DecayFit:
 
 # -- level crossings of g_lambda(0) ------------------------------------------
 
+#: certified base grids for root verification, tried in turn; the 3d
+#: ladder starts below the 64-point floor, so 3d roots fail GridTooCoarse
 _PTS_LADDER = {1: (512, 2048, 8192, 32768), 2: (128, 512), 3: (32, 64)}
 
 #: coarse single-level grids for sign scans; finer ones for bisection polish
@@ -273,46 +257,34 @@ _PTS_SWEEP = {1: 8192, 2: 512, 3: 96}
 _PTS_BISECT = {1: 32768, 2: 2048, 3: 128}
 
 
-def _g0_fast(kernel: WalkKernel, lam: float) -> float:
-    """Single-level g_lambda(0) for bisection; no convergence certificate."""
-    phat = char_on_grid(kernel, _PTS_BISECT[kernel.dimension])
-    return lam * float(np.mean(1.0 / (lam - phat)))
-
-
-def _g0_sweep(kernel: WalkKernel, lams: np.ndarray) -> np.ndarray:
-    """Vectorized coarse g_lambda(0) over many lambdas (sign information)."""
-    phat = char_on_grid(kernel, _PTS_SWEEP[kernel.dimension])
+def _g0_on_grid(kernel: WalkKernel, lams, pts_per_axis: int) -> np.ndarray:
+    """lams * mean 1/(lams - p-hat) at one grid level; no convergence certificate."""
+    phat = char_on_grid(kernel, pts_per_axis)
+    lams = np.asarray(lams, dtype=float)
     out = np.empty(len(lams))
-    chunk = max(1, int(2e7 // max(len(phat), 1)))
+    chunk = max(1, int(2e7 // len(phat)))
     for i in range(0, len(lams), chunk):
         piece = lams[i : i + chunk]
         out[i : i + chunk] = piece * np.mean(1.0 / (piece[:, None] - phat[None, :]), axis=1)
     return out
 
 
-def _g0(kernel: WalkKernel, lam: float, strict: bool = True) -> float:
-    """g_lambda(0) with automatic grid escalation near the spectrum.
+def _g0(kernel: WalkKernel, lam: float) -> float:
+    """Certified g_lambda(0), escalating through the _PTS_LADDER base grids.
 
-    strict=False returns the finest-grid estimate even when Richardson did
-    not contract; scanning for sign changes only needs the (large) values
-    near the spectral edge qualitatively, and every root found that way is
-    re-verified strictly.
+    Levels whose Richardson check fails are skipped; if none contracts the
+    evaluation fails.
     """
     last = None
-    fallback = None
     for pts in _PTS_LADDER[kernel.dimension]:
         try:
             ev = g_lambda_quadrature(kernel, lam, pts)
         except QuadratureNotConverged:
-            phat = char_on_grid(kernel, 4 * pts)
-            fallback = lam * float(np.mean(1.0 / (lam - phat)))
             continue
         last = ev
         if ev.est_error <= 1e-11 * max(1.0, abs(ev.value)):
             return ev.value
     if last is None:
-        if not strict and fallback is not None:
-            return fallback
         raise QuadratureNotConverged(f"g_lambda(0) did not converge at lambda={lam!r}")
     return last.value
 
@@ -336,30 +308,35 @@ def g_level_crossings(
     not be monotone; a graded scan brackets sign changes which are then
     bisected.  All roots below the bottom edge ell satisfy
     |lambda| <= (v + 1) |ell| with v = 1/(target - 1), which bounds the
-    scan.  Scan and bisection run in relaxed quadrature mode (near-edge
+    scan.  Scan and bisection use single uncertified grids (near-edge
     values are only needed qualitatively); every root is then re-verified
-    with a strict evaluation.
+    with a certified evaluation.
     """
     if target <= 1.0:
         raise ValueError("target must exceed 1")
     if scan_points is None:
         scan_points = {1: 3000, 2: 600, 3: 200}[kernel.dimension]
+    fine = _PTS_BISECT[kernel.dimension]
+
+    def g_fine(lam: float) -> float:
+        return float(_g0_on_grid(kernel, [lam], fine)[0])
+
     above = None
     lo = None
     h = 0.5
     while h >= 1e-9:
         lam = 1.0 + h
-        if _g0_fast(kernel, lam) > target:
+        if g_fine(lam) > target:
             lo = lam
             break
         h /= 4.0
     if lo is not None:
         hi = lo
-        while _g0_fast(kernel, hi) > target:
+        while g_fine(hi) > target:
             hi = 1.0 + 2.0 * (hi - 1.0)
         while hi - lo > xtol:
             mid = 0.5 * (lo + hi)
-            if _g0_fast(kernel, mid) > target:
+            if g_fine(mid) > target:
                 lo = mid
             else:
                 hi = mid
@@ -374,7 +351,7 @@ def g_level_crossings(
         # graded offsets: dense near the edge where g blows up in d <= 2
         s = np.geomspace(1e-7, ell - floor, scan_points)
         lams = ell - s
-        gs = _g0_sweep(kernel, lams)
+        gs = _g0_on_grid(kernel, lams, _PTS_SWEEP[kernel.dimension])
         sign = np.sign(gs - target)
         for i in range(len(lams) - 1):
             if sign[i] == 0.0:
@@ -384,7 +361,7 @@ def g_level_crossings(
                 fa = gs[i] - target
                 while a - b > xtol:  # a > b: scanning downward
                     mid = 0.5 * (a + b)
-                    fm = _g0_fast(kernel, mid) - target
+                    fm = g_fine(mid) - target
                     if fa * fm <= 0.0:
                         b = mid
                     else:

@@ -35,7 +35,7 @@ from .errors import (
     NoRootAboveOne,
     NotStabilized,
 )
-from .lattice import LatticeBox, WalkKernel, _char_lower
+from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P
 from .potential import PotentialSpec, sparseness_profile
 from .resolvent import DecayFit, decay_rate_estimate, g_level_crossings
 
@@ -79,18 +79,9 @@ def truncated_operator(
     if box.volume > dense_cap:
         raise BoxTooLarge(f"volume {box.volume} exceeds dense cap {dense_cap}")
     sites = box.sites()
-    vol = box.volume
-    side = box.side
-    weights = side ** np.arange(kernel.dimension - 1, -1, -1)
-    P0 = np.zeros((vol, vol))
-    rows = np.arange(vol)
-    for off, p in zip(kernel.offsets, kernel.probs):
-        shifted = sites + np.asarray(off, dtype=int)
-        mask = np.all(np.abs(shifted) <= L, axis=1)
-        cols = (shifted[mask] + L) @ weights
-        P0[rows[mask], cols] = p
+    P0 = _dense_P(kernel, sites, L)
     if spec is None:
-        dvec = np.ones(vol)
+        dvec = np.ones(box.volume)
     else:
         dvec = 1.0 + spec.values_on(sites)
     sqd = np.sqrt(dvec)

@@ -24,6 +24,17 @@ def test_single_site_assembly():
     assert asm.gamma == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "name, lam", [("lazy1d", 1.8), ("lazy1d", -1.4), ("simple2d", 1.6), ("simple2d", -1.6)]
+)
+def test_gamma_is_the_quadrature_value(name, lam):
+    k = sw.lazy1d(0.25) if name == "lazy1d" else sw.simple2d()
+    d = k.dimension
+    spec = sw.make_potential(d, {(0,) * d: 1.0, (3,) + (0,) * (d - 1): 0.5})
+    asm = sw.assemble_bs(k, spec, lam, box=8, pts_per_axis=128)
+    assert asm.gamma == sw.g_lambda_quadrature(k, lam, 128).value - 1.0
+
+
 def test_eigenvalue_condition_at_lambda_plus():
     k = sw.simple1d()
     spec = sw.single_delta(1, 1.0)

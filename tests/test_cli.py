@@ -126,13 +126,17 @@ def test_suite_subset_runs_and_reports(tmp_path, capsys):
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
-def test_suite_threads_deterministic(tmp_path):
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["suite", "paper-repro", "--only", "1", "2", "--out", str(out1)]) == 0
-    assert main(
-        ["suite", "paper-repro", "--only", "1", "2", "--threads", "2", "--out", str(out2)]
-    ) == 0
-    assert (out1 / "suite.csv").read_bytes() == (out2 / "suite.csv").read_bytes()
+def test_green_grid_floor_fails_with_one_line(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {"kernel": {"preset": "simple1d"}, "lambdas": [1.25], "pts_per_axis": 32},
+    )
+    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ")
+    assert "GridTooCoarse" in err
+    assert err.count("\n") == 1
 
 
 def test_gibbs_subcommand_needs_no_seed(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
+from sparsewalk.lattice import char_on_grid
 from sparsewalk.errors import (
     BoxTooSmall,
     EmptySupport,
@@ -61,6 +62,17 @@ def test_char_function_bounds_property():
         vals = sw.char_function(k, thetas)
         assert np.all(np.abs(vals) <= 1.0 + 1e-15)
         assert sw.char_function(k, np.zeros(k.dimension)) == pytest.approx(1.0)
+
+
+def test_char_on_grid_is_read_only():
+    # the cached grid is shared by every caller
+    grid = char_on_grid(sw.simple2d(), 64)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    theta = -np.pi + (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    mesh = np.stack(np.meshgrid(theta, theta, indexing="ij"), axis=-1)
+    assert np.allclose(grid, sw.char_function(sw.simple2d(), mesh).ravel(), atol=1e-14)
 
 
 def test_spectrum_bounds():

@@ -5,11 +5,15 @@ import pytest
 
 import sparsewalk as sw
 from sparsewalk.errors import (
+    GridTooCoarse,
     LambdaInSpectrum,
     NonPositiveValue,
+    QuadratureNotConverged,
     SeriesDiverges,
     TooFewPoints,
 )
+
+KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
 
 def test_quadrature_simple_walk():
@@ -61,6 +65,39 @@ def test_green_translation_symmetry():
     a = sw.green_kernel(k, 1.5, (2, 1), 128).value
     b = sw.green_kernel(k, 1.5, (-2, -1), 128).value
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, lam, x, pts",
+    [
+        ("lazy1d", 1.25, (3,), 256),
+        ("lazy1d", -1.25, (-2,), 256),
+        ("simple2d", 1.5, (2, -1), 128),
+        ("simple2d", -1.5, (0, 3), 128),
+    ],
+)
+def test_quadrature_views_agree_exactly(name, lam, x, pts):
+    # green_kernel, green_table and g_lambda_quadrature share one engine
+    k = KERNELS[name]()
+    origin = (0,) * k.dimension
+    table = sw.green_table(k, lam, [x, origin, 0], pts)
+    assert table[(0,)] == table[origin]  # a bare 0 is the origin in any dimension
+    assert sw.green_kernel(k, lam, x, pts).value == table[x]
+    g0 = sw.g_lambda_quadrature(k, lam, pts)
+    assert g0.value == lam * table[origin]
+    assert g0.est_error == abs(lam) * sw.green_kernel(k, lam, origin, pts).est_error
+
+
+def test_grid_floor_is_a_named_error():
+    # a coarse grid is a caller error, never a level the 3d ladder may skip
+    assert not issubclass(GridTooCoarse, QuadratureNotConverged)
+    k = sw.simple1d()
+    with pytest.raises(GridTooCoarse):
+        sw.green_table(k, 1.25, [0, 1, 2], 8)
+    with pytest.raises(GridTooCoarse):
+        sw.green_kernel(k, 1.25, 1, 32)
+    with pytest.raises(GridTooCoarse):
+        sw.g_lambda_quadrature(k, 1.25, 63)
 
 
 def test_series_matches_closed_form():
