@@ -30,6 +30,7 @@ from .errors import (
     EmptySupport,
     Epsilon0Zero,
     LambdaInSpectrum,
+    NoSignChange,
 )
 from .lattice import LatticeBox, WalkKernel, _dense_P, _sup_norm
 from .potential import PotentialSpec
@@ -70,6 +71,27 @@ def _guard_margin(kernel: WalkKernel, lam: float) -> None:
         )
 
 
+def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
+    """G[i, j] = G_lambda(0, sites[j] - sites[i]) and the Green table behind it.
+
+    Each displacement is encoded as one integer, so one sort finds the
+    distinct ones (in tuple order) and a sorted search reads each pair back;
+    the n x n temporaries die with this frame, before assembly allocates.
+    (np.unique would take its hash path here, whose first call alone adds
+    about 1.4 MB of resident memory.)
+    """
+    pos = np.array(sites)
+    half = int((pos.max(axis=0) - pos.min(axis=0)).max())
+    side = 2 * half + 1
+    shape = (side,) * pos.shape[1]
+    codes = (pos[None, :, :] - pos[:, None, :] + half) @ (side ** np.arange(len(shape) - 1, -1, -1))
+    keys = np.sort(codes, axis=None)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    disp = [tuple(row) for row in (np.stack(np.unravel_index(keys, shape), axis=-1) - half).tolist()]
+    table = green_table(kernel, lam, disp, pts_per_axis)
+    return np.array([table[x] for x in disp])[np.searchsorted(keys, codes)], table
+
+
 def assemble_bs(
     kernel: WalkKernel,
     spec: PotentialSpec,
@@ -87,14 +109,7 @@ def assemble_bs(
     sites = [s for s, _ in supp]
     heights = np.array([h for _, h in supp])
     n = len(sites)
-    disp = sorted(
-        {tuple(b - a for a, b in zip(sites[i], sites[j])) for i in range(n) for j in range(n)}
-    )
-    table = green_table(kernel, lam, disp, pts_per_axis)
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = table[tuple(b - a for a, b in zip(sites[i], sites[j]))]
+    G, table = _pair_green(kernel, lam, sites, pts_per_axis)
     sq = np.sqrt(heights)
     base = lam * G - np.eye(n)
     matrix = sq[:, None] * base * sq[None, :]
@@ -147,7 +162,7 @@ def bs_crossing_scan(
 
     f_lo, f_hi = top_minus_one(lo), top_minus_one(hi)
     if f_lo <= 0.0 or f_hi >= 0.0:
-        raise ValueError(f"no sign change in [{lo}, {hi}]: {f_lo:+.3e}, {f_hi:+.3e}")
+        raise NoSignChange(f"no sign change in [{lo}, {hi}]: {f_lo:+.3e}, {f_hi:+.3e}")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if top_minus_one(mid) > 0.0:
@@ -213,7 +228,7 @@ def resolvent_via_bs(
     else:
         R = G
 
-    dvec = 1.0 + (spec.values_on(sites) if spec is not None else 0.0)
+    dvec = 1.0 + spec.values_on(sites)
     M = dvec[:, None] * _dense_P(kernel, sites, L)
     ident = (lam * np.eye(vol) - M) @ R
     interior = np.max(np.abs(sites), axis=1) <= L // 2
@@ -364,7 +379,8 @@ def grow_exclusion_set(
     recipe; excluding sites by increasing |1 - gamma V(x)| until the
     certificate validates is the obvious constructive policy.
     """
-    gamma = g_lambda_quadrature(kernel, lam).value - 1.0
+    # the grid every neumann_invertibility call below takes gamma from
+    gamma = g_lambda_quadrature(kernel, lam, 512).value - 1.0
     ranked = sorted(
         zip(spec.sites, spec.heights), key=lambda sh: abs(1.0 - gamma * sh[1])
     )

@@ -94,6 +94,14 @@ class AlphaTooLarge(SparseWalkError):
     """Requested weight exponent is not below the Green decay rate."""
 
 
+class NoSignChange(SparseWalkError, ValueError):
+    """Crossing bracket does not straddle the crossing.
+
+    Also a ValueError, so callers that caught the former bare ValueError
+    still catch it.
+    """
+
+
 # -- spectral truncations ---------------------------------------------------
 
 class BoxTooLarge(SparseWalkError):

@@ -18,7 +18,11 @@ the torus grid of ``char_on_grid``, computed by one of two evaluators:
 * ``_green_levels`` (certified): G_lambda(0, x) for a set of displacements
   at pts, 2 pts and 4 pts points per axis, pts >= 64; each value is kept
   only if its Richardson differences contract.  ``green_table``,
-  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
+  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.  At each
+  level the origin is the plain mean of the grid, and every x != 0 comes
+  from one separable partial DFT (``_partial_dft``): the midpoint rule on
+  the torus is a DFT, so one contraction per axis, restricted to the
+  coordinates that occur, replaces one cosine-weighted mean per x.
 * ``_g0_on_grid`` (uncertified): lambda * mean 1/(lambda - p-hat) at a
   single grid, for many lambda at once.
 
@@ -103,13 +107,50 @@ def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
     return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
 
 
+#: entries of the largest intermediate table of ``_partial_dft``
+_DFT_BLOCK = 2**16
+
+
+def _partial_dft(base: np.ndarray, xs: list[tuple[int, ...]], level: int) -> np.ndarray:
+    """mean(base * cos(theta . x)) for every x in xs, as one separable DFT.
+
+    The last axis is contracted by two real matmuls against cos and sin of
+    theta * c, only for the last coordinates c that occur in xs and in blocks
+    of columns; every other axis by a tensordot against exp(i theta c').
+    Each x then reads Re(.) at its own coordinates, so negative coordinates
+    and |c| > level / 2 need no index folding.
+    """
+    d = len(xs[0])
+    axis = _grid_phase((1,), level).ravel()
+    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d)))
+    twiddles = [np.exp(1j * np.multiply.outer(axis, c)) for c in coords[:-1]]
+    rows = base.reshape(-1, level)
+    block = max(1, _DFT_BLOCK // max(level, len(rows)))
+    out = np.empty(len(xs))
+    for start in range(0, len(coords[-1]), block):
+        phase = np.multiply.outer(axis, coords[-1][start : start + block])
+        table = rows @ np.cos(phase)
+        if d > 1:
+            # base is real: the sine part matters only through the other axes
+            table = table + 1j * (rows @ np.sin(phase, out=phase))
+        table = table.reshape((level,) * (d - 1) + (-1,))
+        for tw in twiddles:
+            table = np.tensordot(table, tw, axes=([0], [0]))
+        # table axes: (last coordinate in this block, first, ..., (d-1)-th coordinate)
+        sel = (where[-1] >= start) & (where[-1] < start + block)
+        out[sel] = table[(where[-1][sel] - start,) + tuple(w[sel] for w in where[:-1])].real
+    return out / level**d
+
+
 def _green_levels(
     kernel: WalkKernel, lam: float, displacements, pts_per_axis: int
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Certified G_lambda(0, x) and its Richardson error for each displacement.
 
-    One integrand per grid level (pts, 2 pts, 4 pts per axis) serves every
-    displacement; by the symmetry of p, x and -x share one evaluation.
+    One grid of 1/(lam - p-hat) per level (pts, 2 pts, 4 pts per axis)
+    serves every displacement: the origin is its plain mean, every x != 0
+    comes from one partial DFT.  By the symmetry of p, x and -x share one
+    evaluation.
     """
     if pts_per_axis < 64:
         raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
@@ -121,10 +162,15 @@ def _green_levels(
         full = x + (0,) * (kernel.dimension - len(x))
         canon[x] = min(full, tuple(-c for c in full))
     means: dict[tuple[int, ...], list[float]] = {x: [] for x in sorted(set(canon.values()))}
+    origin = (0,) * kernel.dimension
+    others = [x for x in means if x != origin]
     for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
         base = 1.0 / (lam - char_on_grid(kernel, level))
-        for x, vals in means.items():
-            vals.append(float(np.mean(_integrand(base, x, level))))
+        if origin in means:
+            means[origin].append(float(np.mean(base)))
+        if others:
+            for x, value in zip(others, _partial_dft(base, others, level)):
+                means[x].append(float(value))
     # base is the finest level here, the one that sets the noise floor
     results = {
         x: (vals[2], _richardson(vals, lambda: float(np.mean(np.abs(_integrand(base, x, level))))))

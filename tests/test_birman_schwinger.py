@@ -10,6 +10,7 @@ from sparsewalk.errors import (
     EmptySupport,
     Epsilon0Zero,
     LambdaInSpectrum,
+    NoSignChange,
 )
 
 
@@ -79,6 +80,13 @@ def test_crossing_scan_matches_dense_eigensolve():
     top = float(np.linalg.eigvalsh(op.sym)[-1])
     crossing = sw.bs_crossing_scan(k, spec, 1.05, 4.0, box=60)
     assert crossing == pytest.approx(top, abs=1e-6)
+
+
+def test_crossing_scan_without_sign_change_is_named():
+    # the crossing of a unit delta sits near 1.15, below this bracket
+    with pytest.raises(NoSignChange):
+        sw.bs_crossing_scan(sw.simple1d(), sw.single_delta(1, 1.0), 3.0, 4.0, 40)
+    assert issubclass(NoSignChange, ValueError)
 
 
 def test_resolvent_via_bs_zero_potential():

@@ -12,6 +12,8 @@ from sparsewalk.errors import (
     SeriesDiverges,
     TooFewPoints,
 )
+from sparsewalk.lattice import char_on_grid
+from sparsewalk.resolvent import _integrand, _partial_dft
 
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
@@ -86,6 +88,36 @@ def test_quadrature_views_agree_exactly(name, lam, x, pts):
     g0 = sw.g_lambda_quadrature(k, lam, pts)
     assert g0.value == lam * table[origin]
     assert g0.est_error == abs(lam) * sw.green_kernel(k, lam, origin, pts).est_error
+
+
+@pytest.mark.parametrize("lam", [1.25, -1.25])
+def test_green_table_matches_closed_form_1d(lam):
+    # an independent route for every x != 0 of the lazy walk
+    q = 0.25
+    xs = list(range(-40, 41))
+    table = sw.green_table(sw.lazy1d(q), lam, xs, 256)
+    for x in xs:
+        assert table[(x,)] == pytest.approx(sw.g_lambda_closed_1d(q, lam, x).value / lam, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1.3, -1.3])
+def test_green_table_matches_direct_means_2d(lam):
+    # p(+-(1,1)) != p(+-(1,-1)): the kernel is symmetric under x -> -x only,
+    # not axis by axis, so cos(theta_1 x_1) cos(theta_2 x_2) alone is wrong;
+    # (70, -3) lies beyond pts/2 on the coarsest grid
+    k = sw.validate_kernel(
+        {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
+    )
+    pts = 64
+    xs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    xs += [(70, -3), (-5, 33)]
+    table = sw.green_table(k, lam, xs, pts)
+    for level in (pts, 2 * pts, 4 * pts):
+        base = 1.0 / (lam - char_on_grid(k, level))
+        direct = [float(np.mean(_integrand(base, x, level))) for x in xs]
+        assert _partial_dft(base, xs, level) == pytest.approx(direct, abs=1e-14), level
+    # green_table reports the finest level
+    assert [table[x] for x in xs] == pytest.approx(direct, abs=1e-14)
 
 
 def test_grid_floor_is_a_named_error():

@@ -7,12 +7,25 @@ seed).  The package is imported from ``PYTHONPATH``, so two checkouts are
 compared by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
+
+A change that moves low-order bits on purpose is checked against a saved
+fingerprint instead:
+
+    PYTHONPATH=src python3 tools/same_results.py --against same.json
+
+This prints every value whose relative change exceeds 1e-9, and every value
+below 1e-12 in magnitude whose absolute change exceeds 1e-14, then lists
+the artifacts whose digest changed.  It exits 1 if any value (or CLI exit
+code) moved beyond those tolerances.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,8 +46,14 @@ CLI_RUNS = (
 )
 SEEDED = {"doob": 12345, "fk": 7}
 
+#: numeric literals inside a value's repr; the text between them must match
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+REL_TOL = 1e-9
+ABS_TOL = 1e-14
+TINY = 1e-12
 
-def main() -> int:
+
+def fingerprint() -> dict:
     values = {}
     for index in sorted(acceptance.CRITERIA):
         result = acceptance.run_criterion(index)
@@ -50,7 +69,56 @@ def main() -> int:
             for path in sorted(out.iterdir()):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             artifacts[kind] = digests
-    json.dump({"values": values, "artifacts": artifacts}, sys.stdout, indent=1, sort_keys=True)
+    return {"values": values, "artifacts": artifacts}
+
+
+def moved_beyond(old: str, new: str) -> bool:
+    """Whether a value repr changed beyond the tolerances (or in structure)."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return True
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        scale = max(abs(a), abs(b))
+        if abs(a - b) > (ABS_TOL if scale < TINY else REL_TOL * scale):
+            return True
+    return False
+
+
+def report(old: dict, new: dict) -> int:
+    """Print what moved between two fingerprints; 1 if beyond tolerance."""
+    beyond = 0
+    moved = 0
+    for index in sorted(set(old["values"]) | set(new["values"]), key=int):
+        a, b = old["values"].get(index, {}), new["values"].get(index, {})
+        for key in sorted(set(a) | set(b)):
+            was, now = a.get(key, "<missing>"), b.get(key, "<missing>")
+            if was == now:
+                continue
+            moved += 1
+            if moved_beyond(was, now):
+                beyond += 1
+                print(f"beyond tolerance: criterion {index} {key}: {was} -> {now}")
+    print(f"{moved} value(s) moved, {beyond} beyond tolerance")
+    for kind in sorted(set(old["artifacts"]) | set(new["artifacts"])):
+        a, b = old["artifacts"].get(kind, {}), new["artifacts"].get(kind, {})
+        if a.get("exit") != b.get("exit"):
+            beyond += 1
+            print(f"exit code changed: {kind}: {a.get('exit')} -> {b.get('exit')}")
+        for name in sorted((set(a) | set(b)) - {"exit"}):
+            if a.get(name) != b.get(name):
+                print(f"artifact changed: {kind}/{name}")
+    return 1 if beyond else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--against", type=Path, help="saved fingerprint to compare with")
+    args = p.parse_args(argv)
+    result = fingerprint()
+    if args.against is not None:
+        return report(json.loads(args.against.read_text()), result)
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
