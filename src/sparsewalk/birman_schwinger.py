@@ -14,7 +14,9 @@ leaves an off-diagonal part whose norm is controlled by the sparseness of
 V; row-sum bounds on H in the plain and exponentially weighted norms give
 the Neumann-series invertibility certificate behind exponential decay of
 discrete eigenfunctions.  Everything here is assembled on support sites
-only: the square root of V annihilates the rest of the lattice.
+only: the square root of V annihilates the rest of the lattice.  Every
+pair matrix G_lambda(0, s_j - s_i) over a site list comes from one
+builder, ``_pair_green``.
 """
 
 from __future__ import annotations
@@ -74,9 +76,12 @@ def _guard_margin(kernel: WalkKernel, lam: float) -> None:
 def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
     """G[i, j] = G_lambda(0, sites[j] - sites[i]) and the Green table behind it.
 
-    Each displacement is encoded as one integer, so one sort finds the
-    distinct ones (in tuple order) and a sorted search reads each pair back;
-    the n x n temporaries die with this frame, before assembly allocates.
+    The one pair-Green builder: assemble_bs calls it on the support of V,
+    resolvent_via_bs on every site of the box and neumann_invertibility on
+    the screened support.  Each displacement is encoded as one integer, so
+    one sort finds the distinct ones (in tuple order) and a sorted search
+    reads each pair back; the n x n temporaries die with this frame, before
+    the caller allocates its own n x n matrices.
     (np.unique would take its hash path here, whose first call alone adds
     about 1.4 MB of resident memory.)
     """
@@ -84,7 +89,9 @@ def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
     half = int((pos.max(axis=0) - pos.min(axis=0)).max())
     side = 2 * half + 1
     shape = (side,) * pos.shape[1]
-    codes = (pos[None, :, :] - pos[:, None, :] + half) @ (side ** np.arange(len(shape) - 1, -1, -1))
+    weights = side ** np.arange(len(shape) - 1, -1, -1)
+    flat = pos @ weights
+    codes = flat[None, :] - flat[:, None] + half * int(weights.sum())
     keys = np.sort(codes, axis=None)
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
     disp = [tuple(row) for row in (np.stack(np.unravel_index(keys, shape), axis=-1) - half).tolist()]
@@ -195,18 +202,8 @@ def resolvent_via_bs(
     sites = box.sites()
     vol = box.volume
     L = box.radius
-    # pairwise Green values depend only on the displacement: one lookup table
-    axes = [np.arange(-2 * L, 2 * L + 1)] * kernel.dimension
-    grid = np.meshgrid(*axes, indexing="ij")
-    disp_all = np.stack([g.ravel() for g in grid], axis=-1)
-    table = green_table(kernel, lam, [tuple(r) for r in disp_all], pts_per_axis)
-    side = 4 * L + 1
-    weights = side ** np.arange(kernel.dimension - 1, -1, -1)
-    lut = np.empty(side**kernel.dimension)
-    for row in disp_all:
-        lut[(row + 2 * L) @ weights] = table[tuple(row)]
-    diff = sites[None, :, :] - sites[:, None, :]
-    G = lut[(diff + 2 * L) @ weights]
+    G, _ = _pair_green(kernel, lam, sites, pts_per_axis)
+    P0 = _dense_P(kernel, sites - box.center, L)
 
     supp = _support_in_box(spec, box)
     if supp:
@@ -217,21 +214,16 @@ def resolvent_via_bs(
         if np.min(np.abs(mu - 1.0)) < tol:
             raise BSNotInvertible(f"1 within {tol} of the compressed spectrum at lambda={lam!r}")
         # P G restricted to support rows
-        op_rows = np.zeros((len(sidx), vol))
-        for off, p in zip(kernel.offsets, kernel.probs):
-            shifted = np.array([s for s, _ in supp]) + np.asarray(off)
-            ok = np.all(np.abs(shifted) <= L, axis=1)
-            cols = (shifted[ok] + L) @ (box.side ** np.arange(kernel.dimension - 1, -1, -1))
-            op_rows[np.arange(len(sidx))[ok]] += p * G[cols]
+        op_rows = P0[sidx] @ G
         mid = np.linalg.solve(np.eye(len(sidx)) - B, sq[:, None] * op_rows)
         R = G + G[:, sidx] @ (sq[:, None] * mid)
     else:
         R = G
 
     dvec = 1.0 + spec.values_on(sites)
-    M = dvec[:, None] * _dense_P(kernel, sites, L)
+    M = dvec[:, None] * P0
     ident = (lam * np.eye(vol) - M) @ R
-    interior = np.max(np.abs(sites), axis=1) <= L // 2
+    interior = np.max(np.abs(sites - box.center), axis=1) <= L // 2
     resid = ident - np.eye(vol)
     residual = float(np.max(np.abs(resid[:, interior])))
     return R, residual
@@ -315,8 +307,7 @@ def neumann_invertibility(
         raise ValueError("alpha must be positive")
 
     gamma = lam * table[origin] - 1.0
-    supp = [(s, h) for s, h in zip(spec.sites, spec.heights) if s not in excluded]
-    supp = [(s, h) for s, h in supp if _sup_norm(s) <= box.radius]
+    supp = [(s, h) for s, h in _support_in_box(spec, box) if s not in excluded]
     eps0 = 1.0  # V_K = 0 sites always contribute |1 - 0|
     for _, h in supp:
         eps0 = min(eps0, abs(1.0 - gamma * h))
@@ -330,21 +321,15 @@ def neumann_invertibility(
     if len(supp) > 1:
         pts = [s for s, _ in supp]
         hts = np.array([h for _, h in supp])
-        disp = sorted(
-            {tuple(b - a for a, b in zip(x, y)) for x in pts for y in pts if x != y}
-        )
-        table = green_table(kernel, lam, disp, pts_per_axis)
-        n = len(pts)
-        absG = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    d = tuple(b - a for a, b in zip(pts[i], pts[j]))
-                    # quadrature bottoms out at ~1e-16 cancellation noise;
-                    # beyond that, cap |G| by the fitted decay envelope
-                    # (amplifying raw noise by exp(alpha |x|) would be fatal)
-                    envelope = 2.0 * fit.prefactor * math.exp(-fit.rate * _sup_norm(d))
-                    absG[i, j] = min(abs(table[d]) + 1e-15, envelope)
+        G, _ = _pair_green(kernel, lam, pts, pts_per_axis)
+        pos = np.array(pts)
+        dist = np.abs(pos[None, :, :] - pos[:, None, :]).max(axis=-1)
+        # quadrature bottoms out at ~1e-16 cancellation noise; beyond that, cap |G|
+        # by the fitted decay envelope (amplifying raw noise by exp(alpha |x|) would
+        # be fatal); math.exp, since np.exp may differ from it in the last bits
+        decay = np.array([math.exp(-fit.rate * t) for t in range(int(dist.max()) + 1)])
+        absG = np.minimum(np.abs(G) + 1e-15, 2.0 * fit.prefactor * decay[dist])
+        np.fill_diagonal(absG, 0.0)
         sq = np.sqrt(hts)
         H = abs(lam) * sq[:, None] * absG * sq[None, :]
         h_plain = float(H.sum(axis=1).max())

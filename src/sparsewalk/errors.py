@@ -150,6 +150,12 @@ class NoDecayDetected(SparseWalkError):
     """Marginal deviations do not decay over the requested range."""
 
 
+# -- internal invariants ----------------------------------------------------
+
+class SelfCheckFailed(SparseWalkError):
+    """An independent re-check disagreed with the result it was checking."""
+
+
 # -- CLI --------------------------------------------------------------------
 
 class ConfigInvalid(SparseWalkError):

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .lattice import LatticeBox, WalkKernel, _as_offset, apply_P
 from .potential import PotentialSpec
-from .spectral import TruncatedOperator, truncated_operator
+from .spectral import truncated_operator
 
 #: fixed Monte Carlo chunk so sample i always uses stream (seed, i // CHUNK)
 MC_CHUNK = 4096
@@ -298,14 +298,11 @@ def chain_prefix_law(chain: ChainKernel, k: int, x0=None) -> dict[tuple, float]:
     x0 = (0,) * chain.box.dim if x0 is None else _as_offset(x0, chain.box.dim)
     start = chain.index(x0)
     law: dict[tuple, float] = {}
-    side = chain.box.side
-    weights = side ** np.arange(chain.box.dim - 1, -1, -1)
 
     def extend(prefix, idx, prob):
         if len(prefix) == k:
             law[prefix] = law.get(prefix, 0.0) + prob
             return
-        site = chain.sites[idx]
         for col in np.nonzero(chain.rows[idx])[0]:
             nxt = chain.sites[col]
             extend(prefix + (tuple(nxt),), int(col), prob * float(chain.rows[idx, col]))

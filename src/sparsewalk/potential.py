@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox
+from .errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox, SelfCheckFailed
 from .lattice import Offset, _as_offset, _sup_norm
 
 #: default working-box radius per dimension (keeps dense matrices tractable)
@@ -287,7 +287,8 @@ def find_concentration_cube(
             if s != c and max(abs(a - b) for a, b in zip(s, c)) <= ell:
                 others += h
         if others < eps:
-            assert _check_concentration(spec, c, L, ell, eps)
+            if not _check_concentration(spec, c, L, ell, eps):
+                raise SelfCheckFailed(f"concentration cube at {c} failed its re-check")
             return c
     raise NotFoundInBox(
         f"no concentration cube with L={L}, ell={ell}, eps={eps} inside the box"

@@ -34,6 +34,7 @@ from .errors import (
     NoConvergence,
     NoRootAboveOne,
     NotStabilized,
+    SelfCheckFailed,
 )
 from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P
 from .potential import PotentialSpec, sparseness_profile
@@ -290,7 +291,7 @@ def bipartite_detect(kernel: WalkKernel, verify_radius: int = 4) -> BipartiteSig
                 for off in kernel.offsets:
                     other = tuple(b + o for b, o in zip(base, off))
                     if cand.sign(base) * cand.sign(other) == 1:
-                        raise AssertionError("bipartite sign failed verification")
+                        raise SelfCheckFailed(f"bipartite sign on axes {axes} failed verification")
             return cand
     return None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparsewalk.errors import (
     LambdaInSpectrum,
     NoSignChange,
 )
+from sparsewalk.lattice import _sup_norm
 
 
 def test_single_site_assembly():
@@ -111,6 +113,22 @@ def test_resolvent_via_bs_matches_direct_inverse():
     assert np.max(np.abs((R - direct)[np.ix_(interior, interior)])) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "name, radius, pts, shift", [("simple1d", 6, 512, (3,)), ("simple2d", 4, 64, (2, -1))]
+)
+def test_resolvent_via_bs_is_translation_invariant(name, radius, pts, shift):
+    # a potential shifted together with the box centre sees the same operator
+    k = sw.simple1d() if name == "simple1d" else sw.simple2d()
+    d = k.dimension
+    centred = sw.make_potential(d, {(0,) * d: 1.0})
+    R0, resid0 = sw.resolvent_via_bs(k, centred, 2.0, box=radius, pts_per_axis=pts)
+    box = sw.LatticeBox.cube(radius, d, center=shift)
+    shifted = sw.make_potential(d, {shift: 1.0})
+    R1, resid1 = sw.resolvent_via_bs(k, shifted, 2.0, box=box, pts_per_axis=pts)
+    assert np.array_equal(R1, R0)
+    assert resid1 == resid0
+
+
 def test_resolvent_via_bs_detects_eigenvalue():
     k = sw.simple1d()
     spec = sw.single_delta(1, 1.0)
@@ -167,6 +185,71 @@ def test_neumann_alpha_guard():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=512)
     with pytest.raises(AlphaTooLarge):
         sw.neumann_invertibility(k, spec, (), 2.0, 5.0, box=512)
+
+
+def _reference_neumann(kernel, spec, lam, alpha, box, pts_per_axis):
+    """Certificate with K empty, built pair by pair: the reference for the vectorised envelope."""
+    origin = (0,) * kernel.dimension
+    probe = range(1, 13)
+    disp = [(t,) + origin[1:] for t in probe]
+    table = sw.green_table(kernel, lam, [origin] + disp, pts_per_axis)
+    fit = sw.decay_rate_estimate([(t, abs(table[d])) for t, d in zip(probe, disp)])
+    gamma = lam * table[origin] - 1.0
+    supp = [(s, h) for s, h in zip(spec.sites, spec.heights) if _sup_norm(s) <= box]
+    eps0 = 1.0
+    for _, h in supp:
+        eps0 = min(eps0, abs(1.0 - gamma * h))
+    pts = [s for s, _ in supp]
+    hts = np.array([h for _, h in supp])
+    disp = sorted({tuple(b - a for a, b in zip(x, y)) for x in pts for y in pts if x != y})
+    table = sw.green_table(kernel, lam, disp, pts_per_axis)
+    n = len(pts)
+    absG = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d = tuple(b - a for a, b in zip(pts[i], pts[j]))
+                envelope = 2.0 * fit.prefactor * math.exp(-fit.rate * _sup_norm(d))
+                absG[i, j] = min(abs(table[d]) + 1e-15, envelope)
+    sq = np.sqrt(hts)
+    H = abs(lam) * sq[:, None] * absG * sq[None, :]
+    h_plain = float(H.sum(axis=1).max())
+    norms = np.array([_sup_norm(s) for s in pts], dtype=float)
+    W = H * np.exp(alpha * (norms[:, None] - norms[None, :]))
+    h_weighted = float(W.sum(axis=1).max())
+    return sw.NeumannCertificate(
+        excluded=(),
+        lam=lam,
+        alpha=alpha,
+        epsilon0=eps0,
+        h_norm_plain=h_plain,
+        h_norm_weighted=h_weighted,
+        contraction=max(h_plain, h_weighted) / eps0,
+        green_decay_rate=fit.rate,
+    )
+
+
+def _seeded_support_2d(seed, n):
+    rng = np.random.default_rng(seed)
+    values = {}
+    while len(values) < n:
+        values[tuple(int(c) for c in rng.integers(-6, 7, 2))] = float(rng.uniform(0.2, 1.0))
+    return sw.make_potential(2, values)
+
+
+@pytest.mark.parametrize(
+    "name, spec, lam, box, pts",
+    [
+        ("simple1d", sw.dense_level(1, 0.3, box_radius=200), 2.0, 256, 256),
+        ("simple2d", _seeded_support_2d(11, 8), 1.6, 8, 128),
+    ],
+)
+def test_neumann_matches_pairwise_reference(name, spec, lam, box, pts):
+    k = sw.simple1d() if name == "simple1d" else sw.simple2d()
+    cert = sw.neumann_invertibility(k, spec, (), lam, 0.3, box=box, pts_per_axis=pts)
+    ref = _reference_neumann(k, spec, lam, 0.3, box, pts)
+    for field in dataclasses.fields(sw.NeumannCertificate):
+        assert getattr(cert, field.name) == getattr(ref, field.name), field.name
 
 
 def test_grow_exclusion_set():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
-from sparsewalk.errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox
+from sparsewalk import potential
+from sparsewalk.errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox, SelfCheckFailed
 
 
 def test_geometric_construction():
@@ -108,6 +109,14 @@ def test_concentration_cube_examples():
         sw.find_concentration_cube(decaying, 1, 1, 0.5)
     with pytest.raises(NotFoundInBox):
         sw.find_concentration_cube(spec, 90, 5, 0.5)
+
+
+def test_concentration_cube_recheck_failure_is_named(monkeypatch):
+    # an explicit check, so python -O cannot skip it
+    monkeypatch.setattr(potential, "_check_concentration", lambda *args: False)
+    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100)
+    with pytest.raises(SelfCheckFailed):
+        sw.find_concentration_cube(spec, 10, 2, 0.5)
 
 
 def test_concentration_cube_conditions_hold():

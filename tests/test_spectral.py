@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
-from sparsewalk.errors import BoxTooLarge, GapNotCertified, NoRootAboveOne
+from sparsewalk import spectral
+from sparsewalk.errors import BoxTooLarge, GapNotCertified, NoRootAboveOne, SelfCheckFailed
 
 
 def test_truncation_free_walk_ground_state():
@@ -202,6 +203,13 @@ def test_bipartite_detect():
     assert sign2 is not None and sign2.axes == (0, 1)
     assert sign2.sign((1, 0)) == -1
     assert sign2.sign((1, 1)) == 1
+
+
+def test_bipartite_verification_failure_is_named(monkeypatch):
+    # a sign that joins equal-sign sites must fail with a named error
+    monkeypatch.setattr(spectral.BipartiteSign, "sign", lambda self, site: 1)
+    with pytest.raises(SelfCheckFailed):
+        sw.bipartite_detect(sw.simple1d())
 
 
 def test_diag_dominance():

@@ -3,8 +3,11 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed).  The package is imported from ``PYTHONPATH``, so two checkouts are
-compared by running this script against each and diffing the outputs:
+seed), plus a 2d Birman-Schwinger section: the ``resolvent_via_bs``
+residual and Frobenius norm and every ``neumann_invertibility`` certificate
+field for a fixed 3-site potential under the simple 2d walk.  The package
+is imported from ``PYTHONPATH``, so two checkouts are compared by running
+this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
 
@@ -16,12 +19,14 @@ fingerprint instead:
 This prints every value whose relative change exceeds 1e-9, and every value
 below 1e-12 in magnitude whose absolute change exceeds 1e-14, then lists
 the artifacts whose digest changed.  It exits 1 if any value (or CLI exit
-code) moved beyond those tolerances.
+code) moved beyond those tolerances.  A saved fingerprint without the 2d
+section still loads; that section is then left out of the comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,6 +35,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+import sparsewalk as sw
 from sparsewalk import acceptance, cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -45,6 +53,8 @@ CLI_RUNS = (
     ("fk", "fk_delta.json"),
 )
 SEEDED = {"doob": 12345, "fk": 7}
+#: the 2d Birman-Schwinger case: simple2d, lambda 2, box radius 4, pts 64
+BS2D_SITES = {(0, 0): 1.0, (1, -1): 0.5, (-2, 1): 0.25}
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -69,7 +79,19 @@ def fingerprint() -> dict:
             for path in sorted(out.iterdir()):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             artifacts[kind] = digests
-    return {"values": values, "artifacts": artifacts}
+    return {"values": values, "artifacts": artifacts, "bs2d": bs2d()}
+
+
+def bs2d() -> dict:
+    """Reprs of the 2d resolvent residual and norm and of the certificate."""
+    kernel = sw.simple2d()
+    spec = sw.make_potential(2, BS2D_SITES)
+    R, residual = sw.resolvent_via_bs(kernel, spec, 2.0, 4, pts_per_axis=64)
+    cert = sw.neumann_invertibility(kernel, spec, (), 2.0, 0.3, 4, pts_per_axis=64)
+    out = {"resolvent_residual": repr(residual), "resolvent_frobenius": repr(float(np.linalg.norm(R)))}
+    for field in dataclasses.fields(cert):
+        out[f"neumann_{field.name}"] = repr(getattr(cert, field.name))
+    return out
 
 
 def moved_beyond(old: str, new: str) -> bool:
@@ -89,8 +111,15 @@ def report(old: dict, new: dict) -> int:
     """Print what moved between two fingerprints; 1 if beyond tolerance."""
     beyond = 0
     moved = 0
-    for index in sorted(set(old["values"]) | set(new["values"]), key=int):
-        a, b = old["values"].get(index, {}), new["values"].get(index, {})
+    sections = [
+        (f"criterion {index}", old["values"].get(index, {}), new["values"].get(index, {}))
+        for index in sorted(set(old["values"]) | set(new["values"]), key=int)
+    ]
+    if "bs2d" in old:
+        sections.append(("bs2d", old["bs2d"], new["bs2d"]))
+    else:
+        print("saved fingerprint has no bs2d section; not compared")
+    for label, a, b in sections:
         for key in sorted(set(a) | set(b)):
             was, now = a.get(key, "<missing>"), b.get(key, "<missing>")
             if was == now:
@@ -98,7 +127,7 @@ def report(old: dict, new: dict) -> int:
             moved += 1
             if moved_beyond(was, now):
                 beyond += 1
-                print(f"beyond tolerance: criterion {index} {key}: {was} -> {now}")
+                print(f"beyond tolerance: {label} {key}: {was} -> {now}")
     print(f"{moved} value(s) moved, {beyond} beyond tolerance")
     for kind in sorted(set(old["artifacts"]) | set(new["artifacts"])):
         a, b = old["artifacts"].get(kind, {}), new["artifacts"].get(kind, {})
