@@ -26,8 +26,8 @@ print("\n== characteristic function and spectrum ==")
 for theta in (0.0, np.pi / 2, np.pi):
     print(f"p-hat({theta:+.3f}) simple = {sw.char_function(simple, theta):+.6f}, "
           f"lazy = {sw.char_function(lazy, theta):+.6f}")
-print(f"spectrum simple: [{sw.spectrum_bounds(simple).lower:+.6f}, 1]")
-print(f"spectrum lazy:   [{sw.spectrum_bounds(lazy).lower:+.6f}, 1]  (= 2q-1)")
+print(f"spectrum simple: [{simple.lower:+.6f}, 1]")
+print(f"spectrum lazy:   [{lazy.lower:+.6f}, 1]  (= 2q-1)")
 
 print("\n== exact return probabilities ==")
 for n in range(0, 7):

@@ -3,7 +3,6 @@
 from .errors import SparseWalkError
 from .lattice import (
     LatticeBox,
-    SpectrumInterval,
     WalkKernel,
     apply_P,
     char_function,
@@ -11,7 +10,6 @@ from .lattice import (
     lazy1d,
     simple1d,
     simple2d,
-    spectrum_bounds,
     validate_kernel,
     weyl_scaling_fit,
     weyl_sequence_residual,

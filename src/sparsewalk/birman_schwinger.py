@@ -34,7 +34,7 @@ from .errors import (
     LambdaInSpectrum,
     NoSignChange,
 )
-from .lattice import LatticeBox, WalkKernel, _dense_P, _sup_norm
+from .lattice import LatticeBox, WalkKernel, _as_offset, _dense_P, _sup_norm
 from .potential import PotentialSpec
 from .resolvent import decay_rate_estimate, g_lambda_quadrature, green_table
 
@@ -294,7 +294,7 @@ def neumann_invertibility(
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
     _guard_margin(kernel, lam)
-    excluded = {tuple(int(c) for c in (k if not isinstance(k, int) else (k,))) for k in K}
+    excluded = {_as_offset(k, kernel.dimension) for k in K}
 
     origin = (0,) * kernel.dimension
     probe = range(1, 13)

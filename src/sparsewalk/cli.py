@@ -58,14 +58,13 @@ def _write_summary(out: Path, kind: str, payload: dict) -> None:
 
 def exp_validate(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
-    interval = lattice.spectrum_bounds(kernel, int(cfg.get("grid_density", 256)))
     rows = [(list(off), p) for off, p in zip(kernel.offsets, kernel.probs)]
     _write_csv(out / "kernel.csv", ["offset", "probability"], rows)
     return {
         "dimension": kernel.dimension,
         "range": kernel.reach,
         "p0": kernel.p0,
-        "spectrum_lower": interval.lower,
+        "spectrum_lower": kernel.lower,
         "irreducible_proxy": "Q(0,2r) covered",
         "bipartite": spectral.bipartite_detect(kernel) is not None,
     }
@@ -113,6 +112,8 @@ def exp_spectrum(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
     Ls = [int(L) for L in require(cfg, "L_sequence", "spectrum")]
+    if len(Ls) < 2:
+        raise ConfigInvalid(f"'L_sequence' needs at least two box radii, got {Ls}")
     bundle = spectral.spectral_report(kernel, spec, Ls)
     rows = []
     for rep in bundle.reports:

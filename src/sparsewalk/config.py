@@ -3,6 +3,7 @@
 A config is a flat JSON object.  An optional "include" key (path or list of
 paths, relative to the including file) supplies shared defaults - kernel and
 potential presets mostly - which the including file overrides key by key.
+A file that includes itself, directly or through others, is ConfigInvalid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ SEEDED = ("doob", "fk")
 
 
 def load_config(path) -> dict:
-    path = Path(path)
+    return _load(Path(path), ())
+
+
+def _load(path: Path, chain: tuple[Path, ...]) -> dict:
+    """Read one config and its includes; chain holds the files that include it."""
+    key = path.resolve()
+    if key in chain:
+        cycle = chain[chain.index(key):] + (key,)
+        raise ConfigInvalid("config include cycle: " + " -> ".join(p.name for p in cycle))
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError as err:
@@ -50,7 +59,7 @@ def load_config(path) -> dict:
         includes = [includes]
     merged: dict = {}
     for inc in includes:
-        merged.update(load_config(path.parent / inc))
+        merged.update(_load(path.parent / inc, chain + (key,)))
     merged.update(raw)
     return merged
 
@@ -83,7 +92,9 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
 
 def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
     spec = cfg.get("potential")
-    if spec is None or spec.get("type") in (None, "none", "zero"):
+    if spec is not None and "type" not in spec:
+        raise ConfigInvalid("potential section needs a 'type' ('none' for no potential)")
+    if spec is None or spec["type"] in ("none", "zero"):
         return None
     kind = spec["type"]
     box_radius = spec.get("box_radius")

@@ -343,20 +343,12 @@ def edge_inequality_check(kernel: WalkKernel, spec: PotentialSpec | None, L: int
     w = np.linalg.eigvalsh(op.sym)
     r, ell = float(w[-1]), float(w[0])
     d = kernel.dimension
+    offs, ps = kernel.offset_array(), kernel.prob_array()
     per: dict[tuple[int, ...], float] = {}
     for size in range(1, d + 1):
         for axes in itertools.combinations(range(d), size):
-            sel = [
-                (off, p)
-                for off, p in zip(kernel.offsets, kernel.probs)
-                if sum(off[a] for a in axes) % 2 == 0
-            ]
-            if sel:
-                offs = np.array([o for o, _ in sel], dtype=int)
-                ps = np.array([p for _, p in sel])
-                ell_a = _char_lower(offs, ps, 512)
-            else:
-                ell_a = 0.0
+            even = offs[:, list(axes)].sum(axis=1) % 2 == 0
+            ell_a = _char_lower(offs[even], ps[even], 512) if even.any() else 0.0
             per[axes] = ell - (-r + 2.0 * ell_a)
     return EdgeCheck(slack=min(per.values()), per_axes=per, r=r, ell=ell)
 

@@ -162,6 +162,26 @@ def test_neumann_single_delta_excluded():
     assert cert.valid
 
 
+def test_neumann_K_sites_checked_against_dimension():
+    k = sw.simple2d()
+    spec = sw.make_potential(2, {(0, 0): 1.0, (3, 1): 0.5})
+    with pytest.raises(ValueError):
+        sw.neumann_invertibility(k, spec, [(0,)], 2.0, 0.3, box=8, pts_per_axis=128)
+    cert = sw.neumann_invertibility(k, spec, [(0, 0)], 2.0, 0.3, box=8, pts_per_axis=128)
+    # oracle: excluding (0, 0) is the same as leaving it out of the potential
+    ref = sw.neumann_invertibility(
+        k, sw.make_potential(2, {(3, 1): 0.5}), (), 2.0, 0.3, box=8, pts_per_axis=128
+    )
+    assert cert.excluded == ((0, 0),)
+    assert cert.h_norm_plain == 0.0
+    assert dataclasses.replace(cert, excluded=()) == ref
+    # 1d sites may still be plain integers
+    one = sw.neumann_invertibility(sw.simple1d(), sw.single_delta(1, 1.0), [0], 2.0, 0.6, box=64)
+    assert one == sw.neumann_invertibility(
+        sw.simple1d(), sw.single_delta(1, 1.0), [(0,)], 2.0, 0.6, box=64
+    )
+
+
 def test_neumann_geometric_empty_K():
     k = sw.simple1d()
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=512)

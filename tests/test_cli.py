@@ -106,6 +106,60 @@ def test_malformed_config(tmp_path):
     assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+SIMPLE = {"kernel": {"preset": "simple1d"}}
+
+#: (experiment, {file name: config}, text the error line must hold);
+#: the first file is the one passed to --config
+MALFORMED = {
+    "potential without type": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "potential": {"v": 2.0}, "L_sequence": [20, 30]}},
+        "needs a 'type'",
+    ),
+    "self include": (
+        "validate",
+        {"cfg.json": {**SIMPLE, "include": "cfg.json"}},
+        "cfg.json -> cfg.json",
+    ),
+    "include cycle": (
+        "validate",
+        {
+            "cfg.json": {"include": "a.json"},
+            "a.json": {"include": "b.json"},
+            "b.json": {**SIMPLE, "include": "a.json"},
+        },
+        "a.json -> b.json -> a.json",
+    ),
+    "one-entry L_sequence": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "L_sequence": [40]}},
+        "at least two box radii",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_table(tmp_path, capsys, case):
+    kind, files, needle = MALFORMED[case]
+    for name, payload in files.items():
+        _write(tmp_path, name, payload)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(tmp_path / next(iter(files))), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["none", "zero"])
+def test_potential_type_none_means_free_walk(tmp_path, kind):
+    cfg = _write(tmp_path, "cfg.json", {**SIMPLE, "potential": {"type": kind}, "L_sequence": [20, 30]})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["results"]["lambda0"] is None
+
+
 def test_unknown_suite_name(tmp_path):
     assert main(["suite", "wrong-name", "--out", str(tmp_path / "s")]) == 2
 

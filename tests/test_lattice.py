@@ -76,19 +76,19 @@ def test_char_on_grid_is_read_only():
 
 
 def test_spectrum_bounds():
-    assert sw.spectrum_bounds(sw.simple1d()).lower == pytest.approx(-1.0, abs=1e-12)
-    assert sw.spectrum_bounds(sw.lazy1d(0.25)).lower == pytest.approx(-0.5, abs=1e-12)
-    assert sw.spectrum_bounds(sw.simple2d()).lower == pytest.approx(-1.0, abs=1e-12)
-    interval = sw.spectrum_bounds(sw.lazy1d(0.7))
-    assert interval.lower == pytest.approx(0.4, abs=1e-12)
-    assert interval.lower >= 2 * 0.7 - 1 - 1e-12
+    assert sw.simple1d().lower == pytest.approx(-1.0, abs=1e-12)
+    assert sw.lazy1d(0.25).lower == pytest.approx(-0.5, abs=1e-12)
+    assert sw.simple2d().lower == pytest.approx(-1.0, abs=1e-12)
+    lazy = sw.lazy1d(0.7)
+    assert lazy.lower == pytest.approx(0.4, abs=1e-12)
+    assert lazy.lower >= 2 * 0.7 - 1 - 1e-12
 
 
 def test_spectrum_bounds_off_grid_minimizer():
     # oracle: p-hat = 0.6 cos t + 0.4 cos 2t has its minimum at
     # cos t = -0.375 (an irrational angle), value -0.5125 exactly
     k = sw.validate_kernel({1: 0.3, -1: 0.3, 2: 0.2, -2: 0.2})
-    assert sw.spectrum_bounds(k, 256).lower == pytest.approx(-0.5125, abs=1e-10)
+    assert k.lower == pytest.approx(-0.5125, abs=1e-10)
     # 2d kernel mixing axis and diagonal moves; fine-grid oracle value -0.4
     k2 = sw.validate_kernel(
         {
@@ -96,7 +96,98 @@ def test_spectrum_bounds_off_grid_minimizer():
             (1, 1): 0.1, (-1, -1): 0.1, (1, -1): 0.1, (-1, 1): 0.1,
         }
     )
-    assert sw.spectrum_bounds(k2, 128).lower == pytest.approx(-0.4, abs=1e-9)
+    assert k2.lower == pytest.approx(-0.4, abs=1e-9)
+
+
+def _meshgrid_lower(kernel, grid_density, sweeps=3):
+    """min p-hat by the scan validate_kernel used before the shared p-hat grid.
+
+    Left-endpoint grid built by meshgrid, argmin, coordinate golden-section
+    sweeps, then the 2 p0 - 1 clamp.  sweeps=3 is the deleted scan;
+    sweeps=None repeats sweeps until one gains no more than 1e-15.
+    """
+    offsets, probs = kernel.offset_array(), kernel.prob_array()
+
+    def phat(theta):
+        return np.cos(theta @ offsets.T) @ probs
+
+    d = kernel.dimension
+    axis = np.linspace(-np.pi, np.pi, grid_density, endpoint=False)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    theta_pts = np.stack([g.ravel() for g in grids], axis=-1)
+    theta = theta_pts[int(np.argmin(phat(theta_pts)))].astype(float)
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    span = 2 * np.pi / grid_density
+    value = phat(theta[None, :])[0]
+    for sweep in range(1000):
+        for ax in range(d):
+            lo, hi = theta[ax] - span, theta[ax] + span
+            c, dd = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            for _ in range(80):
+                tc, td = theta.copy(), theta.copy()
+                tc[ax], td[ax] = c, dd
+                if phat(tc[None, :])[0] < phat(td[None, :])[0]:
+                    hi = dd
+                else:
+                    lo = c
+                c, dd = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            theta[ax] = 0.5 * (lo + hi)
+        new = phat(theta[None, :])[0]
+        gain, value = value - new, new
+        if sweep + 1 == sweeps or (sweeps is None and sweep >= 2 and gain <= 1e-15):
+            break
+    return max(float(value), 2.0 * kernel.p0 - 1.0)
+
+
+def _seeded_kernel(seed, moves):
+    """Random symmetric kernel on the origin and +-each of the given moves."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, size=len(moves) + 1)
+    w /= w[0] + 2.0 * w[1:].sum()
+    raw = {(0,) * len(moves[0]): w[0]}
+    for m, p in zip(moves, w[1:]):
+        raw[m] = raw[tuple(-c for c in m)] = p
+    return sw.validate_kernel(raw)
+
+
+def _lazy3d(q):
+    raw = {(0, 0, 0): q}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+    return sw.validate_kernel(raw)
+
+
+def _random1d(trial):
+    """The kernel of trial ``trial`` of test_properties.test_cross_module_identities."""
+    from test_properties import _random_kernel
+
+    return _random_kernel(np.random.default_rng(911 + trial))
+
+
+DIAGONAL_2D = [(1, 0), (0, 1), (1, 1), (1, -1)]
+FACE_3D = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
+]
+#: name -> (kernel factory, reference grid); the 3d references scan at 64,
+#: since the 256^3 meshgrid takes about 5 s and 2.7 GB
+LOWER_BATTERY = {
+    **{f"random1d-{t}": (lambda t=t: _random1d(t), 256) for t in range(6)},
+    **{f"diagonal2d-{s}": (lambda s=s: _seeded_kernel(s, DIAGONAL_2D), 256) for s in (3, 4, 5)},
+    "lazy3d-0.17": (lambda: _lazy3d(0.17), 64),
+    "face3d-7": (lambda: _seeded_kernel(7, FACE_3D), 64),
+}
+
+
+@pytest.mark.parametrize("name", list(LOWER_BATTERY))
+def test_lower_matches_meshgrid_reference(name):
+    make, grid = LOWER_BATTERY[name]
+    k = make()
+    # every polished value is p-hat somewhere, so an upper bound of min p-hat:
+    # the one scan never stops above the deleted one, and it agrees with the
+    # deleted one run until its sweeps stop paying
+    assert k.lower <= _meshgrid_lower(k, grid) + 1e-12
+    assert abs(k.lower - _meshgrid_lower(k, grid, sweeps=None)) <= 1e-12
 
 
 def test_apply_P_delta_and_constants():

@@ -3,11 +3,12 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus a 2d Birman-Schwinger section: the ``resolvent_via_bs``
-residual and Frobenius norm and every ``neumann_invertibility`` certificate
-field for a fixed 3-site potential under the simple 2d walk.  The package
-is imported from ``PYTHONPATH``, so two checkouts are compared by running
-this script against each and diffing the outputs:
+seed), plus two sections: ``bs2d``, the ``resolvent_via_bs`` residual and
+Frobenius norm and every ``neumann_invertibility`` certificate field for a
+fixed 3-site potential under the simple 2d walk, and ``kernels``, the
+bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
+3d.  The package is imported from ``PYTHONPATH``, so two checkouts are
+compared by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
 
@@ -16,11 +17,12 @@ fingerprint instead:
 
     PYTHONPATH=src python3 tools/same_results.py --against same.json
 
-This prints every value whose relative change exceeds 1e-9, and every value
-below 1e-12 in magnitude whose absolute change exceeds 1e-14, then lists
-the artifacts whose digest changed.  It exits 1 if any value (or CLI exit
-code) moved beyond those tolerances.  A saved fingerprint without the 2d
-section still loads; that section is then left out of the comparison.
+This prints every value that moved, marked beyond tolerance if its
+relative change exceeds 1e-9 (or, below 1e-12 in magnitude, its absolute
+change exceeds 1e-14), then lists the artifacts whose digest changed.  It
+exits 1 if any value (or CLI exit code) moved beyond those tolerances.  A
+saved fingerprint without the ``bs2d`` or ``kernels`` section still loads;
+that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -55,6 +57,23 @@ CLI_RUNS = (
 SEEDED = {"doob": 12345, "fk": 7}
 #: the 2d Birman-Schwinger case: simple2d, lambda 2, box radius 4, pts 64
 BS2D_SITES = {(0, 0): 1.0, (1, -1): 0.5, (-2, 1): 0.25}
+#: kernels whose ``lower`` is recorded: the presets, two kernels whose
+#: minimum of p-hat lies off every grid, and the 3d lazy walk (q = 0.17)
+KERNELS = {
+    "simple1d": sw.simple1d,
+    "lazy1d(0.25)": lambda: sw.lazy1d(0.25),
+    "simple2d": sw.simple2d,
+    "offgrid1d": lambda: sw.validate_kernel({1: 0.3, -1: 0.3, 2: 0.2, -2: 0.2}),
+    "offgrid2d": lambda: sw.validate_kernel(
+        {
+            (1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15,
+            (1, 1): 0.1, (-1, -1): 0.1, (1, -1): 0.1, (-1, 1): 0.1,
+        }
+    ),
+    "lazy3d(0.17)": lambda: lazy3d(0.17),
+}
+#: sections an older saved fingerprint may lack
+OPTIONAL = ("bs2d", "kernels")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -79,7 +98,8 @@ def fingerprint() -> dict:
             for path in sorted(out.iterdir()):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             artifacts[kind] = digests
-    return {"values": values, "artifacts": artifacts, "bs2d": bs2d()}
+    kernels = {name: repr(make().lower) for name, make in KERNELS.items()}
+    return {"values": values, "artifacts": artifacts, "bs2d": bs2d(), "kernels": kernels}
 
 
 def bs2d() -> dict:
@@ -92,6 +112,14 @@ def bs2d() -> dict:
     for field in dataclasses.fields(cert):
         out[f"neumann_{field.name}"] = repr(getattr(cert, field.name))
     return out
+
+
+def lazy3d(q: float) -> sw.WalkKernel:
+    """Lazy nearest-neighbour walk on Z^3: p(0) = q, p(+-e_i) = (1 - q) / 6."""
+    raw = {(0, 0, 0): q}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+    return sw.validate_kernel(raw)
 
 
 def moved_beyond(old: str, new: str) -> bool:
@@ -115,19 +143,20 @@ def report(old: dict, new: dict) -> int:
         (f"criterion {index}", old["values"].get(index, {}), new["values"].get(index, {}))
         for index in sorted(set(old["values"]) | set(new["values"]), key=int)
     ]
-    if "bs2d" in old:
-        sections.append(("bs2d", old["bs2d"], new["bs2d"]))
-    else:
-        print("saved fingerprint has no bs2d section; not compared")
+    for name in OPTIONAL:
+        if name in old:
+            sections.append((name, old[name], new[name]))
+        else:
+            print(f"saved fingerprint has no {name} section; not compared")
     for label, a, b in sections:
         for key in sorted(set(a) | set(b)):
             was, now = a.get(key, "<missing>"), b.get(key, "<missing>")
             if was == now:
                 continue
             moved += 1
-            if moved_beyond(was, now):
-                beyond += 1
-                print(f"beyond tolerance: {label} {key}: {was} -> {now}")
+            far = moved_beyond(was, now)
+            beyond += far
+            print(f"{'beyond' if far else 'within'} tolerance: {label} {key}: {was} -> {now}")
     print(f"{moved} value(s) moved, {beyond} beyond tolerance")
     for kind in sorted(set(old["artifacts"]) | set(new["artifacts"])):
         a, b = old["artifacts"].get(kind, {}), new["artifacts"].get(kind, {})
