@@ -108,6 +108,20 @@ class BoxTooLarge(SparseWalkError):
     """Truncation volume exceeds the configured dense cap."""
 
 
+class TruncationTooSmall(SparseWalkError, ValueError):
+    """Truncation radius below four kernel ranges.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class TooFewRadii(SparseWalkError, ValueError):
+    """Spectral report asked for fewer than two box radii.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 class NoConvergence(SparseWalkError):
     """Iterative eigensolver hit its iteration cap."""
 

@@ -16,11 +16,17 @@ rate set by the absolute spectral gap.  This module computes the exact
 semigroup and marginals by transfer matrices, simulates the chain, runs
 unbiased Monte Carlo with a counter-based RNG, and fits the convergence
 and partition-growth rates.
+
+K has the sparsity of p, so the chain keeps its rows on the band of the
+truncation (one column per kernel offset, zero weight for a neighbour
+outside the box): the transform, the prefix law and the path sampler all
+walk that band, and the dense matrix is only derived on request.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,10 @@ from .spectral import truncated_operator
 #: fixed Monte Carlo chunk so sample i always uses stream (seed, i // CHUNK)
 MC_CHUNK = 4096
 
+#: uniforms drawn at a time by simulate_chain; the stream is the same as one
+#: draw of every step, the block only bounds memory
+SIM_BLOCK = 1 << 16
+
 
 def counter_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based Philox generator keyed by (seed, stream).
@@ -53,11 +63,17 @@ def counter_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ChainKernel:
-    """Doob-transformed stochastic matrix with its reversible measure."""
+    """Doob-transformed stochastic matrix with its reversible measure.
+
+    The rows live on the truncation's band: ``probs[i, k]`` is the
+    probability of the move from site i to box index ``cols[i, k]``, zero
+    for a neighbour outside the box.
+    """
 
     box: LatticeBox
     sites: np.ndarray
-    rows: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
     stationary: np.ndarray
     row_deficit: float
     rate: float
@@ -66,6 +82,14 @@ class ChainKernel:
 
     def index(self, site) -> int:
         return self.box.index(site)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Dense (volume, volume) transition matrix, built from the band."""
+        i, k = np.nonzero(self.probs)
+        dense = np.zeros((len(self.sites), len(self.sites)))
+        dense[i, self.cols[i, k]] = self.probs[i, k]
+        return dense
 
 
 def doob_kernel(
@@ -90,21 +114,23 @@ def doob_kernel(
         raise ValueError(f"phi shape {phi.shape} does not match box volume {op.volume}")
     if phi.min() <= 0.0:
         raise NonPositivePhi(f"min phi = {phi.min()!r}; Doob transform needs phi > 0")
-    resid = float(np.linalg.norm(op.matrix @ phi - r * phi) / np.linalg.norm(phi))
+    resid = float(np.linalg.norm(op.apply_M(phi) - r * phi) / np.linalg.norm(phi))
     if resid > 1e-8:
         raise EigenResidualTooLarge(f"eigen residual {resid:.3e} exceeds 1e-8")
-    rows = (op.matrix * phi[None, :]) / (r * phi[:, None])
-    sums = rows.sum(axis=1)
+    probs = (op.dvec[:, None] * op.probs * phi[op.cols]) / (r * phi[:, None])
+    sums = probs.sum(axis=1)
     deficit = float(np.max(np.abs(sums - 1.0)))
     if deficit > 1e-6:
         raise RowDeficitTooLarge(f"row deficit {deficit:.3e} exceeds 1e-6")
-    rows = rows / sums[:, None]
+    probs = probs / sums[:, None]
+    probs.flags.writeable = False
     m = phi * phi / op.dvec
     m = m / m.sum()
     return ChainKernel(
         box=op.box,
         sites=op.sites,
-        rows=rows,
+        cols=op.cols,
+        probs=probs,
         stationary=m,
         row_deficit=deficit,
         rate=r,
@@ -121,15 +147,21 @@ def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
     x0 = _as_offset(x0, chain.box.dim)
     if not chain.box.contains(x0):
         raise StartOutsideBox(f"{x0} outside {chain.box}")
-    cum = np.cumsum(chain.rows, axis=1)
-    cum[:, -1] = 1.0
-    uniforms = counter_rng(seed).random(steps)
+    cum = np.cumsum(chain.probs, axis=1)
+    # entries that reach the rounded row total (the last in-box neighbour and
+    # the zero-weight ones after it) close the row at exactly 1, so a uniform
+    # above that total still lands on a neighbour
+    cum[cum == cum[:, -1:]] = 1.0
+    cum_rows, col_rows = cum.tolist(), chain.cols.tolist()
+    rng = counter_rng(seed)
     path = np.empty(steps + 1, dtype=int)
-    path[0] = chain.index(x0)
-    cur = path[0]
-    for i in range(steps):
-        cur = int(np.searchsorted(cum[cur], uniforms[i], side="right"))
-        path[i + 1] = cur
+    cur = path[0] = chain.index(x0)
+    for start in range(0, steps, SIM_BLOCK):
+        block = []
+        for u in rng.random(min(SIM_BLOCK, steps - start)).tolist():
+            cur = col_rows[cur][bisect_right(cum_rows[cur], u)]
+            block.append(cur)
+        path[start + 1 : start + 1 + len(block)] = block
     return chain.sites[path]
 
 
@@ -303,9 +335,9 @@ def chain_prefix_law(chain: ChainKernel, k: int, x0=None) -> dict[tuple, float]:
         if len(prefix) == k:
             law[prefix] = law.get(prefix, 0.0) + prob
             return
-        for col in np.nonzero(chain.rows[idx])[0]:
-            nxt = chain.sites[col]
-            extend(prefix + (tuple(nxt),), int(col), prob * float(chain.rows[idx, col]))
+        for j in np.nonzero(chain.probs[idx])[0]:
+            col = int(chain.cols[idx, j])
+            extend(prefix + (tuple(chain.sites[col]),), col, prob * float(chain.probs[idx, j]))
 
     extend((), start, 1.0)
     return law

@@ -358,16 +358,30 @@ def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
     return out
 
 
+def _neighbour_table(
+    kernel: WalkKernel, sites: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band of P on the sites of Q(0, radius): one column per kernel offset.
+
+    Returns (cols, probs), both (len(sites), |offsets|): cols[i, k] is the
+    box index of sites[i] + offsets[k] and probs[i, k] its P value.  A
+    neighbour outside the box gets index 0 and weight 0.  The offsets are
+    sorted, so the in-box columns of every row increase with k.
+    """
+    weights = (2 * radius + 1) ** np.arange(kernel.dimension - 1, -1, -1)
+    shifted = sites[:, None, :] + kernel.offset_array()[None, :, :]
+    inside = np.all(np.abs(shifted) <= radius, axis=2)
+    cols = np.where(inside, (shifted + radius) @ weights, 0)
+    probs = np.where(inside, kernel.prob_array()[None, :], 0.0)
+    return cols, probs
+
+
 def _dense_P(kernel: WalkKernel, sites: np.ndarray, radius: int) -> np.ndarray:
     """Dense matrix of P on the sites of Q(0, radius), zero outside the box."""
-    vol = len(sites)
-    weights = (2 * radius + 1) ** np.arange(kernel.dimension - 1, -1, -1)
-    P0 = np.zeros((vol, vol))
-    rows = np.arange(vol)
-    for off, p in zip(kernel.offsets, kernel.probs):
-        shifted = sites + np.asarray(off, dtype=int)
-        mask = np.all(np.abs(shifted) <= radius, axis=1)
-        P0[rows[mask], (shifted[mask] + radius) @ weights] = p
+    cols, probs = _neighbour_table(kernel, sites, radius)
+    rows, ks = np.nonzero(probs)
+    P0 = np.zeros((len(sites), len(sites)))
+    P0[rows, cols[rows, ks]] = probs[rows, ks]
     return P0
 
 

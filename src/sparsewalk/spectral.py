@@ -11,6 +11,12 @@ phi = D^(1/2) psi.  Normalizing psi in l^2 normalizes phi in the weighted
 inner product <f, g>_V = <(1+V)^(-1) f, g>, which is the natural geometry:
 the operator is self-adjoint there.
 
+The truncation is stored as a band, one column per kernel offset: the box
+index of each neighbour and its P value, zero for a neighbour outside the
+box.  Power iteration and every eigen residual use matrix-free products
+over that band; the dense M and S are built on first use, for the full
+eigensolves only.
+
 This module provides the truncation itself, dense and power-iteration
 eigensolvers, the predictor for the excess essential spectrum (the level
 set g_lambda(0) = 1 + 1/v over declared essential values v), bipartiteness
@@ -25,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +42,10 @@ from .errors import (
     NoRootAboveOne,
     NotStabilized,
     SelfCheckFailed,
+    TooFewRadii,
+    TruncationTooSmall,
 )
-from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P
+from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P, _neighbour_table
 from .potential import PotentialSpec, sparseness_profile
 from .resolvent import DecayFit, decay_rate_estimate, g_level_crossings
 
@@ -49,19 +58,45 @@ PERIPHERAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dirichlet truncation of the perturbed operator to a cube."""
+    """Dirichlet truncation of the perturbed operator to a cube.
+
+    ``cols`` and ``probs`` are the (volume, |offsets|) band of P from
+    ``lattice._neighbour_table``; ``dvec`` is 1 + V on ``sites``.
+    """
 
     kernel: WalkKernel
     spec: PotentialSpec | None
     box: LatticeBox
-    matrix: np.ndarray
-    sym: np.ndarray
     dvec: np.ndarray
     sites: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
 
     @property
     def volume(self) -> int:
         return self.box.volume
+
+    def apply_S(self, f: np.ndarray) -> np.ndarray:
+        """S f = D^(1/2) P D^(1/2) f over the band."""
+        sqd = np.sqrt(self.dvec)
+        return sqd * (self.probs * (sqd * f)[self.cols]).sum(axis=1)
+
+    def apply_M(self, f: np.ndarray) -> np.ndarray:
+        """M f = D P f over the band."""
+        return self.dvec * (self.probs * f[self.cols]).sum(axis=1)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense M = D P, read-only, built on first use."""
+        P0 = _dense_P(self.kernel, self.sites, self.box.radius)
+        return _read_only(self.dvec[:, None] * P0)
+
+    @cached_property
+    def sym(self) -> np.ndarray:
+        """Dense S = D^(1/2) P D^(1/2), read-only, built on first use."""
+        P0 = _dense_P(self.kernel, self.sites, self.box.radius)
+        sqd = np.sqrt(self.dvec)
+        return _read_only(sqd[:, None] * P0 * sqd[None, :])
 
     def v_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * g / self.dvec))
@@ -70,30 +105,34 @@ class TruncatedOperator:
         return math.sqrt(max(self.v_inner(f, f), 0.0))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def truncated_operator(
     kernel: WalkKernel, spec: PotentialSpec | None, L: int, dense_cap: int = DENSE_CAP
 ) -> TruncatedOperator:
     """Assemble the truncation on Q(0, L) with zero outside."""
     if L < 4 * kernel.reach:
-        raise ValueError(f"L={L} must be at least 4x kernel range {kernel.reach}")
+        raise TruncationTooSmall(f"L={L} must be at least 4x kernel range {kernel.reach}")
     box = LatticeBox.cube(L, kernel.dimension)
     if box.volume > dense_cap:
         raise BoxTooLarge(f"volume {box.volume} exceeds dense cap {dense_cap}")
     sites = box.sites()
-    P0 = _dense_P(kernel, sites, L)
+    cols, probs = _neighbour_table(kernel, sites, L)
     if spec is None:
         dvec = np.ones(box.volume)
     else:
         dvec = 1.0 + spec.values_on(sites)
-    sqd = np.sqrt(dvec)
     return TruncatedOperator(
         kernel=kernel,
         spec=spec,
         box=box,
-        matrix=dvec[:, None] * P0,
-        sym=sqd[:, None] * P0 * sqd[None, :],
-        dvec=dvec,
-        sites=sites,
+        dvec=_read_only(dvec),
+        sites=_read_only(sites),
+        cols=_read_only(cols),
+        probs=_read_only(probs),
     )
 
 
@@ -119,7 +158,7 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
     sgn = np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0
     psi = sgn * psi
     phi = sgn * phi
-    resid = float(np.linalg.norm(op.matrix @ phi - value * phi) / np.linalg.norm(phi))
+    resid = float(np.linalg.norm(op.apply_M(phi) - value * phi) / np.linalg.norm(phi))
     return EigenPair(value=float(value), psi=psi, phi=phi, residual=resid)
 
 
@@ -157,24 +196,24 @@ def perron_pair(
     chain downstream.  Returns (r, phi) with phi normalized in the
     weighted norm.
     """
-    S = op.sym
+    S = op.apply_S
     x = np.ones(op.volume) / math.sqrt(op.volume)
     r_hat = 1.0
     for it in range(max_iter):
-        y = S @ x
+        y = S(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise NoConvergence("power iteration collapsed to zero")
-        z = S @ y
+        z = S(y)
         r_hat = ny  # sqrt(x . S^2 x) for unit x
         x = z / np.linalg.norm(z)
         if (it + 1) % check_every == 0:
-            psi = x + (S @ x) / r_hat
+            psi = x + S(x) / r_hat
             npsi = np.linalg.norm(psi)
             if npsi == 0.0 or psi.min() <= 0.0:
                 continue
             psi = psi / npsi
-            spsi = S @ psi
+            spsi = S(psi)
             rho = float(psi @ spsi)  # Rayleigh quotient, unit psi
             resid = float(np.linalg.norm(spsi - rho * psi))
             point = float(np.max(np.abs(spsi / (rho * psi) - 1.0)))
@@ -465,6 +504,9 @@ def spectral_report(
 ) -> ReportBundle:
     """Per-box spectral digests plus a discrete-eigenvalue Cauchy check.
 
+    The decay fit reads phi on the sites t e1 of fit_window, clipped to
+    the box; with fewer than 8 sites no decay is fitted.
+
     Eigenvalues above the predicted essential top lambda0 (plus a 1e-4
     attribution margin) are discrete candidates; they must agree within
     stabilize_tol across the last two boxes, else NotStabilized.  The rest
@@ -473,7 +515,7 @@ def spectral_report(
     """
     Ls = sorted(int(L) for L in L_sequence)
     if len(Ls) < 2:
-        raise ValueError("need at least two box radii")
+        raise TooFewRadii(f"need at least two box radii, got {Ls}")
     if spec is not None and any(v > 0 for v in spec.essential_values):
         pred = essential_spectrum_predictor(kernel, spec)
         lambda_v, lambda0 = pred.lambda_v, pred.lambda0
@@ -491,7 +533,7 @@ def spectral_report(
             # the power-iterated one is positive by construction
             r_pow, phi_pow = perron_pair(op, tol=1e-9, max_iter=20000)
             resid = float(
-                np.linalg.norm(op.matrix @ phi_pow - r_pow * phi_pow)
+                np.linalg.norm(op.apply_M(phi_pow) - r_pow * phi_pow)
                 / np.linalg.norm(phi_pow)
             )
             pair = EigenPair(value=r_pow, psi=phi_pow / np.sqrt(op.dvec), phi=phi_pow, residual=resid)
@@ -501,7 +543,7 @@ def spectral_report(
         gap = float(r - below.max()) if below.size else 0.0
         second = _second_abs(w, r)
         axis_idx = []
-        for t in range(fit_window[0], fit_window[1] + 1):
+        for t in range(fit_window[0], min(fit_window[1], L) + 1):
             site = (t,) + (0,) * (kernel.dimension - 1)
             axis_idx.append((t, op.box.index(site)))
         vals = [(t, abs(pair.phi[i])) for t, i in axis_idx]

@@ -65,6 +65,14 @@ def test_spectrum_subcommand(tmp_path):
     assert set(eigen) == {"20", "30", "40"}
 
 
+def test_spectrum_subcommand_small_boxes(tmp_path):
+    # boxes narrower than the default decay fit window (t up to 12)
+    cfg = _write(tmp_path, "cfg.json", {"kernel": {"preset": "simple1d"}, "L_sequence": [10, 11]})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
+
+
 def test_missing_seed_is_config_error(tmp_path):
     cfg = _write(
         tmp_path,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
+from sparsewalk import gibbs
 from sparsewalk.errors import (
     EigenResidualTooLarge,
     HorizonExceedsBox,
@@ -19,6 +20,72 @@ def _anchor_chain(q=0.0, L=60):
     op = sw.truncated_operator(kernel, spec, L)
     r, phi = sw.perron_pair(op, tol=1e-10)
     return kernel, spec, op, sw.doob_kernel(kernel, spec, (r, phi), op.box)
+
+
+def _anchor_chain_2d(L=8):
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=L, anchor=((1, -1), 1.6))
+    op = sw.truncated_operator(kernel, spec, L)
+    r, phi = sw.perron_pair(op)
+    return kernel, spec, op, sw.doob_kernel(kernel, spec, (r, phi), op.box)
+
+
+CHAINS = {"1d": lambda: _anchor_chain(L=20), "2d": _anchor_chain_2d}
+
+
+def _dense_doob(op, r, phi):
+    """Dense Doob transform: normalized rows and the pre-normalization deficit."""
+    rows = (op.matrix * phi[None, :]) / (r * phi[:, None])
+    sums = rows.sum(axis=1)
+    return rows / sums[:, None], float(np.max(np.abs(sums - 1.0)))
+
+
+def _dense_path(chain, x0, steps, seed):
+    """Path sampler on the dense cumulative table, one searchsorted per step."""
+    cum = np.cumsum(chain.rows, axis=1)
+    cum[:, -1] = 1.0
+    uniforms = sw.counter_rng(seed).random(steps)
+    path = np.empty(steps + 1, dtype=int)
+    path[0] = cur = chain.index(x0)
+    for i in range(steps):
+        cur = int(np.searchsorted(cum[cur], uniforms[i], side="right"))
+        path[i + 1] = cur
+    return chain.sites[path]
+
+
+@pytest.mark.parametrize("dim", sorted(CHAINS))
+def test_doob_band_matches_dense_rows(dim):
+    _, _, op, chain = CHAINS[dim]()
+    rows, deficit = _dense_doob(op, chain.rate, chain.phi)
+    assert np.all(np.abs(chain.rows - rows) <= 4 * np.spacing(rows))
+    assert abs(chain.row_deficit - deficit) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("block", [gibbs.SIM_BLOCK, 777])
+@pytest.mark.parametrize("seed", [3, 2024])
+@pytest.mark.parametrize("dim", sorted(CHAINS))
+def test_simulate_chain_matches_dense_sampler(dim, seed, block, monkeypatch):
+    monkeypatch.setattr(gibbs, "SIM_BLOCK", block)
+    _, _, _, chain = CHAINS[dim]()
+    x0 = (0,) * chain.box.dim
+    path = sw.simulate_chain(chain, x0, 10_000, seed)
+    assert np.array_equal(path, _dense_path(chain, x0, 10_000, seed))
+
+
+class _TopUniforms:
+    """Stands in for the generator: every uniform is the largest below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("dim", sorted(CHAINS))
+def test_simulate_chain_top_uniform_moves_to_neighbours(dim, monkeypatch):
+    monkeypatch.setattr(gibbs, "counter_rng", lambda seed, stream=0: _TopUniforms())
+    kernel, _, _, chain = CHAINS[dim]()
+    path = sw.simulate_chain(chain, (0,) * chain.box.dim, 200, seed=1)
+    assert {tuple(s) for s in np.diff(path, axis=0)} <= set(kernel.offsets)
+    assert np.max(np.abs(path)) <= chain.box.radius
 
 
 def test_doob_free_walk_h_transform():

@@ -5,7 +5,32 @@ import pytest
 
 import sparsewalk as sw
 from sparsewalk import spectral
-from sparsewalk.errors import BoxTooLarge, GapNotCertified, NoRootAboveOne, SelfCheckFailed
+from sparsewalk.errors import (
+    BoxTooLarge,
+    GapNotCertified,
+    NoRootAboveOne,
+    SelfCheckFailed,
+    TooFewRadii,
+    TruncationTooSmall,
+)
+
+#: symmetric only jointly, p(x) = p(-x), with unequal diagonal moves
+SKEW2D = {
+    (1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.1, (0, -1): 0.1,
+    (1, 1): 0.15, (-1, -1): 0.15, (1, -1): 0.05, (-1, 1): 0.05,
+}
+BAND_KERNELS = {
+    "lazy1d": (lambda: sw.lazy1d(0.3), 30),
+    "simple2d": (sw.simple2d, 10),
+    "skew2d": (lambda: sw.validate_kernel(SKEW2D), 10),
+}
+
+
+def _anchored(name):
+    kernel, L = BAND_KERNELS[name][0](), BAND_KERNELS[name][1]
+    d = kernel.dimension
+    spec = sw.build_geometric_sparse(d, 0.5, 3, box_radius=L, anchor=((1,) + (0,) * (d - 1), 1.5))
+    return kernel, spec, sw.truncated_operator(kernel, spec, L)
 
 
 def test_truncation_free_walk_ground_state():
@@ -37,6 +62,35 @@ def test_truncation_similarity():
     w_sym = np.sort(np.linalg.eigvalsh(op.sym))
     w_mat = np.sort(np.linalg.eigvals(op.matrix).real)
     assert np.max(np.abs(w_sym - w_mat)) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(BAND_KERNELS))
+def test_band_matvecs_match_dense(name):
+    _, _, op = _anchored(name)
+    f = np.random.default_rng(3).random(op.volume) + 0.5
+    for band, dense in ((op.apply_S(f), op.sym @ f), (op.apply_M(f), op.matrix @ f)):
+        assert np.max(np.abs(band - dense)) <= 1e-15 * np.max(np.abs(dense))
+    assert not op.sym.flags.writeable and not op.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["simple2d", "skew2d"])
+def test_perron_pair_2d_matches_eigvalsh(name):
+    _, _, op = _anchored(name)
+    r, phi = sw.perron_pair(op)
+    assert abs(r - float(np.linalg.eigvalsh(op.sym)[-1])) <= 1e-12
+    assert phi.min() > 0.0
+
+
+def test_truncation_too_small_is_named():
+    with pytest.raises(TruncationTooSmall):
+        sw.truncated_operator(sw.validate_kernel({2: 0.25, -2: 0.25, 1: 0.25, -1: 0.25}), None, 7)
+    assert issubclass(TruncationTooSmall, ValueError)
+
+
+def test_spectral_report_needs_two_radii():
+    with pytest.raises(TooFewRadii):
+        sw.spectral_report(sw.simple1d(), None, [20])
+    assert issubclass(TooFewRadii, ValueError)
 
 
 def test_truncation_caps():

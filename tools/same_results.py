@@ -3,12 +3,14 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus two sections: ``bs2d``, the ``resolvent_via_bs`` residual and
-Frobenius norm and every ``neumann_invertibility`` certificate field for a
-fixed 3-site potential under the simple 2d walk, and ``kernels``, the
+seed), plus three sections: ``bs2d``, the ``resolvent_via_bs`` residual
+and Frobenius norm and every ``neumann_invertibility`` certificate field
+for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
-3d.  The package is imported from ``PYTHONPATH``, so two checkouts are
-compared by running this script against each and diffing the outputs:
+3d; and ``chain2d``, the Perron pair, the Doob chain and the digest of a
+seeded path of the simple 2d walk on Q(0, 12) under an anchored geometric
+sparse potential.  The package is imported from ``PYTHONPATH``, so two
+checkouts are compared by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
 
@@ -19,10 +21,11 @@ fingerprint instead:
 
 This prints every value that moved, marked beyond tolerance if its
 relative change exceeds 1e-9 (or, below 1e-12 in magnitude, its absolute
-change exceeds 1e-14), then lists the artifacts whose digest changed.  It
-exits 1 if any value (or CLI exit code) moved beyond those tolerances.  A
-saved fingerprint without the ``bs2d`` or ``kernels`` section still loads;
-that section is then left out of the comparison.
+change exceeds 1e-14), then lists the artifacts whose digest changed.  A
+path digest has no tolerance: any change is beyond it.  It exits 1 if any
+value (or CLI exit code) moved beyond those tolerances.  A saved
+fingerprint without the ``bs2d``, ``kernels`` or ``chain2d`` section still
+loads; that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -72,8 +75,13 @@ KERNELS = {
     ),
     "lazy3d(0.17)": lambda: lazy3d(0.17),
 }
+#: the 2d chain case: simple2d on Q(0, 12), geometric sparse v = 0.5 on
+#: +-3^k e1 with an anchor of 1.6 at (1, -1), a 20k-step path from the origin
+CHAIN2D_L = 12
+CHAIN2D_STEPS = 20_000
+CHAIN2D_SEED = 2468
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels")
+OPTIONAL = ("bs2d", "kernels", "chain2d")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -99,7 +107,13 @@ def fingerprint() -> dict:
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             artifacts[kind] = digests
     kernels = {name: repr(make().lower) for name, make in KERNELS.items()}
-    return {"values": values, "artifacts": artifacts, "bs2d": bs2d(), "kernels": kernels}
+    return {
+        "values": values,
+        "artifacts": artifacts,
+        "bs2d": bs2d(),
+        "kernels": kernels,
+        "chain2d": chain2d(),
+    }
 
 
 def bs2d() -> dict:
@@ -112,6 +126,23 @@ def bs2d() -> dict:
     for field in dataclasses.fields(cert):
         out[f"neumann_{field.name}"] = repr(getattr(cert, field.name))
     return out
+
+
+def chain2d() -> dict:
+    """Reprs of the 2d Perron pair and Doob chain, and a path digest."""
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=CHAIN2D_L, anchor=((1, -1), 1.6))
+    op = sw.truncated_operator(kernel, spec, CHAIN2D_L)
+    r, phi = sw.perron_pair(op)
+    chain = sw.doob_kernel(kernel, spec, (r, phi), op.box)
+    path = sw.simulate_chain(chain, (0, 0), CHAIN2D_STEPS, CHAIN2D_SEED)
+    return {
+        "perron_r": repr(r),
+        "phi_min": repr(float(phi.min())),
+        "row_deficit": repr(chain.row_deficit),
+        "stationary_max": repr(float(chain.stationary.max())),
+        "path_sha256": hashlib.sha256(path.astype(np.int64).tobytes()).hexdigest(),
+    }
 
 
 def lazy3d(q: float) -> sw.WalkKernel:
@@ -154,7 +185,7 @@ def report(old: dict, new: dict) -> int:
             if was == now:
                 continue
             moved += 1
-            far = moved_beyond(was, now)
+            far = key.endswith("sha256") or moved_beyond(was, now)
             beyond += far
             print(f"{'beyond' if far else 'within'} tolerance: {label} {key}: {was} -> {now}")
     print(f"{moved} value(s) moved, {beyond} beyond tolerance")
