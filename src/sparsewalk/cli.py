@@ -226,8 +226,8 @@ def exp_doob(cfg: dict, out: Path) -> dict:
     emp = gibbsmod.occupation_distribution(chain, path)
     tv = 0.5 * float(np.abs(emp - chain.stationary).sum())
     rows = [
-        (list(site), float(m), float(e))
-        for site, m, e in zip(map(tuple, chain.sites), chain.stationary, emp)
+        ([int(c) for c in site], float(m), float(e))
+        for site, m, e in zip(chain.sites, chain.stationary, emp)
         if m > 1e-12 or e > 0
     ]
     _write_csv(out / "doob.csv", ["site", "stationary", "empirical"], rows)

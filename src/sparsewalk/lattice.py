@@ -341,6 +341,33 @@ def char_on_grid(kernel: WalkKernel, pts_per_axis: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _fibre_grid(
+    kernel: WalkKernel, axis: int, pts_per_axis: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p-hat along the fibres of a range-1 axis, on the grid of the other axes.
+
+    With |y_axis| <= 1 on the support and theta' the other coordinates,
+    p-hat = alpha(theta') + R(theta') cos(theta_axis + arg z(theta')), where
+    alpha sums the offsets with y_axis = 0 and z = sum_{y_axis = 1} p(y)
+    exp(i theta' . y'), R = 2 |z|.  Returns alpha, R and arg z on the
+    midpoint grid of the d - 1 other axes, flattened; cached and read-only
+    like ``char_on_grid``.
+    """
+    shape = (pts_per_axis,) * (kernel.dimension - 1)
+    alpha, z = np.zeros(shape), np.zeros(shape, dtype=complex)
+    for off, p in zip(kernel.offsets, kernel.probs):
+        phase = _grid_phase(off[:axis] + off[axis + 1 :], pts_per_axis)
+        if off[axis] == 0:
+            alpha += p * np.cos(phase)
+        elif off[axis] == 1:
+            z += p * np.exp(1j * phase)
+    out = (alpha.ravel(), 2.0 * np.abs(z).ravel(), np.angle(z).ravel())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
     """Convolution action of P on a function given on a box, zero outside."""
     if box.radius <= kernel.reach:

@@ -12,17 +12,33 @@ provided: torus quadrature (any dimension), a Neumann power series valid
 for |lambda| > 1 (path counting, independent of Fourier analysis), and the
 explicit closed form for the 1d lazy walk.
 
-Every quadrature value is a midpoint-rule mean of 1/(lambda - p-hat) over
-the torus grid of ``char_on_grid``, computed by one of two evaluators:
+Every quadrature value is a mean of 1/(lambda - p-hat) over the torus,
+on one of two grids:
+
+* Fibre grid (d >= 2 with a range-1 axis a, |y_a| <= 1 on the support:
+  every preset and the nearest-neighbour walks).  Along a the kernel reads
+  p-hat = alpha(theta') + R(theta') cos(theta_a + arg z(theta')), with
+  theta' the other coordinates (``_fibre_grid``).  With A = lambda - alpha
+  and s = sqrt(A^2 - R^2), the theta_a-mean of exp(i k theta_a)/(lambda -
+  p-hat) is exactly sgn(A) rho^|k| exp(-i k arg z)/s, rho = R/(A + sgn(A) s)
+  (the 1d closed form on each fibre), so only the d - 1 other axes take the
+  midpoint rule.  The origin is the mean of sgn(A)/s (``_fibre_inverse``);
+  every x != 0 is the partial DFT over the other axes of the weight row of
+  its x_a (``_fibre_dft``).
+* Full grid (``char_on_grid``), the midpoint rule on every axis: 1d, where
+  the fibre formula *is* ``g_lambda_closed_1d`` and quadrature must stay an
+  independent route, and kernels with range >= 2 on every axis.  The origin
+  is the plain mean of the grid; every x != 0 comes from one separable
+  partial DFT (``_partial_dft``): the midpoint rule on the torus is a DFT,
+  so one contraction per axis, restricted to the coordinates that occur,
+  replaces one cosine-weighted mean per x.
+
+Two evaluators read these grids:
 
 * ``_green_levels`` (certified): G_lambda(0, x) for a set of displacements
   at pts, 2 pts and 4 pts points per axis, pts >= 64; each value is kept
   only if its Richardson differences contract.  ``green_table``,
-  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.  At each
-  level the origin is the plain mean of the grid, and every x != 0 comes
-  from one separable partial DFT (``_partial_dft``): the midpoint rule on
-  the torus is a DFT, so one contraction per axis, restricted to the
-  coordinates that occur, replaces one cosine-weighted mean per x.
+  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
 * ``_g0_on_grid`` (uncertified): lambda * mean 1/(lambda - p-hat) at a
   single grid, for many lambda at once.
 
@@ -47,7 +63,7 @@ from .errors import (
     SeriesDiverges,
     TooFewPoints,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, _grid_phase, apply_P, char_on_grid
+from .lattice import WalkKernel, _as_offset, _fibre_grid, _grid_phase, char_on_grid
 
 #: points where spectrum proximity is rejected outright
 SPECTRUM_GUARD = 1e-12
@@ -107,7 +123,7 @@ def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
     return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
 
 
-#: entries of the largest intermediate table of ``_partial_dft``
+#: entries of the largest intermediate table of ``_partial_dft`` and ``_fibre_dft``
 _DFT_BLOCK = 2**16
 
 
@@ -142,15 +158,73 @@ def _partial_dft(base: np.ndarray, xs: list[tuple[int, ...]], level: int) -> np.
     return out / level**d
 
 
+def _fibre_axis(kernel: WalkKernel) -> int | None:
+    """The last axis a with |y_a| <= 1 on the support, if d >= 2 and one exists.
+
+    1d stays on the plain grid mean: there the fibre formula is the closed
+    form, and quadrature must remain an independent route.
+    """
+    if kernel.dimension == 1:
+        return None
+    short = np.flatnonzero(np.abs(kernel.offset_array()).max(axis=0) <= 1)
+    return int(short[-1]) if len(short) else None
+
+
+def _fibre_inverse(fibre, lam) -> np.ndarray:
+    """sgn(A)/s with A = lam - alpha, s = sqrt(A^2 - R^2): the exact
+    theta_a-mean of 1/(lam - p-hat) on every fibre of ``_fibre_grid``.
+
+    lam broadcasts against the fibre grid: a column of lambdas gives a row each.
+    """
+    alpha, R, _ = fibre
+    A = lam - alpha
+    return np.sign(A) / np.sqrt((A - R) * (A + R))
+
+
+def _fibre_dft(
+    inverse: np.ndarray, rho: np.ndarray, argz: np.ndarray, xs: list[tuple[int, ...]],
+    axis: int, level: int,
+) -> np.ndarray:
+    """G_lambda(0, x) for every x in xs, exact along ``axis``, midpoint rule elsewhere.
+
+    On a fibre the theta_a-mean of exp(i k theta_a)/(lam - p-hat) is
+    sgn(A) rho^|k| exp(-i k arg z)/s, where inverse = sgn(A)/s and
+    rho = R/(A + sgn(A) s), which needs no cancellation and is 0 where R is.
+    One weight row per x_a that occurs, in blocks of rows, is contracted by
+    one tensordot against exp(i theta c) per remaining axis, and each x
+    reads Re(.) at its own coordinates.
+    """
+    d = len(xs[0])
+    axis_grid = _grid_phase((1,), level).ravel()
+    ks, kwhere = np.unique([x[axis] for x in xs], return_inverse=True)
+    rest = [ax for ax in range(d) if ax != axis]
+    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in rest))
+    twiddles = [np.exp(1j * np.multiply.outer(axis_grid, c)) for c in coords]
+    block = max(1, _DFT_BLOCK // len(inverse))
+    out = np.empty(len(xs))
+    for start in range(0, len(ks), block):
+        k = ks[start : start + block, None]
+        table = inverse * rho ** np.abs(k) * np.exp(-1j * k * argz)
+        table = table.reshape((len(k),) + (level,) * (d - 1))
+        for tw in twiddles:
+            table = np.tensordot(table, tw, axes=([1], [0]))
+        # table axes: (x_a in this block, the other coordinates in axis order)
+        sel = (kwhere >= start) & (kwhere < start + block)
+        out[sel] = table[(kwhere[sel] - start,) + tuple(w[sel] for w in where)].real
+    return out / level ** (d - 1)
+
+
 def _green_levels(
     kernel: WalkKernel, lam: float, displacements, pts_per_axis: int
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Certified G_lambda(0, x) and its Richardson error for each displacement.
 
-    One grid of 1/(lam - p-hat) per level (pts, 2 pts, 4 pts per axis)
-    serves every displacement: the origin is its plain mean, every x != 0
-    comes from one partial DFT.  By the symmetry of p, x and -x share one
-    evaluation.
+    One grid per level (pts, 2 pts, 4 pts per axis) serves every
+    displacement.  With a range-1 axis in d >= 2 it is the fibre grid: the
+    origin is the mean of ``_fibre_inverse``, every x != 0 comes from
+    ``_fibre_dft``.  Otherwise it is the full grid of 1/(lam - p-hat): the
+    origin is its plain mean, every x != 0 comes from ``_partial_dft``.  By
+    the symmetry of p, x and -x share one evaluation.
     """
     if pts_per_axis < 64:
         raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
@@ -164,26 +238,38 @@ def _green_levels(
     means: dict[tuple[int, ...], list[float]] = {x: [] for x in sorted(set(canon.values()))}
     origin = (0,) * kernel.dimension
     others = [x for x in means if x != origin]
+    axis = _fibre_axis(kernel)
     for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
-        base = 1.0 / (lam - char_on_grid(kernel, level))
+        if axis is None:
+            base = 1.0 / (lam - char_on_grid(kernel, level))
+            values = _partial_dft(base, others, level) if others else []
+        else:
+            alpha, R, argz = fibre = _fibre_grid(kernel, axis, level)
+            base = _fibre_inverse(fibre, lam)
+            rho = R / (lam - alpha + 1.0 / base)  # 1/base = sgn(A) s
+            values = _fibre_dft(base, rho, argz, others, axis, level) if others else []
         if origin in means:
             means[origin].append(float(np.mean(base)))
-        if others:
-            for x, value in zip(others, _partial_dft(base, others, level)):
-                means[x].append(float(value))
-    # base is the finest level here, the one that sets the noise floor
-    results = {
-        x: (vals[2], _richardson(vals, lambda: float(np.mean(np.abs(_integrand(base, x, level))))))
-        for x, vals in means.items()
-    }
+        for x, value in zip(others, values):
+            means[x].append(float(value))
+
+    # the finest level sets the noise floor: the mean magnitude of the
+    # integrand, or on fibres of the weight row sgn(A) rho^|x_a| / s
+    def noise(x) -> float:
+        if axis is None:
+            return float(np.mean(np.abs(_integrand(base, x, level))))
+        return float(np.mean(np.abs(base * rho ** abs(x[axis]))))
+
+    results = {x: (vals[2], _richardson(vals, lambda x=x: noise(x))) for x, vals in means.items()}
     return {x: results[c] for x, c in canon.items()}
 
 
 def g_lambda_quadrature(kernel: WalkKernel, lam: float, pts_per_axis: int = 256) -> GreenEvaluation:
     """g_lambda(0) = lambda (2 pi)^-d  integral dtheta / (lambda - p-hat).
 
-    Periodic trapezoid on the torus (spectrally accurate off the spectrum);
-    the error estimate compares two grid doublings.
+    Periodic trapezoid on the torus (spectrally accurate off the spectrum),
+    exact along a range-1 axis in d >= 2; the error estimate compares two
+    grid doublings.
     """
     [(mean, err)] = _green_levels(kernel, lam, [(0,) * kernel.dimension], pts_per_axis).values()
     return GreenEvaluation(lam=lam, value=lam * mean, method="quadrature", est_error=err * abs(lam))
@@ -220,14 +306,25 @@ def g_lambda_series(kernel: WalkKernel, lam: float, tol: float = 1e-10) -> Green
         raise SeriesDiverges(f"series needs |lambda| > 1, got {lam!r}")
     ratio = 1.0 / abs(lam)
     n_stop = max(1, int(math.ceil(math.log(tol * (1.0 - ratio)) / math.log(ratio))))
-    box = LatticeBox.cube(n_stop * kernel.reach + kernel.reach + 1, kernel.dimension)
-    dist = np.zeros(box.shape)
-    origin = (box.radius,) * kernel.dimension
+    # step n only updates the ball of radius min(n, n_stop - n) * reach: dist
+    # vanishes beyond n * reach, and nothing beyond (n_stop - n) * reach can
+    # return to the origin by step n_stop.  Two buffers of the widest ball
+    # plus one reach serve every step; outside its ball a buffer is stale or
+    # zero, and reads never leave the ball of the step before.
+    r, d = kernel.reach, kernel.dimension
+    radius = (n_stop // 2 + 1) * r
+    dist, new = np.zeros((2 * radius + 1,) * d), np.zeros((2 * radius + 1,) * d)
+    origin = (radius,) * d
     dist[origin] = 1.0
     total = 1.0  # n = 0 term
     power = 1.0
     for n in range(1, n_stop + 1):
-        dist = apply_P(kernel, dist, box)
+        w = min(n, n_stop - n) * r
+        out = new[(slice(radius - w, radius + w + 1),) * d]
+        out[...] = 0.0
+        for off, p in zip(kernel.offsets, kernel.probs):
+            out += p * dist[tuple(slice(radius - w - o, radius + w + 1 - o) for o in off)]
+        dist, new = new, dist
         power /= lam
         total += power * float(dist[origin])
     tail = ratio**n_stop / (1.0 - ratio)
@@ -302,16 +399,38 @@ _PTS_LADDER = {1: (512, 2048, 8192, 32768), 2: (128, 512), 3: (32, 64)}
 _PTS_SWEEP = {1: 8192, 2: 512, 3: 96}
 _PTS_BISECT = {1: 32768, 2: 2048, 3: 128}
 
+#: entries of one lambda-by-grid block of ``_g0_on_grid``: 128 KiB blocks are
+#: reused by the allocator, larger ones are mapped afresh, which costs more
+#: than the arithmetic (the 3000-lambda 1d scan at 8192 points ran 2x slower
+#: with 160 MB blocks)
+_G0_BLOCK = 2**14
+
 
 def _g0_on_grid(kernel: WalkKernel, lams, pts_per_axis: int) -> np.ndarray:
-    """lams * mean 1/(lams - p-hat) at one grid level; no convergence certificate."""
-    phat = char_on_grid(kernel, pts_per_axis)
+    """lams * mean 1/(lams - p-hat) at one grid level; no convergence certificate.
+
+    With a range-1 axis in d >= 2 the mean runs over the fibre grid of
+    ``_fibre_inverse``, otherwise over the full grid of p-hat.
+    """
+    axis = _fibre_axis(kernel)
+    if axis is None:
+        phat = char_on_grid(kernel, pts_per_axis)
+        size = len(phat)
+
+        def inverse(piece):
+            return 1.0 / (piece - phat)
+    else:
+        fibre = _fibre_grid(kernel, axis, pts_per_axis)
+        size = len(fibre[0])
+
+        def inverse(piece):
+            return _fibre_inverse(fibre, piece)
     lams = np.asarray(lams, dtype=float)
     out = np.empty(len(lams))
-    chunk = max(1, int(2e7 // len(phat)))
+    chunk = max(1, _G0_BLOCK // size)
     for i in range(0, len(lams), chunk):
         piece = lams[i : i + chunk]
-        out[i : i + chunk] = piece * np.mean(1.0 / (piece[:, None] - phat[None, :]), axis=1)
+        out[i : i + chunk] = piece * np.mean(inverse(piece[:, None]), axis=1)
     return out
 
 
@@ -412,7 +531,7 @@ def g_level_crossings(
                         b = mid
                     else:
                         a, fa = mid, fm
-                root = 0.5 * (a + b)
+                root = float(0.5 * (a + b))
                 _verify_root(kernel, root, target)
                 below.append(root)
     return LevelCrossings(target=target, above=above, below=tuple(sorted(below)))

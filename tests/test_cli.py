@@ -233,3 +233,29 @@ def test_essential_subcommand(tmp_path):
     assert main(["essential", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["lambda0"] == pytest.approx(1.1547005383792515, abs=1e-8)
+
+
+DEMO_RUNS = (
+    ("validate", "presets.json"),
+    ("green", "green_lazy.json"),
+    ("bs", "bs_scan.json"),
+    ("spectrum", "spectrum_anchor.json"),
+    ("essential", "presets.json"),
+    ("decay", "presets.json"),
+    ("gibbs", "presets.json"),
+    ("doob", "presets.json"),
+    ("fk", "fk_delta.json"),
+)
+
+
+def test_demo_artifacts_hold_no_numpy_reprs(tmp_path):
+    # a NumPy scalar written by repr() reads np.float64(...) under NumPy 2
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    for kind, name in DEMO_RUNS:
+        out = tmp_path / kind
+        argv = [kind, "--config", str(configs / name), "--out", str(out)]
+        if kind in ("doob", "fk"):
+            argv += ["--seed", "12345"]
+        assert main(argv) == 0, kind
+        for path in out.iterdir():
+            assert "np." not in path.read_text(), f"{kind}/{path.name}"

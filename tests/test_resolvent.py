@@ -12,8 +12,8 @@ from sparsewalk.errors import (
     SeriesDiverges,
     TooFewPoints,
 )
-from sparsewalk.lattice import char_on_grid
-from sparsewalk.resolvent import _integrand, _partial_dft
+from sparsewalk.lattice import LatticeBox, _char_grid, apply_P, char_on_grid
+from sparsewalk.resolvent import _fibre_axis, _g0_on_grid, _integrand, _partial_dft
 
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
@@ -256,3 +256,127 @@ def test_level_crossings_match_closed_form():
     assert crossings.above == pytest.approx(lam_plus, abs=1e-9)
     assert len(crossings.below) == 1
     assert crossings.below[0] == pytest.approx(lam_minus, abs=1e-9)
+
+
+def _lazy3d(q):
+    raw = {(0, 0, 0): q}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+    return sw.validate_kernel(raw)
+
+
+def _series_full_box(kernel, lam, tol=1e-10):
+    # the path-counting loop over the whole box of radius n_stop * reach + reach + 1
+    ratio = 1.0 / abs(lam)
+    n_stop = max(1, int(math.ceil(math.log(tol * (1.0 - ratio)) / math.log(ratio))))
+    box = LatticeBox.cube(n_stop * kernel.reach + kernel.reach + 1, kernel.dimension)
+    dist = np.zeros(box.shape)
+    origin = (box.radius,) * kernel.dimension
+    dist[origin] = 1.0
+    total = power = 1.0
+    for _ in range(n_stop):
+        dist = apply_P(kernel, dist, box)
+        power /= lam
+        total += power * float(dist[origin])
+    return total
+
+
+@pytest.mark.parametrize(
+    "make, lam",
+    [
+        (lambda: sw.lazy1d(0.25), 1.05),
+        (lambda: sw.lazy1d(0.25), -1.3),
+        (sw.simple2d, 1.25),
+        (sw.simple2d, -1.25),
+        (lambda: _lazy3d(0.17), 2.5),
+    ],
+)
+def test_series_active_ball_is_bit_identical(make, lam):
+    k = make()
+    assert sw.g_lambda_series(k, lam).value == _series_full_box(k, lam)
+
+
+#: jointly symmetric only, with diagonal moves: along the last axis
+#: z = 0.15 + 0.2 exp(i theta_0), so arg z != 0
+DIAGONAL_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
+#: z = 0.4 cos(theta_0) changes sign between grid points: arg z jumps
+#: between 0 and pi, and R comes close to 0
+CROSSED_2D = {(1, 0): 0.1, (-1, 0): 0.1, (1, 1): 0.2, (-1, -1): 0.2, (1, -1): 0.2, (-1, 1): 0.2}
+#: range 2 on the last axis, so the fibres run along the first
+FIRST_AXIS_2D = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.15, (0, -1): 0.15, (0, 2): 0.15, (0, -2): 0.15}
+#: z = 0.2 (cos theta_0 + cos theta_1) along the last axis vanishes on
+#: whole diagonals of the grid, where R = 0 exactly
+VANISHING_3D = {
+    (a, b, c): 0.05 if c == 0 else 0.1
+    for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for c in (-1, 0, 1)
+}
+FIBRE_CASES = {
+    "simple2d": (sw.simple2d, 1, 256),
+    "diagonal2d": (lambda: sw.validate_kernel(DIAGONAL_2D), 1, 256),
+    "crossed2d": (lambda: sw.validate_kernel(CROSSED_2D), 1, 256),
+    "first_axis2d": (lambda: sw.validate_kernel(FIRST_AXIS_2D), 0, 256),
+    "lazy3d": (lambda: _lazy3d(0.17), 2, 128),
+    "vanishing3d": (lambda: sw.validate_kernel(VANISHING_3D), 2, 128),
+}
+
+
+def _full_grid_means(k, lam, xs, level):
+    # the plain mean over the full torus grid, uncached
+    base = 1.0 / (lam - _char_grid(k.offsets, k.probs, level).ravel())
+    return np.mean(base), _partial_dft(base, xs, level)
+
+
+@pytest.mark.parametrize("name", FIBRE_CASES)
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_fibre_route_matches_full_grid(name, side):
+    make, axis, level = FIBRE_CASES[name]
+    k = make()
+    assert _fibre_axis(k) == axis
+    d = k.dimension
+    rng = np.random.default_rng(7)
+    xs = [tuple(int(c) for c in x) for x in rng.integers(-6, 7, size=(20, d)) if any(x)]
+    # negative and large coordinates along the fibre axis
+    for a in (-1, -5, 17, -40 if d == 2 else -20):
+        x = [2] * d
+        x[axis] = a
+        xs.append(tuple(x))
+    for lam in ((1.3, 3.0) if side == "above" else (-1.5, k.lower - 0.1)):
+        mean, values = _full_grid_means(k, lam, xs, level)
+        table = sw.green_table(k, lam, xs + [0], 64)
+        assert table[(0,)] == pytest.approx(mean, abs=1e-14), lam
+        assert [table[x] for x in xs] == pytest.approx(list(values), abs=1e-14), lam
+        g0 = sw.g_lambda_quadrature(k, lam, 64)
+        assert g0.value == pytest.approx(lam * mean, abs=1e-14), lam
+        assert g0.est_error < 1e-13
+
+
+@pytest.mark.parametrize("lam", [1.3, -1.3])
+def test_no_range1_axis_stays_on_full_grid(lam):
+    # range 2 on both axes: no fibre formula, the torus grid as before
+    k = sw.validate_kernel(
+        {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
+    )
+    assert _fibre_axis(k) is None
+    xs = [(1, 0), (2, -3), (0, 5), (-4, 1)]
+    pts = 64
+    table = sw.green_table(k, lam, xs + [(0, 0)], pts)
+    # bit-identical to the full-grid route at the finest level
+    base = 1.0 / (lam - char_on_grid(k, 4 * pts))
+    assert table[(0, 0)] == float(np.mean(base))
+    canon = [min(x, tuple(-c for c in x)) for x in xs]
+    order = sorted(canon)
+    values = dict(zip(order, _partial_dft(base, order, 4 * pts)))
+    assert [table[x] for x in xs] == [float(values[c]) for c in canon]
+    gs = _g0_on_grid(k, [lam], 128)
+    assert gs[0] == lam * np.mean(1.0 / (lam - char_on_grid(k, 128)))
+
+
+def test_level_crossing_root_2d_matches_series():
+    k = sw.simple2d()
+    target = 1.0 + 1.0 / 3.5
+    lc = sw.g_level_crossings(k, target)
+    assert lc.above is not None and len(lc.below) == 1
+    for root in (lc.above, lc.below[0]):
+        assert type(root) is float
+        assert sw.g_lambda_series(k, root, tol=1e-12).value == pytest.approx(target, abs=1e-9)

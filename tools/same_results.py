@@ -3,13 +3,16 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus three sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus four sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
-3d; and ``chain2d``, the Perron pair, the Doob chain and the digest of a
+3d; ``chain2d``, the Perron pair, the Doob chain and the digest of a
 seeded path of the simple 2d walk on Q(0, 12) under an anchored geometric
-sparse potential.  The package is imported from ``PYTHONPATH``, so two
+sparse potential; and ``green_nd``, Green values in 2d and 3d: the
+level crossings of the simple 2d walk, ``g_lambda_quadrature`` of the
+simple 2d and lazy 3d walks, and a ``green_table`` of a 2d kernel with
+diagonal moves.  The package is imported from ``PYTHONPATH``, so two
 checkouts are compared by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
@@ -24,8 +27,8 @@ relative change exceeds 1e-9 (or, below 1e-12 in magnitude, its absolute
 change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
-fingerprint without the ``bs2d``, ``kernels`` or ``chain2d`` section still
-loads; that section is then left out of the comparison.
+fingerprint without the ``bs2d``, ``kernels``, ``chain2d`` or ``green_nd``
+section still loads; that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -80,8 +83,14 @@ KERNELS = {
 CHAIN2D_L = 12
 CHAIN2D_STEPS = 20_000
 CHAIN2D_SEED = 2468
+#: the 2d/3d Green case: level 1 + 1/3.5 of simple2d, g_lambda(0) at pts 64,
+#: and a pts-64 table at lambda 1.3 of a kernel with p(+-(1,1)) != p(+-(1,-1))
+GREEN_ND_TARGET = 1.0 + 1.0 / 3.5
+GREEN_ND_LAMBDAS = (1.3, -1.5)
+DIAGONAL_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
+DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), (-5, 33)]
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d")
+OPTIONAL = ("bs2d", "kernels", "chain2d", "green_nd")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -113,6 +122,7 @@ def fingerprint() -> dict:
         "bs2d": bs2d(),
         "kernels": kernels,
         "chain2d": chain2d(),
+        "green_nd": green_nd(),
     }
 
 
@@ -143,6 +153,20 @@ def chain2d() -> dict:
         "stationary_max": repr(float(chain.stationary.max())),
         "path_sha256": hashlib.sha256(path.astype(np.int64).tobytes()).hexdigest(),
     }
+
+
+def green_nd() -> dict:
+    """Reprs of 2d level crossings, 2d/3d g_lambda(0) and a 2d Green table."""
+    simple2d = sw.simple2d()
+    lc = sw.g_level_crossings(simple2d, GREEN_ND_TARGET)
+    out = {"crossing_above": repr(lc.above), "crossing_below": repr(lc.below)}
+    for name, kernel in (("simple2d", simple2d), ("lazy3d(0.17)", lazy3d(0.17))):
+        for lam in GREEN_ND_LAMBDAS:
+            out[f"g0 {name} {lam}"] = repr(sw.g_lambda_quadrature(kernel, lam, 64).value)
+    table = sw.green_table(sw.validate_kernel(DIAGONAL_2D), 1.3, DIAGONAL_XS, 64)
+    for x in DIAGONAL_XS:
+        out[f"diagonal2d G{x}"] = repr(table[x])
+    return out
 
 
 def lazy3d(q: float) -> sw.WalkKernel:
