@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AlphaNotPositive,
     AlphaTooLarge,
     BSNotInvertible,
     EmptySupport,
@@ -286,11 +287,14 @@ def neumann_invertibility(
     """Build the screened-potential Neumann certificate at one lambda.
 
     K is the finite site set whose potential values are zeroed before the
-    check.  alpha must sit strictly below the fitted exponential decay rate
-    of the Green kernel at this lambda (AlphaTooLarge otherwise);
+    check.  alpha must be positive (AlphaNotPositive) and sit strictly
+    below the fitted exponential decay rate of the Green kernel at this
+    lambda (AlphaTooLarge otherwise);
     epsilon0 = inf |1 - gamma V_K| must be positive (Epsilon0Zero names the
     failure mode: K too small, enlarge it).
     """
+    if alpha <= 0.0:
+        raise AlphaNotPositive(f"alpha must be positive, got {alpha!r}")
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
     _guard_margin(kernel, lam)
@@ -303,8 +307,6 @@ def neumann_invertibility(
     fit = decay_rate_estimate([(t, abs(table[d])) for t, d in zip(probe, disp)])
     if alpha >= fit.rate:
         raise AlphaTooLarge(f"alpha={alpha} not below fitted Green rate {fit.rate:.4f}")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
 
     gamma = lam * table[origin] - 1.0
     supp = [(s, h) for s, h in _support_in_box(spec, box) if s not in excluded]

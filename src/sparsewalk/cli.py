@@ -84,6 +84,15 @@ def exp_green(cfg: dict, out: Path) -> dict:
     return {"points": len(rows)}
 
 
+def _positive_alpha(cfg: dict, default: float) -> float:
+    # checked here, not only by neumann_invertibility: exp_bs turns every
+    # certificate error into valid_certificate=False
+    alpha = float(cfg.get("alpha", default))
+    if not alpha > 0.0:
+        raise ConfigInvalid(f"'alpha' must be positive, got {alpha!r}")
+    return alpha
+
+
 def exp_bs(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
@@ -93,7 +102,7 @@ def exp_bs(cfg: dict, out: Path) -> dict:
     hi = float(require(cfg, "lambda_hi", "bs"))
     count = int(cfg.get("scan_points", 21))
     box = int(cfg.get("box_radius", 256))
-    alpha = float(cfg.get("alpha", 0.5))
+    alpha = _positive_alpha(cfg, 0.5)
     rows = []
     for lam in np.linspace(lo, hi, count):
         asm = bsmod.assemble_bs(kernel, spec, float(lam), box)
@@ -164,7 +173,7 @@ def exp_decay(cfg: dict, out: Path) -> dict:
     if spec is None:
         raise ConfigInvalid("decay experiment needs a potential")
     lam = float(cfg.get("lambda", 2.0))
-    alpha = float(cfg.get("alpha", 0.6))
+    alpha = _positive_alpha(cfg, 0.6)
     box = int(cfg.get("box_radius", 512))
     cert = bsmod.neumann_invertibility(kernel, spec, (), lam, alpha, box)
     L = int(cfg.get("L", 80))
@@ -244,10 +253,13 @@ def exp_fk(cfg: dict, out: Path) -> dict:
     samples = int(cfg.get("samples", 100000))
     seed = int(cfg["seed"])
     box = lattice.LatticeBox.cube(n * kernel.reach + 2, kernel.dimension)
-    ones = np.ones(box.shape)
     rows = []
+    semigroup = np.ones(box.shape)
     for m in range(0, n + 1):
-        exact = float(gibbsmod.fk_semigroup(kernel, spec, ones, m, box)[(box.radius,) * kernel.dimension])
+        if m:
+            # one more step of the weighted transfer operator per m
+            semigroup = gibbsmod.fk_semigroup(kernel, spec, semigroup, 1, box)
+        exact = float(semigroup[(box.radius,) * kernel.dimension])
         root = exact ** (1.0 / m) if m else 1.0
         rows.append((m, exact, root, "", ""))
     est, err = gibbsmod.fk_monte_carlo(kernel, spec, None, n, samples, seed)

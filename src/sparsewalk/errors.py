@@ -94,6 +94,13 @@ class AlphaTooLarge(SparseWalkError):
     """Requested weight exponent is not below the Green decay rate."""
 
 
+class AlphaNotPositive(SparseWalkError, ValueError):
+    """Requested weight exponent is zero or negative.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 class NoSignChange(SparseWalkError, ValueError):
     """Crossing bracket does not straddle the crossing.
 
@@ -124,6 +131,13 @@ class TooFewRadii(SparseWalkError, ValueError):
 
 class NoConvergence(SparseWalkError):
     """Iterative eigensolver hit its iteration cap."""
+
+
+class NotSparse(SparseWalkError, ValueError):
+    """Potential declared sparse whose sparseness profile does not collapse.
+
+    Also a ValueError, like NoSignChange.
+    """
 
 
 class NoRootAboveOne(SparseWalkError):

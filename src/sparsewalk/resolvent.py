@@ -12,35 +12,35 @@ provided: torus quadrature (any dimension), a Neumann power series valid
 for |lambda| > 1 (path counting, independent of Fourier analysis), and the
 explicit closed form for the 1d lazy walk.
 
-Every quadrature value is a mean of 1/(lambda - p-hat) over the torus,
-on one of two grids:
+Quadrature is the midpoint rule on the torus.  ``_inverse`` is the one map
+from (kernel, lambda, level) to the grid it averages:
 
 * Fibre grid (d >= 2 with a range-1 axis a, |y_a| <= 1 on the support:
   every preset and the nearest-neighbour walks).  Along a the kernel reads
   p-hat = alpha(theta') + R(theta') cos(theta_a + arg z(theta')), with
   theta' the other coordinates (``_fibre_grid``).  With A = lambda - alpha
-  and s = sqrt(A^2 - R^2), the theta_a-mean of exp(i k theta_a)/(lambda -
-  p-hat) is exactly sgn(A) rho^|k| exp(-i k arg z)/s, rho = R/(A + sgn(A) s)
-  (the 1d closed form on each fibre), so only the d - 1 other axes take the
-  midpoint rule.  The origin is the mean of sgn(A)/s (``_fibre_inverse``);
-  every x != 0 is the partial DFT over the other axes of the weight row of
-  its x_a (``_fibre_dft``).
-* Full grid (``char_on_grid``), the midpoint rule on every axis: 1d, where
-  the fibre formula *is* ``g_lambda_closed_1d`` and quadrature must stay an
-  independent route, and kernels with range >= 2 on every axis.  The origin
-  is the plain mean of the grid; every x != 0 comes from one separable
-  partial DFT (``_partial_dft``): the midpoint rule on the torus is a DFT,
-  so one contraction per axis, restricted to the coordinates that occur,
-  replaces one cosine-weighted mean per x.
+  and s = sqrt(A^2 - R^2), the theta_a-mean of 1/(lambda - p-hat) is
+  exactly sgn(A)/s, so only the d - 1 other axes take the midpoint rule.
+* Full grid (``char_on_grid``), 1/(lambda - p-hat) at every point: 1d,
+  where the fibre formula *is* ``g_lambda_closed_1d`` and quadrature must
+  stay an independent route, and kernels with range >= 2 on every axis.
 
-Two evaluators read these grids:
+The origin is the plain mean of that grid.  Every x != 0 comes from one
+DFT, ``_dft``, of one weight row per coordinate x_a along one axis, which
+contracts the d - 1 other axes once each.  On fibres the row is exact:
+the theta_a-mean of exp(i k theta_a)/(lambda - p-hat) is sgn(A) rho^|k|
+exp(-i k arg z)/s with rho = R/(A + sgn(A) s), the 1d closed form on each
+fibre.  On the full grid the axis is the last one and the row is its
+midpoint rule, a matmul against exp(i theta k).
+
+Two evaluators read ``_inverse``:
 
 * ``_green_levels`` (certified): G_lambda(0, x) for a set of displacements
   at pts, 2 pts and 4 pts points per axis, pts >= 64; each value is kept
   only if its Richardson differences contract.  ``green_table``,
   ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
-* ``_g0_on_grid`` (uncertified): lambda * mean 1/(lambda - p-hat) at a
-  single grid, for many lambda at once.
+* ``_g0_on_grid`` (uncertified): lambda * mean ``_inverse`` at a single
+  grid, for many lambda at once.
 
 The level-crossing solver chooses grids per dimension: ``_PTS_SWEEP`` for
 the sign scan below the spectrum, ``_PTS_BISECT`` for every bisection step,
@@ -116,48 +116,6 @@ def _richardson(vals, noise) -> float:
     return d2
 
 
-def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
-    """1/(lam - p-hat) on a flattened grid, weighted by cos(theta . x)."""
-    if not any(x):
-        return base
-    return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
-
-
-#: entries of the largest intermediate table of ``_partial_dft`` and ``_fibre_dft``
-_DFT_BLOCK = 2**16
-
-
-def _partial_dft(base: np.ndarray, xs: list[tuple[int, ...]], level: int) -> np.ndarray:
-    """mean(base * cos(theta . x)) for every x in xs, as one separable DFT.
-
-    The last axis is contracted by two real matmuls against cos and sin of
-    theta * c, only for the last coordinates c that occur in xs and in blocks
-    of columns; every other axis by a tensordot against exp(i theta c').
-    Each x then reads Re(.) at its own coordinates, so negative coordinates
-    and |c| > level / 2 need no index folding.
-    """
-    d = len(xs[0])
-    axis = _grid_phase((1,), level).ravel()
-    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d)))
-    twiddles = [np.exp(1j * np.multiply.outer(axis, c)) for c in coords[:-1]]
-    rows = base.reshape(-1, level)
-    block = max(1, _DFT_BLOCK // max(level, len(rows)))
-    out = np.empty(len(xs))
-    for start in range(0, len(coords[-1]), block):
-        phase = np.multiply.outer(axis, coords[-1][start : start + block])
-        table = rows @ np.cos(phase)
-        if d > 1:
-            # base is real: the sine part matters only through the other axes
-            table = table + 1j * (rows @ np.sin(phase, out=phase))
-        table = table.reshape((level,) * (d - 1) + (-1,))
-        for tw in twiddles:
-            table = np.tensordot(table, tw, axes=([0], [0]))
-        # table axes: (last coordinate in this block, first, ..., (d-1)-th coordinate)
-        sel = (where[-1] >= start) & (where[-1] < start + block)
-        out[sel] = table[(where[-1][sel] - start,) + tuple(w[sel] for w in where[:-1])].real
-    return out / level**d
-
-
 def _fibre_axis(kernel: WalkKernel) -> int | None:
     """The last axis a with |y_a| <= 1 on the support, if d >= 2 and one exists.
 
@@ -170,48 +128,52 @@ def _fibre_axis(kernel: WalkKernel) -> int | None:
     return int(short[-1]) if len(short) else None
 
 
-def _fibre_inverse(fibre, lam) -> np.ndarray:
-    """sgn(A)/s with A = lam - alpha, s = sqrt(A^2 - R^2): the exact
-    theta_a-mean of 1/(lam - p-hat) on every fibre of ``_fibre_grid``.
+def _inverse(kernel: WalkKernel, axis: int | None, lam, level: int) -> np.ndarray:
+    """The grid whose mean is G_lambda(0, 0), flattened.
 
-    lam broadcasts against the fibre grid: a column of lambdas gives a row each.
+    With axis None, 1/(lam - p-hat) on the full grid; otherwise sgn(A)/s
+    with A = lam - alpha, s = sqrt(A^2 - R^2), the exact theta_a-mean of
+    1/(lam - p-hat) on every fibre of ``_fibre_grid``.  lam broadcasts
+    against the grid: a column of lambdas gives a row each.
     """
-    alpha, R, _ = fibre
+    if axis is None:
+        return 1.0 / (lam - char_on_grid(kernel, level))
+    alpha, R, _ = _fibre_grid(kernel, axis, level)
     A = lam - alpha
     return np.sign(A) / np.sqrt((A - R) * (A + R))
 
 
-def _fibre_dft(
-    inverse: np.ndarray, rho: np.ndarray, argz: np.ndarray, xs: list[tuple[int, ...]],
-    axis: int, level: int,
-) -> np.ndarray:
-    """G_lambda(0, x) for every x in xs, exact along ``axis``, midpoint rule elsewhere.
+#: entries of the largest intermediate table of ``_dft``
+_DFT_BLOCK = 2**16
 
-    On a fibre the theta_a-mean of exp(i k theta_a)/(lam - p-hat) is
-    sgn(A) rho^|k| exp(-i k arg z)/s, where inverse = sgn(A)/s and
-    rho = R/(A + sgn(A) s), which needs no cancellation and is 0 where R is.
-    One weight row per x_a that occurs, in blocks of rows, is contracted by
-    one tensordot against exp(i theta c) per remaining axis, and each x
-    reads Re(.) at its own coordinates.
+
+def _dft(rows, xs: list[tuple[int, ...]], axis: int, level: int) -> np.ndarray:
+    """Re sum_theta' rows(x_a)(theta') exp(i theta' . x') for every x in xs.
+
+    theta' runs over the midpoint grid of the d - 1 axes other than
+    ``axis``, and x' are the matching coordinates of x.  rows(c) returns
+    the weight rows of the coordinates c along ``axis`` as the columns of a
+    (level**(d - 1), len(c)) array; it is called on blocks of the
+    coordinates that occur in xs.  Each other axis is contracted once, by a
+    tensordot against exp(i theta c') for the coordinates c' that occur,
+    and each x reads Re(.) at its own coordinates, so negative coordinates
+    and |c| > level / 2 need no index folding.
     """
     d = len(xs[0])
-    axis_grid = _grid_phase((1,), level).ravel()
+    grid = _grid_phase((1,), level).ravel()
     ks, kwhere = np.unique([x[axis] for x in xs], return_inverse=True)
-    rest = [ax for ax in range(d) if ax != axis]
-    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in rest))
-    twiddles = [np.exp(1j * np.multiply.outer(axis_grid, c)) for c in coords]
-    block = max(1, _DFT_BLOCK // len(inverse))
+    rest = [np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d) if ax != axis]
+    twiddles = [np.exp(1j * np.multiply.outer(grid, c)) for c, _ in rest]
+    block = max(1, _DFT_BLOCK // max(level, level ** (d - 1)))
     out = np.empty(len(xs))
     for start in range(0, len(ks), block):
-        k = ks[start : start + block, None]
-        table = inverse * rho ** np.abs(k) * np.exp(-1j * k * argz)
-        table = table.reshape((len(k),) + (level,) * (d - 1))
+        table = rows(ks[start : start + block]).reshape((level,) * (d - 1) + (-1,))
         for tw in twiddles:
-            table = np.tensordot(table, tw, axes=([1], [0]))
+            table = np.tensordot(table, tw, axes=([0], [0]))
         # table axes: (x_a in this block, the other coordinates in axis order)
         sel = (kwhere >= start) & (kwhere < start + block)
-        out[sel] = table[(kwhere[sel] - start,) + tuple(w[sel] for w in where)].real
-    return out / level ** (d - 1)
+        out[sel] = table[(kwhere[sel] - start,) + tuple(w[sel] for _, w in rest)].real
+    return out
 
 
 def _green_levels(
@@ -220,11 +182,10 @@ def _green_levels(
     """Certified G_lambda(0, x) and its Richardson error for each displacement.
 
     One grid per level (pts, 2 pts, 4 pts per axis) serves every
-    displacement.  With a range-1 axis in d >= 2 it is the fibre grid: the
-    origin is the mean of ``_fibre_inverse``, every x != 0 comes from
-    ``_fibre_dft``.  Otherwise it is the full grid of 1/(lam - p-hat): the
-    origin is its plain mean, every x != 0 comes from ``_partial_dft``.  By
-    the symmetry of p, x and -x share one evaluation.
+    displacement: the origin is the mean of ``_inverse``, every x != 0
+    comes from ``_dft``.  Its weight rows run along the fibre axis, or on
+    the full grid along the last axis.  By the symmetry of p, x and -x
+    share one evaluation.
     """
     if pts_per_axis < 64:
         raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
@@ -236,31 +197,48 @@ def _green_levels(
         full = x + (0,) * (kernel.dimension - len(x))
         canon[x] = min(full, tuple(-c for c in full))
     means: dict[tuple[int, ...], list[float]] = {x: [] for x in sorted(set(canon.values()))}
-    origin = (0,) * kernel.dimension
+    d = kernel.dimension
+    origin = (0,) * d
     others = [x for x in means if x != origin]
     axis = _fibre_axis(kernel)
     for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
+        base = _inverse(kernel, axis, lam, level)
+        # integrand(x): its mean magnitude at the finest level sets the
+        # noise floor of x
         if axis is None:
-            base = 1.0 / (lam - char_on_grid(kernel, level))
-            values = _partial_dft(base, others, level) if others else []
+            def rows(c):
+                cols = base.reshape(-1, level)
+                phase = np.multiply.outer(_grid_phase((1,), level).ravel(), c)
+                table = cols @ np.cos(phase)
+                if d > 1:
+                    # base is real: the sine part matters only through the other axes
+                    table = table + 1j * (cols @ np.sin(phase, out=phase))
+                return table
+
+            def integrand(x):
+                return base.reshape((level,) * d) * np.cos(_grid_phase(x, level))
         else:
-            alpha, R, argz = fibre = _fibre_grid(kernel, axis, level)
-            base = _fibre_inverse(fibre, lam)
+            alpha, R, argz = _fibre_grid(kernel, axis, level)
             rho = R / (lam - alpha + 1.0 / base)  # 1/base = sgn(A) s
-            values = _fibre_dft(base, rho, argz, others, axis, level) if others else []
+
+            def rows(c):
+                k = c[:, None]
+                # one row per k, handed over as columns by a transposed view
+                return (base * rho ** np.abs(k) * np.exp(-1j * k * argz)).T
+
+            def integrand(x):
+                return base * rho ** abs(x[axis])
         if origin in means:
             means[origin].append(float(np.mean(base)))
-        for x, value in zip(others, values):
-            means[x].append(float(value))
+        if others:
+            values = _dft(rows, others, d - 1 if axis is None else axis, level) / base.size
+            for x, value in zip(others, values):
+                means[x].append(float(value))
 
-    # the finest level sets the noise floor: the mean magnitude of the
-    # integrand, or on fibres of the weight row sgn(A) rho^|x_a| / s
-    def noise(x) -> float:
-        if axis is None:
-            return float(np.mean(np.abs(_integrand(base, x, level))))
-        return float(np.mean(np.abs(base * rho ** abs(x[axis]))))
-
-    results = {x: (vals[2], _richardson(vals, lambda x=x: noise(x))) for x, vals in means.items()}
+    results = {
+        x: (vals[2], _richardson(vals, lambda x=x: float(np.mean(np.abs(integrand(x))))))
+        for x, vals in means.items()
+    }
     return {x: results[c] for x, c in canon.items()}
 
 
@@ -407,30 +385,18 @@ _G0_BLOCK = 2**14
 
 
 def _g0_on_grid(kernel: WalkKernel, lams, pts_per_axis: int) -> np.ndarray:
-    """lams * mean 1/(lams - p-hat) at one grid level; no convergence certificate.
-
-    With a range-1 axis in d >= 2 the mean runs over the fibre grid of
-    ``_fibre_inverse``, otherwise over the full grid of p-hat.
-    """
+    """lams * mean ``_inverse`` at one grid level; no convergence certificate."""
     axis = _fibre_axis(kernel)
-    if axis is None:
-        phat = char_on_grid(kernel, pts_per_axis)
-        size = len(phat)
-
-        def inverse(piece):
-            return 1.0 / (piece - phat)
-    else:
-        fibre = _fibre_grid(kernel, axis, pts_per_axis)
-        size = len(fibre[0])
-
-        def inverse(piece):
-            return _fibre_inverse(fibre, piece)
+    # grid points per lambda: the d - 1 other axes on fibres, else all d
+    size = pts_per_axis ** (kernel.dimension - (axis is not None))
     lams = np.asarray(lams, dtype=float)
     out = np.empty(len(lams))
     chunk = max(1, _G0_BLOCK // size)
     for i in range(0, len(lams), chunk):
         piece = lams[i : i + chunk]
-        out[i : i + chunk] = piece * np.mean(inverse(piece[:, None]), axis=1)
+        inverse = _inverse(kernel, axis, piece[:, None], pts_per_axis)
+        # sum / size is np.mean without its per-call overhead, bit for bit
+        out[i : i + chunk] = piece * (inverse.sum(axis=1) / size)
     return out
 
 

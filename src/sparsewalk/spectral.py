@@ -40,6 +40,7 @@ from .errors import (
     GapNotCertified,
     NoConvergence,
     NoRootAboveOne,
+    NotSparse,
     NotStabilized,
     SelfCheckFailed,
     TooFewRadii,
@@ -262,7 +263,9 @@ def essential_spectrum_predictor(
     the top of the essential spectrum and must exist (otherwise
     NoRootAboveOne, which in d >= 3 is a legitimate outcome for small v0).
     Below the bottom edge the level function need not be monotone, so sign
-    changes are bracketed on a graded scan and bisected individually.
+    changes are bracketed on a graded scan and bisected individually.  With
+    check_sparseness, a potential whose sparseness profile does not
+    collapse raises NotSparse.
     """
     ess = [v for v in spec.essential_values if v > 0.0]
     if not ess:
@@ -271,7 +274,7 @@ def essential_spectrum_predictor(
         profile = sparseness_profile(spec, 0.5, min(spec.box_radius, 512))
         tail = [s for _, s in profile.sup_tail]
         if tail and tail[-1] > max(0.5 * tail[0], 1e-9):
-            raise ValueError(
+            raise NotSparse(
                 f"sparseness profile does not collapse (sup tail {tail}); "
                 "essential-spectrum prediction needs a sparse potential"
             )

@@ -6,6 +6,7 @@ import pytest
 
 import sparsewalk as sw
 from sparsewalk.errors import (
+    AlphaNotPositive,
     AlphaTooLarge,
     BSNotInvertible,
     EmptySupport,
@@ -89,6 +90,16 @@ def test_crossing_scan_without_sign_change_is_named():
     with pytest.raises(NoSignChange):
         sw.bs_crossing_scan(sw.simple1d(), sw.single_delta(1, 1.0), 3.0, 4.0, 40)
     assert issubclass(NoSignChange, ValueError)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.3])
+def test_neumann_alpha_not_positive_is_checked_first(alpha):
+    # pts 8 is below the grid floor: a Green table built before the check
+    # would raise GridTooCoarse instead
+    spec = sw.single_delta(1, 1.0)
+    with pytest.raises(AlphaNotPositive):
+        sw.neumann_invertibility(sw.simple1d(), spec, (), 2.0, alpha, 40, pts_per_axis=8)
+    assert issubclass(AlphaNotPositive, ValueError)
 
 
 def test_resolvent_via_bs_zero_potential():

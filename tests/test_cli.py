@@ -1,9 +1,18 @@
+import csv
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsewalk.cli import main
+from sparsewalk.config import kernel_from_config, potential_from_config
+from sparsewalk.gibbs import fk_semigroup
+from sparsewalk.lattice import LatticeBox
+
+SIMPLE = {"kernel": {"preset": "simple1d"}}
+DELTA = {"potential": {"type": "explicit", "sites": [[0, 1.0]]}}
 
 
 def _write(tmp_path, name, payload) -> Path:
@@ -104,6 +113,21 @@ def test_seed_flag_restores_determinism(tmp_path):
     assert (out1 / "fk.csv").read_bytes() == (out2 / "fk.csv").read_bytes()
 
 
+def test_fk_exact_column_is_the_semigroup_of_each_m(tmp_path):
+    # oracle: fk_semigroup applied m times from scratch, bit for bit
+    payload = {**SIMPLE, **DELTA, "n": 6, "samples": 2000}
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["fk", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    rows = list(csv.reader(io.StringIO((out / "fk.csv").read_text())))[1:]
+    kernel, spec = kernel_from_config(payload), potential_from_config(payload, 1)
+    box = LatticeBox.cube(6 + 2, 1)
+    assert [int(row[0]) for row in rows] == list(range(7))
+    for m, row in enumerate(rows):
+        exact = fk_semigroup(kernel, spec, np.ones(box.shape), m, box)[(box.radius,)]
+        assert row[1] == repr(float(exact)), m
+
+
 def test_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -113,8 +137,6 @@ def test_malformed_config(tmp_path):
     cfg = _write(tmp_path, "nokernel.json", {"lambdas": [2.0]})
     assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-
-SIMPLE = {"kernel": {"preset": "simple1d"}}
 
 #: (experiment, {file name: config}, text the error line must hold);
 #: the first file is the one passed to --config
@@ -142,6 +164,16 @@ MALFORMED = {
         "spectrum",
         {"cfg.json": {**SIMPLE, "L_sequence": [40]}},
         "at least two box radii",
+    ),
+    "bs with alpha 0": (
+        "bs",
+        {"cfg.json": {**SIMPLE, **DELTA, "lambda_lo": 1.05, "lambda_hi": 1.35, "alpha": 0}},
+        "'alpha' must be positive",
+    ),
+    "decay with alpha 0": (
+        "decay",
+        {"cfg.json": {**SIMPLE, **DELTA, "alpha": 0}},
+        "'alpha' must be positive",
     ),
 }
 
@@ -218,6 +250,25 @@ def test_gibbs_subcommand_needs_no_seed(tmp_path):
     assert 0.0 < summary["results"]["fitted_eps"] < 1.0
     header = (out / "gibbs.csv").read_text().splitlines()[0]
     assert header == "n,D_n,fitted_eps"
+
+
+def test_essential_non_sparse_fails_with_one_line(tmp_path, capsys):
+    # declared sparse, but value 1 on every even site of Q(0, 64)
+    potential = {
+        "type": "explicit",
+        "sites": [[x, 1.0] for x in range(-64, 65, 2)],
+        "tail": "sparse",
+        "essential_values": [1.0],
+        "box_radius": 64,
+    }
+    cfg = _write(tmp_path, "cfg.json", {"kernel": {"preset": "lazy1d", "q": 0.25}, "potential": potential})
+    out = tmp_path / "out"
+    assert main(["essential", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ")
+    assert "NotSparse" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert not (out / "summary.json").exists()
 
 
 def test_essential_subcommand(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
+from sparsewalk import resolvent
 from sparsewalk.errors import (
     GridTooCoarse,
     LambdaInSpectrum,
@@ -12,10 +13,46 @@ from sparsewalk.errors import (
     SeriesDiverges,
     TooFewPoints,
 )
-from sparsewalk.lattice import LatticeBox, _char_grid, apply_P, char_on_grid
-from sparsewalk.resolvent import _fibre_axis, _g0_on_grid, _integrand, _partial_dft
+from sparsewalk.lattice import LatticeBox, _char_grid, _grid_phase, apply_P, char_on_grid
+from sparsewalk.resolvent import _DFT_BLOCK, _fibre_axis, _g0_on_grid
 
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
+
+
+# -- full-grid reference: the cosine-weighted mean and its separable DFT ------
+
+def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
+    """1/(lam - p-hat) on a flattened grid, weighted by cos(theta . x)."""
+    if not any(x):
+        return base
+    return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
+
+
+def _partial_dft(base: np.ndarray, xs: list[tuple[int, ...]], level: int) -> np.ndarray:
+    """mean(base * cos(theta . x)) for every x in xs, as one separable DFT.
+
+    The last axis is contracted by two real matmuls against cos and sin of
+    theta * c, in blocks of columns; every other axis by a tensordot
+    against exp(i theta c').
+    """
+    d = len(xs[0])
+    axis = _grid_phase((1,), level).ravel()
+    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d)))
+    twiddles = [np.exp(1j * np.multiply.outer(axis, c)) for c in coords[:-1]]
+    rows = base.reshape(-1, level)
+    block = max(1, _DFT_BLOCK // max(level, len(rows)))
+    out = np.empty(len(xs))
+    for start in range(0, len(coords[-1]), block):
+        phase = np.multiply.outer(axis, coords[-1][start : start + block])
+        table = rows @ np.cos(phase)
+        if d > 1:
+            table = table + 1j * (rows @ np.sin(phase, out=phase))
+        table = table.reshape((level,) * (d - 1) + (-1,))
+        for tw in twiddles:
+            table = np.tensordot(table, tw, axes=([0], [0]))
+        sel = (where[-1] >= start) & (where[-1] < start + block)
+        out[sel] = table[(where[-1][sel] - start,) + tuple(w[sel] for w in where[:-1])].real
+    return out / level**d
 
 
 def test_quadrature_simple_walk():
@@ -351,12 +388,13 @@ def test_fibre_route_matches_full_grid(name, side):
         assert g0.est_error < 1e-13
 
 
+#: range 2 on both axes: no fibre formula, the full torus grid
+RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
+
+
 @pytest.mark.parametrize("lam", [1.3, -1.3])
 def test_no_range1_axis_stays_on_full_grid(lam):
-    # range 2 on both axes: no fibre formula, the torus grid as before
-    k = sw.validate_kernel(
-        {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
-    )
+    k = sw.validate_kernel(RANGE2_2D)
     assert _fibre_axis(k) is None
     xs = [(1, 0), (2, -3), (0, 5), (-4, 1)]
     pts = 64
@@ -370,6 +408,33 @@ def test_no_range1_axis_stays_on_full_grid(lam):
     assert [table[x] for x in xs] == [float(values[c]) for c in canon]
     gs = _g0_on_grid(k, [lam], 128)
     assert gs[0] == lam * np.mean(1.0 / (lam - char_on_grid(k, 128)))
+
+
+@pytest.mark.parametrize("lam", [1.3, -1.3])
+def test_full_grid_dft_matches_reference_at_every_level(monkeypatch, lam):
+    k = sw.validate_kernel(RANGE2_2D)
+    assert _fibre_axis(k) is None
+    pts = 64
+    # negative coordinates, and coordinates beyond pts/2 and beyond 4 pts/2
+    xs = [(1, 0), (-3, 2), (2, -3), (0, -5), (40, 1), (-7, 90), (150, -33), (-200, 0)]
+    calls = []
+    dft = resolvent._dft
+
+    def spy(rows, order, axis, level):
+        out = dft(rows, order, axis, level)
+        calls.append((order, axis, level, out))
+        return out
+
+    monkeypatch.setattr(resolvent, "_dft", spy)
+    table = sw.green_table(k, lam, xs, pts)
+    assert [level for _, _, level, _ in calls] == [pts, 2 * pts, 4 * pts]
+    for order, axis, level, out in calls:
+        assert axis == 1
+        base = 1.0 / (lam - char_on_grid(k, level))
+        assert list(out / base.size) == list(_partial_dft(base, order, level)), level
+    order, _, level, out = calls[-1]
+    finest = dict(zip(order, out / level**2))
+    assert [table[x] for x in xs] == [float(finest[min(x, tuple(-c for c in x))]) for x in xs]
 
 
 def test_level_crossing_root_2d_matches_series():

@@ -9,7 +9,9 @@ from sparsewalk.errors import (
     BoxTooLarge,
     GapNotCertified,
     NoRootAboveOne,
+    NotSparse,
     SelfCheckFailed,
+    SparseWalkError,
     TooFewRadii,
     TruncationTooSmall,
 )
@@ -233,6 +235,16 @@ def test_predictor_rejects_dense():
     dense = sw.dense_level(1, 1.0, box_radius=128)
     with pytest.raises(ValueError):
         sw.essential_spectrum_predictor(sw.simple1d(), dense)
+
+
+def test_predictor_rejects_non_collapsing_sparse_profile():
+    # declared sparse, but value 1 on every even site: the sup tail never falls
+    spec = sw.make_potential(
+        1, {x: 1.0 for x in range(-64, 65, 2)}, tail="sparse", essential_values=(1.0,), box_radius=64
+    )
+    with pytest.raises(NotSparse) as info:
+        sw.essential_spectrum_predictor(sw.lazy1d(0.25), spec)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_predictor_d3_no_root():

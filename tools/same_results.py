@@ -3,16 +3,18 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus four sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus five sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
 3d; ``chain2d``, the Perron pair, the Doob chain and the digest of a
 seeded path of the simple 2d walk on Q(0, 12) under an anchored geometric
-sparse potential; and ``green_nd``, Green values in 2d and 3d: the
+sparse potential; ``green_nd``, Green values in 2d and 3d: the
 level crossings of the simple 2d walk, ``g_lambda_quadrature`` of the
 simple 2d and lazy 3d walks, and a ``green_table`` of a 2d kernel with
-diagonal moves.  The package is imported from ``PYTHONPATH``, so two
+diagonal moves; and ``green_full2d``, ``green_table`` values of a 2d
+kernel with range 2 on both axes, the one case on the full torus grid
+beyond 1d.  The package is imported from ``PYTHONPATH``, so two
 checkouts are compared by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
@@ -27,8 +29,9 @@ relative change exceeds 1e-9 (or, below 1e-12 in magnitude, its absolute
 change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
-fingerprint without the ``bs2d``, ``kernels``, ``chain2d`` or ``green_nd``
-section still loads; that section is then left out of the comparison.
+fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``green_nd``
+or ``green_full2d`` section still loads; that section is then left out of
+the comparison.
 """
 
 from __future__ import annotations
@@ -89,8 +92,11 @@ GREEN_ND_TARGET = 1.0 + 1.0 / 3.5
 GREEN_ND_LAMBDAS = (1.3, -1.5)
 DIAGONAL_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
 DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), (-5, 33)]
+#: the full-grid 2d case: pts-64 tables at GREEN_ND_LAMBDAS of a kernel
+#: with no range-1 axis, on the displacements of the diagonal case
+RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d", "green_nd")
+OPTIONAL = ("bs2d", "kernels", "chain2d", "green_nd", "green_full2d")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -123,6 +129,7 @@ def fingerprint() -> dict:
         "kernels": kernels,
         "chain2d": chain2d(),
         "green_nd": green_nd(),
+        "green_full2d": green_full2d(),
     }
 
 
@@ -166,6 +173,17 @@ def green_nd() -> dict:
     table = sw.green_table(sw.validate_kernel(DIAGONAL_2D), 1.3, DIAGONAL_XS, 64)
     for x in DIAGONAL_XS:
         out[f"diagonal2d G{x}"] = repr(table[x])
+    return out
+
+
+def green_full2d() -> dict:
+    """Reprs of full-grid 2d Green tables, above and below the spectrum."""
+    kernel = sw.validate_kernel(RANGE2_2D)
+    out = {}
+    for lam in GREEN_ND_LAMBDAS:
+        table = sw.green_table(kernel, lam, DIAGONAL_XS, 64)
+        for x in DIAGONAL_XS:
+            out[f"range2 {lam} G{x}"] = repr(table[x])
     return out
 
 
