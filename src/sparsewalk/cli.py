@@ -26,6 +26,8 @@ from .config import (
     check_experiment,
     kernel_from_config,
     load_config,
+    number,
+    numbers,
     potential_from_config,
     require,
 )
@@ -72,9 +74,12 @@ def exp_validate(cfg: dict, out: Path) -> dict:
 
 def exp_green(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
-    lambdas = [float(x) for x in require(cfg, "lambdas", "green")]
+    lambdas = numbers(require(cfg, "lambdas", "green"), "lambdas")
     xs = cfg.get("xs", [0])
-    pts = int(cfg.get("pts_per_axis", 256))
+    if not isinstance(xs, list):
+        raise ConfigInvalid(f"'xs' must be a list of displacements, got {xs!r}")
+    xs = [numbers(x, "xs", int) if isinstance(x, list) else number(x, "xs", int) for x in xs]
+    pts = number(cfg.get("pts_per_axis", 256), "pts_per_axis", int)
     rows = []
     for lam in lambdas:
         for x in xs:
@@ -87,7 +92,7 @@ def exp_green(cfg: dict, out: Path) -> dict:
 def _positive_alpha(cfg: dict, default: float) -> float:
     # checked here, not only by neumann_invertibility: exp_bs turns every
     # certificate error into valid_certificate=False
-    alpha = float(cfg.get("alpha", default))
+    alpha = number(cfg.get("alpha", default), "alpha")
     if not alpha > 0.0:
         raise ConfigInvalid(f"'alpha' must be positive, got {alpha!r}")
     return alpha
@@ -98,10 +103,12 @@ def exp_bs(cfg: dict, out: Path) -> dict:
     spec = potential_from_config(cfg, kernel.dimension)
     if spec is None:
         raise ConfigInvalid("bs experiment needs a potential")
-    lo = float(require(cfg, "lambda_lo", "bs"))
-    hi = float(require(cfg, "lambda_hi", "bs"))
-    count = int(cfg.get("scan_points", 21))
-    box = int(cfg.get("box_radius", 256))
+    lo = number(require(cfg, "lambda_lo", "bs"), "lambda_lo")
+    hi = number(require(cfg, "lambda_hi", "bs"), "lambda_hi")
+    count = number(cfg.get("scan_points", 21), "scan_points", int)
+    if count < 1:
+        raise ConfigInvalid(f"'scan_points' must be at least 1, got {count}")
+    box = number(cfg.get("box_radius", 256), "box_radius", int)
     alpha = _positive_alpha(cfg, 0.5)
     rows = []
     for lam in np.linspace(lo, hi, count):
@@ -120,7 +127,7 @@ def exp_bs(cfg: dict, out: Path) -> dict:
 def exp_spectrum(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
-    Ls = [int(L) for L in require(cfg, "L_sequence", "spectrum")]
+    Ls = numbers(require(cfg, "L_sequence", "spectrum"), "L_sequence", int)
     if len(Ls) < 2:
         raise ConfigInvalid(f"'L_sequence' needs at least two box radii, got {Ls}")
     bundle = spectral.spectral_report(kernel, spec, Ls)
@@ -172,16 +179,16 @@ def exp_decay(cfg: dict, out: Path) -> dict:
     spec = potential_from_config(cfg, kernel.dimension)
     if spec is None:
         raise ConfigInvalid("decay experiment needs a potential")
-    lam = float(cfg.get("lambda", 2.0))
+    lam = number(cfg.get("lambda", 2.0), "lambda")
     alpha = _positive_alpha(cfg, 0.6)
-    box = int(cfg.get("box_radius", 512))
+    box = number(cfg.get("box_radius", 512), "box_radius", int)
+    L = number(cfg.get("L", 80), "L", int)
+    lo, hi = numbers(cfg.get("fit_window", (10, 18)), "fit_window", int, 2)
     cert = bsmod.neumann_invertibility(kernel, spec, (), lam, alpha, box)
-    L = int(cfg.get("L", 80))
     op = spectral.truncated_operator(kernel, spec, L)
     w, U = np.linalg.eigh(op.sym)
     pred = spectral.essential_spectrum_predictor(kernel, spec)
     threshold = (pred.lambda0 if pred.lambda0 is not None else 1.0) + 1e-4
-    lo, hi = cfg.get("fit_window", (10, 18))
     rows = []
     for i in range(len(w)):
         if abs(w[i]) <= threshold:
@@ -200,28 +207,29 @@ def exp_decay(cfg: dict, out: Path) -> dict:
 
 
 def _chain_from_config(cfg, kernel, spec):
-    L = int(cfg.get("L", 60))
+    L = number(cfg.get("L", 60), "L", int)
+    tol = number(cfg.get("eigen_tol", 1e-10), "eigen_tol")
     op = spectral.truncated_operator(kernel, spec, L)
-    r, phi = spectral.perron_pair(op, tol=float(cfg.get("eigen_tol", 1e-10)))
+    r, phi = spectral.perron_pair(op, tol=tol)
     return op, gibbsmod.doob_kernel(kernel, spec, (r, phi), op.box)
 
 
 def exp_gibbs(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
+    n_lo, n_hi = numbers(cfg.get("n_range", (10, 60)), "n_range", int, 2)
+    k_fixed = number(cfg.get("k", 1), "k", int)
+    site = tuple(numbers(cfg.get("indicator_site", [1]), "indicator_site", int))
     op, chain = _chain_from_config(cfg, kernel, spec)
-    n_lo, n_hi = cfg.get("n_range", (10, 60))
-    k_fixed = int(cfg.get("k", 1))
-    target = cfg.get("indicator_site", [1])
-    site = tuple(int(c) for c in target)
+    # before any artifact: past DENSE_CAP this raises BoxTooLarge
+    w = np.linalg.eigvalsh(op.sym)
 
     fit = gibbsmod.convergence_rate(
-        kernel, spec, chain, k_fixed, range(int(n_lo), int(n_hi) + 1),
+        kernel, spec, chain, k_fixed, range(n_lo, n_hi + 1),
         lambda path: 1.0 if path[0] == site else 0.0,
     )
     rows = [(n, d, fit.eps_fit) for n, d in fit.deviations]
     _write_csv(out / "gibbs.csv", ["n", "D_n", "fitted_eps"], rows)
-    w = np.linalg.eigvalsh(op.sym)
     second = spectral._second_abs(w, float(w[-1]))
     return {"fitted_eps": fit.eps_fit, "spectral_eps": second / float(w[-1])}
 
@@ -229,9 +237,10 @@ def exp_gibbs(cfg: dict, out: Path) -> dict:
 def exp_doob(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
+    steps = number(cfg.get("steps", 100000), "steps", int)
+    seed = number(cfg["seed"], "seed", int)
     op, chain = _chain_from_config(cfg, kernel, spec)
-    steps = int(cfg.get("steps", 100000))
-    path = gibbsmod.simulate_chain(chain, (0,) * kernel.dimension, steps, int(cfg["seed"]))
+    path = gibbsmod.simulate_chain(chain, (0,) * kernel.dimension, steps, seed)
     emp = gibbsmod.occupation_distribution(chain, path)
     tv = 0.5 * float(np.abs(emp - chain.stationary).sum())
     rows = [
@@ -249,9 +258,9 @@ def exp_doob(cfg: dict, out: Path) -> dict:
 def exp_fk(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
-    n = int(cfg.get("n", 20))
-    samples = int(cfg.get("samples", 100000))
-    seed = int(cfg["seed"])
+    n = number(cfg.get("n", 20), "n", int)
+    samples = number(cfg.get("samples", 100000), "samples", int)
+    seed = number(cfg["seed"], "seed", int)
     box = lattice.LatticeBox.cube(n * kernel.reach + 2, kernel.dimension)
     rows = []
     semigroup = np.ones(box.shape)

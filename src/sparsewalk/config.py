@@ -75,7 +75,7 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
         if name == "lazy1d":
             if "q" not in spec:
                 raise ConfigInvalid("lazy1d preset needs 'q'")
-            return lazy1d(float(spec["q"]))
+            return lazy1d(number(spec["q"], "q"))
         if name == "simple2d":
             return simple2d()
         raise ConfigInvalid(f"unknown kernel preset {name!r}")
@@ -137,6 +137,27 @@ def require(cfg: dict, key: str, kind: str):
     return cfg[key]
 
 
+def number(value, key: str, cast=float):
+    """The value of config key `key` as a `cast` (float or int) number.
+
+    Anything but a JSON number, or a fractional value for an int key,
+    raises ConfigInvalid.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"'{key}' must be a number, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigInvalid(f"'{key}' must be an integer, got {value!r}")
+    return cast(value)
+
+
+def numbers(value, key: str, cast=float, length: int | None = None) -> list:
+    """A list of `length` (any if None) numbers, each read by `number`."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ConfigInvalid(f"'{key}' must be {size} numbers, got {value!r}")
+    return [number(v, key, cast) for v in value]
+
+
 def check_experiment(cfg: dict) -> str:
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
@@ -146,6 +167,6 @@ def check_experiment(cfg: dict) -> str:
     if kind in SEEDED and "seed" not in cfg:
         raise ConfigInvalid(f"stochastic experiment '{kind}' needs a 'seed'")
     for key in ("tolerance", "tol"):
-        if key in cfg and not float(cfg[key]) > 0.0:
+        if key in cfg and not number(cfg[key], key) > 0.0:
             raise ConfigInvalid(f"'{key}' must be positive")
     return kind

@@ -112,7 +112,7 @@ class NoSignChange(SparseWalkError, ValueError):
 # -- spectral truncations ---------------------------------------------------
 
 class BoxTooLarge(SparseWalkError):
-    """Truncation volume exceeds the configured dense cap."""
+    """Dense matrix of a truncation requested above the dense cap."""
 
 
 class TruncationTooSmall(SparseWalkError, ValueError):
@@ -124,6 +124,13 @@ class TruncationTooSmall(SparseWalkError, ValueError):
 
 class TooFewRadii(SparseWalkError, ValueError):
     """Spectral report asked for fewer than two box radii.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class PairCountOutOfRange(SparseWalkError, ValueError):
+    """Number of eigenpairs requested from eigensolve_top outside [1, 10].
 
     Also a ValueError, like NoSignChange.
     """

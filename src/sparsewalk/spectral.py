@@ -13,17 +13,19 @@ the operator is self-adjoint there.
 
 The truncation is stored as a band, one column per kernel offset: the box
 index of each neighbour and its P value, zero for a neighbour outside the
-box.  Power iteration and every eigen residual use matrix-free products
-over that band; the dense M and S are built on first use, for the full
-eigensolves only.
+box.  The top eigenpairs (block Lanczos), power iteration and every eigen
+residual use matrix-free products over that band, at any box volume; the
+dense M and S are built on first use, only where the whole spectrum is
+needed, and only up to DENSE_CAP rows.
 
-This module provides the truncation itself, dense and power-iteration
-eigensolvers, the predictor for the excess essential spectrum (the level
-set g_lambda(0) = 1 + 1/v over declared essential values v), bipartiteness
-and diagonal-dominance certificates for the absolute gap, the edge
-inequality check, spectral-projection contraction fits, and a
-high-precision Sturm-sequence distance oracle for tridiagonal truncations
-whose spectral accumulation happens far below float64 resolution.
+This module provides the truncation itself, a block Lanczos solver for the
+top eigenpairs, a power-iteration Perron solver, the predictor for the
+excess essential spectrum (the level set g_lambda(0) = 1 + 1/v over
+declared essential values v), bipartiteness and diagonal-dominance
+certificates for the absolute gap, the edge inequality check,
+spectral-projection contraction fits, and a high-precision Sturm-sequence
+distance oracle for tridiagonal truncations whose spectral accumulation
+happens far below float64 resolution.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     NoRootAboveOne,
     NotSparse,
     NotStabilized,
+    PairCountOutOfRange,
     SelfCheckFailed,
     TooFewRadii,
     TruncationTooSmall,
@@ -50,11 +53,36 @@ from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P, _neighbour_t
 from .potential import PotentialSpec, sparseness_profile
 from .resolvent import DecayFit, decay_rate_estimate, g_level_crossings
 
-#: largest dense truncation (rows) assembled eagerly
+#: largest truncation (rows) whose dense M or S may be built
 DENSE_CAP = 6000
 
 #: eigenvalues within this of the top are treated as the peripheral set
 PERIPHERAL_TOL = 1e-10
+
+#: most eigenpairs eigensolve_top returns in each ordering
+MAX_PAIRS = 10
+
+#: seed of the Lanczos start block and of its breakdown refills
+LANCZOS_SEED = 20240
+
+#: a wanted Ritz pair has converged at ||B y_last|| <= RITZ_TOL max(1, max |theta|);
+#: its vector is then off by about RITZ_TOL / gap, so 1e-12 would leave
+#: 1e-13 errors that a projection onto the dense eigenvector can see
+RITZ_TOL = 1e-14
+
+#: a new Lanczos direction below this fraction of ||S Q|| is a breakdown;
+#: below RITZ_TOL, so what a refill drops cannot hide a residual
+BREAKDOWN_TOL = 1e-15
+
+#: a second orthogonalization pass runs when a new direction keeps less
+#: than this fraction of ||S Q|| (rounding is amplified by the inverse)
+REORTH_TOL = 0.1
+
+#: Rayleigh-Ritz checks are spaced by this factor in Krylov dimension
+RITZ_CHECK_GROWTH = 1.25
+
+#: the Lanczos basis grows by this many rows at a time
+BASIS_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -78,9 +106,11 @@ class TruncatedOperator:
         return self.box.volume
 
     def apply_S(self, f: np.ndarray) -> np.ndarray:
-        """S f = D^(1/2) P D^(1/2) f over the band."""
-        sqd = np.sqrt(self.dvec)
-        return sqd * (self.probs * (sqd * f)[self.cols]).sum(axis=1)
+        """S f = D^(1/2) P D^(1/2) f over the band; f is (n,) or (n, b)."""
+        tail = (1,) * (f.ndim - 1)
+        sqd = np.sqrt(self.dvec).reshape(-1, *tail)
+        probs = self.probs.reshape(*self.probs.shape, *tail)
+        return sqd * (probs * (sqd * f).take(self.cols, axis=0)).sum(axis=1)
 
     def apply_M(self, f: np.ndarray) -> np.ndarray:
         """M f = D P f over the band."""
@@ -89,15 +119,18 @@ class TruncatedOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense M = D P, read-only, built on first use."""
-        P0 = _dense_P(self.kernel, self.sites, self.box.radius)
-        return _read_only(self.dvec[:, None] * P0)
+        return _read_only(self.dvec[:, None] * self._capped_P())
 
     @cached_property
     def sym(self) -> np.ndarray:
         """Dense S = D^(1/2) P D^(1/2), read-only, built on first use."""
-        P0 = _dense_P(self.kernel, self.sites, self.box.radius)
         sqd = np.sqrt(self.dvec)
-        return _read_only(sqd[:, None] * P0 * sqd[None, :])
+        return _read_only(sqd[:, None] * self._capped_P() * sqd[None, :])
+
+    def _capped_P(self) -> np.ndarray:
+        if self.volume > DENSE_CAP:
+            raise BoxTooLarge(f"volume {self.volume} exceeds dense cap {DENSE_CAP}")
+        return _dense_P(self.kernel, self.sites, self.box.radius)
 
     def v_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * g / self.dvec))
@@ -111,15 +144,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def truncated_operator(
-    kernel: WalkKernel, spec: PotentialSpec | None, L: int, dense_cap: int = DENSE_CAP
-) -> TruncatedOperator:
+def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -> TruncatedOperator:
     """Assemble the truncation on Q(0, L) with zero outside."""
     if L < 4 * kernel.reach:
         raise TruncationTooSmall(f"L={L} must be at least 4x kernel range {kernel.reach}")
     box = LatticeBox.cube(L, kernel.dimension)
-    if box.volume > dense_cap:
-        raise BoxTooLarge(f"volume {box.volume} exceeds dense cap {dense_cap}")
     sites = box.sites()
     cols, probs = _neighbour_table(kernel, sites, L)
     if spec is None:
@@ -151,7 +180,6 @@ class EigenSolution:
 
     by_value: tuple[EigenPair, ...]
     by_abs: tuple[EigenPair, ...]
-    eigenvalues: np.ndarray
 
 
 def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPair:
@@ -164,15 +192,89 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
 
 
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
-    """Dense symmetric eigensolve; top `count` pairs in both orderings."""
-    if count > 10:
-        raise ValueError("count must be <= 10")
-    count = min(count, op.volume)
-    w, U = np.linalg.eigh(op.sym)
-    by_value = tuple(_make_pair(op, w[i], U[:, i]) for i in range(len(w) - 1, len(w) - 1 - count, -1))
-    order = np.argsort(-np.abs(w), kind="stable")
-    by_abs = tuple(_make_pair(op, w[i], U[:, i]) for i in order[:count])
-    return EigenSolution(by_value=by_value, by_abs=by_abs, eigenvalues=w)
+    """Top `count` eigenpairs in both orderings, by block Lanczos on the band.
+
+    The block size is `count`, so an eigenvalue of multiplicity up to
+    `count` is found; the start block is seeded, so results repeat bit for
+    bit (Golub & Underwood 1977; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13).  Each new block is orthogonalized against the whole basis,
+    and once more when rounding could have been amplified (REORTH_TOL).
+    Rayleigh-Ritz on the block-tridiagonal T runs at geometrically spaced
+    Krylov dimensions and stops once every wanted pair (the top `count` by
+    value and the top `count` by |value|) has residual
+    ||B y_last|| <= RITZ_TOL max(1, max |theta|), or once the basis spans
+    the box, when the pairs are exact.  A direction that breaks down is
+    refilled with a seeded random vector orthogonal to the basis.
+    """
+    if not 1 <= count <= MAX_PAIRS:
+        raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
+    n = op.volume
+    count = min(count, n)
+    rng = np.random.default_rng(LANCZOS_SEED)
+    basis = np.empty((0, n))  # orthonormal rows: the blocks Q_0, Q_1, ...
+    T = np.empty((0, 0))  # Q S Q^T on the basis: block tridiagonal
+    nxt = np.linalg.qr(rng.standard_normal((n, count)))[0].T
+    B = np.empty((count, 0))  # Q_k+1 S Q_k^T, coupling the next block
+    m = 0
+    check = count
+    last = None  # Krylov dimension and worst residual at the previous check
+    while True:
+        prev, lo, m = m - B.shape[1], m, m + len(nxt)
+        if m > len(basis):
+            cap = min(n, len(basis) + BASIS_CHUNK)
+            basis = np.concatenate([basis[:lo], np.empty((cap - lo, n))])
+            T = np.pad(T[:lo, :lo], (0, cap - lo))
+        basis[lo:m] = nxt
+        T[lo:m, prev:lo] = B
+        T[prev:lo, lo:m] = B.T
+        V = basis[:m]
+        w = op.apply_S(nxt.T).T
+        scale = np.linalg.norm(w)
+        c = w @ V.T
+        T[lo:m, lo:m] = 0.5 * (c[:, lo:] + c[:, lo:].T)
+        w = w - c @ V
+        if m == n:
+            B = np.zeros((0, len(w)))  # the basis spans the box: nothing couples out
+        else:
+            # next block: the row space of w, refilled at breakdown
+            u, sv, _ = np.linalg.svd(w.T, full_matrices=False)
+            nxt = u.T[: min(count, n - m)]
+            weak = sv[: len(nxt)] <= BREAKDOWN_TOL * scale
+            refill = bool(weak.any())
+            if refill:
+                nxt[weak] = rng.standard_normal((int(weak.sum()), n))
+            if refill or sv[len(nxt) - 1] < REORTH_TOL * scale:
+                nxt = nxt - (nxt @ V.T) @ V
+                nxt = np.linalg.qr(nxt.T)[0].T
+            B = nxt @ w.T
+        if m >= check:
+            theta, Y = np.linalg.eigh(T[:m, :m])
+            want = _wanted(theta, count)
+            worst = float(np.linalg.norm(B @ Y[lo:, want], axis=0).max())
+            tol = RITZ_TOL * max(1.0, float(np.abs(theta).max()))
+            if worst <= tol:
+                break
+            # geometric spacing, cut short where the residual, extrapolated
+            # log-linearly from the previous check, meets the tolerance
+            check = math.ceil(RITZ_CHECK_GROWTH * m)
+            if last is not None and worst < last[1]:
+                rate = math.log(worst / last[1]) / (m - last[0])
+                check = min(check, m + math.ceil(math.log(tol / worst) / rate))
+            check = min(n, max(check, m + count))
+            last = (m, worst)
+    vectors = Y[:, want].T @ basis[:m]
+    pairs = {
+        i: _make_pair(op, theta[i], x / np.linalg.norm(x)) for i, x in zip(want, vectors)
+    }
+    by_value = tuple(pairs[i] for i in range(m - 1, m - 1 - count, -1))
+    by_abs = tuple(pairs[i] for i in np.argsort(-np.abs(theta), kind="stable")[:count])
+    return EigenSolution(by_value=by_value, by_abs=by_abs)
+
+
+def _wanted(theta: np.ndarray, count: int) -> list[int]:
+    """Indices of the top `count` of ascending theta by value and by |value|."""
+    top = range(len(theta) - count, len(theta))
+    return sorted(set(top) | set(np.argsort(-np.abs(theta), kind="stable")[:count].tolist()))
 
 
 def perron_pair(

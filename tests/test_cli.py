@@ -175,6 +175,26 @@ MALFORMED = {
         {"cfg.json": {**SIMPLE, **DELTA, "alpha": 0}},
         "'alpha' must be positive",
     ),
+    "bs with non-numeric alpha": (
+        "bs",
+        {"cfg.json": {**SIMPLE, **DELTA, "lambda_lo": 1.05, "lambda_hi": 1.35, "alpha": "half"}},
+        "'alpha' must be a number, got 'half'",
+    ),
+    "bs with scan_points 0": (
+        "bs",
+        {"cfg.json": {**SIMPLE, **DELTA, "lambda_lo": 1.05, "lambda_hi": 1.35, "scan_points": 0}},
+        "'scan_points' must be at least 1",
+    ),
+    "decay with one-entry fit_window": (
+        "decay",
+        {"cfg.json": {**SIMPLE, **DELTA, "fit_window": [10]}},
+        "'fit_window' must be a list of 2 numbers",
+    ),
+    "fractional box radius": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "L_sequence": [20, 30.5]}},
+        "'L_sequence' must be an integer, got 30.5",
+    ),
 }
 
 

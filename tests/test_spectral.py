@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from sparsewalk.errors import (
     GapNotCertified,
     NoRootAboveOne,
     NotSparse,
+    PairCountOutOfRange,
     SelfCheckFailed,
     SparseWalkError,
     TooFewRadii,
@@ -96,8 +98,11 @@ def test_spectral_report_needs_two_radii():
 
 
 def test_truncation_caps():
+    op = sw.truncated_operator(sw.simple1d(), None, 4000)
     with pytest.raises(BoxTooLarge):
-        sw.truncated_operator(sw.simple1d(), None, 4000, dense_cap=100)
+        op.sym
+    with pytest.raises(BoxTooLarge):
+        op.matrix
     with pytest.raises(ValueError):
         sw.truncated_operator(sw.simple1d(), None, 2)
 
@@ -185,6 +190,104 @@ def test_abs_value_ordering():
         round(sol.by_value[0].value, 6),
         -round(sol.by_value[0].value, 6),
     }
+
+
+def _free_simple2d():
+    return sw.simple2d(), None, sw.truncated_operator(sw.simple2d(), None, 10)
+
+
+def _tiny_box():
+    # volume 9: with count 10 the start block spans the box, with count 6
+    # the second block is cut to the 3 directions left
+    return sw.simple1d(), None, sw.truncated_operator(sw.simple1d(), sw.single_delta(1, 1.0), 4)
+
+
+PARITY_CASES = {
+    "anchored simple2d": (lambda: _anchored("simple2d"), 6),
+    "anchored skew2d": (lambda: _anchored("skew2d"), 6),
+    "free simple2d": (_free_simple2d, 4),
+    "volume below count": (_tiny_box, 10),
+    "box ends mid-block": (_tiny_box, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_eigensolve_top_matches_eigvalsh(case):
+    make, count = PARITY_CASES[case]
+    _, _, op = make()
+    w = np.linalg.eigvalsh(op.sym)
+    count = min(count, op.volume)
+    sol = sw.eigensolve_top(op, count)
+    assert len(sol.by_value) == len(sol.by_abs) == count
+    by_value = np.array([p.value for p in sol.by_value])
+    assert np.max(np.abs(by_value - w[::-1][:count])) <= 1e-12
+    # bipartite spectra tie +-x in |value|, so compare moduli and membership
+    by_abs = np.array([p.value for p in sol.by_abs])
+    top_abs = np.sort(np.abs(w))[::-1][:count]
+    assert np.max(np.abs(np.abs(by_abs) - top_abs)) <= 1e-12
+    assert all(np.min(np.abs(w - v)) <= 1e-12 for v in by_abs)
+    assert max(p.residual for p in sol.by_value + sol.by_abs) <= 1e-10
+
+
+def test_eigensolve_top_returns_both_copies_of_a_double_eigenvalue():
+    # free simple2d on Q(0, 10): (cos(pi/22) + cos(2 pi/22)) / 2 twice
+    _, _, op = _free_simple2d()
+    sol = sw.eigensolve_top(op, 4)
+    double = (math.cos(math.pi / 22) + math.cos(2 * math.pi / 22)) / 2
+    assert double == pytest.approx(0.97465721, abs=1e-8)
+    first, second = sol.by_value[1], sol.by_value[2]
+    assert abs(first.value - double) <= 1e-12 and abs(second.value - double) <= 1e-12
+    assert abs(float(first.psi @ second.psi)) <= 1e-10
+    assert sol.by_value[3].value < double - 1e-3
+
+
+def test_eigensolve_top_is_deterministic():
+    _, _, op = _anchored("skew2d")
+    one, two = sw.eigensolve_top(op, 3), sw.eigensolve_top(op, 3)
+    for a, b in zip(one.by_value + one.by_abs, two.by_value + two.by_abs):
+        assert a.value == b.value and a.residual == b.residual
+        assert np.array_equal(a.psi, b.psi) and np.array_equal(a.phi, b.phi)
+
+
+def test_eigensolve_top_refills_a_broken_down_block():
+    # a band of 15 identical 2x2 blocks plus one loop: S has the eigenvalues
+    # 0.8 (16 times) and -0.2 (15 times), so every Krylov space closes after
+    # two blocks and Lanczos must restart from fresh random directions
+    op = sw.truncated_operator(sw.simple1d(), None, 15)
+    idx = np.arange(op.volume)
+    cols = np.stack([idx, np.where(idx < 30, idx ^ 1, idx)], axis=1)
+    probs = np.where(idx[:, None] < 30, [0.3, 0.5], [0.8, 0.0])
+    op = dataclasses.replace(op, cols=cols, probs=probs)
+    sol = sw.eigensolve_top(op, 2)
+    for pair in sol.by_value + sol.by_abs:
+        assert abs(pair.value - 0.8) <= 1e-12 and pair.residual <= 1e-10
+    assert abs(float(sol.by_value[0].psi @ sol.by_value[1].psi)) <= 1e-10
+
+
+@pytest.mark.parametrize("count", [0, 11, -1])
+def test_eigensolve_top_count_is_named(count):
+    op = sw.truncated_operator(sw.simple1d(), None, 10)
+    with pytest.raises(PairCountOutOfRange):
+        sw.eigensolve_top(op, count)
+    assert issubclass(PairCountOutOfRange, SparseWalkError)
+    assert issubclass(PairCountOutOfRange, ValueError)
+
+
+def test_band_solvers_run_past_the_dense_cap():
+    # 2d L = 40 has 6561 sites: above DENSE_CAP, so only the band is used
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=40, anchor=((1, 0), 1.5))
+    op = sw.truncated_operator(kernel, spec, 40)
+    assert op.volume == 6561 > spectral.DENSE_CAP
+    with pytest.raises(BoxTooLarge):
+        op.sym
+    top = sw.eigensolve_top(op, 1).by_value[0]
+    r, phi = sw.perron_pair(op)
+    chain = sw.doob_kernel(kernel, spec, (r, phi), 40)
+    assert top.residual <= 1e-10
+    assert abs(top.value - r) <= 1e-9
+    assert np.max(np.abs(top.phi - phi)) <= 1e-9
+    assert chain.rate == r and chain.row_deficit <= 1e-6
 
 
 def test_perron_pair_positivity_and_value():

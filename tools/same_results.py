@@ -3,19 +3,21 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus five sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus six sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
 3d; ``chain2d``, the Perron pair, the Doob chain and the digest of a
 seeded path of the simple 2d walk on Q(0, 12) under an anchored geometric
-sparse potential; ``green_nd``, Green values in 2d and 3d: the
-level crossings of the simple 2d walk, ``g_lambda_quadrature`` of the
-simple 2d and lazy 3d walks, and a ``green_table`` of a 2d kernel with
-diagonal moves; and ``green_full2d``, ``green_table`` values of a 2d
-kernel with range 2 on both axes, the one case on the full torus grid
-beyond 1d.  The package is imported from ``PYTHONPATH``, so two
-checkouts are compared by running this script against each and diffing the outputs:
+sparse potential; ``eigen2d``, the top ``eigensolve_top`` values by value
+and moduli by |value| of that operator, with their residuals;
+``green_nd``, Green values in 2d and 3d: the level crossings of the
+simple 2d walk, ``g_lambda_quadrature`` of the simple 2d and lazy 3d
+walks, and a ``green_table`` of a 2d kernel with diagonal moves; and
+``green_full2d``, ``green_table`` values of a 2d kernel with range 2 on
+both axes, the one case on the full torus grid beyond 1d.  The package
+is imported from ``PYTHONPATH``, so two checkouts are compared by running
+this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
 
@@ -29,9 +31,9 @@ relative change exceeds 1e-9 (or, below 1e-12 in magnitude, its absolute
 change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
-fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``green_nd``
-or ``green_full2d`` section still loads; that section is then left out of
-the comparison.
+fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
+``green_nd`` or ``green_full2d`` section still loads; that section is then
+left out of the comparison.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ KERNELS = {
     "lazy3d(0.17)": lambda: lazy3d(0.17),
 }
 #: the 2d chain case: simple2d on Q(0, 12), geometric sparse v = 0.5 on
-#: +-3^k e1 with an anchor of 1.6 at (1, -1), a 20k-step path from the origin
+#: +-3^k e1 with an anchor of 1.6 at (1, -1), a 20k-step path from the origin;
+#: the eigen case takes its top EIGEN2D_COUNT pairs
 CHAIN2D_L = 12
 CHAIN2D_STEPS = 20_000
 CHAIN2D_SEED = 2468
+EIGEN2D_COUNT = 6
 #: the 2d/3d Green case: level 1 + 1/3.5 of simple2d, g_lambda(0) at pts 64,
 #: and a pts-64 table at lambda 1.3 of a kernel with p(+-(1,1)) != p(+-(1,-1))
 GREEN_ND_TARGET = 1.0 + 1.0 / 3.5
@@ -96,7 +100,7 @@ DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), 
 #: with no range-1 axis, on the displacements of the diagonal case
 RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d", "green_nd", "green_full2d")
+OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -128,6 +132,7 @@ def fingerprint() -> dict:
         "bs2d": bs2d(),
         "kernels": kernels,
         "chain2d": chain2d(),
+        "eigen2d": eigen2d(),
         "green_nd": green_nd(),
         "green_full2d": green_full2d(),
     }
@@ -145,11 +150,16 @@ def bs2d() -> dict:
     return out
 
 
-def chain2d() -> dict:
-    """Reprs of the 2d Perron pair and Doob chain, and a path digest."""
+def chain2d_operator():
+    """Kernel, potential and truncation of the 2d chain case."""
     kernel = sw.simple2d()
     spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=CHAIN2D_L, anchor=((1, -1), 1.6))
-    op = sw.truncated_operator(kernel, spec, CHAIN2D_L)
+    return kernel, spec, sw.truncated_operator(kernel, spec, CHAIN2D_L)
+
+
+def chain2d() -> dict:
+    """Reprs of the 2d Perron pair and Doob chain, and a path digest."""
+    kernel, spec, op = chain2d_operator()
     r, phi = sw.perron_pair(op)
     chain = sw.doob_kernel(kernel, spec, (r, phi), op.box)
     path = sw.simulate_chain(chain, (0, 0), CHAIN2D_STEPS, CHAIN2D_SEED)
@@ -160,6 +170,20 @@ def chain2d() -> dict:
         "stationary_max": repr(float(chain.stationary.max())),
         "path_sha256": hashlib.sha256(path.astype(np.int64).tobytes()).hexdigest(),
     }
+
+
+def eigen2d() -> dict:
+    """Reprs of the top eigenvalues of the 2d chain case and their residuals."""
+    sol = sw.eigensolve_top(chain2d_operator()[2], EIGEN2D_COUNT)
+    out = {}
+    for i, pair in enumerate(sol.by_value):
+        out[f"by_value {i} value"] = repr(pair.value)
+        out[f"by_value {i} residual"] = repr(pair.residual)
+    # the walk is bipartite, so +-x tie in |value| and either may come first
+    for i, pair in enumerate(sol.by_abs):
+        out[f"by_abs {i} modulus"] = repr(abs(pair.value))
+        out[f"by_abs {i} residual"] = repr(pair.residual)
+    return out
 
 
 def green_nd() -> dict:
