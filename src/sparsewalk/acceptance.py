@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def _result(index, name, t0, checks, values) -> CriterionResult:
     )
 
 
-def _geometric(q: float = 0.0, anchored: bool = False) -> potential.PotentialSpec:
+def _geometric(anchored: bool = False) -> potential.PotentialSpec:
     anchor = ANCHOR_SITE_VALUE if anchored else None
     return potential.build_geometric_sparse(1, v=1.0, base=3, box_radius=2048, anchor=anchor)
 
@@ -143,29 +144,26 @@ def criterion_5() -> CriterionResult:
 
     The true distances sit far below float64 resolution (the sparse-site
     eigenvalues converge super-exponentially), so the measurement uses the
-    arbitrary-precision Sturm oracle on the tridiagonal truncation.
+    60-digit Sturm oracle on the tridiagonal truncation, aimed at
+    +-2/sqrt(3) computed to the same 60 digits.
     """
-    import mpmath as mp
-
     t0 = time.perf_counter()
     spec = _geometric()
     kernel = lattice.simple1d()
     checks, values = {}, {}
-    with mp.workdps(60):
-        for label, sign in (("lam_plus", 1), ("lam_minus", -1)):
-            target = sign * 2 / mp.sqrt(3)
-            dists = {}
-            for L in (256, 512, 1024):
-                dist, exact = spectral.truncated_spectrum_distance_1d(
-                    kernel, spec, L, target, dps=60, floor_exp=-45
-                )
-                dists[L] = (dist, exact)
-            d_first = dists[256][0]
-            d_last = dists[1024][0]
-            checks[f"{label} first resolved"] = dists[256][1]
-            checks[f"{label} halves"] = d_last <= d_first / 2.0
-            checks[f"{label} monotone"] = dists[512][0] <= d_first
-            values[f"{label} distances"] = {L: dists[L][0] for L in dists}
+    with localcontext(Context(prec=60)):
+        lam_plus = Decimal(2) / Decimal(3).sqrt()
+        targets = (("lam_plus", lam_plus), ("lam_minus", -lam_plus))
+    for label, target in targets:
+        dists = {}
+        for L in (256, 512, 1024):
+            dists[L] = spectral.truncated_spectrum_distance_1d(kernel, spec, L, target, dps=60)
+        d_first = dists[256][0]
+        d_last = dists[1024][0]
+        checks[f"{label} first resolved"] = dists[256][1]
+        checks[f"{label} halves"] = d_last <= d_first / 2.0
+        checks[f"{label} monotone"] = dists[512][0] <= d_first
+        values[f"{label} distances"] = {L: dists[L][0] for L in dists}
     return _result(5, "essential-spectrum accumulation", t0, checks, values)
 
 

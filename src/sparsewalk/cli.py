@@ -105,9 +105,7 @@ def exp_bs(cfg: dict, out: Path) -> dict:
         raise ConfigInvalid("bs experiment needs a potential")
     lo = number(require(cfg, "lambda_lo", "bs"), "lambda_lo")
     hi = number(require(cfg, "lambda_hi", "bs"), "lambda_hi")
-    count = number(cfg.get("scan_points", 21), "scan_points", int)
-    if count < 1:
-        raise ConfigInvalid(f"'scan_points' must be at least 1, got {count}")
+    count = number(cfg.get("scan_points", 21), "scan_points", int, least=1)
     box = number(cfg.get("box_radius", 256), "box_radius", int)
     alpha = _positive_alpha(cfg, 0.5)
     rows = []
@@ -184,6 +182,8 @@ def exp_decay(cfg: dict, out: Path) -> dict:
     box = number(cfg.get("box_radius", 512), "box_radius", int)
     L = number(cfg.get("L", 80), "L", int)
     lo, hi = numbers(cfg.get("fit_window", (10, 18)), "fit_window", int, 2)
+    if not 0 <= lo <= hi <= L:
+        raise ConfigInvalid(f"'fit_window' [{lo}, {hi}] must lie in [0, L] = [0, {L}]")
     cert = bsmod.neumann_invertibility(kernel, spec, (), lam, alpha, box)
     op = spectral.truncated_operator(kernel, spec, L)
     w, U = np.linalg.eigh(op.sym)
@@ -218,8 +218,11 @@ def exp_gibbs(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
     n_lo, n_hi = numbers(cfg.get("n_range", (10, 60)), "n_range", int, 2)
-    k_fixed = number(cfg.get("k", 1), "k", int)
-    site = tuple(numbers(cfg.get("indicator_site", [1]), "indicator_site", int))
+    k_fixed = number(cfg.get("k", 1), "k", int, least=1)
+    if not k_fixed < n_lo <= n_hi:
+        raise ConfigInvalid(f"'n_range' [{n_lo}, {n_hi}] must satisfy k = {k_fixed} < lo <= hi")
+    e1 = [1] + [0] * (kernel.dimension - 1)
+    site = tuple(numbers(cfg.get("indicator_site", e1), "indicator_site", int, kernel.dimension))
     op, chain = _chain_from_config(cfg, kernel, spec)
     # before any artifact: past DENSE_CAP this raises BoxTooLarge
     w = np.linalg.eigvalsh(op.sym)
@@ -237,7 +240,7 @@ def exp_gibbs(cfg: dict, out: Path) -> dict:
 def exp_doob(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
-    steps = number(cfg.get("steps", 100000), "steps", int)
+    steps = number(cfg.get("steps", 100000), "steps", int, least=0)
     seed = number(cfg["seed"], "seed", int)
     op, chain = _chain_from_config(cfg, kernel, spec)
     path = gibbsmod.simulate_chain(chain, (0,) * kernel.dimension, steps, seed)
@@ -258,8 +261,8 @@ def exp_doob(cfg: dict, out: Path) -> dict:
 def exp_fk(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
-    n = number(cfg.get("n", 20), "n", int)
-    samples = number(cfg.get("samples", 100000), "samples", int)
+    n = number(cfg.get("n", 20), "n", int, least=0)
+    samples = number(cfg.get("samples", 100000), "samples", int, least=gibbsmod.MIN_SAMPLES)
     seed = number(cfg["seed"], "seed", int)
     box = lattice.LatticeBox.cube(n * kernel.reach + 2, kernel.dimension)
     rows = []

@@ -137,17 +137,20 @@ def require(cfg: dict, key: str, kind: str):
     return cfg[key]
 
 
-def number(value, key: str, cast=float):
+def number(value, key: str, cast=float, least=None):
     """The value of config key `key` as a `cast` (float or int) number.
 
-    Anything but a JSON number, or a fractional value for an int key,
-    raises ConfigInvalid.
+    Anything but a JSON number, a fractional value for an int key, or a
+    value below `least` (when given) raises ConfigInvalid.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"'{key}' must be a number, got {value!r}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ConfigInvalid(f"'{key}' must be an integer, got {value!r}")
-    return cast(value)
+    value = cast(value)
+    if least is not None and value < least:
+        raise ConfigInvalid(f"'{key}' must be at least {least}, got {value!r}")
+    return value
 
 
 def numbers(value, key: str, cast=float, length: int | None = None) -> list:

@@ -169,6 +169,13 @@ class NonPositivePhi(SparseWalkError):
     """Doob transform needs a strictly positive eigenfunction."""
 
 
+class TooFewSamples(SparseWalkError, ValueError):
+    """Monte Carlo asked for fewer samples than the contract minimum.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 class RowDeficitTooLarge(SparseWalkError):
     """Chain rows lose too much mass before renormalization."""
 

@@ -38,6 +38,7 @@ from .errors import (
     NonPositivePhi,
     RowDeficitTooLarge,
     StartOutsideBox,
+    TooFewSamples,
 )
 from .lattice import LatticeBox, WalkKernel, _as_offset, apply_P
 from .potential import PotentialSpec
@@ -45,6 +46,9 @@ from .spectral import truncated_operator
 
 #: fixed Monte Carlo chunk so sample i always uses stream (seed, i // CHUNK)
 MC_CHUNK = 4096
+
+#: fewest samples fk_monte_carlo accepts
+MIN_SAMPLES = 1000
 
 #: uniforms drawn at a time by simulate_chain; the stream is the same as one
 #: draw of every step, the block only bounds memory
@@ -221,8 +225,8 @@ def fk_monte_carlo(
     (seed, chunk), so the estimate is reproducible however the chunks are
     scheduled.  Returns (estimate, standard error).
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    if samples < MIN_SAMPLES:
+        raise TooFewSamples(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     d = kernel.dimension
     x0 = (0,) * d if x0 is None else _as_offset(x0, d)
     offsets = kernel.offset_array()

@@ -23,15 +23,17 @@ top eigenpairs, a power-iteration Perron solver, the predictor for the
 excess essential spectrum (the level set g_lambda(0) = 1 + 1/v over
 declared essential values v), bipartiteness and diagonal-dominance
 certificates for the absolute gap, the edge inequality check,
-spectral-projection contraction fits, and a high-precision Sturm-sequence
-distance oracle for tridiagonal truncations whose spectral accumulation
-happens far below float64 resolution.
+spectral-projection contraction fits, and a Sturm-sequence distance
+oracle in standard-library `decimal` arithmetic for tridiagonal
+truncations whose spectral accumulation happens far below float64
+resolution.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from decimal import Context, Decimal, localcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +85,28 @@ RITZ_CHECK_GROWTH = 1.25
 
 #: the Lanczos basis grows by this many rows at a time
 BASIS_CHUNK = 256
+
+#: perron_pair checks convergence every PERRON_CHECK_EVERY squared steps and
+#: then also needs every pointwise eigen-ratio within PERRON_POINTWISE_TOL of 1
+PERRON_CHECK_EVERY = 16
+PERRON_POINTWISE_TOL = 1e-9
+
+#: the bipartite sign is re-verified on Q(0, BIPARTITE_VERIFY_RADIUS)
+BIPARTITE_VERIFY_RADIUS = 4
+
+#: gap_projection_test iterates GAP_STEPS times and fits the norms of the
+#: steps n in GAP_FIT_RANGE (inclusive)
+GAP_STEPS = 60
+GAP_FIT_RANGE = (10, 50)
+
+#: spectral_report fits the decay of phi on the sites t e1, t in
+#: REPORT_FIT_WINDOW clipped to the box; its discrete candidates must agree
+#: within STABILIZE_TOL across the last two boxes
+REPORT_FIT_WINDOW = (1, 12)
+STABILIZE_TOL = 1e-6
+
+#: the Sturm oracle certifies distances down to 10^STURM_FLOOR_EXP
+STURM_FLOOR_EXP = -45
 
 
 @dataclass(frozen=True)
@@ -280,9 +304,7 @@ def _wanted(theta: np.ndarray, count: int) -> list[int]:
 def perron_pair(
     op: TruncatedOperator,
     tol: float = 1e-10,
-    pointwise_tol: float = 1e-9,
     max_iter: int = 50000,
-    check_every: int = 16,
 ) -> tuple[float, np.ndarray]:
     """Strictly positive top eigenpair by squared power iteration.
 
@@ -293,8 +315,8 @@ def perron_pair(
     returned phi is positive entrywise by construction, not by luck.
 
     Besides the usual norm residual, convergence requires the pointwise
-    eigen-ratio max |(S psi)(x) / (r psi(x)) - 1| <= pointwise_tol.  The
-    norm alone says nothing about the exponentially small tail entries,
+    eigen-ratio max |(S psi)(x) / (r psi(x)) - 1| <= PERRON_POINTWISE_TOL.
+    The norm alone says nothing about the exponentially small tail entries,
     and it is exactly these ratios that become the row sums of the Doob
     chain downstream.  Returns (r, phi) with phi normalized in the
     weighted norm.
@@ -310,7 +332,7 @@ def perron_pair(
         z = S(y)
         r_hat = ny  # sqrt(x . S^2 x) for unit x
         x = z / np.linalg.norm(z)
-        if (it + 1) % check_every == 0:
+        if (it + 1) % PERRON_CHECK_EVERY == 0:
             psi = x + S(x) / r_hat
             npsi = np.linalg.norm(psi)
             if npsi == 0.0 or psi.min() <= 0.0:
@@ -320,7 +342,7 @@ def perron_pair(
             rho = float(psi @ spsi)  # Rayleigh quotient, unit psi
             resid = float(np.linalg.norm(spsi - rho * psi))
             point = float(np.max(np.abs(spsi / (rho * psi) - 1.0)))
-            if resid <= tol * max(rho, 1.0) and point <= pointwise_tol:
+            if resid <= tol * max(rho, 1.0) and point <= PERRON_POINTWISE_TOL:
                 phi = np.sqrt(op.dvec) * psi
                 return rho, phi
     raise NoConvergence(f"power iteration did not reach tol={tol} in {max_iter} steps")
@@ -417,7 +439,7 @@ class BipartiteSign:
         return np.where(total % 2 == 0, 1.0, -1.0)
 
 
-def bipartite_detect(kernel: WalkKernel, verify_radius: int = 4) -> BipartiteSign | None:
+def bipartite_detect(kernel: WalkKernel) -> BipartiteSign | None:
     """Find a sign J anticommuting with the walk, if one exists.
 
     For each nonempty axis subset I the candidate even set is
@@ -431,7 +453,8 @@ def bipartite_detect(kernel: WalkKernel, verify_radius: int = 4) -> BipartiteSig
             if any(sum(off[a] for a in axes) % 2 == 0 for off in kernel.offsets):
                 continue  # some support offset lies in A
             cand = BipartiteSign(axes=axes)
-            for base in itertools.product(range(-verify_radius, verify_radius + 1), repeat=d):
+            radius = BIPARTITE_VERIFY_RADIUS
+            for base in itertools.product(range(-radius, radius + 1), repeat=d):
                 for off in kernel.offsets:
                     other = tuple(b + o for b, o in zip(base, off))
                     if cand.sign(base) * cand.sign(other) == 1:
@@ -516,8 +539,6 @@ def gap_projection_test(
     spec: PotentialSpec | None,
     L: int,
     f: np.ndarray | None = None,
-    n_max: int = 60,
-    fit_range: tuple[int, int] = (10, 50),
 ) -> GapProjection:
     """Geometric contraction of the semigroup off the peripheral eigenspace.
 
@@ -555,11 +576,11 @@ def gap_projection_test(
         return GapProjection(branch=branch, eps_fit=0.0, eps_pred=eps_pred, norms=())
     norms = []
     y = h.copy()
-    for _ in range(n_max):
+    for _ in range(GAP_STEPS):
         y = op.matrix @ y / r
         norms.append(op.v_norm(y))
-    ns = np.arange(1, n_max + 1)
-    lo, hi = fit_range
+    ns = np.arange(1, GAP_STEPS + 1)
+    lo, hi = GAP_FIT_RANGE
     sel = (ns >= lo) & (ns <= hi) & (np.array(norms) > 1e-250)
     slope = np.polyfit(ns[sel], np.log(np.array(norms)[sel]), 1)[0]
     return GapProjection(
@@ -604,17 +625,15 @@ def spectral_report(
     kernel: WalkKernel,
     spec: PotentialSpec | None,
     L_sequence,
-    fit_window: tuple[int, int] = (1, 12),
-    stabilize_tol: float = 1e-6,
 ) -> ReportBundle:
     """Per-box spectral digests plus a discrete-eigenvalue Cauchy check.
 
-    The decay fit reads phi on the sites t e1 of fit_window, clipped to
-    the box; with fewer than 8 sites no decay is fitted.
+    The decay fit reads phi on the sites t e1 of REPORT_FIT_WINDOW, clipped
+    to the box; with fewer than 8 sites no decay is fitted.
 
     Eigenvalues above the predicted essential top lambda0 (plus a 1e-4
     attribution margin) are discrete candidates; they must agree within
-    stabilize_tol across the last two boxes, else NotStabilized.  The rest
+    STABILIZE_TOL across the last two boxes, else NotStabilized.  The rest
     of the spectrum is the finite-volume shadow of the essential part and
     is only expected to accumulate, never to stabilize.
     """
@@ -648,7 +667,7 @@ def spectral_report(
         gap = float(r - below.max()) if below.size else 0.0
         second = _second_abs(w, r)
         axis_idx = []
-        for t in range(fit_window[0], min(fit_window[1], L) + 1):
+        for t in range(REPORT_FIT_WINDOW[0], min(REPORT_FIT_WINDOW[1], L) + 1):
             site = (t,) + (0,) * (kernel.dimension - 1)
             axis_idx.append((t, op.box.index(site)))
         vals = [(t, abs(pair.phi[i])) for t, i in axis_idx]
@@ -678,9 +697,9 @@ def spectral_report(
     discrete = []
     for lam in last[last > threshold]:
         nearest = prev[int(np.argmin(np.abs(prev - lam)))]
-        if abs(nearest - lam) > stabilize_tol:
+        if abs(nearest - lam) > STABILIZE_TOL:
             raise NotStabilized(
-                f"discrete candidate {lam!r} moved by {abs(nearest - lam):.3e} "
+                f"discrete candidate {float(lam)!r} moved by {abs(nearest - lam):.3e} "
                 f"between L={reports[-2].L} and L={reports[-1].L}"
             )
         discrete.append(float(lam))
@@ -700,55 +719,49 @@ def truncated_spectrum_distance_1d(
     L: int,
     target,
     dps: int = 60,
-    floor_exp: int = -45,
 ) -> tuple[float, bool]:
     """Distance from the spectrum of the 1d truncation to `target`.
 
     Only range-1 kernels in d = 1 qualify: the symmetrized truncation is
     tridiagonal, so eigenvalue counts below any shift follow from a Sturm
-    (LDL pivot-sign) recurrence evaluated in arbitrary precision.  Sparse
-    potentials push truncated eigenvalues toward the essential spectrum at
-    super-exponential speed, far beyond float64 resolution, which is why
-    this oracle exists.  `target` may be a float or an mpmath scalar.
+    (LDL pivot-sign) recurrence evaluated in `dps`-digit `decimal`
+    arithmetic.  Sparse potentials push truncated eigenvalues toward the
+    essential spectrum at super-exponential speed, far beyond float64
+    resolution, which is why this oracle exists.  `target` may be a float,
+    an int, a str or a Decimal.
 
     Returns (distance, exact): when the nearest eigenvalue is closer than
-    10^floor_exp the search stops and (10^floor_exp, False) is returned as
-    a certified upper bound.
+    10^STURM_FLOOR_EXP the search stops and (10^STURM_FLOOR_EXP, False) is
+    returned as a certified upper bound.
     """
-    import mpmath as mp
-
     if kernel.dimension != 1 or kernel.reach != 1:
         raise ValueError("Sturm oracle needs a range-1 kernel in d = 1")
-    with mp.workdps(dps):
-        q = mp.mpf(kernel.p0)
+    with localcontext(Context(prec=dps)):
+        q = Decimal(kernel.p0)
         hop = (1 - q) / 2
         dval = [
-            mp.mpf(1) + (mp.mpf(spec.value((x,))) if spec is not None else 0)
+            1 + (Decimal(spec.value((x,))) if spec is not None else 0)
             for x in range(-L, L + 1)
         ]
         diag = [q * v for v in dval]
         off2 = [hop * hop * dval[i] * dval[i + 1] for i in range(2 * L)]
-        tgt = mp.mpf(target) if not hasattr(target, "_mpf_") else +target
+        tgt = Decimal(target)
+        tiny = Decimal(10) ** (-(dps * 4))
 
         def count_below(sigma):
-            cnt = 0
             d = diag[0] - sigma
-            if d < 0:
-                cnt += 1
-            tiny = mp.mpf(10) ** (-(dps * 4))
+            cnt = int(d < 0)
             for i in range(1, 2 * L + 1):
-                denom = d if d != 0 else tiny
-                d = (diag[i] - sigma) - off2[i - 1] / denom
-                if d < 0:
-                    cnt += 1
+                d = (diag[i] - sigma) - off2[i - 1] / (d if d != 0 else tiny)
+                cnt += d < 0
             return cnt
 
-        floor = mp.mpf(10) ** floor_exp
+        floor = Decimal(10) ** STURM_FLOOR_EXP
 
         def hits(delta) -> bool:
             return count_below(tgt + delta) - count_below(tgt - delta) > 0
 
-        hi = mp.mpf(1)
+        hi = Decimal(1)
         if not hits(hi):
             # nearest eigenvalue beyond distance 1: widen linearly
             while not hits(hi):
@@ -760,12 +773,12 @@ def truncated_spectrum_distance_1d(
             lo = floor
         # geometric bisection localizes the scale, linear bisection polishes
         for _ in range(dps):
-            mid = mp.sqrt(lo * hi)
+            mid = (lo * hi).sqrt()
             if hits(mid):
                 hi = mid
             else:
                 lo = mid
-            if hi / lo < mp.mpf("1.01"):
+            if hi / lo < Decimal("1.01"):
                 break
         for _ in range(60):
             mid = (lo + hi) / 2

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsewalk
 from sparsewalk.cli import main
 from sparsewalk.config import kernel_from_config, potential_from_config
 from sparsewalk.gibbs import fk_semigroup
@@ -13,6 +17,7 @@ from sparsewalk.lattice import LatticeBox
 
 SIMPLE = {"kernel": {"preset": "simple1d"}}
 DELTA = {"potential": {"type": "explicit", "sites": [[0, 1.0]]}}
+ANCHORED = {"potential": {"type": "geometric", "v": 1.0, "base": 3, "anchor": [0, 2.0]}}
 
 
 def _write(tmp_path, name, payload) -> Path:
@@ -195,6 +200,41 @@ MALFORMED = {
         {"cfg.json": {**SIMPLE, "L_sequence": [20, 30.5]}},
         "'L_sequence' must be an integer, got 30.5",
     ),
+    "fk with 500 samples": (
+        "fk",
+        {"cfg.json": {**SIMPLE, **DELTA, "n": 6, "samples": 500, "seed": 1}},
+        "'samples' must be at least 1000, got 500",
+    ),
+    "fk with n -1": (
+        "fk",
+        {"cfg.json": {**SIMPLE, **DELTA, "n": -1, "samples": 2000, "seed": 1}},
+        "'n' must be at least 0, got -1",
+    ),
+    "doob with steps -1": (
+        "doob",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "steps": -1, "seed": 1}},
+        "'steps' must be at least 0, got -1",
+    ),
+    "gibbs with reversed n_range": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "n_range": [60, 10]}},
+        "'n_range' [60, 10] must satisfy k = 1 < lo <= hi",
+    ),
+    "gibbs with k 0": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "k": 0}},
+        "'k' must be at least 1, got 0",
+    ),
+    "gibbs with a 2d indicator site in 1d": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "indicator_site": [1, 0]}},
+        "'indicator_site' must be a list of 1 numbers, got [1, 0]",
+    ),
+    "decay with L below the fit window": (
+        "decay",
+        {"cfg.json": {**SIMPLE, **DELTA, "L": 10}},
+        "'fit_window' [10, 18] must lie in [0, L] = [0, 10]",
+    ),
 }
 
 
@@ -330,3 +370,34 @@ def test_demo_artifacts_hold_no_numpy_reprs(tmp_path):
         assert main(argv) == 0, kind
         for path in out.iterdir():
             assert "np." not in path.read_text(), f"{kind}/{path.name}"
+
+
+#: imports the package with mpmath unimportable, then runs criterion 5 and
+#: the demo experiments; argv: configs dir, output dir, DEMO_RUNS as JSON
+NO_MPMATH = """
+import json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+import sparsewalk
+from sparsewalk import acceptance
+from sparsewalk.cli import main
+assert acceptance.run_criterion(5).passed
+configs, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+for kind, name in runs:
+    argv = [kind, "--config", f"{configs}/{name}", "--out", f"{out}/{kind}"]
+    if kind in ("doob", "fk"):
+        argv += ["--seed", "12345"]
+    assert main(argv) == 0, kind
+"""
+
+
+def test_runs_without_mpmath(tmp_path):
+    # numpy is the only runtime dependency; mpmath serves the tests alone
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    src = str(Path(sparsewalk.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", NO_MPMATH, str(configs), str(tmp_path), json.dumps(DEMO_RUNS)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    for kind, _ in DEMO_RUNS:
+        assert (tmp_path / kind / "summary.json").is_file(), kind

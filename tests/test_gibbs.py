@@ -10,7 +10,9 @@ from sparsewalk.errors import (
     EigenResidualTooLarge,
     HorizonExceedsBox,
     NonPositivePhi,
+    SparseWalkError,
     StartOutsideBox,
+    TooFewSamples,
 )
 
 
@@ -189,6 +191,12 @@ def test_fk_monte_carlo_weightless_is_exact():
     est, err = sw.fk_monte_carlo(sw.simple1d(), None, None, 10, 2000, seed=5)
     assert est == 1.0
     assert err == 0.0
+
+
+def test_fk_monte_carlo_too_few_samples_is_named():
+    with pytest.raises(TooFewSamples) as info:
+        sw.fk_monte_carlo(sw.simple1d(), None, None, 10, gibbs.MIN_SAMPLES - 1, seed=5)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_fk_monte_carlo_reproducible_and_consistent():

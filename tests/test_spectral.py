@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sparsewalk.errors import (
     GapNotCertified,
     NoRootAboveOne,
     NotSparse,
+    NotStabilized,
     PairCountOutOfRange,
     SelfCheckFailed,
     SparseWalkError,
@@ -451,16 +453,34 @@ def test_spectral_report_bundle():
     assert bundle.reports[-1].bipartite
 
 
-def test_sturm_oracle_matches_eigh_at_small_scale():
-    # cross-check the high-precision distance against dense eigh where the
-    # spacing is fat enough for float64 to resolve
-    spec = sw.single_delta(1, 1.0)
-    k = sw.simple1d()
-    op = sw.truncated_operator(k, spec, 40)
-    w = np.linalg.eigvalsh(op.sym)
-    target = 1.3
+def test_spectral_report_unstable_candidate_prints_a_float():
+    # the site at 30 lies outside Q(0, 20): its eigenvalue appears at L = 40 only
+    spec = sw.make_potential(1, {(30,): 2.0})
+    with pytest.raises(NotStabilized, match=r"^discrete candidate 1\.3416407645\d* moved"):
+        sw.spectral_report(sw.simple1d(), spec, [20, 40])
+
+
+STURM_POTENTIALS = {
+    "delta": lambda: sw.single_delta(1, 1.0),
+    "anchored": lambda: sw.build_geometric_sparse(1, 1.0, 3, anchor=((0,), 2.0)),
+}
+#: above every eigenvalue (the widening branch), below the bottom, inside
+STURM_TARGETS = {"above": 2.5, "below": -1.5, "inside": 0.3}
+
+
+@pytest.mark.parametrize("dps", [40, 60])
+@pytest.mark.parametrize("where", sorted(STURM_TARGETS))
+@pytest.mark.parametrize("potential", sorted(STURM_POTENTIALS))
+@pytest.mark.parametrize("q", [0.0, 0.25, 0.4])
+def test_sturm_oracle_matches_eigh_at_small_scale(q, potential, where, dps):
+    # cross-check the high-precision distance against dense eigvalsh where
+    # the spacing is fat enough for float64 to resolve
+    k = sw.lazy1d(q)
+    spec = STURM_POTENTIALS[potential]()
+    w = np.linalg.eigvalsh(sw.truncated_operator(k, spec, 40).sym)
+    target = STURM_TARGETS[where]
     expected = float(np.min(np.abs(w - target)))
-    got, exact = sw.truncated_spectrum_distance_1d(k, spec, 40, target, dps=40)
+    got, exact = sw.truncated_spectrum_distance_1d(k, spec, 40, target, dps=dps)
     assert exact
     assert got == pytest.approx(expected, rel=1e-8)
 
@@ -468,11 +488,100 @@ def test_sturm_oracle_matches_eigh_at_small_scale():
 def test_sturm_oracle_certifies_upper_bound():
     spec = sw.build_geometric_sparse(1, 1.0, 3)
     k = sw.simple1d()
+    with localcontext(Context(prec=60)):
+        target = Decimal(2) / Decimal(3).sqrt()
+    d256, exact256 = sw.truncated_spectrum_distance_1d(k, spec, 256, target, dps=60)
+    assert exact256 and 0.0 < d256 < 1e-12
+    d512, exact512 = sw.truncated_spectrum_distance_1d(k, spec, 512, target, dps=60)
+    assert d512 <= d256 / 2
+
+
+def _mpmath_distance(kernel, spec, L, target, dps):
+    """The Sturm oracle as it ran on mpmath: same recurrence, pivot guard,
+    bisection and floor, in dps-digit binary floating point."""
     import mpmath as mp
 
+    with mp.workdps(dps):
+        q = mp.mpf(kernel.p0)
+        hop = (1 - q) / 2
+        dval = [
+            mp.mpf(1) + (mp.mpf(spec.value((x,))) if spec is not None else 0)
+            for x in range(-L, L + 1)
+        ]
+        diag = [q * v for v in dval]
+        off2 = [hop * hop * dval[i] * dval[i + 1] for i in range(2 * L)]
+        tgt = mp.mpf(target) if not hasattr(target, "_mpf_") else +target
+
+        def count_below(sigma):
+            cnt = 0
+            d = diag[0] - sigma
+            if d < 0:
+                cnt += 1
+            tiny = mp.mpf(10) ** (-(dps * 4))
+            for i in range(1, 2 * L + 1):
+                denom = d if d != 0 else tiny
+                d = (diag[i] - sigma) - off2[i - 1] / denom
+                if d < 0:
+                    cnt += 1
+            return cnt
+
+        floor = mp.mpf(10) ** spectral.STURM_FLOOR_EXP
+
+        def hits(delta) -> bool:
+            return count_below(tgt + delta) - count_below(tgt - delta) > 0
+
+        hi = mp.mpf(1)
+        if not hits(hi):
+            while not hits(hi):
+                hi *= 2
+            lo = hi / 2
+        elif hits(floor):
+            return float(floor), False
+        else:
+            lo = floor
+        for _ in range(dps):
+            mid = mp.sqrt(lo * hi)
+            if hits(mid):
+                hi = mid
+            else:
+                lo = mid
+            if hi / lo < mp.mpf("1.01"):
+                break
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if hits(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float(hi), True
+
+
+def test_sturm_oracle_matches_the_mpmath_recurrence():
+    mp = pytest.importorskip("mpmath")
+    # criterion 5: simple walk, geometric sparse potential, +-2/sqrt(3)
+    k = sw.simple1d()
+    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048)
+    with localcontext(Context(prec=60)):
+        lam_plus = Decimal(2) / Decimal(3).sqrt()
+        targets = (lam_plus, -lam_plus)
     with mp.workdps(60):
-        target = 2 / mp.sqrt(3)
-        d256, exact256 = sw.truncated_spectrum_distance_1d(k, spec, 256, target, dps=60)
-        assert exact256 and 0.0 < d256 < 1e-12
-        d512, exact512 = sw.truncated_spectrum_distance_1d(k, spec, 512, target, dps=60)
-        assert d512 <= d256 / 2
+        mp_targets = (2 / mp.sqrt(3), -2 / mp.sqrt(3))
+    for target, mp_target in zip(targets, mp_targets):
+        for L in (256, 512, 1024):
+            got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=60)
+            assert got == _mpmath_distance(k, spec, L, mp_target, 60), (target, L)
+    # seeded battery: lazy walks, every potential family, float targets
+    rng = np.random.default_rng(20261)
+    for _ in range(8):
+        q, v = float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.2, 2.0))
+        spec = (
+            None,
+            sw.single_delta(1, v),
+            sw.build_geometric_sparse(1, v, 3, box_radius=2048),
+            sw.build_geometric_sparse(1, v, 3, box_radius=2048, anchor=((0,), v + 1.0)),
+        )[int(rng.integers(4))]
+        L, target = int(rng.integers(16, 65)), float(rng.uniform(-2.5, 3.5))
+        dps = int(rng.choice([30, 40, 60]))
+        k = sw.lazy1d(q)
+        got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=dps)
+        assert got == _mpmath_distance(k, spec, L, target, dps), (q, spec, L, target, dps)

@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus six sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus seven sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -13,9 +13,12 @@ sparse potential; ``eigen2d``, the top ``eigensolve_top`` values by value
 and moduli by |value| of that operator, with their residuals;
 ``green_nd``, Green values in 2d and 3d: the level crossings of the
 simple 2d walk, ``g_lambda_quadrature`` of the simple 2d and lazy 3d
-walks, and a ``green_table`` of a 2d kernel with diagonal moves; and
+walks, and a ``green_table`` of a 2d kernel with diagonal moves;
 ``green_full2d``, ``green_table`` values of a 2d kernel with range 2 on
-both axes, the one case on the full torus grid beyond 1d.  The package
+both axes, the one case on the full torus grid beyond 1d; and ``sturm``,
+the ``(distance, exact)`` pairs of the Sturm oracle on three 1d cases
+beyond criterion 5 (a float target, a str target at L = 128, and a
+target that is an eigenvalue, so the search ends on the floor).  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -32,8 +35,8 @@ change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
-``green_nd`` or ``green_full2d`` section still loads; that section is then
-left out of the comparison.
+``green_nd``, ``green_full2d`` or ``sturm`` section still loads; that
+section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -99,8 +102,25 @@ DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), 
 #: the full-grid 2d case: pts-64 tables at GREEN_ND_LAMBDAS of a kernel
 #: with no range-1 axis, on the displacements of the diagonal case
 RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
+#: the Sturm cases: (kernel, potential, L, target, dps); 2/sqrt(3) to 64
+#: digits is lambda_+ of the simple walk under the geometric potential, and 0
+#: is an eigenvalue of the free simple walk on any box of odd side
+TWO_OVER_ROOT3 = "1.1547005383792515290182975610039149112952035025402537520372046529"
+STURM_CASES = {
+    "lazy1d(0.25) delta 1.3": (
+        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, 1.3, 40
+    ),
+    "geometric L=128": (
+        sw.simple1d,
+        lambda: sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048),
+        128,
+        TWO_OVER_ROOT3,
+        60,
+    ),
+    "free floor": (sw.simple1d, lambda: None, 64, 0, 60),
+}
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d")
+OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -135,6 +155,7 @@ def fingerprint() -> dict:
         "eigen2d": eigen2d(),
         "green_nd": green_nd(),
         "green_full2d": green_full2d(),
+        "sturm": sturm(),
     }
 
 
@@ -209,6 +230,14 @@ def green_full2d() -> dict:
         for x in DIAGONAL_XS:
             out[f"range2 {lam} G{x}"] = repr(table[x])
     return out
+
+
+def sturm() -> dict:
+    """Reprs of the Sturm oracle's (distance, exact) on the STURM_CASES."""
+    return {
+        name: repr(sw.truncated_spectrum_distance_1d(kernel(), spec(), L, target, dps=dps))
+        for name, (kernel, spec, L, target, dps) in STURM_CASES.items()
+    }
 
 
 def lazy3d(q: float) -> sw.WalkKernel:
