@@ -417,8 +417,3 @@ CRITERIA = {
 
 def run_criterion(index: int) -> CriterionResult:
     return CRITERIA[index]()
-
-
-def run_all(indices=None) -> list[CriterionResult]:
-    indices = sorted(CRITERIA) if indices is None else sorted(indices)
-    return [run_criterion(i) for i in indices]

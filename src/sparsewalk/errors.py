@@ -159,6 +159,13 @@ class GapNotCertified(SparseWalkError):
     """Neither -r < ell nor a bipartite sign certifies the absolute gap."""
 
 
+class NotTridiagonal(SparseWalkError, ValueError):
+    """Sturm oracle asked for a kernel that is not range-1 in d = 1.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 # -- Gibbs dynamics ---------------------------------------------------------
 
 class EigenResidualTooLarge(SparseWalkError):
@@ -167,6 +174,20 @@ class EigenResidualTooLarge(SparseWalkError):
 
 class NonPositivePhi(SparseWalkError):
     """Doob transform needs a strictly positive eigenfunction."""
+
+
+class MarginalLengthInvalid(SparseWalkError, ValueError):
+    """Gibbs marginal lengths missing or negative.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class HorizonTooShort(SparseWalkError, ValueError):
+    """Gibbs horizon N not above every marginal length.
+
+    Also a ValueError, like NoSignChange.
+    """
 
 
 class TooFewSamples(SparseWalkError, ValueError):

@@ -34,6 +34,8 @@ import numpy as np
 from .errors import (
     EigenResidualTooLarge,
     HorizonExceedsBox,
+    HorizonTooShort,
+    MarginalLengthInvalid,
     NoDecayDetected,
     NonPositivePhi,
     RowDeficitTooLarge,
@@ -236,7 +238,10 @@ def fk_monte_carlo(
     reach = n * kernel.reach + max((abs(c) for c in x0), default=0)
     vbox = LatticeBox.cube(max(reach, 1), d)
     vgrid = _dvec_on(spec, vbox).ravel()
+    # flat vbox indices are linear in the site, so a walk is a cumsum of flat steps
     weights_axis = vbox.side ** np.arange(d - 1, -1, -1)
+    flat_steps = offsets @ weights_axis
+    flat0 = (np.asarray(x0) + vbox.radius) @ weights_axis
 
     total = 0.0
     total_sq = 0.0
@@ -245,16 +250,14 @@ def fk_monte_carlo(
         m = min(MC_CHUNK, samples - done)
         rng = counter_rng(seed, done // MC_CHUNK)
         u = rng.random((m, n))
-        steps = offsets[np.searchsorted(cum, u, side="right")]
-        pos = np.empty((m, n + 1, d), dtype=int)
-        pos[:, 0, :] = x0
-        np.cumsum(steps, axis=1, out=steps)
-        pos[:, 1:, :] = steps + np.asarray(x0)[None, None, :]
-        visited = pos[:, :n, :]  # weight uses sites S_0 .. S_{n-1}
-        flat = (visited + vbox.radius) @ weights_axis
-        w = vgrid[flat].prod(axis=1)
+        flat = np.empty((m, n + 1), dtype=flat_steps.dtype)
+        flat[:, 0] = 0
+        np.cumsum(flat_steps[np.searchsorted(cum, u, side="right")], axis=1, out=flat[:, 1:])
+        flat += flat0
+        w = vgrid[flat[:, :n]].prod(axis=1)  # weight uses sites S_0 .. S_{n-1}
         if f is not None:
-            w = w * np.asarray(f(pos[:, n, :]), dtype=float)
+            end = np.stack(np.unravel_index(flat[:, n], vbox.shape), axis=1) - vbox.radius
+            w = w * np.asarray(f(end), dtype=float)
         total += float(w.sum())
         total_sq += float((w * w).sum())
         done += m
@@ -292,9 +295,9 @@ def gibbs_marginal(
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 0:
-        raise ValueError("marginal lengths must be nonnegative")
+        raise MarginalLengthInvalid(f"marginal lengths must be given and nonnegative, got {ks}")
     if N < max(ks) + 1:
-        raise ValueError("N must exceed every marginal length")
+        raise HorizonTooShort(f"N = {N} must exceed every marginal length, got {ks}")
     if box.radius < N * kernel.reach:
         raise HorizonExceedsBox(f"box radius {box.radius} < N*r = {N * kernel.reach}")
     d = kernel.dimension

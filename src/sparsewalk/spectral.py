@@ -13,10 +13,11 @@ the operator is self-adjoint there.
 
 The truncation is stored as a band, one column per kernel offset: the box
 index of each neighbour and its P value, zero for a neighbour outside the
-box.  The top eigenpairs (block Lanczos), power iteration and every eigen
-residual use matrix-free products over that band, at any box volume; the
-dense M and S are built on first use, only where the whole spectrum is
-needed, and only up to DENSE_CAP rows.
+box.  The top eigenpairs (thick-restart block Lanczos, whose basis never
+exceeds RESTART_BLOCKS blocks), power iteration, the spectral-projection
+fit and every eigen residual use matrix-free products over that band, at
+any box volume; the dense M and S are built on first use, only up to
+DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
 
 This module provides the truncation itself, a block Lanczos solver for the
 top eigenpairs, a power-iteration Perron solver, the predictor for the
@@ -46,6 +47,7 @@ from .errors import (
     NoRootAboveOne,
     NotSparse,
     NotStabilized,
+    NotTridiagonal,
     PairCountOutOfRange,
     SelfCheckFailed,
     TooFewRadii,
@@ -80,11 +82,15 @@ BREAKDOWN_TOL = 1e-15
 #: than this fraction of ||S Q|| (rounding is amplified by the inverse)
 REORTH_TOL = 0.1
 
-#: Rayleigh-Ritz checks are spaced by this factor in Krylov dimension
-RITZ_CHECK_GROWTH = 1.25
+#: the Lanczos basis holds at most RESTART_BLOCKS blocks of `count` rows;
+#: a full basis restarts from the KEEP_BLOCKS * count Ritz vectors at each
+#: end of the spectrum
+RESTART_BLOCKS = 20
+KEEP_BLOCKS = 3
 
-#: the Lanczos basis grows by this many rows at a time
-BASIS_CHUNK = 256
+#: restarts in a row that may pass without a new smallest wanted residual
+#: before the solver gives up
+STALL_RESTARTS = 10
 
 #: perron_pair checks convergence every PERRON_CHECK_EVERY squared steps and
 #: then also needs every pointwise eigen-ratio within PERRON_POINTWISE_TOL of 1
@@ -216,45 +222,52 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
 
 
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
-    """Top `count` eigenpairs in both orderings, by block Lanczos on the band.
+    """Top `count` eigenpairs in both orderings, by thick-restart block Lanczos.
 
     The block size is `count`, so an eigenvalue of multiplicity up to
     `count` is found; the start block is seeded, so results repeat bit for
     bit (Golub & Underwood 1977; Parlett, The Symmetric Eigenvalue Problem,
     ch. 13).  Each new block is orthogonalized against the whole basis,
-    and once more when rounding could have been amplified (REORTH_TOL).
-    Rayleigh-Ritz on the block-tridiagonal T runs at geometrically spaced
-    Krylov dimensions and stops once every wanted pair (the top `count` by
-    value and the top `count` by |value|) has residual
-    ||B y_last|| <= RITZ_TOL max(1, max |theta|), or once the basis spans
-    the box, when the pairs are exact.  A direction that breaks down is
-    refilled with a seeded random vector orthogonal to the basis.
+    and once more when rounding could have been amplified (REORTH_TOL);
+    its row of T = Q S Q^T is that full projection.  The basis holds at
+    most RESTART_BLOCKS * count rows; a box of fewer than
+    (RESTART_BLOCKS + 1) * count sites is spanned whole instead, with no
+    restart, and the pairs are then exact.  When the basis is full,
+    Rayleigh-Ritz on T stops once every wanted pair (the top `count` by
+    value and the top `count` by |value|, which lie at the two ends of the
+    spectrum) has residual ||B y_last|| <= RITZ_TOL max(1, max |theta|),
+    B coupling the pending block to the last one.  Otherwise the basis
+    restarts from the KEEP_BLOCKS * count Ritz vectors at each end, T
+    from their values, and the pending block follows; its projection
+    couples it to every kept vector (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000).  A direction that breaks down is refilled with a
+    seeded random vector orthogonal to the basis.  NoConvergence is raised
+    when STALL_RESTARTS restarts in a row bring no new smallest worst
+    residual.
     """
     if not 1 <= count <= MAX_PAIRS:
         raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
     n = op.volume
     count = min(count, n)
+    # a box less than one block beyond the cap is spanned whole, so no
+    # pending block is ever cut below `count` rows and kept past a restart
+    cap = RESTART_BLOCKS * count if n >= (RESTART_BLOCKS + 1) * count else n
+    keep = KEEP_BLOCKS * count
     rng = np.random.default_rng(LANCZOS_SEED)
-    basis = np.empty((0, n))  # orthonormal rows: the blocks Q_0, Q_1, ...
-    T = np.empty((0, 0))  # Q S Q^T on the basis: block tridiagonal
+    basis = np.empty((cap, n))  # orthonormal rows: kept Ritz vectors, then blocks
+    T = np.zeros((cap, cap))  # Q S Q^T on the basis
     nxt = np.linalg.qr(rng.standard_normal((n, count)))[0].T
-    B = np.empty((count, 0))  # Q_k+1 S Q_k^T, coupling the next block
     m = 0
-    check = count
-    last = None  # Krylov dimension and worst residual at the previous check
+    best, stalled = math.inf, 0
     while True:
-        prev, lo, m = m - B.shape[1], m, m + len(nxt)
-        if m > len(basis):
-            cap = min(n, len(basis) + BASIS_CHUNK)
-            basis = np.concatenate([basis[:lo], np.empty((cap - lo, n))])
-            T = np.pad(T[:lo, :lo], (0, cap - lo))
+        lo, m = m, m + len(nxt)
         basis[lo:m] = nxt
-        T[lo:m, prev:lo] = B
-        T[prev:lo, lo:m] = B.T
         V = basis[:m]
         w = op.apply_S(nxt.T).T
         scale = np.linalg.norm(w)
         c = w @ V.T
+        T[lo:m, :lo] = c[:, :lo]
+        T[:lo, lo:m] = c[:, :lo].T
         T[lo:m, lo:m] = 0.5 * (c[:, lo:] + c[:, lo:].T)
         w = w - c @ V
         if m == n:
@@ -271,21 +284,22 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
                 nxt = nxt - (nxt @ V.T) @ V
                 nxt = np.linalg.qr(nxt.T)[0].T
             B = nxt @ w.T
-        if m >= check:
-            theta, Y = np.linalg.eigh(T[:m, :m])
-            want = _wanted(theta, count)
-            worst = float(np.linalg.norm(B @ Y[lo:, want], axis=0).max())
-            tol = RITZ_TOL * max(1.0, float(np.abs(theta).max()))
-            if worst <= tol:
-                break
-            # geometric spacing, cut short where the residual, extrapolated
-            # log-linearly from the previous check, meets the tolerance
-            check = math.ceil(RITZ_CHECK_GROWTH * m)
-            if last is not None and worst < last[1]:
-                rate = math.log(worst / last[1]) / (m - last[0])
-                check = min(check, m + math.ceil(math.log(tol / worst) / rate))
-            check = min(n, max(check, m + count))
-            last = (m, worst)
+            if m + len(nxt) <= cap:
+                continue
+        theta, Y = np.linalg.eigh(T[:m, :m])
+        want = _wanted(theta, count)
+        worst = float(np.linalg.norm(B @ Y[lo:, want], axis=0).max())
+        if worst <= RITZ_TOL * max(1.0, float(np.abs(theta).max())):
+            break
+        best, stalled = (worst, 0) if worst < best else (best, stalled + 1)
+        if stalled >= STALL_RESTARTS:
+            raise NoConvergence(
+                f"block Lanczos stalled at Ritz residual {best:.3e} over {STALL_RESTARTS} restarts"
+            )
+        kept = np.r_[:keep, m - keep : m]
+        basis[: 2 * keep] = Y[:, kept].T @ V
+        T[: 2 * keep, : 2 * keep] = np.diag(theta[kept])
+        m = 2 * keep
     vectors = Y[:, want].T @ basis[:m]
     pairs = {
         i: _make_pair(op, theta[i], x / np.linalg.norm(x)) for i, x in zip(want, vectors)
@@ -545,24 +559,23 @@ def gap_projection_test(
     The projector keeps the top eigenfunction (plus its sign-flipped twin
     in the bipartite case); iterating r^(-1) M on the complement must
     contract at the ratio second_abs / r, and the fitted rate is compared
-    against that prediction.  Raises GapNotCertified when neither
-    -r < ell nor a bipartite sign holds.
+    against that prediction.  r, phi and the second |lambda| come from the
+    top three pairs by |value| of eigensolve_top and the iteration runs on
+    the band, so no dense matrix is built.  Raises GapNotCertified when
+    neither -r < ell (no top pair within PERIPHERAL_TOL of -r) nor a
+    bipartite sign holds.
     """
     op = truncated_operator(kernel, spec, L)
-    w, U = np.linalg.eigh(op.sym)
-    r = float(w[-1])
-    ell = float(w[0])
+    sol = eigensolve_top(op, 3)
+    r, phi = sol.by_value[0].value, sol.by_value[0].phi
+    top_abs = np.array([pair.value for pair in sol.by_abs])
     bip = bipartite_detect(kernel)
     if bip is not None:
         branch = "bipartite"
-    elif ell > -r + PERIPHERAL_TOL * max(1.0, r):
+    elif np.all(top_abs > -r + PERIPHERAL_TOL * max(1.0, r)):
         branch = "one_term"
     else:
         raise GapNotCertified("-r < ell fails and the kernel is not bipartite")
-    psi = U[:, -1]
-    phi = np.sqrt(op.dvec) * psi
-    sgn = np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0
-    phi = sgn * phi
     if f is None:
         f = np.zeros(op.volume)
         f[op.box.origin_index()] = 1.0
@@ -571,13 +584,13 @@ def gap_projection_test(
         jphi = bip.sign_on(op.sites) * phi
         proj = proj + op.v_inner(f, jphi) * jphi
     h = f - proj
-    eps_pred = _second_abs(w, r) / r
+    eps_pred = _second_abs(top_abs, r) / r
     if op.v_norm(h) <= 1e-13 * max(op.v_norm(f), 1.0):
         return GapProjection(branch=branch, eps_fit=0.0, eps_pred=eps_pred, norms=())
     norms = []
     y = h.copy()
     for _ in range(GAP_STEPS):
-        y = op.matrix @ y / r
+        y = op.apply_M(y) / r
         norms.append(op.v_norm(y))
     ns = np.arange(1, GAP_STEPS + 1)
     lo, hi = GAP_FIT_RANGE
@@ -608,9 +621,6 @@ class SpectralReport:
     bipartite: bool
     eigenvalues: np.ndarray
     phi: np.ndarray
-
-    def distance_to(self, value: float) -> float:
-        return float(np.min(np.abs(self.eigenvalues - value)))
 
 
 @dataclass(frozen=True)
@@ -735,7 +745,7 @@ def truncated_spectrum_distance_1d(
     returned as a certified upper bound.
     """
     if kernel.dimension != 1 or kernel.reach != 1:
-        raise ValueError("Sturm oracle needs a range-1 kernel in d = 1")
+        raise NotTridiagonal("Sturm oracle needs a range-1 kernel in d = 1")
     with localcontext(Context(prec=dps)):
         q = Decimal(kernel.p0)
         hop = (1 - q) / 2

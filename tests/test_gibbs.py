@@ -9,6 +9,8 @@ from sparsewalk import gibbs
 from sparsewalk.errors import (
     EigenResidualTooLarge,
     HorizonExceedsBox,
+    HorizonTooShort,
+    MarginalLengthInvalid,
     NonPositivePhi,
     SparseWalkError,
     StartOutsideBox,
@@ -211,6 +213,65 @@ def test_fk_monte_carlo_reproducible_and_consistent():
     assert abs(est - exact) <= 3.0 * err
 
 
+def test_fk_monte_carlo_2d_end_sites_match_the_semigroup():
+    # f reads the end site of each path, from a start off the origin
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=12, anchor=((1, -1), 1.6))
+    n, x0 = 6, (1, -2)
+
+    def f(sites):
+        return np.exp(-0.3 * sites[:, 0]) * (sites[:, 1] >= -2)
+
+    box = sw.LatticeBox.cube(n + 3, 2)
+    exact = sw.fk_semigroup(kernel, spec, f(box.sites()).reshape(box.shape), n, box)
+    est, err = sw.fk_monte_carlo(kernel, spec, f, n, 20_000, seed=3, x0=x0)
+    assert 0.0 < err and abs(est - exact.ravel()[box.index(x0)]) <= 4.0 * err
+
+
+def _fk_by_positions(kernel, spec, f, n, samples, seed, x0):
+    """fk_monte_carlo as it ran on an (m, n + 1, d) array of path sites."""
+    d = kernel.dimension
+    offsets = kernel.offset_array()
+    cum = np.cumsum(kernel.prob_array())
+    cum[-1] = 1.0
+    vbox = sw.LatticeBox.cube(max(n * kernel.reach + max(abs(c) for c in x0), 1), d)
+    vgrid = gibbs._dvec_on(spec, vbox).ravel()
+    weights_axis = vbox.side ** np.arange(d - 1, -1, -1)
+    total = total_sq = 0.0
+    for done in range(0, samples, gibbs.MC_CHUNK):
+        m = min(gibbs.MC_CHUNK, samples - done)
+        u = gibbs.counter_rng(seed, done // gibbs.MC_CHUNK).random((m, n))
+        steps = np.cumsum(offsets[np.searchsorted(cum, u, side="right")], axis=1)
+        pos = np.concatenate([np.broadcast_to(x0, (m, 1, d)), steps + np.asarray(x0)], axis=1)
+        w = vgrid[(pos[:, :n, :] + vbox.radius) @ weights_axis].prod(axis=1)
+        if f is not None:
+            w = w * np.asarray(f(pos[:, n, :]), dtype=float)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+FK_CASES = {
+    "lazy1d": (lambda: sw.lazy1d(0.25), 1, None, 12, (0,)),
+    "lazy1d f from 2": (lambda: sw.lazy1d(0.25), 1, lambda x: (x[:, 0] % 3 == 0) + 0.5, 7, (2,)),
+    "simple2d": (sw.simple2d, 2, None, 12, (0, 0)),
+    "simple2d f from (1, -2)": (
+        sw.simple2d, 2, lambda x: np.exp(-0.1 * np.abs(x).sum(axis=1)), 9, (1, -2)
+    ),
+    "simple2d n 0": (sw.simple2d, 2, lambda x: x[:, 0] + 2.0, 0, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FK_CASES))
+def test_fk_monte_carlo_matches_the_site_array_reference(case):
+    make, d, f, n, x0 = FK_CASES[case]
+    spec = sw.build_geometric_sparse(d, 0.5, 3, box_radius=40, anchor=((1,) + (0,) * (d - 1), 1.6))
+    got = sw.fk_monte_carlo(make(), spec, f, n, 9000, seed=11, x0=x0)
+    assert got == _fk_by_positions(make(), spec, f, n, 9000, 11, x0)
+
+
 def test_gibbs_marginal_normalization_and_z1():
     kernel = sw.simple1d()
     spec = sw.single_delta(1, 1.0)
@@ -235,6 +296,19 @@ def test_gibbs_marginal_free_walk_law():
 def test_gibbs_marginal_box_guard():
     with pytest.raises(HorizonExceedsBox):
         sw.gibbs_marginal(sw.simple1d(), None, 40, [1], sw.LatticeBox.cube(10, 1))
+
+
+@pytest.mark.parametrize("ks", [[], [-1, 2]])
+def test_gibbs_marginal_lengths_are_named(ks):
+    with pytest.raises(MarginalLengthInvalid) as info:
+        sw.gibbs_marginal(sw.simple1d(), None, 4, ks, sw.LatticeBox.cube(4, 1))
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def test_gibbs_marginal_short_horizon_is_named():
+    with pytest.raises(HorizonTooShort) as info:
+        sw.gibbs_marginal(sw.simple1d(), None, 1, [1], sw.LatticeBox.cube(4, 1))
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_chain_prefix_law_matches_matrix_powers():

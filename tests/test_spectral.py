@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -10,9 +11,11 @@ from sparsewalk import spectral
 from sparsewalk.errors import (
     BoxTooLarge,
     GapNotCertified,
+    NoConvergence,
     NoRootAboveOne,
     NotSparse,
     NotStabilized,
+    NotTridiagonal,
     PairCountOutOfRange,
     SelfCheckFailed,
     SparseWalkError,
@@ -204,10 +207,23 @@ def _tiny_box():
     return sw.simple1d(), None, sw.truncated_operator(sw.simple1d(), sw.single_delta(1, 1.0), 4)
 
 
+def _anchored_simple2d_12():
+    # 625 sites: above the RESTART_BLOCKS * count row cap for count 3 and 6
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=12, anchor=((1, -1), 1.6))
+    return kernel, spec, sw.truncated_operator(kernel, spec, 12)
+
+
 PARITY_CASES = {
+    "restarted L=12 count 6": (_anchored_simple2d_12, 6),
+    "restarted L=12 count 3": (_anchored_simple2d_12, 3),
     "anchored simple2d": (lambda: _anchored("simple2d"), 6),
     "anchored skew2d": (lambda: _anchored("skew2d"), 6),
     "free simple2d": (_free_simple2d, 4),
+    # 121 sites, one past the 120-row cap of count 6, with double eigenvalues
+    "free simple2d past the cap": (
+        lambda: (None, None, sw.truncated_operator(sw.simple2d(), None, 5)), 6
+    ),
     "volume below count": (_tiny_box, 10),
     "box ends mid-block": (_tiny_box, 6),
 }
@@ -275,11 +291,15 @@ def test_eigensolve_top_count_is_named(count):
     assert issubclass(PairCountOutOfRange, ValueError)
 
 
-def test_band_solvers_run_past_the_dense_cap():
-    # 2d L = 40 has 6561 sites: above DENSE_CAP, so only the band is used
+def _anchored_simple2d_40():
     kernel = sw.simple2d()
     spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=40, anchor=((1, 0), 1.5))
-    op = sw.truncated_operator(kernel, spec, 40)
+    return kernel, spec, sw.truncated_operator(kernel, spec, 40)
+
+
+def test_band_solvers_run_past_the_dense_cap():
+    # 2d L = 40 has 6561 sites: above DENSE_CAP, so only the band is used
+    kernel, spec, op = _anchored_simple2d_40()
     assert op.volume == 6561 > spectral.DENSE_CAP
     with pytest.raises(BoxTooLarge):
         op.sym
@@ -290,6 +310,26 @@ def test_band_solvers_run_past_the_dense_cap():
     assert abs(top.value - r) <= 1e-9
     assert np.max(np.abs(top.phi - phi)) <= 1e-9
     assert chain.rate == r and chain.row_deficit <= 1e-6
+
+
+def test_eigensolve_top_memory_is_bounded_by_the_restart_cap():
+    # 6561 sites: a basis of every Lanczos vector took 1242 rows here
+    _, _, op = _anchored_simple2d_40()
+    tracemalloc.start()
+    try:
+        sol = sw.eigensolve_top(op, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert max(p.residual for p in sol.by_value + sol.by_abs) <= 1e-10
+
+
+def test_eigensolve_top_stagnation_is_named(monkeypatch):
+    monkeypatch.setattr(spectral, "RITZ_TOL", 0.0)
+    _, _, op = _anchored("simple2d")
+    with pytest.raises(NoConvergence):
+        sw.eigensolve_top(op, 1)
 
 
 def test_perron_pair_positivity_and_value():
@@ -423,6 +463,15 @@ def test_gap_projection_rates():
     assert abs(proj3.eps_fit - proj3.eps_pred) <= 0.1 * proj3.eps_pred
 
 
+def test_gap_projection_runs_past_the_dense_cap():
+    kernel, spec, op = _anchored_simple2d_40()
+    assert op.volume > spectral.DENSE_CAP
+    proj = sw.gap_projection_test(kernel, spec, 40)
+    assert proj.branch == "bipartite"
+    assert proj.eps_fit < 1.0
+    assert abs(proj.eps_fit - proj.eps_pred) <= 0.1 * proj.eps_pred
+
+
 def test_gap_projection_non_bipartite_spread_kernel():
     # support {+-1, +-2} is not bipartite (even offset present) but its
     # spectrum bottom sits strictly above -r, so the one-term route applies
@@ -494,6 +543,12 @@ def test_sturm_oracle_certifies_upper_bound():
     assert exact256 and 0.0 < d256 < 1e-12
     d512, exact512 = sw.truncated_spectrum_distance_1d(k, spec, 512, target, dps=60)
     assert d512 <= d256 / 2
+
+
+def test_sturm_oracle_kernel_is_named():
+    with pytest.raises(NotTridiagonal) as info:
+        sw.truncated_spectrum_distance_1d(sw.simple2d(), None, 8, 0.5)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def _mpmath_distance(kernel, spec, L, target, dps):

@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus seven sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus eight sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -18,7 +18,9 @@ walks, and a ``green_table`` of a 2d kernel with diagonal moves;
 both axes, the one case on the full torus grid beyond 1d; and ``sturm``,
 the ``(distance, exact)`` pairs of the Sturm oracle on three 1d cases
 beyond criterion 5 (a float target, a str target at L = 128, and a
-target that is an eigenvalue, so the search ends on the floor).  The package
+target that is an eigenvalue, so the search ends on the floor); and
+``gap2d``, the branch, fitted and predicted rates of
+``gap_projection_test`` on the kernel and potential of the 2d chain case.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -35,8 +37,8 @@ change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
-``green_nd``, ``green_full2d`` or ``sturm`` section still loads; that
-section is then left out of the comparison.
+``green_nd``, ``green_full2d``, ``sturm`` or ``gap2d`` section still loads;
+that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ STURM_CASES = {
     "free floor": (sw.simple1d, lambda: None, 64, 0, 60),
 }
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm")
+OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d")
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -156,6 +158,7 @@ def fingerprint() -> dict:
         "green_nd": green_nd(),
         "green_full2d": green_full2d(),
         "sturm": sturm(),
+        "gap2d": gap2d(),
     }
 
 
@@ -205,6 +208,17 @@ def eigen2d() -> dict:
         out[f"by_abs {i} modulus"] = repr(abs(pair.value))
         out[f"by_abs {i} residual"] = repr(pair.residual)
     return out
+
+
+def gap2d() -> dict:
+    """Reprs of gap_projection_test on the kernel and potential of the 2d chain case."""
+    kernel, spec, _ = chain2d_operator()
+    proj = sw.gap_projection_test(kernel, spec, CHAIN2D_L)
+    return {
+        "branch": repr(proj.branch),
+        "eps_fit": repr(proj.eps_fit),
+        "eps_pred": repr(proj.eps_pred),
+    }
 
 
 def green_nd() -> dict:
