@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, LazinessOutOfRange
 from .lattice import WalkKernel, lazy1d, simple1d, simple2d, validate_kernel
 from .potential import (
     PotentialSpec,
@@ -20,17 +20,24 @@ from .potential import (
     make_potential,
 )
 
-EXPERIMENTS = (
-    "validate",
-    "green",
-    "bs",
-    "spectrum",
-    "essential",
-    "decay",
-    "gibbs",
-    "doob",
-    "fk",
-)
+#: top-level keys every experiment accepts: "seed" because --seed sets it
+#: for any experiment, "potential" because includes share kernel and
+#: potential presets
+COMMON_KEYS = ("experiment", "kernel", "potential", "seed")
+
+#: experiment -> the other top-level keys it reads
+KEYS = {
+    "validate": (),
+    "green": ("lambdas", "xs", "pts_per_axis"),
+    "bs": ("lambda_lo", "lambda_hi", "scan_points", "box_radius", "alpha"),
+    "spectrum": ("L_sequence",),
+    "essential": (),
+    "decay": ("lambda", "alpha", "box_radius", "L", "fit_window"),
+    "gibbs": ("n_range", "k", "indicator_site", "L", "eigen_tol"),
+    "doob": ("steps", "L", "eigen_tol", "dump_path"),
+    "fk": ("n", "samples"),
+}
+EXPERIMENTS = tuple(KEYS)
 
 #: experiments whose outputs depend on pseudo-randomness
 SEEDED = ("doob", "fk")
@@ -75,7 +82,10 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
         if name == "lazy1d":
             if "q" not in spec:
                 raise ConfigInvalid("lazy1d preset needs 'q'")
-            return lazy1d(number(spec["q"], "q"))
+            try:
+                return lazy1d(number(spec["q"], "q"))
+            except LazinessOutOfRange as err:
+                raise ConfigInvalid(f"lazy1d preset: {err}") from err
         if name == "simple2d":
             return simple2d()
         raise ConfigInvalid(f"unknown kernel preset {name!r}")
@@ -167,9 +177,10 @@ def check_experiment(cfg: dict) -> str:
         raise ConfigInvalid(
             f"experiment must be one of {EXPERIMENTS}, got {kind!r}"
         )
+    unknown = sorted(set(cfg) - set(COMMON_KEYS) - set(KEYS[kind]))
+    if unknown:
+        allowed = ", ".join(sorted(KEYS[kind] + COMMON_KEYS))
+        raise ConfigInvalid(f"unknown key(s) {unknown} for '{kind}'; allowed: {allowed}")
     if kind in SEEDED and "seed" not in cfg:
         raise ConfigInvalid(f"stochastic experiment '{kind}' needs a 'seed'")
-    for key in ("tolerance", "tol"):
-        if key in cfg and not number(cfg[key], key) > 0.0:
-            raise ConfigInvalid(f"'{key}' must be positive")
     return kind

@@ -36,6 +36,13 @@ class ThetaNotOnSpectrum(SparseWalkError):
     """Supplied frequency does not match the requested spectral point."""
 
 
+class LazinessOutOfRange(SparseWalkError, ValueError):
+    """Holding probability q of the 1d lazy walk outside [0, 1).
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 # -- resolvent --------------------------------------------------------------
 
 class LambdaInSpectrum(SparseWalkError):
@@ -64,6 +71,13 @@ class NonPositiveValue(SparseWalkError):
 
 class TooFewPoints(SparseWalkError):
     """Fit requested with fewer points than the contract minimum."""
+
+
+class TargetNotAboveOne(SparseWalkError, ValueError):
+    """Level-crossing target g_lambda(0) = 1 + 1/v is not above 1.
+
+    Also a ValueError, like NoSignChange.
+    """
 
 
 # -- potentials -------------------------------------------------------------
@@ -142,6 +156,13 @@ class NoConvergence(SparseWalkError):
 
 class NotSparse(SparseWalkError, ValueError):
     """Potential declared sparse whose sparseness profile does not collapse.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class LevelNotPositive(SparseWalkError, ValueError):
+    """Height v of a point perturbation is zero or negative.
 
     Also a ValueError, like NoSignChange.
     """

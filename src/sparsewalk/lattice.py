@@ -11,8 +11,9 @@ p-hat(theta) = sum_x p(x) cos(theta . x) is the characteristic function.
 This module owns kernel validation, p-hat, the convolution action on finite
 boxes, exact return probabilities, and the plane-wave (Weyl) residual
 diagnostics used to witness essential spectrum.  p-hat on a tensor grid
-comes from one evaluator, ``_char_grid``; min p-hat is computed once, in
-``validate_kernel``, and kept as ``WalkKernel.lower``.
+comes from one evaluator, ``_char_grid``, and along the fibres of a
+range-1 axis from one other, ``_fibre_parts``; min p-hat is computed once,
+in ``validate_kernel``, and kept as ``WalkKernel.lower``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     BoxTooSmall,
     EmptySupport,
+    LazinessOutOfRange,
     NotIrreducible,
     NotNormalized,
     NotSymmetric,
@@ -141,14 +143,26 @@ class WalkKernel:
 
 
 def _char_lower(offsets: np.ndarray, probs: np.ndarray, grid_density: int) -> float:
-    """min of p-hat: argmin of ``_char_grid``, golden-section polish, Newton finish.
+    """min of p-hat: a grid argmin, golden-section polish, Newton finish.
 
-    Newton finishes where coupled axes stall the coordinate sweeps; a step is
-    kept only if it lowers p-hat beyond rounding.  Uncached: 256^3 is 134 MB.
+    With a range-1 axis a (``_fibre_axis``) the start is exact along a: on
+    the fibre over theta', p-hat = alpha + R cos(theta_a + arg z) has its
+    minimum alpha - R at theta_a = pi - arg z, so only the d - 1 other axes
+    are scanned, on ``_fibre_parts``.  Otherwise the start is the argmin of
+    ``_char_grid``.  Newton finishes where coupled axes stall the coordinate
+    sweeps; a step is kept only if it lowers p-hat beyond rounding.
+    Uncached: without a range-1 axis the 3d grid at 256 is 134 MB.
     """
-    vals = _char_grid(offsets, probs, grid_density)
-    axis = _grid_phase((1,), grid_density).ravel()
-    theta = axis[np.array(np.unravel_index(int(np.argmin(vals)), vals.shape))]
+    axis = _fibre_axis(offsets)
+    grid = _grid_phase((1,), grid_density).ravel()
+    if axis is None:
+        vals = _char_grid(offsets, probs, grid_density)
+        theta = grid[np.array(np.unravel_index(int(np.argmin(vals)), vals.shape))]
+    else:
+        alpha, R, argz = _fibre_parts(offsets, probs, axis, grid_density)
+        i = int(np.argmin(alpha - R))
+        cell = np.unravel_index(i, (grid_density,) * (offsets.shape[1] - 1))
+        theta = np.insert(grid[list(cell)], axis, np.pi - argz[i])
 
     def along(ax: int, t: float) -> float:  # p-hat at theta with theta[ax] = t
         trial = theta.copy()
@@ -267,7 +281,7 @@ def simple1d() -> WalkKernel:
 def lazy1d(q: float) -> WalkKernel:
     """Lazy walk on Z: p(0) = q, p(+-1) = (1-q)/2."""
     if not 0.0 <= q < 1.0:
-        raise ValueError("q must lie in [0, 1)")
+        raise LazinessOutOfRange(f"q must lie in [0, 1), got {q!r}")
     if q == 0.0:
         return simple1d()
     return validate_kernel({0: q, 1: (1.0 - q) / 2.0, -1: (1.0 - q) / 2.0})
@@ -341,9 +355,21 @@ def char_on_grid(kernel: WalkKernel, pts_per_axis: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _fibre_grid(
-    kernel: WalkKernel, axis: int, pts_per_axis: int
+def _fibre_axis(offsets: np.ndarray) -> int | None:
+    """The last axis a with |y_a| <= 1 on the support, if d >= 2 and one exists.
+
+    offsets is the (|support|, d) array of the support.  1d has no fibre
+    route: there the fibre formula is the closed form, and quadrature must
+    remain an independent route.
+    """
+    if offsets.shape[1] == 1:
+        return None
+    short = np.flatnonzero(np.abs(offsets).max(axis=0) <= 1)
+    return int(short[-1]) if len(short) else None
+
+
+def _fibre_parts(
+    offsets, probs, axis: int, pts_per_axis: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p-hat along the fibres of a range-1 axis, on the grid of the other axes.
 
@@ -351,18 +377,25 @@ def _fibre_grid(
     p-hat = alpha(theta') + R(theta') cos(theta_axis + arg z(theta')), where
     alpha sums the offsets with y_axis = 0 and z = sum_{y_axis = 1} p(y)
     exp(i theta' . y'), R = 2 |z|.  Returns alpha, R and arg z on the
-    midpoint grid of the d - 1 other axes, flattened; cached and read-only
-    like ``char_on_grid``.
+    midpoint grid of the d - 1 other axes, flattened; uncached.
     """
-    shape = (pts_per_axis,) * (kernel.dimension - 1)
+    shape = (pts_per_axis,) * (len(offsets[0]) - 1)
     alpha, z = np.zeros(shape), np.zeros(shape, dtype=complex)
-    for off, p in zip(kernel.offsets, kernel.probs):
-        phase = _grid_phase(off[:axis] + off[axis + 1 :], pts_per_axis)
+    for off, p in zip(offsets, probs):
+        phase = _grid_phase(tuple(off[:axis]) + tuple(off[axis + 1 :]), pts_per_axis)
         if off[axis] == 0:
             alpha += p * np.cos(phase)
         elif off[axis] == 1:
             z += p * np.exp(1j * phase)
-    out = (alpha.ravel(), 2.0 * np.abs(z).ravel(), np.angle(z).ravel())
+    return alpha.ravel(), 2.0 * np.abs(z).ravel(), np.angle(z).ravel()
+
+
+@lru_cache(maxsize=32)
+def _fibre_grid(
+    kernel: WalkKernel, axis: int, pts_per_axis: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fibre_parts`` of a kernel; cached and read-only like ``char_on_grid``."""
+    out = _fibre_parts(kernel.offsets, kernel.probs, axis, pts_per_axis)
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -40,12 +40,17 @@ Two evaluators read ``_inverse``:
   only if its Richardson differences contract.  ``green_table``,
   ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
 * ``_g0_on_grid`` (uncertified): lambda * mean ``_inverse`` at a single
-  grid, for many lambda at once.
+  grid, for one lambda: a bisection step of the level-crossing solver.
 
-The level-crossing solver chooses grids per dimension: ``_PTS_SWEEP`` for
-the sign scan below the spectrum, ``_PTS_BISECT`` for every bisection step,
-and ``_PTS_LADDER`` for the certified check of each root, whose base grids
-are tried in turn until the Richardson error falls below 1e-11 |g|.
+The level crossings g_lambda(0) = target > 1 need no scan.  Above the
+spectrum g decreases from +infinity (d <= 2) to 1.  Below the bottom edge
+ell < 0, with t = 1/lambda, g = mean 1/(1 - t p-hat) is convex in t, since
+1 - t p-hat > 0 there, and g = 1 at t = 0; the same holds for every grid
+and fibre mean, each a mean over p-hat values in [ell, 1].  So {g <= target}
+is an interval reaching t = 0, and each side holds at most one root, found
+by one bisection.  The solver bisects on ``_PTS_BISECT`` grids and checks
+each root on ``_PTS_LADDER``, whose base grids are tried in turn until the
+Richardson error falls below 1e-11 |g|.
 """
 
 from __future__ import annotations
@@ -58,12 +63,21 @@ import numpy as np
 from .errors import (
     GridTooCoarse,
     LambdaInSpectrum,
+    LazinessOutOfRange,
     NonPositiveValue,
     QuadratureNotConverged,
     SeriesDiverges,
+    TargetNotAboveOne,
     TooFewPoints,
 )
-from .lattice import WalkKernel, _as_offset, _fibre_grid, _grid_phase, char_on_grid
+from .lattice import (
+    WalkKernel,
+    _as_offset,
+    _fibre_axis,
+    _fibre_grid,
+    _grid_phase,
+    char_on_grid,
+)
 
 #: points where spectrum proximity is rejected outright
 SPECTRUM_GUARD = 1e-12
@@ -116,25 +130,12 @@ def _richardson(vals, noise) -> float:
     return d2
 
 
-def _fibre_axis(kernel: WalkKernel) -> int | None:
-    """The last axis a with |y_a| <= 1 on the support, if d >= 2 and one exists.
-
-    1d stays on the plain grid mean: there the fibre formula is the closed
-    form, and quadrature must remain an independent route.
-    """
-    if kernel.dimension == 1:
-        return None
-    short = np.flatnonzero(np.abs(kernel.offset_array()).max(axis=0) <= 1)
-    return int(short[-1]) if len(short) else None
-
-
 def _inverse(kernel: WalkKernel, axis: int | None, lam, level: int) -> np.ndarray:
     """The grid whose mean is G_lambda(0, 0), flattened.
 
     With axis None, 1/(lam - p-hat) on the full grid; otherwise sgn(A)/s
     with A = lam - alpha, s = sqrt(A^2 - R^2), the exact theta_a-mean of
-    1/(lam - p-hat) on every fibre of ``_fibre_grid``.  lam broadcasts
-    against the grid: a column of lambdas gives a row each.
+    1/(lam - p-hat) on every fibre of ``_fibre_grid``.
     """
     if axis is None:
         return 1.0 / (lam - char_on_grid(kernel, level))
@@ -200,7 +201,7 @@ def _green_levels(
     d = kernel.dimension
     origin = (0,) * d
     others = [x for x in means if x != origin]
-    axis = _fibre_axis(kernel)
+    axis = _fibre_axis(kernel.offset_array())
     for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
         base = _inverse(kernel, axis, lam, level)
         # integrand(x): its mean magnitude at the finest level sets the
@@ -322,7 +323,7 @@ def g_lambda_closed_1d(q: float, lam: float, x: int = 0) -> GreenEvaluation:
     that single boundary point is special-cased.
     """
     if not 0.0 <= q < 1.0:
-        raise ValueError("q must lie in [0, 1)")
+        raise LazinessOutOfRange(f"q must lie in [0, 1), got {q!r}")
     edge = 2.0 * q - 1.0
     if lam == 0.0 and edge == 0.0:
         return GreenEvaluation(lam=lam, value=0.0, method="closed_1d", est_error=0.0)
@@ -373,31 +374,14 @@ def decay_rate_estimate(values) -> DecayFit:
 #: ladder starts below the 64-point floor, so 3d roots fail GridTooCoarse
 _PTS_LADDER = {1: (512, 2048, 8192, 32768), 2: (128, 512), 3: (32, 64)}
 
-#: coarse single-level grids for sign scans; finer ones for bisection polish
-_PTS_SWEEP = {1: 8192, 2: 512, 3: 96}
+#: single-level grids for the bisection steps of the level crossings
 _PTS_BISECT = {1: 32768, 2: 2048, 3: 128}
 
-#: entries of one lambda-by-grid block of ``_g0_on_grid``: 128 KiB blocks are
-#: reused by the allocator, larger ones are mapped afresh, which costs more
-#: than the arithmetic (the 3000-lambda 1d scan at 8192 points ran 2x slower
-#: with 160 MB blocks)
-_G0_BLOCK = 2**14
 
-
-def _g0_on_grid(kernel: WalkKernel, lams, pts_per_axis: int) -> np.ndarray:
-    """lams * mean ``_inverse`` at one grid level; no convergence certificate."""
-    axis = _fibre_axis(kernel)
-    # grid points per lambda: the d - 1 other axes on fibres, else all d
-    size = pts_per_axis ** (kernel.dimension - (axis is not None))
-    lams = np.asarray(lams, dtype=float)
-    out = np.empty(len(lams))
-    chunk = max(1, _G0_BLOCK // size)
-    for i in range(0, len(lams), chunk):
-        piece = lams[i : i + chunk]
-        inverse = _inverse(kernel, axis, piece[:, None], pts_per_axis)
-        # sum / size is np.mean without its per-call overhead, bit for bit
-        out[i : i + chunk] = piece * (inverse.sum(axis=1) / size)
-    return out
+def _g0_on_grid(kernel: WalkKernel, lam: float, pts_per_axis: int) -> float:
+    """lam * mean ``_inverse`` at one grid level; no convergence certificate."""
+    axis = _fibre_axis(kernel.offset_array())
+    return lam * float(np.mean(_inverse(kernel, axis, lam, pts_per_axis)))
 
 
 def _g0(kernel: WalkKernel, lam: float) -> float:
@@ -429,78 +413,70 @@ class LevelCrossings:
     below: tuple[float, ...]
 
 
-def g_level_crossings(
-    kernel: WalkKernel, target: float, xtol: float = 1e-12, scan_points: int | None = None
-) -> LevelCrossings:
+def _bisect(excess, inner: float, outer: float, xtol: float) -> float:
+    """Midpoint of [inner, outer] (either order) once it is below xtol wide.
+
+    excess(inner) > 0 >= excess(outer) on entry; each step keeps that.
+    """
+    while abs(outer - inner) > xtol:
+        mid = 0.5 * (inner + outer)
+        if excess(mid) > 0.0:
+            inner = mid
+        else:
+            outer = mid
+    return 0.5 * (inner + outer)
+
+
+def g_level_crossings(kernel: WalkKernel, target: float, xtol: float = 1e-12) -> LevelCrossings:
     """Solve g_lambda(0) = target (> 1) on both resolvent components.
 
     Above the spectrum g is strictly decreasing from g(1+) to 1, so a
-    bisection applies whenever a bracket exists.  Below the spectrum g need
-    not be monotone; a graded scan brackets sign changes which are then
-    bisected.  All roots below the bottom edge ell satisfy
-    |lambda| <= (v + 1) |ell| with v = 1/(target - 1), which bounds the
-    scan.  Scan and bisection use single uncertified grids (near-edge
+    bisection applies whenever a bracket exists.  Below the bottom edge
+    ell < 0, g is convex in t = 1/lambda (its second derivative is
+    2 mean p-hat^2 / (1 - t p-hat)^3 >= 0) and g = 1 < target at t = 0, so
+    g - target changes sign at most once: g > target between the root and
+    ell, g < target beyond it.  Every root satisfies
+    |lambda| <= (v + 1) |ell| with v = 1/(target - 1), since
+    g <= |lambda| / (|lambda| - |ell|) there; one bisection on
+    [-((v + 1) |ell| + 1), ell - 1e-7] finds it whenever g(ell - 1e-7)
+    exceeds the target.  Bisection uses single uncertified grids (near-edge
     values are only needed qualitatively); every root is then re-verified
     with a certified evaluation.
     """
-    if target <= 1.0:
-        raise ValueError("target must exceed 1")
-    if scan_points is None:
-        scan_points = {1: 3000, 2: 600, 3: 200}[kernel.dimension]
+    if not target > 1.0:
+        raise TargetNotAboveOne(f"target must exceed 1, got {target!r}")
     fine = _PTS_BISECT[kernel.dimension]
 
-    def g_fine(lam: float) -> float:
-        return float(_g0_on_grid(kernel, [lam], fine)[0])
+    def excess(lam: float) -> float:
+        return _g0_on_grid(kernel, lam, fine) - target
 
     above = None
     lo = None
     h = 0.5
     while h >= 1e-9:
         lam = 1.0 + h
-        if g_fine(lam) > target:
+        if excess(lam) > 0.0:
             lo = lam
             break
         h /= 4.0
     if lo is not None:
         hi = lo
-        while g_fine(hi) > target:
+        while excess(hi) > 0.0:
             hi = 1.0 + 2.0 * (hi - 1.0)
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            if g_fine(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        above = 0.5 * (lo + hi)
+        above = _bisect(excess, lo, hi, xtol)
         _verify_root(kernel, above, target)
 
-    below: list[float] = []
+    below: tuple[float, ...] = ()
     ell = kernel.lower
     if ell < 0.0:
         v = 1.0 / (target - 1.0)
         floor = -((v + 1.0) * abs(ell) + 1.0)
-        # graded offsets: dense near the edge where g blows up in d <= 2
-        s = np.geomspace(1e-7, ell - floor, scan_points)
-        lams = ell - s
-        gs = _g0_on_grid(kernel, lams, _PTS_SWEEP[kernel.dimension])
-        sign = np.sign(gs - target)
-        for i in range(len(lams) - 1):
-            if sign[i] == 0.0:
-                below.append(float(lams[i]))
-            elif sign[i] * sign[i + 1] < 0.0:
-                a, b = lams[i], lams[i + 1]
-                fa = gs[i] - target
-                while a - b > xtol:  # a > b: scanning downward
-                    mid = 0.5 * (a + b)
-                    fm = g_fine(mid) - target
-                    if fa * fm <= 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                root = float(0.5 * (a + b))
-                _verify_root(kernel, root, target)
-                below.append(root)
-    return LevelCrossings(target=target, above=above, below=tuple(sorted(below)))
+        edge = ell - 1e-7
+        if excess(edge) > 0.0:
+            root = _bisect(excess, edge, floor, xtol)
+            _verify_root(kernel, root, target)
+            below = (root,)
+    return LevelCrossings(target=target, above=above, below=below)
 
 
 def _verify_root(kernel: WalkKernel, root: float, target: float) -> None:

@@ -43,6 +43,8 @@ import numpy as np
 from .errors import (
     BoxTooLarge,
     GapNotCertified,
+    LazinessOutOfRange,
+    LevelNotPositive,
     NoConvergence,
     NoRootAboveOne,
     NotSparse,
@@ -373,9 +375,9 @@ def lambda_pm_1d(q: float, v: float) -> tuple[float, float]:
     satisfying lambda_- < 2q - 1 < 1 < lambda_+.
     """
     if not 0.0 <= q < 1.0:
-        raise ValueError("q must lie in [0, 1)")
-    if v <= 0.0:
-        raise ValueError("v must be positive")
+        raise LazinessOutOfRange(f"q must lie in [0, 1), got {q!r}")
+    if not v > 0.0:
+        raise LevelNotPositive(f"v must be positive, got {v!r}")
     c = (v + 1.0) ** 2 / (2.0 * v + 1.0)
     root = math.sqrt(q * q - (2.0 * q - 1.0) / c)
     return c * (q - root), c * (q + root)
@@ -400,10 +402,10 @@ def essential_spectrum_predictor(
     is at most one root per level, found by bisection; the root for v0 is
     the top of the essential spectrum and must exist (otherwise
     NoRootAboveOne, which in d >= 3 is a legitimate outcome for small v0).
-    Below the bottom edge the level function need not be monotone, so sign
-    changes are bracketed on a graded scan and bisected individually.  With
-    check_sparseness, a potential whose sparseness profile does not
-    collapse raises NotSparse.
+    Below the bottom edge g is convex in 1/lambda and equals 1 at
+    1/lambda = 0, so there too a level has at most one root, found by one
+    bisection (see ``g_level_crossings``).  With check_sparseness, a
+    potential whose sparseness profile does not collapse raises NotSparse.
     """
     ess = [v for v in spec.essential_values if v > 0.0]
     if not ess:

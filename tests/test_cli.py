@@ -11,7 +11,12 @@ import pytest
 
 import sparsewalk
 from sparsewalk.cli import main
-from sparsewalk.config import kernel_from_config, potential_from_config
+from sparsewalk.config import (
+    check_experiment,
+    kernel_from_config,
+    load_config,
+    potential_from_config,
+)
 from sparsewalk.gibbs import fk_semigroup
 from sparsewalk.lattice import LatticeBox
 
@@ -235,6 +240,16 @@ MALFORMED = {
         {"cfg.json": {**SIMPLE, **DELTA, "L": 10}},
         "'fit_window' [10, 18] must lie in [0, L] = [0, 10]",
     ),
+    "fk with the misspelled key sample": (
+        "fk",
+        {"cfg.json": {**SIMPLE, **DELTA, "n": 6, "sample": 500, "seed": 1}},
+        "unknown key(s) ['sample'] for 'fk'",
+    ),
+    "lazy1d with q 1": (
+        "validate",
+        {"cfg.json": {"kernel": {"preset": "lazy1d", "q": 1.0}}},
+        "lazy1d preset: q must lie in [0, 1), got 1.0",
+    ),
 }
 
 
@@ -250,6 +265,28 @@ def test_malformed_config_table(tmp_path, capsys, case):
     assert err.count("\n") == 1
     assert needle in err
     assert not (out / "summary.json").exists()
+
+
+#: every experiment of demos/configs and the config it runs on
+DEMO_RUNS = [
+    ("validate", "presets.json"),
+    ("green", "green_lazy.json"),
+    ("bs", "bs_scan.json"),
+    ("spectrum", "spectrum_anchor.json"),
+    ("essential", "presets.json"),
+    ("decay", "presets.json"),
+    ("gibbs", "presets.json"),
+    ("doob", "presets.json"),
+    ("fk", "fk_delta.json"),
+]
+
+
+@pytest.mark.parametrize("kind, name", DEMO_RUNS)
+def test_demo_configs_hold_only_known_keys(kind, name):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "demos" / "configs" / name)
+    cfg["experiment"] = kind
+    cfg.setdefault("seed", 1)
+    assert check_experiment(cfg) == kind
 
 
 @pytest.mark.parametrize("kind", ["none", "zero"])

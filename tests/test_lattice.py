@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparsewalk as sw
+from sparsewalk import lattice
 from sparsewalk.lattice import char_on_grid
 from sparsewalk.errors import (
     BoxTooSmall,
     EmptySupport,
+    LazinessOutOfRange,
     NotIrreducible,
     NotNormalized,
     NotSymmetric,
@@ -188,6 +191,62 @@ def test_lower_matches_meshgrid_reference(name):
     # deleted one run until its sweeps stop paying
     assert k.lower <= _meshgrid_lower(k, grid) + 1e-12
     assert abs(k.lower - _meshgrid_lower(k, grid, sweeps=None)) <= 1e-12
+
+
+#: range 1 on one axis only: the last, the first and the middle one
+MIXED_2D = [(1, 0), (2, 1), (0, 1), (3, -1)]
+FIRST_AXIS_2D = [(1, 0), (0, 2), (1, 3), (0, 1)]
+MIXED_3D = [(1, 0, 0), (0, 2, 1), (2, 1, 1), (0, 0, 1)]
+MIDDLE_AXIS_3D = [(2, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]
+#: name -> (kernel factory, grid of the full-grid start)
+FIBRE_LOWER = {
+    **{f"diagonal2d-{s}": (lambda s=s: _seeded_kernel(s, DIAGONAL_2D), 256) for s in (3, 4, 5)},
+    "mixed2d-11": (lambda: _seeded_kernel(11, MIXED_2D), 256),
+    "first2d-17": (lambda: _seeded_kernel(17, FIRST_AXIS_2D), 256),
+    "lazy3d-0.17": (lambda: _lazy3d(0.17), 64),
+    "face3d-7": (lambda: _seeded_kernel(7, FACE_3D), 64),
+    "mixed3d-13": (lambda: _seeded_kernel(13, MIXED_3D), 64),
+    "middle3d-19": (lambda: _seeded_kernel(19, MIDDLE_AXIS_3D), 64),
+}
+
+
+@pytest.mark.parametrize("name", list(FIBRE_LOWER))
+def test_fibre_start_matches_full_grid_start(monkeypatch, name):
+    make, grid = FIBRE_LOWER[name]
+    k = make()
+    offsets, probs = k.offset_array(), k.prob_array()
+    assert lattice._fibre_axis(offsets) is not None
+    # the same polish from the argmin of the full grid
+    monkeypatch.setattr(lattice, "_fibre_axis", lambda offsets: None)
+    full = max(lattice._char_lower(offsets, probs, grid), 2.0 * k.p0 - 1.0)
+    assert abs(k.lower - full) <= 1e-14
+
+
+def test_validate_3d_scans_no_full_grid():
+    # a 256^3 p-hat grid alone is 134 MB; the fibre grid of the other two
+    # axes is 256^2
+    raw = {(0, 0, 0): 0.17}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - 0.17) / 6.0
+    tracemalloc.start()
+    try:
+        k = sw.validate_kernel(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.lower == pytest.approx(2 * 0.17 - 1.0, abs=1e-12)
+    assert peak < 8 * 2**20
+
+
+def test_lazy1d_rejects_q_outside_unit_interval():
+    for q in (-0.1, 1.0):
+        with pytest.raises(LazinessOutOfRange) as info:
+            sw.lazy1d(q)
+        assert isinstance(info.value, ValueError)
+    with pytest.raises(LazinessOutOfRange):
+        sw.g_lambda_closed_1d(1.0, 2.0)
+    with pytest.raises(LazinessOutOfRange):
+        sw.lambda_pm_1d(-0.1, 1.0)
 
 
 def test_apply_P_delta_and_constants():

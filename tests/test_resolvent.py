@@ -11,10 +11,19 @@ from sparsewalk.errors import (
     NonPositiveValue,
     QuadratureNotConverged,
     SeriesDiverges,
+    SparseWalkError,
+    TargetNotAboveOne,
     TooFewPoints,
 )
-from sparsewalk.lattice import LatticeBox, _char_grid, _grid_phase, apply_P, char_on_grid
-from sparsewalk.resolvent import _DFT_BLOCK, _fibre_axis, _g0_on_grid
+from sparsewalk.lattice import (
+    LatticeBox,
+    _char_grid,
+    _fibre_axis,
+    _grid_phase,
+    apply_P,
+    char_on_grid,
+)
+from sparsewalk.resolvent import _DFT_BLOCK, _PTS_BISECT, _g0_on_grid, _verify_root
 
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
@@ -369,7 +378,7 @@ def _full_grid_means(k, lam, xs, level):
 def test_fibre_route_matches_full_grid(name, side):
     make, axis, level = FIBRE_CASES[name]
     k = make()
-    assert _fibre_axis(k) == axis
+    assert _fibre_axis(k.offset_array()) == axis
     d = k.dimension
     rng = np.random.default_rng(7)
     xs = [tuple(int(c) for c in x) for x in rng.integers(-6, 7, size=(20, d)) if any(x)]
@@ -395,7 +404,7 @@ RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0
 @pytest.mark.parametrize("lam", [1.3, -1.3])
 def test_no_range1_axis_stays_on_full_grid(lam):
     k = sw.validate_kernel(RANGE2_2D)
-    assert _fibre_axis(k) is None
+    assert _fibre_axis(k.offset_array()) is None
     xs = [(1, 0), (2, -3), (0, 5), (-4, 1)]
     pts = 64
     table = sw.green_table(k, lam, xs + [(0, 0)], pts)
@@ -406,14 +415,14 @@ def test_no_range1_axis_stays_on_full_grid(lam):
     order = sorted(canon)
     values = dict(zip(order, _partial_dft(base, order, 4 * pts)))
     assert [table[x] for x in xs] == [float(values[c]) for c in canon]
-    gs = _g0_on_grid(k, [lam], 128)
-    assert gs[0] == lam * np.mean(1.0 / (lam - char_on_grid(k, 128)))
+    g = _g0_on_grid(k, lam, 128)
+    assert g == lam * np.mean(1.0 / (lam - char_on_grid(k, 128)))
 
 
 @pytest.mark.parametrize("lam", [1.3, -1.3])
 def test_full_grid_dft_matches_reference_at_every_level(monkeypatch, lam):
     k = sw.validate_kernel(RANGE2_2D)
-    assert _fibre_axis(k) is None
+    assert _fibre_axis(k.offset_array()) is None
     pts = 64
     # negative coordinates, and coordinates beyond pts/2 and beyond 4 pts/2
     xs = [(1, 0), (-3, 2), (2, -3), (0, -5), (40, 1), (-7, 90), (150, -33), (-200, 0)]
@@ -445,3 +454,73 @@ def test_level_crossing_root_2d_matches_series():
     for root in (lc.above, lc.below[0]):
         assert type(root) is float
         assert sw.g_lambda_series(k, root, tol=1e-12).value == pytest.approx(target, abs=1e-9)
+
+
+def test_level_crossings_near_the_edge_2d():
+    # v = 0.3 puts both roots within 1e-5 of the spectrum, where a coarse
+    # sign scan and the bisection grid once disagreed and made a false bracket
+    k = sw.simple2d()
+    target = 1.0 + 1.0 / 0.3
+    lc = sw.g_level_crossings(k, target)
+    assert lc.above is not None and len(lc.below) == 1
+    for root in (lc.above, lc.below[0]):
+        _verify_root(k, root, target)
+    # the walk is bipartite, so g_{-lambda}(0) = g_lambda(0)
+    assert abs(lc.below[0] + lc.above) <= 1e-9
+
+
+def _range3_1d(seed):
+    """Random symmetric 1d kernel on 0, +-1, +-2, +-3."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, size=4)
+    w /= w[0] + 2.0 * w[1:].sum()
+    raw = {0: w[0]}
+    for x in (1, 2, 3):
+        raw[x] = raw[-x] = w[x]
+    return sw.validate_kernel(raw)
+
+
+#: 1d walks on the full grid and 2d walks on fibres (DIAGONAL_2D keeps both
+#: axes range 1); every one has ell < 0
+CROSSING_BATTERY = {
+    "lazy1d(0)": lambda: sw.lazy1d(0.0),
+    "lazy1d(0.2)": lambda: sw.lazy1d(0.2),
+    "lazy1d(0.4)": lambda: sw.lazy1d(0.4),
+    "range3-1d-1": lambda: _range3_1d(1),
+    "range3-1d-2": lambda: _range3_1d(2),
+    "simple2d": sw.simple2d,
+    "diagonal2d": lambda: sw.validate_kernel(DIAGONAL_2D),
+}
+
+
+@pytest.mark.parametrize("name", CROSSING_BATTERY)
+def test_one_crossing_below_the_spectrum(name):
+    # g is convex in 1/lambda below ell, with g = 1 at 1/lambda = 0, so on
+    # any grid g - target changes sign at most once there; the solver finds
+    # exactly the roots a dense scan of the bisection grid sees
+    k = CROSSING_BATTERY[name]()
+    assert k.lower < 0.0
+    fine = _PTS_BISECT[k.dimension]
+    for v in (0.3, 1.0, 2.5):
+        target = 1.0 + 1.0 / v
+        lc = sw.g_level_crossings(k, target)
+        floor = -((v + 1.0) * abs(k.lower) + 1.0)
+        lams = k.lower - np.geomspace(1e-7, k.lower - floor, 300)
+        excess = np.array([_g0_on_grid(k, float(lam), fine) for lam in lams]) - target
+        changes = int(np.count_nonzero(np.diff(np.sign(excess))))
+        assert changes <= 1, (v, changes)
+        assert len(lc.below) == changes, v
+        if changes:
+            assert excess[0] > 0.0 > excess[-1], v
+            i = int(np.flatnonzero(np.diff(np.sign(excess)))[0])
+            assert lams[i + 1] <= lc.below[0] <= lams[i], v
+        if name.startswith("lazy1d"):
+            lam_minus, lam_plus = sw.lambda_pm_1d(k.p0, v)
+            assert lc.above == pytest.approx(lam_plus, abs=1e-9)
+            assert lc.below[0] == pytest.approx(lam_minus, abs=1e-9)
+
+
+def test_level_crossings_target_not_above_one():
+    with pytest.raises(TargetNotAboveOne) as info:
+        sw.g_level_crossings(sw.simple1d(), 1.0)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)

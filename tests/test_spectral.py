@@ -11,6 +11,7 @@ from sparsewalk import spectral
 from sparsewalk.errors import (
     BoxTooLarge,
     GapNotCertified,
+    LevelNotPositive,
     NoConvergence,
     NoRootAboveOne,
     NotSparse,
@@ -640,3 +641,10 @@ def test_sturm_oracle_matches_the_mpmath_recurrence():
         k = sw.lazy1d(q)
         got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=dps)
         assert got == _mpmath_distance(k, spec, L, target, dps), (q, spec, L, target, dps)
+
+
+def test_lambda_pm_1d_rejects_nonpositive_v():
+    for v in (0.0, -1.0):
+        with pytest.raises(LevelNotPositive) as info:
+            sw.lambda_pm_1d(0.25, v)
+        assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)

@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus eight sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus nine sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -15,12 +15,15 @@ and moduli by |value| of that operator, with their residuals;
 simple 2d walk, ``g_lambda_quadrature`` of the simple 2d and lazy 3d
 walks, and a ``green_table`` of a 2d kernel with diagonal moves;
 ``green_full2d``, ``green_table`` values of a 2d kernel with range 2 on
-both axes, the one case on the full torus grid beyond 1d; and ``sturm``,
+both axes, the one case on the full torus grid beyond 1d; ``sturm``,
 the ``(distance, exact)`` pairs of the Sturm oracle on three 1d cases
 beyond criterion 5 (a float target, a str target at L = 128, and a
-target that is an eigenvalue, so the search ends on the floor); and
+target that is an eigenvalue, so the search ends on the floor);
 ``gap2d``, the branch, fitted and predicted rates of
-``gap_projection_test`` on the kernel and potential of the 2d chain case.  The package
+``gap_projection_test`` on the kernel and potential of the 2d chain case;
+and ``crossings1d``, both level crossings of g_lambda(0) = 1 + 1/v for the
+1d lazy walk at three q and three v, and for a range-3 1d kernel at the
+same v.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -37,7 +40,8 @@ change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
-``green_nd``, ``green_full2d``, ``sturm`` or ``gap2d`` section still loads;
+``green_nd``, ``green_full2d``, ``sturm``, ``gap2d`` or ``crossings1d``
+section still loads;
 that section is then left out of the comparison.
 """
 
@@ -121,8 +125,16 @@ STURM_CASES = {
     ),
     "free floor": (sw.simple1d, lambda: None, 64, 0, 60),
 }
+#: the 1d crossing case: lazy1d at CROSSING_QS and a range-3 kernel, each
+#: at the levels 1 + 1/v for v in CROSSING_VS
+CROSSING_QS = (0.0, 0.25, 0.45)
+CROSSING_VS = (0.3, 1.0, 2.5)
+RANGE3_1D = {0: 0.1, 1: 0.2, -1: 0.2, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1}
 #: sections an older saved fingerprint may lack
-OPTIONAL = ("bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d")
+OPTIONAL = (
+    "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
+    "crossings1d",
+)
 
 #: numeric literals inside a value's repr; the text between them must match
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -159,6 +171,7 @@ def fingerprint() -> dict:
         "green_full2d": green_full2d(),
         "sturm": sturm(),
         "gap2d": gap2d(),
+        "crossings1d": crossings1d(),
     }
 
 
@@ -232,6 +245,19 @@ def green_nd() -> dict:
     table = sw.green_table(sw.validate_kernel(DIAGONAL_2D), 1.3, DIAGONAL_XS, 64)
     for x in DIAGONAL_XS:
         out[f"diagonal2d G{x}"] = repr(table[x])
+    return out
+
+
+def crossings1d() -> dict:
+    """Reprs of both level crossings of the 1d crossing case."""
+    kernels = {f"lazy1d({q})": sw.lazy1d(q) for q in CROSSING_QS}
+    kernels["range3"] = sw.validate_kernel(RANGE3_1D)
+    out = {}
+    for name, kernel in kernels.items():
+        for v in CROSSING_VS:
+            lc = sw.g_level_crossings(kernel, 1.0 + 1.0 / v)
+            out[f"{name} v={v} above"] = repr(lc.above)
+            out[f"{name} v={v} below"] = repr(lc.below)
     return out
 
 
