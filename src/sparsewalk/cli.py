@@ -265,24 +265,17 @@ def exp_fk(cfg: dict, out: Path) -> dict:
     samples = number(cfg.get("samples", 100000), "samples", int, least=gibbsmod.MIN_SAMPLES)
     seed = number(cfg["seed"], "seed", int)
     box = lattice.LatticeBox.cube(n * kernel.reach + 2, kernel.dimension)
-    rows = []
-    semigroup = np.ones(box.shape)
-    for m in range(0, n + 1):
-        if m:
-            # one more step of the weighted transfer operator per m
-            semigroup = gibbsmod.fk_semigroup(kernel, spec, semigroup, 1, box)
-        exact = float(semigroup[(box.radius,) * kernel.dimension])
-        root = exact ** (1.0 / m) if m else 1.0
-        rows.append((m, exact, root, "", ""))
+    powers = lattice._powers(kernel, gibbsmod._dvec_on(spec, box), np.ones(box.shape), n, box)
+    exact = [float(z[(box.radius,) * kernel.dimension]) for z in powers]
+    rows = [(m, z, z ** (1.0 / m) if m else 1.0, "", "") for m, z in enumerate(exact)]
     est, err = gibbsmod.fk_monte_carlo(kernel, spec, None, n, samples, seed)
-    rows[-1] = (n, rows[-1][1], rows[-1][2], est, err)
+    rows[-1] = rows[-1][:3] + (est, err)
     _write_csv(out / "fk.csv", ["n", "exact", "z_root", "mc_estimate", "mc_stderr"], rows)
-    exact_n = rows[-1][1]
-    if abs(est - exact_n) > 3.0 * err:
+    if abs(est - exact[-1]) > 3.0 * err:
         raise ExperimentFailed(
-            f"fk: Monte Carlo estimate {est} deviates from exact {exact_n} beyond 3 sigma"
+            f"fk: Monte Carlo estimate {est} deviates from exact {exact[-1]} beyond 3 sigma"
         )
-    return {"n": n, "exact": exact_n, "estimate": est, "stderr": err}
+    return {"n": n, "exact": exact[-1], "estimate": est, "stderr": err}
 
 
 RUNNERS = {

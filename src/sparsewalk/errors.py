@@ -36,6 +36,20 @@ class ThetaNotOnSpectrum(SparseWalkError):
     """Supplied frequency does not match the requested spectral point."""
 
 
+class NegativeStepCount(SparseWalkError, ValueError):
+    """A power of P or of the weighted transfer operator with n < 0.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class ShapeMismatch(SparseWalkError, ValueError):
+    """An array on a box (f for P, phi for the Doob transform) has the wrong shape.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 class LazinessOutOfRange(SparseWalkError, ValueError):
     """Holding probability q of the 1d lazy walk outside [0, 1).
 
@@ -205,7 +219,8 @@ class MarginalLengthInvalid(SparseWalkError, ValueError):
 
 
 class HorizonTooShort(SparseWalkError, ValueError):
-    """Gibbs horizon N not above every marginal length.
+    """Gibbs horizon N not above every marginal length, or N_max < 3 for
+    the partition-growth ratios.
 
     Also a ValueError, like NoSignChange.
     """

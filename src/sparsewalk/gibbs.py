@@ -15,7 +15,9 @@ the Gibbs marginals converge to the law of that chain at the geometric
 rate set by the absolute spectral gap.  This module computes the exact
 semigroup and marginals by transfer matrices, simulates the chain, runs
 unbiased Monte Carlo with a counter-based RNG, and fits the convergence
-and partition-growth rates.
+and partition-growth rates.  Every M^m f comes from one sweep,
+``lattice._powers``, and each reader keeps only the powers it uses:
+``convergence_rate`` reads all n from one pass to max(n).
 
 K has the sparsity of p, so the chain keeps its rows on the band of the
 truncation (one column per kernel offset, zero weight for a neighbour
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +39,15 @@ from .errors import (
     HorizonExceedsBox,
     HorizonTooShort,
     MarginalLengthInvalid,
+    NegativeStepCount,
     NoDecayDetected,
     NonPositivePhi,
     RowDeficitTooLarge,
+    ShapeMismatch,
     StartOutsideBox,
     TooFewSamples,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, apply_P
+from .lattice import LatticeBox, WalkKernel, _as_offset, _powers
 from .potential import PotentialSpec
 from .spectral import truncated_operator
 
@@ -111,13 +116,10 @@ def doob_kernel(
     normalization deficit recorded (it quantifies truncation honesty, and
     must not exceed 1e-6).
     """
-    if isinstance(box, int):
-        op = truncated_operator(kernel, spec, box)
-    else:
-        op = truncated_operator(kernel, spec, box.radius)
+    op = truncated_operator(kernel, spec, box if isinstance(box, int) else box.radius)
     r, phi = float(eigenpair[0]), np.asarray(eigenpair[1], dtype=float)
     if phi.shape != (op.volume,):
-        raise ValueError(f"phi shape {phi.shape} does not match box volume {op.volume}")
+        raise ShapeMismatch(f"phi shape {phi.shape} does not match box volume {op.volume}")
     if phi.min() <= 0.0:
         raise NonPositivePhi(f"min phi = {phi.min()!r}; Doob transform needs phi > 0")
     resid = float(np.linalg.norm(op.apply_M(phi) - r * phi) / np.linalg.norm(phi))
@@ -195,19 +197,15 @@ def fk_semigroup(
     value exactly).
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
-    dvec = _dvec_on(spec, box)
-    out = np.asarray(f, dtype=float).copy()
-    for _ in range(n):
-        out = apply_P(kernel, out, box) * dvec
-    return out
+        raise NegativeStepCount(f"n must be >= 0, got {n}")
+    steps = _powers(kernel, _dvec_on(spec, box), np.array(f, dtype=float), n, box)
+    return deque(steps, maxlen=1)[0]
 
 
 def _dvec_on(spec: PotentialSpec | None, box: LatticeBox) -> np.ndarray:
     if spec is None:
         return np.ones(box.shape)
-    vals = spec.values_on(box.sites())
-    return (1.0 + vals).reshape(box.shape)
+    return (1.0 + spec.values_on(box.sites())).reshape(box.shape)
 
 
 def fk_monte_carlo(
@@ -291,7 +289,8 @@ def gibbs_marginal(
         prod_{j<k} (1 + V(x_j)) p(x_{j+1} - x_j) * (M^(N-k) 1)(x_k) / Z_N
 
     with x_0 = 0 and Z_N = (M^N 1)(0).  The box must absorb the full
-    horizon so the transfer values are exact.
+    horizon so the transfer values are exact.  One sweep of M^m 1 up to
+    m = N keeps only the powers M^(N-k) 1 that some k reads.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 0:
@@ -300,36 +299,32 @@ def gibbs_marginal(
         raise HorizonTooShort(f"N = {N} must exceed every marginal length, got {ks}")
     if box.radius < N * kernel.reach:
         raise HorizonExceedsBox(f"box radius {box.radius} < N*r = {N * kernel.reach}")
-    d = kernel.dimension
     dvec = _dvec_on(spec, box)
-    powers: dict[int, np.ndarray] = {0: np.ones(box.shape)}
-    cur = powers[0]
-    for m in range(1, N + 1):
-        cur = apply_P(kernel, cur, box) * dvec
-        needed = {N - k for k in ks} | {N}
-        if m in needed:
-            powers[m] = cur.copy()
-    origin = (box.radius,) * d
-    partition = float(powers[N][origin])
+    powers = enumerate(_powers(kernel, dvec, np.ones(box.shape), N, box))
+    back = {m: cur for m, cur in powers if m == N or N - m in ks}
+    partition = float(back[N][(box.radius,) * kernel.dimension])
+    return {
+        k: GibbsMarginal(N, k, _prefix_law(kernel, dvec, box, k, back[N - k], partition), partition)
+        for k in ks
+    }
 
-    out = {}
-    for k in ks:
-        law: dict[tuple, float] = {}
-        back = powers[N - k]
 
-        def extend(prefix, site, weight):
-            if len(prefix) == k:
-                idx = tuple(c + box.radius for c in site)
-                law[prefix] = law.get(prefix, 0.0) + weight * float(back[idx]) / partition
-                return
-            w_here = weight * float(dvec[tuple(c + box.radius for c in site)])
-            for off, p in zip(kernel.offsets, kernel.probs):
-                nxt = tuple(a + b for a, b in zip(site, off))
-                extend(prefix + (nxt,), nxt, w_here * p)
+def _prefix_law(kernel: WalkKernel, dvec, box: LatticeBox, k: int, back, partition: float) -> dict:
+    """Law of (S_1 .. S_k) from 0: path weights times back = M^(N-k) 1, over Z_N."""
+    law: dict[tuple, float] = {}
 
-        extend((), (0,) * d, 1.0)
-        out[k] = GibbsMarginal(horizon=N, k=k, law=law, partition=partition)
-    return out
+    def extend(prefix, site, weight):
+        if len(prefix) == k:
+            idx = tuple(c + box.radius for c in site)
+            law[prefix] = law.get(prefix, 0.0) + weight * float(back[idx]) / partition
+            return
+        w_here = weight * float(dvec[tuple(c + box.radius for c in site)])
+        for off, p in zip(kernel.offsets, kernel.probs):
+            nxt = tuple(a + b for a, b in zip(site, off))
+            extend(prefix + (nxt,), nxt, w_here * p)
+
+    extend((), (0,) * kernel.dimension, 1.0)
+    return law
 
 
 def chain_prefix_law(chain: ChainKernel, k: int, x0=None) -> dict[tuple, float]:
@@ -367,19 +362,29 @@ def convergence_rate(
     """Geometric fit of D(n) = |E_mu_n F - E_nu F| for F = f(S_1 .. S_k).
 
     mu_n marginals come from the exact transfer computation, nu from the
-    chain's exact prefix law; f maps a k-tuple of sites to a float.  The
-    fitted ratio must be < 1; NoDecayDetected otherwise (or when no usable
-    deviations remain above floating-point noise).
+    chain's exact prefix law; f maps a k-tuple of sites to a float.  Every
+    n is read from one sweep of M^m 1 up to max(n_range) on one box: mu_n needs
+    Z_n = (M^n 1)(0) and M^(n-k) 1, so only the last k + 1 powers are kept.
+    The fitted ratio must be < 1; NoDecayDetected otherwise (or when no
+    usable deviations remain above floating-point noise).
     """
     ns = sorted(int(n) for n in n_range)
+    if k_fixed < 0:
+        raise MarginalLengthInvalid(f"marginal length must be nonnegative, got {k_fixed}")
+    if not ns or ns[0] < k_fixed + 1:
+        raise HorizonTooShort(f"need some n, each > k = {k_fixed}; min n = {min(ns, default=None)}")
     box = LatticeBox.cube(max(ns) * kernel.reach + 1, kernel.dimension)
-    nu_law = chain_prefix_law(chain, k_fixed)
-    nu_val = sum(p * f(path) for path, p in nu_law.items())
-    devs = []
-    for n in ns:
-        marg = gibbs_marginal(kernel, spec, n, [k_fixed], box)[k_fixed]
-        mu_val = sum(p * f(path) for path, p in marg.law.items())
-        devs.append((n, abs(mu_val - nu_val)))
+    dvec = _dvec_on(spec, box)
+    nu_val = sum(p * f(path) for path, p in chain_prefix_law(chain, k_fixed).items())
+    recent = deque(maxlen=k_fixed + 1)  # recent[0] = M^(m-k) 1 once m >= k
+    dev_at = dict.fromkeys(ns)
+    for m, cur in enumerate(_powers(kernel, dvec, np.ones(box.shape), max(ns), box)):
+        recent.append(cur)
+        if m in dev_at:
+            z = float(cur[(box.radius,) * kernel.dimension])
+            law = _prefix_law(kernel, dvec, box, k_fixed, recent[0], z)
+            dev_at[m] = abs(sum(p * f(path) for path, p in law.items()) - nu_val)
+    devs = [(n, dev_at[n]) for n in ns]
     floor = 1e-13 * (1.0 + abs(nu_val))
     usable = [(n, dv) for n, dv in devs if dv > floor]
     if not usable:
@@ -388,8 +393,7 @@ def convergence_rate(
         raise NoDecayDetected("fewer than 3 nonzero deviations to fit")
     xs = np.array([n for n, _ in usable], dtype=float)
     ys = np.log([dv for _, dv in usable])
-    slope = np.polyfit(xs, ys, 1)[0]
-    eps = float(np.exp(slope))
+    eps = float(np.exp(np.polyfit(xs, ys, 1)[0]))
     if eps >= 1.0:
         raise NoDecayDetected(f"fitted ratio {eps:.4f} is not < 1")
     return ConvergenceFit(eps_fit=eps, deviations=tuple(devs))
@@ -424,22 +428,16 @@ def partition_growth(
     peripheral component of bipartite kernels).
     """
     if N_max < 3:
-        raise ValueError("N_max must be >= 3")
+        raise HorizonTooShort(f"N_max must be >= 3, got {N_max}")
     d = kernel.dimension
     x0 = (0,) * d if x0 is None else _as_offset(x0, d)
     radius = N_max * kernel.reach + max((abs(c) for c in x0), default=0) + 1
     box = LatticeBox.cube(radius, d)
-    dvec = _dvec_on(spec, box)
     idx = tuple(c + box.radius for c in x0)
-    cur = np.ones(box.shape)
-    zs: list[float] = []
-    for _ in range(N_max):
-        cur = apply_P(kernel, cur, box) * dvec
-        zs.append(float(cur[idx]))
+    steps = _powers(kernel, _dvec_on(spec, box), np.ones(box.shape), N_max, box)
+    zs = [float(cur[idx]) for cur in steps][1:]
     roots = [z ** (1.0 / (i + 1)) for i, z in enumerate(zs)]
-    ratios = [float("nan")] * min(2, N_max)
-    for i in range(2, N_max):
-        ratios.append(math.sqrt(zs[i] / zs[i - 2]))
+    ratios = [float("nan")] * 2 + [math.sqrt(zs[i] / zs[i - 2]) for i in range(2, N_max)]
     return PartitionGrowth(
         z_values=tuple(zs), roots=tuple(roots), ratio_estimates=tuple(ratios)
     )

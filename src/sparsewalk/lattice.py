@@ -9,7 +9,8 @@ acts by convolution,
 and is self-adjoint on l^2(Z^d) with spectrum [min p-hat, 1], where
 p-hat(theta) = sum_x p(x) cos(theta . x) is the characteristic function.
 This module owns kernel validation, p-hat, the convolution action on finite
-boxes, exact return probabilities, and the plane-wave (Weyl) residual
+boxes and the one stepper of its weighted powers M^m f, M = (1 + V) P
+(``_powers``), exact return probabilities, and the plane-wave (Weyl) residual
 diagnostics used to witness essential spectrum.  p-hat on a tensor grid
 comes from one evaluator, ``_char_grid``, and along the fibres of a
 range-1 axis from one other, ``_fibre_parts``; min p-hat is computed once,
@@ -30,9 +31,11 @@ from .errors import (
     BoxTooSmall,
     EmptySupport,
     LazinessOutOfRange,
+    NegativeStepCount,
     NotIrreducible,
     NotNormalized,
     NotSymmetric,
+    ShapeMismatch,
     ThetaNotOnSpectrum,
 )
 
@@ -131,9 +134,6 @@ class WalkKernel:
     @property
     def p0(self) -> float:
         return self.prob((0,) * self.dimension)
-
-    def as_dict(self) -> dict[Offset, float]:
-        return dict(zip(self.offsets, self.probs))
 
     def offset_array(self) -> np.ndarray:
         return np.array(self.offsets, dtype=int)
@@ -251,7 +251,7 @@ def validate_kernel(raw, dimension: int | None = None) -> WalkKernel:
         cur = queue.popleft()
         for off in support:
             nxt = tuple(c + o for c, o in zip(cur, off))
-            if _sup_norm(nxt) <= roam and nxt not in seen:
+            if nxt not in seen and max(map(abs, nxt)) <= roam:
                 seen.add(nxt)
                 queue.append(nxt)
     target = itertools.product(range(-cover, cover + 1), repeat=dim)
@@ -406,7 +406,7 @@ def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
     if box.radius <= kernel.reach:
         raise BoxTooSmall(f"box radius {box.radius} must exceed kernel range {kernel.reach}")
     if f.shape != box.shape:
-        raise ValueError(f"f shape {f.shape} does not match box shape {box.shape}")
+        raise ShapeMismatch(f"f shape {f.shape} does not match box shape {box.shape}")
     r = kernel.reach
     padded = np.zeros(tuple(s + 2 * r for s in f.shape), dtype=f.dtype)
     inner = tuple(slice(r, r + s) for s in f.shape)
@@ -416,6 +416,17 @@ def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
         sl = tuple(slice(r - o, r - o + s) for o, s in zip(off, f.shape))
         out += p * padded[sl]
     return out
+
+
+def _powers(kernel: WalkKernel, dvec: np.ndarray, f: np.ndarray, n: int, box: LatticeBox):
+    """Yield f, M f, .., M^n f for M = dvec * P on a box, zero outside.
+
+    The one stepper of M in the package; lazy, so callers check arguments.
+    """
+    yield f
+    for _ in range(n):
+        f = apply_P(kernel, f, box) * dvec
+        yield f
 
 
 def _neighbour_table(
@@ -448,15 +459,13 @@ def _dense_P(kernel: WalkKernel, sites: np.ndarray, radius: int) -> np.ndarray:
 def convolution_power_at_zero(kernel: WalkKernel, n: int) -> float:
     """Exact n-step return probability p_n(0) by repeated convolution."""
     if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
+        raise NegativeStepCount(f"n must be >= 0, got {n}")
     box = LatticeBox.cube(n * kernel.reach + kernel.reach + 1, kernel.dimension)
+    origin = (box.radius,) * kernel.dimension
     f = np.zeros(box.shape)
-    f[(box.radius,) * kernel.dimension] = 1.0
-    for _ in range(n):
-        f = apply_P(kernel, f, box)
-    return float(f[(box.radius,) * kernel.dimension])
+    f[origin] = 1.0
+    # dvec = 1 multiplies exactly, so these are the bits of P^n
+    return float(deque(_powers(kernel, np.ones(box.shape), f, n, box), maxlen=1)[0][origin])
 
 
 def weyl_sequence_residual(

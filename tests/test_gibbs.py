@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
-from sparsewalk import gibbs
+from sparsewalk import acceptance, gibbs, lattice
 from sparsewalk.errors import (
     EigenResidualTooLarge,
     HorizonExceedsBox,
     HorizonTooShort,
     MarginalLengthInvalid,
+    NegativeStepCount,
     NonPositivePhi,
+    ShapeMismatch,
     SparseWalkError,
     StartOutsideBox,
     TooFewSamples,
@@ -139,6 +141,9 @@ def test_doob_rejects_bad_inputs():
         sw.doob_kernel(kernel, spec, (r, phi - phi.max()), op.box)
     with pytest.raises(EigenResidualTooLarge):
         sw.doob_kernel(kernel, spec, (r + 0.01, phi), op.box)
+    with pytest.raises(ShapeMismatch) as info:
+        sw.doob_kernel(kernel, spec, (r, phi[:-1]), op.box)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_simulate_chain_contracts():
@@ -187,6 +192,13 @@ def test_fk_semigroup_power_growth():
     val = sw.fk_semigroup(kernel, spec, ones, 128, box)[box.index((0,))]
     rate = val ** (1.0 / 128)
     assert abs(rate - 2.0 / math.sqrt(3.0)) < 2e-2  # slow N-th-root convergence
+
+
+def test_fk_semigroup_negative_steps_are_named():
+    box = sw.LatticeBox.cube(4, 1)
+    with pytest.raises(NegativeStepCount) as info:
+        sw.fk_semigroup(sw.simple1d(), None, np.ones(box.shape), -1, box)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_fk_monte_carlo_weightless_is_exact():
@@ -371,3 +383,111 @@ def test_ratio_estimate_tracks_spectral_top_for_anchor():
     r = float(np.linalg.eigvalsh(op.sym)[-1])
     growth = sw.partition_growth(kernel, spec, 120)
     assert abs(growth.final_ratio_estimate - r) < 1e-6
+
+
+def test_partition_growth_short_horizon_is_named():
+    with pytest.raises(HorizonTooShort) as info:
+        sw.partition_growth(sw.simple1d(), None, 2)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def _chain11():
+    """Kernel, potential and chain of acceptance criterion 11."""
+    kernel = sw.lazy1d(0.3)
+    spec = acceptance._geometric(anchored=True)
+    op = sw.truncated_operator(kernel, spec, 80)
+    return kernel, spec, sw.doob_kernel(kernel, spec, sw.perron_pair(op, tol=1e-9), op.box)
+
+
+def _deviations_per_n(kernel, spec, chain, k, ns, f):
+    """One gibbs_marginal call per n on the box of max(ns): each replays M^m 1."""
+    box = sw.LatticeBox.cube(max(ns) * kernel.reach + 1, kernel.dimension)
+    nu = sum(p * f(path) for path, p in sw.chain_prefix_law(chain, k).items())
+    devs = []
+    for n in ns:
+        law = sw.gibbs_marginal(kernel, spec, n, [k], box)[k].law
+        devs.append((n, abs(sum(p * f(path) for path, p in law.items()) - nu)))
+    return tuple(devs)
+
+
+def _first_step_to(site):
+    return lambda path: 1.0 if path[0] == site else 0.0
+
+
+@pytest.mark.parametrize(
+    "case, k, ns",
+    [
+        ("1d", 1, range(10, 61)),
+        ("1d", 2, [12, 30, 21, 30]),
+        ("2d", 1, range(10, 31)),
+        ("2d", 0, range(3, 9)),
+    ],
+)
+def test_convergence_rate_one_sweep_matches_per_n_marginals(case, k, ns):
+    if case == "1d":
+        (kernel, spec, chain), site = _chain11(), (1,)
+    else:
+        (kernel, spec, _, chain), site = _anchor_chain_2d(), (1, 0)
+    f = _first_step_to(site) if k else (lambda path: 1.0)
+    fit = sw.convergence_rate(kernel, spec, chain, k, ns, f)
+    assert fit.deviations == _deviations_per_n(kernel, spec, chain, k, sorted(ns), f)
+
+
+def test_convergence_rate_steps_once_to_the_largest_n(monkeypatch):
+    kernel, spec, chain = _chain11()
+    apply_P, calls = lattice.apply_P, []
+
+    def counted(*args):
+        calls.append(1)
+        return apply_P(*args)
+
+    monkeypatch.setattr(lattice, "apply_P", counted)
+    sw.convergence_rate(kernel, spec, chain, 1, range(10, 61), _first_step_to((1,)))
+    assert len(calls) == 60  # one gibbs_marginal per n took sum(range(10, 61)) = 1785
+
+
+@pytest.mark.parametrize(
+    "k, ns, error",
+    [
+        (1, range(1, 5), HorizonTooShort),
+        (1, range(0, 5), HorizonTooShort),
+        (1, [], HorizonTooShort),
+        (-1, range(2, 5), MarginalLengthInvalid),
+    ],
+)
+def test_convergence_rate_lengths_are_named(k, ns, error):
+    _, _, _, chain = _anchor_chain(L=20)
+    with pytest.raises(error):
+        sw.convergence_rate(sw.simple1d(), None, chain, k, ns, lambda path: 1.0)
+
+
+def test_gibbs_to_chain_rate_2d():
+    """Criterion 11 on Z^2: simple2d under an anchored geometric potential.
+
+    The walk is bipartite, so the top two |lambda| are +-r and the rate is
+    set by the third, |lambda_3| / r.
+    """
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=40, anchor=((1, -1), 1.5))
+    op = sw.truncated_operator(kernel, spec, 40)
+    chain = sw.doob_kernel(kernel, spec, sw.perron_pair(op), op.box)
+    top = sw.eigensolve_top(op, 3).by_abs
+    pred = abs(top[2].value) / abs(top[0].value)
+    fit = sw.convergence_rate(kernel, spec, chain, 1, range(10, 61), _first_step_to((1, 0)))
+    assert fit.deviations[0][1] > fit.deviations[-1][1]
+    assert abs(fit.eps_fit - pred) <= 0.15 * pred
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_partition_values_are_the_semigroup_at_x0(case):
+    if case == "1d":
+        kernel, spec, N_max = sw.simple1d(), sw.single_delta(1, 1.0), 30
+    else:
+        kernel, spec, _, _ = _anchor_chain_2d()
+        N_max = 20
+    growth = sw.partition_growth(kernel, spec, N_max)
+    box = sw.LatticeBox.cube(N_max * kernel.reach + 1, kernel.dimension)
+    origin = (box.radius,) * kernel.dimension
+    for N in range(1, N_max + 1):
+        exact = sw.fk_semigroup(kernel, spec, np.ones(box.shape), N, box)[origin]
+        assert growth.z_values[N - 1] == exact

@@ -11,9 +11,12 @@ from sparsewalk.errors import (
     BoxTooSmall,
     EmptySupport,
     LazinessOutOfRange,
+    NegativeStepCount,
     NotIrreducible,
     NotNormalized,
     NotSymmetric,
+    ShapeMismatch,
+    SparseWalkError,
     ThetaNotOnSpectrum,
 )
 
@@ -282,6 +285,45 @@ def test_apply_P_plane_wave_eigenrelation():
 def test_apply_P_box_too_small():
     with pytest.raises(BoxTooSmall):
         sw.apply_P(sw.simple1d(), np.ones(3), sw.LatticeBox.cube(1, 1))
+
+
+def test_apply_P_shape_mismatch_is_named():
+    with pytest.raises(ShapeMismatch) as info:
+        sw.apply_P(sw.simple2d(), np.ones((9, 7)), sw.LatticeBox.cube(4, 2))
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def test_convolution_power_negative_steps_are_named():
+    with pytest.raises(NegativeStepCount) as info:
+        sw.convolution_power_at_zero(sw.simple1d(), -1)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def _return_by_loop(k, n):
+    """Repeated convolution of a delta, one apply_P per step, no weights."""
+    if n == 0:
+        return 1.0
+    box = sw.LatticeBox.cube(n * k.reach + k.reach + 1, k.dimension)
+    f = np.zeros(box.shape)
+    f[(box.radius,) * k.dimension] = 1.0
+    for _ in range(n):
+        f = sw.apply_P(k, f, box)
+    return float(f[(box.radius,) * k.dimension])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {0: 0.1, 1: 0.2, -1: 0.2, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1},
+        {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2},
+        {(0, 0): 0.15, (1, 0): 0.1, (-1, 0): 0.1, (0, 1): 0.1, (0, -1): 0.1, (1, 1): 0.1,
+         (-1, -1): 0.1, (2, -1): 0.05, (-2, 1): 0.05, (0, 2): 0.075, (0, -2): 0.075},
+    ],
+)
+def test_convolution_power_is_the_plain_loop(raw):
+    k = sw.validate_kernel(raw)
+    for n in range(13):
+        assert sw.convolution_power_at_zero(k, n) == _return_by_loop(k, n)
 
 
 def test_convolution_power_examples():

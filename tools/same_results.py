@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus nine sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus ten sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -23,7 +23,11 @@ target that is an eigenvalue, so the search ends on the floor);
 ``gap_projection_test`` on the kernel and potential of the 2d chain case;
 and ``crossings1d``, both level crossings of g_lambda(0) = 1 + 1/v for the
 1d lazy walk at three q and three v, and for a range-3 1d kernel at the
-same v.  The package
+same v; and ``gibbs2d``, the ``convergence_rate`` deviations of the
+kernel and potential of the 2d chain case against its chain, the
+``partition_growth`` values Z_N to N = 80 for that potential, and
+``convolution_power_at_zero`` of the 2d kernel with diagonal moves for
+n <= 20.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -40,8 +44,8 @@ change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
-``green_nd``, ``green_full2d``, ``sturm``, ``gap2d`` or ``crossings1d``
-section still loads;
+``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d`` or
+``gibbs2d`` section still loads;
 that section is then left out of the comparison.
 """
 
@@ -130,10 +134,15 @@ STURM_CASES = {
 CROSSING_QS = (0.0, 0.25, 0.45)
 CROSSING_VS = (0.3, 1.0, 2.5)
 RANGE3_1D = {0: 0.1, 1: 0.2, -1: 0.2, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1}
+#: the 2d Gibbs case: the indicator of a first step to e1 for n in
+#: GIBBS2D_NS, Z_N to GIBBS2D_N_MAX, and return probabilities to GIBBS2D_RETURN
+GIBBS2D_NS = range(10, 61)
+GIBBS2D_N_MAX = 80
+GIBBS2D_RETURN = 20
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d",
+    "crossings1d", "gibbs2d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -172,6 +181,7 @@ def fingerprint() -> dict:
         "sturm": sturm(),
         "gap2d": gap2d(),
         "crossings1d": crossings1d(),
+        "gibbs2d": gibbs2d(),
     }
 
 
@@ -231,6 +241,24 @@ def gap2d() -> dict:
         "branch": repr(proj.branch),
         "eps_fit": repr(proj.eps_fit),
         "eps_pred": repr(proj.eps_pred),
+    }
+
+
+def gibbs2d() -> dict:
+    """Reprs of the 2d Gibbs deviations, partition values and return probabilities."""
+    kernel, spec, op = chain2d_operator()
+    chain = sw.doob_kernel(kernel, spec, sw.perron_pair(op), op.box)
+    fit = sw.convergence_rate(
+        kernel, spec, chain, 1, GIBBS2D_NS, lambda path: 1.0 if path[0] == (1, 0) else 0.0
+    )
+    growth = sw.partition_growth(kernel, spec, GIBBS2D_N_MAX)
+    diagonal = sw.validate_kernel(DIAGONAL_2D)
+    return {
+        "deviations": repr(fit.deviations),
+        "z_values": repr(growth.z_values),
+        "diagonal2d returns": repr(
+            [sw.convolution_power_at_zero(diagonal, n) for n in range(GIBBS2D_RETURN + 1)]
+        ),
     }
 
 
