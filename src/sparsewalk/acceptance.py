@@ -101,9 +101,7 @@ def criterion_3() -> CriterionResult:
             sol = spectral.eigensolve_top(op, count=1)
             top = sol.by_value[0]
             lam_plus = spectral.lambda_pm_1d(q, v)[1]
-            fit = resolvent.decay_rate_estimate(
-                [(t, abs(top.phi[op.box.index((t,))])) for t in range(1, 13)]
-            )
+            fit = spectral.axis_decay(op, top.phi, (1, 12))
             rate_exact = -np.log(resolvent.phi_closed_1d(q, lam_plus))
             checks[f"eig v={v} q={q}"] = abs(top.value - lam_plus) <= 1e-6
             checks[f"decay v={v} q={q}"] = abs(fit.rate - rate_exact) <= 1e-4
@@ -274,20 +272,16 @@ def criterion_10() -> CriterionResult:
         "contraction": cert.contraction,
         "green_decay_rate": cert.green_decay_rate,
     }
-    lam0 = spectral.lambda_pm_1d(0.0, 1.0)[1]
+    hull = spectral.lambda_pm_1d(0.0, 1.0)  # (lambda_-, lambda_+) of v = 1, closed form
     for label, spec in (("pure", _geometric()), ("anchor", _geometric(anchored=True))):
         op = spectral.truncated_operator(kernel, spec, 80)
-        w, U = np.linalg.eigh(op.sym)
-        discrete = [i for i in range(len(w)) if abs(w[i]) > lam0 + 1e-4]
+        discrete = spectral.discrete_pairs(op, *hull)[1]
         checks[f"{label} has discrete spectrum"] = bool(discrete)
-        for i in discrete:
-            phi = np.sqrt(op.dvec) * U[:, i]
-            fit = resolvent.decay_rate_estimate(
-                [(t, abs(phi[op.box.index((t,))])) for t in range(10, 19)]
-            )
-            key = f"{label} eig {w[i]:+.6f}"
-            checks[key] = fit.rate > 0.0 and fit.residual_rms < 0.1
-            values[key] = (fit.rate, fit.residual_rms)
+        for pair in discrete:
+            fit = spectral.axis_decay(op, pair.phi, (10, 18))
+            key = f"{label} eig {pair.value:+.6f}"
+            checks[key] = fit is not None and fit.rate > 0.0 and fit.residual_rms < 0.1
+            values[key] = (fit.rate, fit.residual_rms) if fit else None
     return _result(10, "decay certificate", t0, checks, values)
 
 

@@ -89,13 +89,13 @@ def exp_green(cfg: dict, out: Path) -> dict:
     return {"points": len(rows)}
 
 
-def _positive_alpha(cfg: dict, default: float) -> float:
-    # checked here, not only by neumann_invertibility: exp_bs turns every
-    # certificate error into valid_certificate=False
-    alpha = number(cfg.get("alpha", default), "alpha")
-    if not alpha > 0.0:
-        raise ConfigInvalid(f"'alpha' must be positive, got {alpha!r}")
-    return alpha
+def _positive(cfg: dict, key: str, default: float) -> float:
+    # a config error (exit 2) here, since exp_bs turns every certificate
+    # error into valid_certificate=False and perron_pair's is exit 1
+    value = number(cfg.get(key, default), key)
+    if not value > 0.0:
+        raise ConfigInvalid(f"'{key}' must be positive, got {value!r}")
+    return value
 
 
 def exp_bs(cfg: dict, out: Path) -> dict:
@@ -106,8 +106,8 @@ def exp_bs(cfg: dict, out: Path) -> dict:
     lo = number(require(cfg, "lambda_lo", "bs"), "lambda_lo")
     hi = number(require(cfg, "lambda_hi", "bs"), "lambda_hi")
     count = number(cfg.get("scan_points", 21), "scan_points", int, least=1)
-    box = number(cfg.get("box_radius", 256), "box_radius", int)
-    alpha = _positive_alpha(cfg, 0.5)
+    box = number(cfg.get("box_radius", 256), "box_radius", int, least=1)
+    alpha = _positive(cfg, "alpha", 0.5)
     rows = []
     for lam in np.linspace(lo, hi, count):
         asm = bsmod.assemble_bs(kernel, spec, float(lam), box)
@@ -126,23 +126,15 @@ def exp_spectrum(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
     Ls = numbers(require(cfg, "L_sequence", "spectrum"), "L_sequence", int)
-    if len(Ls) < 2:
-        raise ConfigInvalid(f"'L_sequence' needs at least two box radii, got {Ls}")
+    if len(set(Ls)) < 2:
+        raise ConfigInvalid(f"'L_sequence' needs at least two box radii that differ, got {Ls}")
     bundle = spectral.spectral_report(kernel, spec, Ls)
-    rows = []
-    for rep in bundle.reports:
-        rows.append(
-            (
-                rep.L,
-                rep.r,
-                rep.ell,
-                rep.gap,
-                rep.abs_gap,
-                rep.second_abs,
-                rep.lambda0 if rep.lambda0 is not None else "",
-                rep.decay.rate if rep.decay is not None else "",
-            )
-        )
+    lam0 = bundle.lambda0 if bundle.lambda0 is not None else ""
+    rows = [
+        (rep.L, rep.r, rep.ell, rep.gap, rep.abs_gap, rep.second_abs, lam0,
+         rep.decay.rate if rep.decay is not None else "")
+        for rep in bundle.reports
+    ]
     _write_csv(
         out / "spectrum.csv",
         ["L", "r", "ell", "gap", "abs_gap", "second_abs", "lambda0_pred", "decay_alpha"],
@@ -178,25 +170,20 @@ def exp_decay(cfg: dict, out: Path) -> dict:
     if spec is None:
         raise ConfigInvalid("decay experiment needs a potential")
     lam = number(cfg.get("lambda", 2.0), "lambda")
-    alpha = _positive_alpha(cfg, 0.6)
-    box = number(cfg.get("box_radius", 512), "box_radius", int)
+    alpha = _positive(cfg, "alpha", 0.6)
+    box = number(cfg.get("box_radius", 512), "box_radius", int, least=1)
     L = number(cfg.get("L", 80), "L", int)
     lo, hi = numbers(cfg.get("fit_window", (10, 18)), "fit_window", int, 2)
-    if not 0 <= lo <= hi <= L:
-        raise ConfigInvalid(f"'fit_window' [{lo}, {hi}] must lie in [0, L] = [0, {L}]")
+    if not (0 <= lo and hi <= L and hi - lo + 1 >= resolvent.MIN_FIT_POINTS):
+        span = f"and span at least {resolvent.MIN_FIT_POINTS} sites"
+        raise ConfigInvalid(f"'fit_window' [{lo}, {hi}] must lie in [0, L] = [0, {L}] {span}")
     cert = bsmod.neumann_invertibility(kernel, spec, (), lam, alpha, box)
     op = spectral.truncated_operator(kernel, spec, L)
-    w, U = np.linalg.eigh(op.sym)
     pred = spectral.essential_spectrum_predictor(kernel, spec)
-    threshold = (pred.lambda0 if pred.lambda0 is not None else 1.0) + 1e-4
     rows = []
-    for i in range(len(w)):
-        if abs(w[i]) <= threshold:
-            continue
-        phi = np.sqrt(op.dvec) * U[:, i]
-        pairs = [(t, abs(phi[op.box.index((t,) + (0,) * (kernel.dimension - 1))])) for t in range(lo, hi + 1)]
-        fit = resolvent.decay_rate_estimate(pairs)
-        rows.append((float(w[i]), fit.rate, fit.residual_rms))
+    for pair in spectral.discrete_pairs(op, pred.bottom, pred.top)[1]:
+        fit = spectral.axis_decay(op, pair.phi, (lo, hi))
+        rows.append((pair.value, fit.rate, fit.residual_rms) if fit else (pair.value, "", ""))
     _write_csv(out / "decay.csv", ["eigenvalue", "decay_rate", "fit_rms"], rows)
     return {
         "certificate_valid": cert.valid,
@@ -208,7 +195,7 @@ def exp_decay(cfg: dict, out: Path) -> dict:
 
 def _chain_from_config(cfg, kernel, spec):
     L = number(cfg.get("L", 60), "L", int)
-    tol = number(cfg.get("eigen_tol", 1e-10), "eigen_tol")
+    tol = _positive(cfg, "eigen_tol", 1e-10)
     op = spectral.truncated_operator(kernel, spec, L)
     r, phi = spectral.perron_pair(op, tol=tol)
     return op, gibbsmod.doob_kernel(kernel, spec, (r, phi), op.box)

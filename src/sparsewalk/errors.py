@@ -32,6 +32,10 @@ class BoxTooSmall(SparseWalkError):
     """Working box does not strictly contain the kernel range."""
 
 
+class NegativeRadius(SparseWalkError, ValueError):
+    """Lattice cube requested with a negative radius (also a ValueError)."""
+
+
 class ThetaNotOnSpectrum(SparseWalkError):
     """Supplied frequency does not match the requested spectral point."""
 
@@ -162,6 +166,10 @@ class PairCountOutOfRange(SparseWalkError, ValueError):
 
     Also a ValueError, like NoSignChange.
     """
+
+
+class ToleranceNotPositive(SparseWalkError, ValueError):
+    """Power iteration asked for a zero or negative tolerance (also a ValueError)."""
 
 
 class NoConvergence(SparseWalkError):

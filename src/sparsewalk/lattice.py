@@ -31,6 +31,7 @@ from .errors import (
     BoxTooSmall,
     EmptySupport,
     LazinessOutOfRange,
+    NegativeRadius,
     NegativeStepCount,
     NotIrreducible,
     NotNormalized,
@@ -70,6 +71,8 @@ class LatticeBox:
 
     @classmethod
     def cube(cls, radius: int, dim: int, center: Offset | None = None) -> "LatticeBox":
+        if radius < 0:
+            raise NegativeRadius(f"cube radius must be nonnegative, got {radius!r}")
         if center is None:
             center = (0,) * dim
         return cls(center=tuple(int(c) for c in center), radius=int(radius), dim=dim)

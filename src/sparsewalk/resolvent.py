@@ -82,6 +82,9 @@ from .lattice import (
 #: points where spectrum proximity is rejected outright
 SPECTRUM_GUARD = 1e-12
 
+#: fewest points a decay fit takes
+MIN_FIT_POINTS = 8
+
 
 @dataclass(frozen=True)
 class GreenEvaluation:
@@ -322,16 +325,10 @@ def g_lambda_closed_1d(q: float, lam: float, x: int = 0) -> GreenEvaluation:
     The left spectral edge for q = 1/2 sits at 0 where the limit value is 0;
     that single boundary point is special-cased.
     """
-    if not 0.0 <= q < 1.0:
-        raise LazinessOutOfRange(f"q must lie in [0, 1), got {q!r}")
-    edge = 2.0 * q - 1.0
-    if lam == 0.0 and edge == 0.0:
+    if lam == 0.0 and q == 0.5:
         return GreenEvaluation(lam=lam, value=0.0, method="closed_1d", est_error=0.0)
-    if edge - SPECTRUM_GUARD <= lam <= 1.0 + SPECTRUM_GUARD:
-        raise LambdaInSpectrum(f"lambda={lam!r} inside [{edge!r}, 1]")
-    delta = (lam - 1.0) * (lam - edge)
-    root = math.sqrt(delta)
-    phi = (lam - q - root) / (1.0 - q)
+    phi = phi_closed_1d(q, lam)
+    root = math.sqrt((lam - 1.0) * (lam - (2.0 * q - 1.0)))
     if lam > 1.0:
         value = lam / root * phi ** abs(int(x))
     else:
@@ -341,18 +338,19 @@ def g_lambda_closed_1d(q: float, lam: float, x: int = 0) -> GreenEvaluation:
 
 def phi_closed_1d(q: float, lam: float) -> float:
     """Geometric ratio phi(lambda) of the 1d closed form (decay base)."""
+    if not 0.0 <= q < 1.0:
+        raise LazinessOutOfRange(f"q must lie in [0, 1), got {q!r}")
     edge = 2.0 * q - 1.0
     if edge - SPECTRUM_GUARD <= lam <= 1.0 + SPECTRUM_GUARD:
         raise LambdaInSpectrum(f"lambda={lam!r} inside [{edge!r}, 1]")
-    delta = (lam - 1.0) * (lam - edge)
-    return (lam - q - math.sqrt(delta)) / (1.0 - q)
+    return (lam - q - math.sqrt((lam - 1.0) * (lam - edge))) / (1.0 - q)
 
 
 def decay_rate_estimate(values) -> DecayFit:
     """Least-squares line on (|x|, log value); rate is minus the slope."""
     pts = [(float(r), float(v)) for r, v in values]
-    if len(pts) < 8:
-        raise TooFewPoints(f"need >= 8 points, got {len(pts)}")
+    if len(pts) < MIN_FIT_POINTS:
+        raise TooFewPoints(f"need >= {MIN_FIT_POINTS} points, got {len(pts)}")
     for r, v in pts:
         if v <= 0.0:
             raise NonPositiveValue(f"value {v!r} at |x|={r} is not positive")

@@ -22,7 +22,8 @@ DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
 This module provides the truncation itself, a block Lanczos solver for the
 top eigenpairs, a power-iteration Perron solver, the predictor for the
 excess essential spectrum (the level set g_lambda(0) = 1 + 1/v over
-declared essential values v), bipartiteness and diagonal-dominance
+declared essential values v), the discrete pairs outside its hull with
+sigma(P) and their decay along e1, bipartiteness and diagonal-dominance
 certificates for the absolute gap, the edge inequality check,
 spectral-projection contraction fits, and a Sturm-sequence distance
 oracle in standard-library `decimal` arithmetic for tridiagonal
@@ -52,12 +53,13 @@ from .errors import (
     NotTridiagonal,
     PairCountOutOfRange,
     SelfCheckFailed,
+    ToleranceNotPositive,
     TooFewRadii,
     TruncationTooSmall,
 )
 from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P, _neighbour_table
 from .potential import PotentialSpec, sparseness_profile
-from .resolvent import DecayFit, decay_rate_estimate, g_level_crossings
+from .resolvent import MIN_FIT_POINTS, DecayFit, decay_rate_estimate, g_level_crossings
 
 #: largest truncation (rows) whose dense M or S may be built
 DENSE_CAP = 6000
@@ -107,9 +109,13 @@ BIPARTITE_VERIFY_RADIUS = 4
 GAP_STEPS = 60
 GAP_FIT_RANGE = (10, 50)
 
+#: an eigenvalue more than DISCRETE_MARGIN outside the hull of sigma(P) and
+#: Lambda_V is discrete (``discrete_pairs``)
+DISCRETE_MARGIN = 1e-4
+
 #: spectral_report fits the decay of phi on the sites t e1, t in
-#: REPORT_FIT_WINDOW clipped to the box; its discrete candidates must agree
-#: within STABILIZE_TOL across the last two boxes
+#: REPORT_FIT_WINDOW; its discrete eigenvalues must agree within
+#: STABILIZE_TOL across the last two boxes
 REPORT_FIT_WINDOW = (1, 12)
 STABILIZE_TOL = 1e-6
 
@@ -335,8 +341,10 @@ def perron_pair(
     The norm alone says nothing about the exponentially small tail entries,
     and it is exactly these ratios that become the row sums of the Doob
     chain downstream.  Returns (r, phi) with phi normalized in the
-    weighted norm.
+    weighted norm.  A tolerance tol <= 0 raises ToleranceNotPositive.
     """
+    if not tol > 0.0:
+        raise ToleranceNotPositive(f"tol must be positive, got {tol!r}")
     S = op.apply_S
     x = np.ones(op.volume) / math.sqrt(op.volume)
     r_hat = 1.0
@@ -385,16 +393,18 @@ def lambda_pm_1d(q: float, v: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class LambdaVPrediction:
-    """Predicted excess essential spectrum and its top point."""
+    """Predicted excess essential spectrum Lambda_V, its top, the hull of sigma(P) u Lambda_V."""
 
     lambda_v: tuple[float, ...]
     lambda0: float | None
     above: dict
     below: dict
+    bottom: float
+    top: float
 
 
 def essential_spectrum_predictor(
-    kernel: WalkKernel, spec: PotentialSpec, check_sparseness: bool = True
+    kernel: WalkKernel, spec: PotentialSpec | None, check_sparseness: bool = True
 ) -> LambdaVPrediction:
     """Solve g_lambda(0) = 1 + 1/v for every declared essential value v > 0.
 
@@ -406,11 +416,10 @@ def essential_spectrum_predictor(
     1/lambda = 0, so there too a level has at most one root, found by one
     bisection (see ``g_level_crossings``).  With check_sparseness, a
     potential whose sparseness profile does not collapse raises NotSparse.
+    No potential (None) or no v > 0 predicts no roots and the hull [lower, 1].
     """
-    ess = [v for v in spec.essential_values if v > 0.0]
-    if not ess:
-        return LambdaVPrediction(lambda_v=(), lambda0=None, above={}, below={})
-    if check_sparseness:
+    ess = [v for v in (spec.essential_values if spec is not None else ()) if v > 0.0]
+    if ess and check_sparseness:
         profile = sparseness_profile(spec, 0.5, min(spec.box_radius, 512))
         tail = [s for _, s in profile.sup_tail]
         if tail and tail[-1] > max(0.5 * tail[0], 1e-9):
@@ -418,7 +427,7 @@ def essential_spectrum_predictor(
                 f"sparseness profile does not collapse (sup tail {tail}); "
                 "essential-spectrum prediction needs a sparse potential"
             )
-    v0 = max(ess)
+    v0 = max(ess, default=None)
     above: dict[float, float] = {}
     below: dict[float, tuple[float, ...]] = {}
     for v in sorted(ess):
@@ -434,8 +443,34 @@ def essential_spectrum_predictor(
             below[v] = crossings.below
     roots = sorted(set(above.values()) | {x for xs in below.values() for x in xs})
     return LambdaVPrediction(
-        lambda_v=tuple(roots), lambda0=above.get(v0), above=above, below=below
+        lambda_v=tuple(roots), lambda0=above.get(v0), above=above, below=below,
+        bottom=min(roots + [kernel.lower]), top=max(roots + [1.0]),
     )
+
+
+def discrete_pairs(op: TruncatedOperator, bottom: float, top: float) -> tuple[np.ndarray, tuple]:
+    """The ascending spectrum of the truncation and its discrete pairs.
+
+    One dense eigh of S; every eigenvalue more than DISCRETE_MARGIN below
+    `bottom` or above `top` (the hull of sigma(P) and Lambda_V, as in
+    ``LambdaVPrediction``) comes back as an EigenPair, in ascending order.
+    """
+    w, U = np.linalg.eigh(op.sym)
+    outside = (w < bottom - DISCRETE_MARGIN) | (w > top + DISCRETE_MARGIN)
+    return w, tuple(_make_pair(op, w[i], U[:, i]) for i in np.flatnonzero(outside))
+
+
+def axis_decay(op: TruncatedOperator, phi: np.ndarray, window) -> DecayFit | None:
+    """Decay fit of |phi| on the sites t e1, t in `window` clipped to the box.
+
+    None with fewer than MIN_FIT_POINTS sites, or where |phi| underflows
+    (<= 1e-300) on one of them.
+    """
+    ts = range(window[0], min(window[1], op.box.radius) + 1)
+    vals = [abs(phi[op.box.index((t,) + (0,) * (op.box.dim - 1))]) for t in ts]
+    if len(vals) < MIN_FIT_POINTS or min(vals) <= 1e-300:
+        return None
+    return decay_rate_estimate(zip(ts, vals))
 
 
 # -- absolute-gap certificates -------------------------------------------------
@@ -615,8 +650,6 @@ class SpectralReport:
     gap: float
     abs_gap: float
     second_abs: float
-    lambda_v: tuple[float, ...]
-    lambda0: float | None
     residual: float
     positivity_min: float
     decay: DecayFit | None
@@ -640,52 +673,34 @@ def spectral_report(
 ) -> ReportBundle:
     """Per-box spectral digests plus a discrete-eigenvalue Cauchy check.
 
-    The decay fit reads phi on the sites t e1 of REPORT_FIT_WINDOW, clipped
-    to the box; with fewer than 8 sites no decay is fitted.
-
-    Eigenvalues above the predicted essential top lambda0 (plus a 1e-4
-    attribution margin) are discrete candidates; they must agree within
-    STABILIZE_TOL across the last two boxes, else NotStabilized.  The rest
-    of the spectrum is the finite-volume shadow of the essential part and
-    is only expected to accumulate, never to stabilize.
+    The decay fit is ``axis_decay`` of the top eigenfunction on
+    REPORT_FIT_WINDOW.  The discrete eigenvalues are the ``discrete_pairs``
+    outside the hull of ``essential_spectrum_predictor``, below it as well
+    as above; from the top down, each must agree within STABILIZE_TOL with
+    an eigenvalue of the previous box, else NotStabilized.  The rest of the
+    spectrum is the finite-volume shadow of the essential part and is only
+    expected to accumulate, never to stabilize.  Repeated radii count once.
     """
-    Ls = sorted(int(L) for L in L_sequence)
+    Ls = sorted({int(L) for L in L_sequence})
     if len(Ls) < 2:
-        raise TooFewRadii(f"need at least two box radii, got {Ls}")
-    if spec is not None and any(v > 0 for v in spec.essential_values):
-        pred = essential_spectrum_predictor(kernel, spec)
-        lambda_v, lambda0 = pred.lambda_v, pred.lambda0
-    else:
-        lambda_v, lambda0 = (), None
-    threshold = (lambda0 if lambda0 is not None else 1.0) + 1e-4
+        raise TooFewRadii(f"need at least two distinct box radii, got {list(L_sequence)}")
+    pred = essential_spectrum_predictor(kernel, spec)
     reports = []
     for L in Ls:
         op = truncated_operator(kernel, spec, L)
-        w, U = np.linalg.eigh(op.sym)
+        w, discrete = discrete_pairs(op, pred.bottom, pred.top)
         r = float(w[-1])
-        pair = _make_pair(op, w[-1], U[:, -1])
         try:
             # the dense eigenvector carries +-1e-16 noise in its far tail;
             # the power-iterated one is positive by construction
             r_pow, phi_pow = perron_pair(op, tol=1e-9, max_iter=20000)
-            resid = float(
-                np.linalg.norm(op.apply_M(phi_pow) - r_pow * phi_pow)
-                / np.linalg.norm(phi_pow)
-            )
-            pair = EigenPair(value=r_pow, psi=phi_pow / np.sqrt(op.dvec), phi=phi_pow, residual=resid)
+            resid = np.linalg.norm(op.apply_M(phi_pow) - r_pow * phi_pow) / np.linalg.norm(phi_pow)
+            pair = EigenPair(r_pow, phi_pow / np.sqrt(op.dvec), phi_pow, float(resid))
         except NoConvergence:
-            pass
+            pair = _make_pair(op, w[-1], np.linalg.eigh(op.sym)[1][:, -1])
         below = w[w < r - PERIPHERAL_TOL * max(1.0, r)]
         gap = float(r - below.max()) if below.size else 0.0
         second = _second_abs(w, r)
-        axis_idx = []
-        for t in range(REPORT_FIT_WINDOW[0], min(REPORT_FIT_WINDOW[1], L) + 1):
-            site = (t,) + (0,) * (kernel.dimension - 1)
-            axis_idx.append((t, op.box.index(site)))
-        vals = [(t, abs(pair.phi[i])) for t, i in axis_idx]
-        decay = None
-        if all(v > 1e-300 for _, v in vals) and len(vals) >= 8:
-            decay = decay_rate_estimate(vals)
         reports.append(
             SpectralReport(
                 L=L,
@@ -694,32 +709,27 @@ def spectral_report(
                 gap=gap,
                 abs_gap=float(r - second),
                 second_abs=second,
-                lambda_v=lambda_v,
-                lambda0=lambda0,
                 residual=pair.residual,
                 positivity_min=float(pair.phi.min()),
-                decay=decay,
+                decay=axis_decay(op, pair.phi, REPORT_FIT_WINDOW),
                 bipartite=bipartite_detect(kernel) is not None,
                 eigenvalues=w,
                 phi=pair.phi,
             )
         )
-    last = reports[-1].eigenvalues
     prev = reports[-2].eigenvalues
-    discrete = []
-    for lam in last[last > threshold]:
+    for lam in reversed([p.value for p in discrete]):
         nearest = prev[int(np.argmin(np.abs(prev - lam)))]
         if abs(nearest - lam) > STABILIZE_TOL:
             raise NotStabilized(
-                f"discrete candidate {float(lam)!r} moved by {abs(nearest - lam):.3e} "
+                f"discrete candidate {lam!r} moved by {abs(nearest - lam):.3e} "
                 f"between L={reports[-2].L} and L={reports[-1].L}"
             )
-        discrete.append(float(lam))
     return ReportBundle(
         reports=tuple(reports),
-        lambda_v=lambda_v,
-        lambda0=lambda0,
-        discrete=tuple(discrete),
+        lambda_v=pred.lambda_v,
+        lambda0=pred.lambda0,
+        discrete=tuple(p.value for p in discrete),
     )
 
 

@@ -240,6 +240,36 @@ MALFORMED = {
         {"cfg.json": {**SIMPLE, **DELTA, "L": 10}},
         "'fit_window' [10, 18] must lie in [0, L] = [0, 10]",
     ),
+    "bs with box_radius -3": (
+        "bs",
+        {"cfg.json": {**SIMPLE, **DELTA, "lambda_lo": 1.05, "lambda_hi": 1.35, "box_radius": -3}},
+        "'box_radius' must be at least 1, got -3",
+    ),
+    "decay with box_radius -5": (
+        "decay",
+        {"cfg.json": {**SIMPLE, **DELTA, "box_radius": -5}},
+        "'box_radius' must be at least 1, got -5",
+    ),
+    "decay with a three-site fit_window": (
+        "decay",
+        {"cfg.json": {**SIMPLE, **DELTA, "fit_window": [10, 12]}},
+        "'fit_window' [10, 12] must lie in [0, L] = [0, 80] and span at least 8 sites",
+    ),
+    "gibbs with eigen_tol 0": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "eigen_tol": 0}},
+        "'eigen_tol' must be positive, got 0.0",
+    ),
+    "doob with eigen_tol -1": (
+        "doob",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "eigen_tol": -1, "seed": 1}},
+        "'eigen_tol' must be positive, got -1.0",
+    ),
+    "spectrum with one radius twice": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "L_sequence": [40, 40]}},
+        "'L_sequence' needs at least two box radii that differ, got [40, 40]",
+    ),
     "fk with the misspelled key sample": (
         "fk",
         {"cfg.json": {**SIMPLE, **DELTA, "n": 6, "sample": 500, "seed": 1}},
@@ -295,6 +325,19 @@ def test_potential_type_none_means_free_walk(tmp_path, kind):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["results"]["lambda0"] is None
+
+
+def test_decay_covers_the_discrete_spectrum_below_the_hull(tmp_path):
+    # lazy1d(0.3) is not bipartite: three discrete eigenvalues lie below
+    # lambda_- = -0.4327 and are not the negatives of the three above
+    cfg = _write(tmp_path, "cfg.json", {"kernel": {"preset": "lazy1d", "q": 0.3}, **ANCHORED})
+    out = tmp_path / "out"
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "decay.csv").read_text())))
+    expected = (-0.6734, -0.4418, -0.4329, 1.2334, 1.2842, 2.0433)
+    assert [float(row["eigenvalue"]) for row in rows] == pytest.approx(expected, abs=1e-4)
+    assert all(float(row["decay_rate"]) > 0.0 for row in rows)
+    assert json.loads((out / "summary.json").read_text())["results"]["discrete_count"] == 6
 
 
 def test_unknown_suite_name(tmp_path):

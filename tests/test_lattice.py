@@ -11,6 +11,7 @@ from sparsewalk.errors import (
     BoxTooSmall,
     EmptySupport,
     LazinessOutOfRange,
+    NegativeRadius,
     NegativeStepCount,
     NotIrreducible,
     NotNormalized,
@@ -364,6 +365,13 @@ def test_weyl_residual_2d_exponent():
 def test_weyl_theta_mismatch():
     with pytest.raises(ThetaNotOnSpectrum):
         sw.weyl_sequence_residual(sw.simple1d(), 0.0, 10, lam=0.5)
+
+
+def test_cube_rejects_a_negative_radius():
+    with pytest.raises(NegativeRadius) as info:
+        sw.LatticeBox.cube(-2, 1)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+    assert sw.LatticeBox.cube(0, 2).volume == 1
 
 
 def test_box_indexing_roundtrip():

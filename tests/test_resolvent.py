@@ -8,6 +8,7 @@ from sparsewalk import resolvent
 from sparsewalk.errors import (
     GridTooCoarse,
     LambdaInSpectrum,
+    LazinessOutOfRange,
     NonPositiveValue,
     QuadratureNotConverged,
     SeriesDiverges,
@@ -200,6 +201,27 @@ def test_series_rejects_unit_disc():
         sw.g_lambda_series(sw.simple1d(), 1.0)
     with pytest.raises(SeriesDiverges):
         sw.g_lambda_series(sw.simple1d(), -0.5)
+
+
+def test_phi_closed_form_checks_q():
+    # q = 1 divided by zero; q = 1.5 returned a number (-0.17)
+    for q, lam in ((1.0, 2.0), (1.5, 3.0), (-0.1, 2.0)):
+        for closed in (sw.phi_closed_1d, sw.g_lambda_closed_1d):
+            with pytest.raises(LazinessOutOfRange):
+                closed(q, lam)
+    with pytest.raises(LambdaInSpectrum):
+        sw.phi_closed_1d(0.25, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("lam", [1.25, 3.0, -1.25, -3.0])
+def test_closed_form_green_decays_by_phi(q, lam):
+    phi = sw.phi_closed_1d(q, lam)
+    ratio = phi if lam > 1.0 else 1.0 / phi
+    g = [sw.g_lambda_closed_1d(q, lam, x).value for x in range(6)]
+    for x in range(5):
+        assert g[x + 1] == pytest.approx(ratio * g[x], rel=1e-12)
+    assert sw.g_lambda_closed_1d(q, lam, -3).value == g[3]
 
 
 def test_closed_form_values():

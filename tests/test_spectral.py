@@ -20,6 +20,7 @@ from sparsewalk.errors import (
     PairCountOutOfRange,
     SelfCheckFailed,
     SparseWalkError,
+    ToleranceNotPositive,
     TooFewRadii,
     TruncationTooSmall,
 )
@@ -100,7 +101,12 @@ def test_truncation_too_small_is_named():
 def test_spectral_report_needs_two_radii():
     with pytest.raises(TooFewRadii):
         sw.spectral_report(sw.simple1d(), None, [20])
+    with pytest.raises(TooFewRadii):
+        sw.spectral_report(sw.simple1d(), None, [40, 40])
     assert issubclass(TooFewRadii, ValueError)
+    # a repeated largest radius would compare the last box with itself
+    bundle = sw.spectral_report(sw.simple1d(), sw.single_delta(1, 1.0), [20, 40, 40])
+    assert [rep.L for rep in bundle.reports] == [20, 40]
 
 
 def test_truncation_caps():
@@ -508,6 +514,79 @@ def test_spectral_report_unstable_candidate_prints_a_float():
     spec = sw.make_potential(1, {(30,): 2.0})
     with pytest.raises(NotStabilized, match=r"^discrete candidate 1\.3416407645\d* moved"):
         sw.spectral_report(sw.simple1d(), spec, [20, 40])
+
+
+#: discrete eigenvalues of lazy1d(0.3) under the anchored geometric potential
+#: at L = 80: three below the hull [lambda_-, lambda_+] = [-0.4327, 1.2327], three above
+#: (q = 0.3 is not bipartite, so they are not the negatives of those above)
+LAZY_DISCRETE = (-0.6734, -0.4418, -0.4329, 1.2334, 1.2842, 2.0433)
+
+
+def _anchored_geometric():
+    return sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048, anchor=((0,), 2.0))
+
+
+def test_predictor_hull():
+    spec = _anchored_geometric()
+    for q in (0.0, 0.3):
+        pred = sw.essential_spectrum_predictor(sw.lazy1d(q), spec)
+        assert (pred.bottom, pred.top) == pytest.approx(sw.lambda_pm_1d(q, 1.0), abs=1e-9)
+        assert (pred.bottom, pred.top) == (min(pred.lambda_v), max(pred.lambda_v))
+    for walk in (sw.lazy1d(0.3), sw.simple2d()):
+        for flat in (None, sw.single_delta(walk.dimension, 1.0)):  # no v > 0 declared
+            pred = sw.essential_spectrum_predictor(walk, flat)
+            assert (pred.lambda_v, pred.lambda0) == ((), None)
+            assert (pred.bottom, pred.top) == (walk.lower, 1.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_discrete_pairs_below_and_above_the_hull(q):
+    kernel, spec = sw.lazy1d(q), _anchored_geometric()
+    pred = sw.essential_spectrum_predictor(kernel, spec)
+    op = sw.truncated_operator(kernel, spec, 80)
+    w, pairs = spectral.discrete_pairs(op, pred.bottom, pred.top)
+    assert np.allclose(w, np.linalg.eigvalsh(op.sym), atol=1e-12, rtol=0)
+    values = [pair.value for pair in pairs]
+    margin = spectral.DISCRETE_MARGIN
+    assert values == [float(x) for x in w if x < pred.bottom - margin or x > pred.top + margin]
+    if q == 0.3:
+        assert values == pytest.approx(LAZY_DISCRETE, abs=1e-4)
+    else:  # bipartite: the spectrum is negation-symmetric
+        assert values == pytest.approx([-x for x in reversed(values)], abs=1e-12)
+    for pair in pairs:
+        assert pair.residual <= 1e-12
+        fit = spectral.axis_decay(op, pair.phi, (10, 18))
+        assert fit.rate > 0.0
+        if fit.residual_rms < 1e-2:
+            # between potential sites 9 and 27 phi decays at the free rate
+            free = abs(math.log(abs(sw.phi_closed_1d(q, pair.value))))
+            assert abs(fit.rate - free) <= 5e-3
+
+
+def test_spectral_report_lists_the_discrete_spectrum_below_the_hull():
+    bundle = sw.spectral_report(sw.lazy1d(0.3), _anchored_geometric(), [40, 60, 80])
+    assert bundle.discrete == pytest.approx(LAZY_DISCRETE, abs=1e-4)
+
+
+def test_axis_decay_window():
+    op = sw.truncated_operator(sw.simple1d(), sw.single_delta(1, 1.0), 8)
+    phi = sw.eigensolve_top(op, 1).by_value[0].phi
+    fit = spectral.axis_decay(op, phi, (1, 12))  # clipped to t = 1..8
+    assert fit == sw.decay_rate_estimate([(t, abs(phi[op.box.index((t,))])) for t in range(1, 9)])
+    assert spectral.axis_decay(op, phi, (2, 12)) is None  # seven sites
+    assert spectral.axis_decay(op, np.zeros(op.volume), (1, 8)) is None  # underflow
+    op2 = sw.truncated_operator(sw.simple2d(), None, 10)
+    phi2 = np.exp(-0.5 * np.abs(op2.sites).sum(axis=1))
+    assert spectral.axis_decay(op2, phi2, (1, 10)).rate == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_perron_pair_rejects_a_tolerance_that_is_not_positive(monkeypatch, tol):
+    op = sw.truncated_operator(sw.simple1d(), None, 10)
+    monkeypatch.setattr(spectral.TruncatedOperator, "apply_S", lambda self, f: pytest.fail("iterated"))
+    with pytest.raises(ToleranceNotPositive) as info:
+        sw.perron_pair(op, tol=tol)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 STURM_POTENTIALS = {

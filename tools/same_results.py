@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus ten sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus eleven sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -23,11 +23,14 @@ target that is an eigenvalue, so the search ends on the floor);
 ``gap_projection_test`` on the kernel and potential of the 2d chain case;
 and ``crossings1d``, both level crossings of g_lambda(0) = 1 + 1/v for the
 1d lazy walk at three q and three v, and for a range-3 1d kernel at the
-same v; and ``gibbs2d``, the ``convergence_rate`` deviations of the
+same v; ``gibbs2d``, the ``convergence_rate`` deviations of the
 kernel and potential of the 2d chain case against its chain, the
 ``partition_growth`` values Z_N to N = 80 for that potential, and
 ``convolution_power_at_zero`` of the 2d kernel with diagonal moves for
-n <= 20.  The package
+n <= 20; and ``discrete1d``, the ``discrete_pairs`` values and their
+``axis_decay`` rates and residuals for the lazy 1d walk (q = 0.3) and the
+simple 1d walk under the anchored geometric potential at L = 80, below
+the essential spectrum as well as above.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -44,8 +47,8 @@ change exceeds 1e-14), then lists the artifacts whose digest changed.  A
 path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
-``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d`` or
-``gibbs2d`` section still loads;
+``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
+``gibbs2d`` or ``discrete1d`` section still loads;
 that section is then left out of the comparison.
 """
 
@@ -64,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 import sparsewalk as sw
-from sparsewalk import acceptance, cli
+from sparsewalk import acceptance, cli, spectral
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 CLI_RUNS = (
@@ -139,10 +142,16 @@ RANGE3_1D = {0: 0.1, 1: 0.2, -1: 0.2, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1}
 GIBBS2D_NS = range(10, 61)
 GIBBS2D_N_MAX = 80
 GIBBS2D_RETURN = 20
+#: the 1d discrete case: the anchored geometric potential of the acceptance
+#: battery under DISCRETE1D_KERNELS on Q(0, 80), each pair's axis decay fitted
+#: on the default window of the decay experiment
+DISCRETE1D_KERNELS = {"lazy1d(0.3)": lambda: sw.lazy1d(0.3), "simple1d": sw.simple1d}
+DISCRETE1D_L = 80
+DISCRETE1D_WINDOW = (10, 18)
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d", "gibbs2d",
+    "crossings1d", "gibbs2d", "discrete1d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -182,6 +191,7 @@ def fingerprint() -> dict:
         "gap2d": gap2d(),
         "crossings1d": crossings1d(),
         "gibbs2d": gibbs2d(),
+        "discrete1d": discrete1d(),
     }
 
 
@@ -260,6 +270,21 @@ def gibbs2d() -> dict:
             [sw.convolution_power_at_zero(diagonal, n) for n in range(GIBBS2D_RETURN + 1)]
         ),
     }
+
+
+def discrete1d() -> dict:
+    """Reprs of the discrete pairs of the 1d discrete case and their axis decay."""
+    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048, anchor=((0,), 2.0))
+    out = {}
+    for name, make in DISCRETE1D_KERNELS.items():
+        kernel = make()
+        pred = sw.essential_spectrum_predictor(kernel, spec)
+        op = sw.truncated_operator(kernel, spec, DISCRETE1D_L)
+        for i, pair in enumerate(spectral.discrete_pairs(op, pred.bottom, pred.top)[1]):
+            fit = spectral.axis_decay(op, pair.phi, DISCRETE1D_WINDOW)
+            out[f"{name} {i} value"] = repr(pair.value)
+            out[f"{name} {i} decay"] = repr((fit.rate, fit.residual_rms))
+    return out
 
 
 def green_nd() -> dict:
