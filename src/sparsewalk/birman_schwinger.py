@@ -34,13 +34,23 @@ from .errors import (
     Epsilon0Zero,
     LambdaInSpectrum,
     NoSignChange,
+    TailRadiusTooLarge,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, _dense_P, _sup_norm
-from .potential import PotentialSpec
+from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _neighbour_table, _sup_norm
+from .potential import PotentialSpec, _one_plus_v
 from .resolvent import decay_rate_estimate, g_lambda_quadrature, green_table
 
 #: minimum distance from the unperturbed spectrum for assembly
 ASSEMBLY_MARGIN = 0.02
+
+#: distance of the compressed spectrum to 1 below which bs_eigenvalue_test
+#: reports a hit, and resolvent_via_bs refuses to solve
+BS_HIT_TOL = 1e-6
+BS_SOLVE_TOL = 1e-8
+
+#: grid of bs_crossing_scan's assemblies; most sites grow_exclusion_set excludes
+BS_SCAN_PTS = 512
+MAX_EXCLUDED = 64
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,6 @@ class BSAssembly:
     support_values: tuple
     kernel: WalkKernel
     box: LatticeBox
-
-
-def _support_in_box(spec: PotentialSpec, box: LatticeBox):
-    out = [
-        (s, h)
-        for s, h in zip(spec.sites, spec.heights)
-        if all(abs(c - cc) <= box.radius for c, cc in zip(s, box.center))
-    ]
-    return sorted(out, key=lambda sh: (_sup_norm(sh[0]), sh[0]))
 
 
 def _guard_margin(kernel: WalkKernel, lam: float) -> None:
@@ -111,7 +112,7 @@ def assemble_bs(
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
     _guard_margin(kernel, lam)
-    supp = _support_in_box(spec, box)
+    supp = spec.support(box)
     if not supp:
         raise EmptySupport("potential has no support inside the box")
     sites = [s for s, _ in supp]
@@ -136,15 +137,15 @@ def assemble_bs(
     )
 
 
-def bs_eigenvalue_test(asm: BSAssembly, tol: float = 1e-6) -> tuple[bool, float]:
+def bs_eigenvalue_test(asm: BSAssembly) -> tuple[bool, float]:
     """Distance of the spectrum of the compressed matrix to 1.
 
-    A distance below tol certifies (up to truncation error) that lam is in
+    A distance below BS_HIT_TOL certifies (up to truncation error) that lam is in
     the perturbed spectrum; far from 1 certifies it is not.
     """
     mu = np.linalg.eigvalsh(asm.matrix)
     distance = float(np.min(np.abs(mu - 1.0)))
-    return distance < tol, distance
+    return distance < BS_HIT_TOL, distance
 
 
 def bs_crossing_scan(
@@ -154,7 +155,6 @@ def bs_crossing_scan(
     hi: float,
     box: LatticeBox | int,
     xtol: float = 1e-9,
-    pts_per_axis: int = 512,
 ) -> float:
     """Locate lambda where the top compressed eigenvalue crosses 1.
 
@@ -165,7 +165,7 @@ def bs_crossing_scan(
     """
 
     def top_minus_one(lam: float) -> float:
-        asm = assemble_bs(kernel, spec, lam, box, pts_per_axis)
+        asm = assemble_bs(kernel, spec, lam, box, BS_SCAN_PTS)
         return float(np.linalg.eigvalsh(asm.matrix)[-1] - 1.0)
 
     f_lo, f_hi = top_minus_one(lo), top_minus_one(hi)
@@ -185,7 +185,6 @@ def resolvent_via_bs(
     spec: PotentialSpec,
     lam: float,
     box: LatticeBox | int,
-    tol: float = 1e-8,
     pts_per_axis: int = 512,
 ) -> tuple[np.ndarray, float]:
     """Resolvent of the perturbed operator from unperturbed Green data.
@@ -202,18 +201,17 @@ def resolvent_via_bs(
     _guard_margin(kernel, lam)
     sites = box.sites()
     vol = box.volume
-    L = box.radius
     G, _ = _pair_green(kernel, lam, sites, pts_per_axis)
-    P0 = _dense_P(kernel, sites - box.center, L)
+    P0 = _band_dense(*_neighbour_table(kernel, box))
 
-    supp = _support_in_box(spec, box)
+    supp = spec.support(box)
     if supp:
-        sidx = np.array([box.index(s) for s, _ in supp])
+        sidx = box.flat(np.array([s for s, _ in supp]))
         sq = np.sqrt(np.array([h for _, h in supp]))
         B = sq[:, None] * (lam * G[np.ix_(sidx, sidx)] - np.eye(len(sidx))) * sq[None, :]
         mu = np.linalg.eigvalsh(B)
-        if np.min(np.abs(mu - 1.0)) < tol:
-            raise BSNotInvertible(f"1 within {tol} of the compressed spectrum at lambda={lam!r}")
+        if np.min(np.abs(mu - 1.0)) < BS_SOLVE_TOL:
+            raise BSNotInvertible(f"1 within {BS_SOLVE_TOL} of the compressed spectrum at {lam!r}")
         # P G restricted to support rows
         op_rows = P0[sidx] @ G
         mid = np.linalg.solve(np.eye(len(sidx)) - B, sq[:, None] * op_rows)
@@ -221,10 +219,9 @@ def resolvent_via_bs(
     else:
         R = G
 
-    dvec = 1.0 + spec.values_on(sites)
-    M = dvec[:, None] * P0
+    M = _one_plus_v(spec, box)[:, None] * P0
     ident = (lam * np.eye(vol) - M) @ R
-    interior = np.max(np.abs(sites - box.center), axis=1) <= L // 2
+    interior = np.max(np.abs(sites - box.center), axis=1) <= box.radius // 2
     resid = ident - np.eye(vol)
     residual = float(np.max(np.abs(resid[:, interior])))
     return R, residual
@@ -239,7 +236,7 @@ def off_diag_tail_norm(asm: BSAssembly, N: int) -> float:
     the dense control.
     """
     if N >= asm.box.radius:
-        raise ValueError("N must stay below the box radius")
+        raise TailRadiusTooLarge(f"N = {N} must stay below the box radius {asm.box.radius}")
     sites = asm.support_sites
     sq = np.sqrt(np.array(asm.support_values))
     absH = sq[:, None] * np.abs(asm.green) * sq[None, :]
@@ -309,7 +306,7 @@ def neumann_invertibility(
         raise AlphaTooLarge(f"alpha={alpha} not below fitted Green rate {fit.rate:.4f}")
 
     gamma = lam * table[origin] - 1.0
-    supp = [(s, h) for s, h in _support_in_box(spec, box) if s not in excluded]
+    supp = [(s, h) for s, h in spec.support(box) if s not in excluded]
     eps0 = 1.0  # V_K = 0 sites always contribute |1 - 0|
     for _, h in supp:
         eps0 = min(eps0, abs(1.0 - gamma * h))
@@ -358,7 +355,6 @@ def grow_exclusion_set(
     lam: float,
     alpha: float,
     box: LatticeBox | int,
-    max_sites: int = 64,
 ) -> NeumannCertificate:
     """Greedy K growth: repeatedly exclude the site worst for epsilon0.
 
@@ -373,7 +369,7 @@ def grow_exclusion_set(
     )
     K: list = []
     last_err: Exception | None = None
-    for size in range(0, min(max_sites, len(ranked)) + 1):
+    for size in range(0, min(MAX_EXCLUDED, len(ranked)) + 1):
         K = [s for s, _ in ranked[:size]]
         try:
             cert = neumann_invertibility(kernel, spec, K, lam, alpha, box)
@@ -384,4 +380,4 @@ def grow_exclusion_set(
             return cert
     if last_err is not None:
         raise last_err
-    raise Epsilon0Zero(f"no valid certificate with up to {max_sites} excluded sites")
+    raise Epsilon0Zero(f"no valid certificate with up to {MAX_EXCLUDED} excluded sites")

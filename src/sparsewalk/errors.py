@@ -54,6 +54,17 @@ class ShapeMismatch(SparseWalkError, ValueError):
     """
 
 
+class DimensionMismatch(SparseWalkError, ValueError):
+    """A site or a frequency whose length is not the lattice dimension.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class WaveRadiusTooSmall(SparseWalkError, ValueError):
+    """Plane-wave residual asked for a cube of half-width n < 1 (also a ValueError)."""
+
+
 class LazinessOutOfRange(SparseWalkError, ValueError):
     """Holding probability q of the 1d lazy walk outside [0, 1).
 
@@ -138,6 +149,13 @@ class NoSignChange(SparseWalkError, ValueError):
 
     Also a ValueError, so callers that caught the former bare ValueError
     still catch it.
+    """
+
+
+class TailRadiusTooLarge(SparseWalkError, ValueError):
+    """Off-diagonal tail bound asked for a radius N not below the box radius.
+
+    Also a ValueError, like NoSignChange.
     """
 
 

@@ -47,8 +47,8 @@ from .errors import (
     StartOutsideBox,
     TooFewSamples,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, _powers
-from .potential import PotentialSpec
+from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _powers
+from .potential import PotentialSpec, _one_plus_v
 from .spectral import truncated_operator
 
 #: fixed Monte Carlo chunk so sample i always uses stream (seed, i // CHUNK)
@@ -97,10 +97,7 @@ class ChainKernel:
     @property
     def rows(self) -> np.ndarray:
         """Dense (volume, volume) transition matrix, built from the band."""
-        i, k = np.nonzero(self.probs)
-        dense = np.zeros((len(self.sites), len(self.sites)))
-        dense[i, self.cols[i, k]] = self.probs[i, k]
-        return dense
+        return _band_dense(self.cols, self.probs)
 
 
 def doob_kernel(
@@ -122,7 +119,7 @@ def doob_kernel(
         raise ShapeMismatch(f"phi shape {phi.shape} does not match box volume {op.volume}")
     if phi.min() <= 0.0:
         raise NonPositivePhi(f"min phi = {phi.min()!r}; Doob transform needs phi > 0")
-    resid = float(np.linalg.norm(op.apply_M(phi) - r * phi) / np.linalg.norm(phi))
+    resid = op.residual(r, phi)
     if resid > 1e-8:
         raise EigenResidualTooLarge(f"eigen residual {resid:.3e} exceeds 1e-8")
     probs = (op.dvec[:, None] * op.probs * phi[op.cols]) / (r * phi[:, None])
@@ -175,10 +172,7 @@ def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
 
 def occupation_distribution(chain: ChainKernel, path_sites: np.ndarray) -> np.ndarray:
     """Empirical occupation over box indices from a simulated path."""
-    side = chain.box.side
-    weights = side ** np.arange(chain.box.dim - 1, -1, -1)
-    idx = (path_sites + chain.box.radius) @ weights
-    counts = np.bincount(idx, minlength=chain.box.volume)
+    counts = np.bincount(chain.box.flat(path_sites), minlength=chain.box.volume)
     return counts / counts.sum()
 
 
@@ -203,9 +197,7 @@ def fk_semigroup(
 
 
 def _dvec_on(spec: PotentialSpec | None, box: LatticeBox) -> np.ndarray:
-    if spec is None:
-        return np.ones(box.shape)
-    return (1.0 + spec.values_on(box.sites())).reshape(box.shape)
+    return _one_plus_v(spec, box).reshape(box.shape)
 
 
 def fk_monte_carlo(
@@ -237,9 +229,8 @@ def fk_monte_carlo(
     vbox = LatticeBox.cube(max(reach, 1), d)
     vgrid = _dvec_on(spec, vbox).ravel()
     # flat vbox indices are linear in the site, so a walk is a cumsum of flat steps
-    weights_axis = vbox.side ** np.arange(d - 1, -1, -1)
-    flat_steps = offsets @ weights_axis
-    flat0 = (np.asarray(x0) + vbox.radius) @ weights_axis
+    flat_steps = vbox.flat(offsets) - vbox.origin_index()
+    flat0 = vbox.flat(x0)
 
     total = 0.0
     total_sq = 0.0
@@ -327,10 +318,9 @@ def _prefix_law(kernel: WalkKernel, dvec, box: LatticeBox, k: int, back, partiti
     return law
 
 
-def chain_prefix_law(chain: ChainKernel, k: int, x0=None) -> dict[tuple, float]:
-    """Exact law of the first k chain steps started at x0 (default origin)."""
-    x0 = (0,) * chain.box.dim if x0 is None else _as_offset(x0, chain.box.dim)
-    start = chain.index(x0)
+def chain_prefix_law(chain: ChainKernel, k: int) -> dict[tuple, float]:
+    """Exact law of the first k chain steps started at the origin."""
+    start = chain.index((0,) * chain.box.dim)
     law: dict[tuple, float] = {}
 
     def extend(prefix, idx, prob):
@@ -416,10 +406,8 @@ class PartitionGrowth:
         return self.ratio_estimates[-1]
 
 
-def partition_growth(
-    kernel: WalkKernel, spec: PotentialSpec | None, N_max: int, x0=None
-) -> PartitionGrowth:
-    """Z_N for N = 1 .. N_max with two growth-rate readouts.
+def partition_growth(kernel: WalkKernel, spec: PotentialSpec | None, N_max: int) -> PartitionGrowth:
+    """Z_N = (M^N 1)(0) for N = 1 .. N_max with two growth-rate readouts.
 
     roots[N-1] = Z_N^(1/N) converges to the top of the spectrum but only at
     speed log(Z_N / r^N) / N, i.e. O(1/N).  ratio_estimates[N-1] =
@@ -429,11 +417,8 @@ def partition_growth(
     """
     if N_max < 3:
         raise HorizonTooShort(f"N_max must be >= 3, got {N_max}")
-    d = kernel.dimension
-    x0 = (0,) * d if x0 is None else _as_offset(x0, d)
-    radius = N_max * kernel.reach + max((abs(c) for c in x0), default=0) + 1
-    box = LatticeBox.cube(radius, d)
-    idx = tuple(c + box.radius for c in x0)
+    box = LatticeBox.cube(N_max * kernel.reach + 1, kernel.dimension)
+    idx = (box.radius,) * kernel.dimension
     steps = _powers(kernel, _dvec_on(spec, box), np.ones(box.shape), N_max, box)
     zs = [float(cur[idx]) for cur in steps][1:]
     roots = [z ** (1.0 / (i + 1)) for i, z in enumerate(zs)]

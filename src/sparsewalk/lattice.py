@@ -14,7 +14,9 @@ boxes and the one stepper of its weighted powers M^m f, M = (1 + V) P
 diagnostics used to witness essential spectrum.  p-hat on a tensor grid
 comes from one evaluator, ``_char_grid``, and along the fibres of a
 range-1 axis from one other, ``_fibre_parts``; min p-hat is computed once,
-in ``validate_kernel``, and kept as ``WalkKernel.lower``.
+in ``validate_kernel``, and kept as ``WalkKernel.lower``.  A box owns its
+row-major site index, ``LatticeBox.flat``; the band of P on a box comes
+from ``_neighbour_table`` and its dense form from ``_band_dense``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BoxTooSmall,
+    DimensionMismatch,
     EmptySupport,
     LazinessOutOfRange,
     NegativeRadius,
@@ -38,6 +41,7 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
     ThetaNotOnSpectrum,
+    WaveRadiusTooSmall,
 )
 
 Offset = tuple[int, ...]
@@ -53,7 +57,7 @@ def _as_offset(key, dim: int | None) -> Offset:
     else:
         off = tuple(int(c) for c in key)
     if dim is not None and len(off) != dim:
-        raise ValueError(f"site {off} has dimension {len(off)}, expected {dim}")
+        raise DimensionMismatch(f"site {off} has dimension {len(off)}, expected {dim}")
     return off
 
 
@@ -99,14 +103,16 @@ class LatticeBox:
         site = _as_offset(site, self.dim)
         return all(abs(s - c) <= self.radius for s, c in zip(site, self.center))
 
+    def flat(self, sites) -> np.ndarray:
+        """Row-major index of every site of an (..., d) int array; no bounds check."""
+        corner = np.asarray(self.center) - self.radius
+        return (np.asarray(sites) - corner) @ (self.side ** np.arange(self.dim - 1, -1, -1))
+
     def index(self, site) -> int:
         site = _as_offset(site, self.dim)
         if not self.contains(site):
             raise IndexError(f"site {site} outside {self}")
-        idx = 0
-        for s, c in zip(site, self.center):
-            idx = idx * self.side + (s - c + self.radius)
-        return idx
+        return int(self.flat(site))
 
     def origin_index(self) -> int:
         return self.index(self.center)
@@ -312,7 +318,7 @@ def char_function(kernel: WalkKernel, theta) -> float | np.ndarray:
     if kernel.dimension == 1:
         th = th[..., None]  # every entry is a scalar frequency
     if th.shape[-1] != kernel.dimension:
-        raise ValueError(f"theta last axis {th.shape} != dimension {kernel.dimension}")
+        raise DimensionMismatch(f"theta last axis {th.shape} != dimension {kernel.dimension}")
     vals = _char_eval(kernel.offset_array(), kernel.prob_array(), th.reshape(-1, kernel.dimension))
     out = vals.reshape(th.shape[:-1])
     return float(out) if out.ndim == 0 else out
@@ -432,31 +438,27 @@ def _powers(kernel: WalkKernel, dvec: np.ndarray, f: np.ndarray, n: int, box: La
         yield f
 
 
-def _neighbour_table(
-    kernel: WalkKernel, sites: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band of P on the sites of Q(0, radius): one column per kernel offset.
+def _neighbour_table(kernel: WalkKernel, box: LatticeBox) -> tuple[np.ndarray, np.ndarray]:
+    """Band of P on the sites of a box: one column per kernel offset.
 
-    Returns (cols, probs), both (len(sites), |offsets|): cols[i, k] is the
-    box index of sites[i] + offsets[k] and probs[i, k] its P value.  A
+    Returns (cols, probs), both (volume, |offsets|): cols[i, k] is the box
+    index of the i-th site plus offsets[k] and probs[i, k] its P value.  A
     neighbour outside the box gets index 0 and weight 0.  The offsets are
     sorted, so the in-box columns of every row increase with k.
     """
-    weights = (2 * radius + 1) ** np.arange(kernel.dimension - 1, -1, -1)
-    shifted = sites[:, None, :] + kernel.offset_array()[None, :, :]
-    inside = np.all(np.abs(shifted) <= radius, axis=2)
-    cols = np.where(inside, (shifted + radius) @ weights, 0)
+    shifted = box.sites()[:, None, :] + kernel.offset_array()[None, :, :]
+    inside = np.all(np.abs(shifted - box.center) <= box.radius, axis=2)
+    cols = np.where(inside, box.flat(shifted), 0)
     probs = np.where(inside, kernel.prob_array()[None, :], 0.0)
     return cols, probs
 
 
-def _dense_P(kernel: WalkKernel, sites: np.ndarray, radius: int) -> np.ndarray:
-    """Dense matrix of P on the sites of Q(0, radius), zero outside the box."""
-    cols, probs = _neighbour_table(kernel, sites, radius)
+def _band_dense(cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Dense square matrix of a band: probs[i, k] at (i, cols[i, k]), zero elsewhere."""
     rows, ks = np.nonzero(probs)
-    P0 = np.zeros((len(sites), len(sites)))
-    P0[rows, cols[rows, ks]] = probs[rows, ks]
-    return P0
+    out = np.zeros((len(cols), len(cols)))
+    out[rows, cols[rows, ks]] = probs[rows, ks]
+    return out
 
 
 def convolution_power_at_zero(kernel: WalkKernel, n: int) -> float:
@@ -482,7 +484,7 @@ def weyl_sequence_residual(
     normalization, in every dimension.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise WaveRadiusTooSmall(f"n must be >= 1, got {n}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     phat = float(_char_eval(kernel.offset_array(), kernel.prob_array(), th[None, :])[0])
     if lam is None:

@@ -9,6 +9,9 @@ declared rather than inferred because they are a tail property invisible to
 any finite box; the counting witness below checks declaration consistency.
 
 All distances are sup-norm, matching the cube geometry used throughout.
+The support inside a box comes from ``PotentialSpec.support``, and 1 + V on
+the sites of a box from one builder, ``_one_plus_v``, which every
+truncation, transfer sweep and resolvent reads.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox, SelfCheckFailed
-from .lattice import Offset, _as_offset, _sup_norm
+from .lattice import LatticeBox, Offset, _as_offset, _sup_norm
 
 #: default working-box radius per dimension (keeps dense matrices tractable)
 DEFAULT_BOX_RADIUS = {1: 2048, 2: 64, 3: 16}
@@ -58,18 +61,24 @@ class PotentialSpec:
     def value(self, site) -> float:
         return self._lookup.get(_as_offset(site, self.dimension), 0.0)
 
-    def values_on(self, sites: np.ndarray) -> np.ndarray:
-        """Vector of potential values at an (n, d) site array."""
-        return np.array([self._lookup.get(tuple(int(c) for c in s), 0.0) for s in sites])
-
-    def support(self, radius: int | None = None):
-        """Support sites (optionally restricted to |x| <= radius), sorted."""
+    def support(self, box: LatticeBox) -> list[tuple[Offset, float]]:
+        """(site, height) of the support inside a box, sorted by (|x|, x)."""
         out = [
             (s, h)
             for s, h in zip(self.sites, self.heights)
-            if radius is None or _sup_norm(s) <= radius
+            if all(abs(c - cc) <= box.radius for c, cc in zip(s, box.center))
         ]
         return sorted(out, key=lambda sh: (_sup_norm(sh[0]), sh[0]))
+
+
+def _one_plus_v(spec: PotentialSpec | None, box: LatticeBox) -> np.ndarray:
+    """1 + V on the sites of a box in row-major order; all ones for no potential."""
+    out = np.ones(box.volume)
+    supp = spec.support(box) if spec is not None else ()
+    if supp:
+        sites, heights = zip(*supp)
+        out[box.flat(np.array(sites))] = 1.0 + np.array(heights)
+    return out
 
 
 def make_potential(
@@ -111,14 +120,13 @@ def make_potential(
     )
 
 
-def zero_potential(dimension: int, box_radius: int | None = None) -> PotentialSpec:
-    return make_potential(dimension, {}, box_radius=box_radius, generator="zero")
+def zero_potential(dimension: int) -> PotentialSpec:
+    return make_potential(dimension, {}, generator="zero")
 
 
-def single_delta(dimension: int, v: float, site=None, box_radius: int | None = None) -> PotentialSpec:
-    """Point potential v at a single site (compact perturbation, v0 = 0)."""
-    site = (0,) * dimension if site is None else _as_offset(site, dimension)
-    return make_potential(dimension, {site: v}, box_radius=box_radius, generator="delta")
+def single_delta(dimension: int, v: float, box_radius: int | None = None) -> PotentialSpec:
+    """Point potential v at the origin (compact perturbation, v0 = 0)."""
+    return make_potential(dimension, {(0,) * dimension: v}, box_radius=box_radius, generator="delta")
 
 
 def dense_level(dimension: int, v: float, box_radius: int) -> PotentialSpec:
@@ -227,7 +235,7 @@ def sparseness_profile(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     box_radius = spec.box_radius if box_radius is None else int(box_radius)
-    supp = [(s, h) for s, h in spec.support(box_radius)]
+    supp = spec.support(LatticeBox.cube(box_radius, spec.dimension))
     samples = []
     if supp:
         pts = np.array([s for s, _ in supp], dtype=float)

@@ -375,6 +375,9 @@ _PTS_LADDER = {1: (512, 2048, 8192, 32768), 2: (128, 512), 3: (32, 64)}
 #: single-level grids for the bisection steps of the level crossings
 _PTS_BISECT = {1: 32768, 2: 2048, 3: 128}
 
+#: g_level_crossings bisects each root to an interval below CROSSING_XTOL
+CROSSING_XTOL = 1e-12
+
 
 def _g0_on_grid(kernel: WalkKernel, lam: float, pts_per_axis: int) -> float:
     """lam * mean ``_inverse`` at one grid level; no convergence certificate."""
@@ -425,7 +428,7 @@ def _bisect(excess, inner: float, outer: float, xtol: float) -> float:
     return 0.5 * (inner + outer)
 
 
-def g_level_crossings(kernel: WalkKernel, target: float, xtol: float = 1e-12) -> LevelCrossings:
+def g_level_crossings(kernel: WalkKernel, target: float) -> LevelCrossings:
     """Solve g_lambda(0) = target (> 1) on both resolvent components.
 
     Above the spectrum g is strictly decreasing from g(1+) to 1, so a
@@ -461,7 +464,7 @@ def g_level_crossings(kernel: WalkKernel, target: float, xtol: float = 1e-12) ->
         hi = lo
         while excess(hi) > 0.0:
             hi = 1.0 + 2.0 * (hi - 1.0)
-        above = _bisect(excess, lo, hi, xtol)
+        above = _bisect(excess, lo, hi, CROSSING_XTOL)
         _verify_root(kernel, above, target)
 
     below: tuple[float, ...] = ()
@@ -471,7 +474,7 @@ def g_level_crossings(kernel: WalkKernel, target: float, xtol: float = 1e-12) ->
         floor = -((v + 1.0) * abs(ell) + 1.0)
         edge = ell - 1e-7
         if excess(edge) > 0.0:
-            root = _bisect(excess, edge, floor, xtol)
+            root = _bisect(excess, edge, floor, CROSSING_XTOL)
             _verify_root(kernel, root, target)
             below = (root,)
     return LevelCrossings(target=target, above=above, below=below)

@@ -57,8 +57,8 @@ from .errors import (
     TooFewRadii,
     TruncationTooSmall,
 )
-from .lattice import LatticeBox, WalkKernel, _char_lower, _dense_P, _neighbour_table
-from .potential import PotentialSpec, sparseness_profile
+from .lattice import LatticeBox, WalkKernel, _band_dense, _char_lower, _neighbour_table
+from .potential import PotentialSpec, _one_plus_v, sparseness_profile
 from .resolvent import MIN_FIT_POINTS, DecayFit, decay_rate_estimate, g_level_crossings
 
 #: largest truncation (rows) whose dense M or S may be built
@@ -128,7 +128,8 @@ class TruncatedOperator:
     """Dirichlet truncation of the perturbed operator to a cube.
 
     ``cols`` and ``probs`` are the (volume, |offsets|) band of P from
-    ``lattice._neighbour_table``; ``dvec`` is 1 + V on ``sites``.
+    ``lattice._neighbour_table``; ``dvec`` is 1 + V on ``sites``, from
+    ``potential._one_plus_v``.
     """
 
     kernel: WalkKernel
@@ -168,7 +169,11 @@ class TruncatedOperator:
     def _capped_P(self) -> np.ndarray:
         if self.volume > DENSE_CAP:
             raise BoxTooLarge(f"volume {self.volume} exceeds dense cap {DENSE_CAP}")
-        return _dense_P(self.kernel, self.sites, self.box.radius)
+        return _band_dense(self.cols, self.probs)
+
+    def residual(self, value: float, phi: np.ndarray) -> float:
+        """Relative eigen residual ||M phi - value phi|| / ||phi|| over the band."""
+        return float(np.linalg.norm(self.apply_M(phi) - value * phi) / np.linalg.norm(phi))
 
     def v_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * g / self.dvec))
@@ -187,18 +192,13 @@ def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -
     if L < 4 * kernel.reach:
         raise TruncationTooSmall(f"L={L} must be at least 4x kernel range {kernel.reach}")
     box = LatticeBox.cube(L, kernel.dimension)
-    sites = box.sites()
-    cols, probs = _neighbour_table(kernel, sites, L)
-    if spec is None:
-        dvec = np.ones(box.volume)
-    else:
-        dvec = 1.0 + spec.values_on(sites)
+    cols, probs = _neighbour_table(kernel, box)
     return TruncatedOperator(
         kernel=kernel,
         spec=spec,
         box=box,
-        dvec=_read_only(dvec),
-        sites=_read_only(sites),
+        dvec=_read_only(_one_plus_v(spec, box)),
+        sites=_read_only(box.sites()),
         cols=_read_only(cols),
         probs=_read_only(probs),
     )
@@ -225,8 +225,7 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
     sgn = np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0
     psi = sgn * psi
     phi = sgn * phi
-    resid = float(np.linalg.norm(op.apply_M(phi) - value * phi) / np.linalg.norm(phi))
-    return EigenPair(value=float(value), psi=psi, phi=phi, residual=resid)
+    return EigenPair(value=float(value), psi=psi, phi=phi, residual=op.residual(value, phi))
 
 
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
@@ -475,19 +474,24 @@ def axis_decay(op: TruncatedOperator, phi: np.ndarray, window) -> DecayFit | Non
 
 # -- absolute-gap certificates -------------------------------------------------
 
+def _axis_sets(d: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset I of the d axes, by size, then in lexicographic order."""
+    return [axes for size in range(1, d + 1) for axes in itertools.combinations(range(d), size)]
+
+
+def _even(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Whether sum_{a in I} x_a is even, for every point x of an (..., d) array."""
+    return points[..., list(axes)].sum(axis=-1) % 2 == 0
+
+
 @dataclass(frozen=True)
 class BipartiteSign:
     """Site sign J = +-1 built from an even-coordinate-sum rule."""
 
     axes: tuple[int, ...]
 
-    def sign(self, site) -> int:
-        total = sum(int(site[a]) for a in self.axes)
-        return 1 if total % 2 == 0 else -1
-
     def sign_on(self, sites: np.ndarray) -> np.ndarray:
-        total = sites[:, list(self.axes)].sum(axis=1)
-        return np.where(total % 2 == 0, 1.0, -1.0)
+        return np.where(_even(sites, self.axes), 1.0, -1.0)
 
 
 def bipartite_detect(kernel: WalkKernel) -> BipartiteSign | None:
@@ -495,22 +499,20 @@ def bipartite_detect(kernel: WalkKernel) -> BipartiteSign | None:
 
     For each nonempty axis subset I the candidate even set is
     A = {x : sum_{a in I} x_a even}; the kernel is bipartite for that I
-    exactly when p vanishes on A.  The returned sign is re-verified on a
-    sample box: transitions never connect sites of equal sign.
+    exactly when p vanishes on A.  The returned sign is re-verified on the
+    sites of Q(0, BIPARTITE_VERIFY_RADIUS): transitions never connect sites
+    of equal sign.
     """
-    d = kernel.dimension
-    for size in range(1, d + 1):
-        for axes in itertools.combinations(range(d), size):
-            if any(sum(off[a] for a in axes) % 2 == 0 for off in kernel.offsets):
-                continue  # some support offset lies in A
-            cand = BipartiteSign(axes=axes)
-            radius = BIPARTITE_VERIFY_RADIUS
-            for base in itertools.product(range(-radius, radius + 1), repeat=d):
-                for off in kernel.offsets:
-                    other = tuple(b + o for b, o in zip(base, off))
-                    if cand.sign(base) * cand.sign(other) == 1:
-                        raise SelfCheckFailed(f"bipartite sign on axes {axes} failed verification")
-            return cand
+    offs = kernel.offset_array()
+    for axes in _axis_sets(kernel.dimension):
+        if _even(offs, axes).any():
+            continue  # some support offset lies in A
+        cand = BipartiteSign(axes=axes)
+        base = LatticeBox.cube(BIPARTITE_VERIFY_RADIUS, kernel.dimension).sites()
+        joined = cand.sign_on(base)[:, None] * cand.sign_on(base[:, None, :] + offs[None, :, :])
+        if (joined == 1.0).any():
+            raise SelfCheckFailed(f"bipartite sign on axes {axes} failed verification")
+        return cand
     return None
 
 
@@ -528,16 +530,13 @@ def diag_dominance_check(kernel: WalkKernel) -> DiagDominance:
     perturbed operator under every nonnegative bounded potential, which is
     the non-bipartite route to the absolute spectral gap.
     """
-    d = kernel.dimension
+    offs = kernel.offset_array()
     per: dict[tuple[int, ...], float] = {}
-    for size in range(1, d + 1):
-        for axes in itertools.combinations(range(d), size):
-            mass = sum(
-                p
-                for off, p in zip(kernel.offsets, kernel.probs)
-                if any(off) and sum(off[a] for a in axes) % 2 == 0
-            )
-            per[axes] = kernel.p0 - mass
+    for axes in _axis_sets(kernel.dimension):
+        # a Python sum in offset order: np.sum may pair the terms differently
+        # and move the last bits of the margin
+        rest = _even(offs, axes) & offs.any(axis=1)
+        per[axes] = kernel.p0 - sum(p for p, keep in zip(kernel.probs, rest) if keep)
     best = max(per.values())
     return DiagDominance(holds=best > 0.0, margin=best, per_axes=per)
 
@@ -560,14 +559,12 @@ def edge_inequality_check(kernel: WalkKernel, spec: PotentialSpec | None, L: int
     op = truncated_operator(kernel, spec, L)
     w = np.linalg.eigvalsh(op.sym)
     r, ell = float(w[-1]), float(w[0])
-    d = kernel.dimension
     offs, ps = kernel.offset_array(), kernel.prob_array()
     per: dict[tuple[int, ...], float] = {}
-    for size in range(1, d + 1):
-        for axes in itertools.combinations(range(d), size):
-            even = offs[:, list(axes)].sum(axis=1) % 2 == 0
-            ell_a = _char_lower(offs[even], ps[even], 512) if even.any() else 0.0
-            per[axes] = ell - (-r + 2.0 * ell_a)
+    for axes in _axis_sets(kernel.dimension):
+        even = _even(offs, axes)
+        ell_a = _char_lower(offs[even], ps[even], 512) if even.any() else 0.0
+        per[axes] = ell - (-r + 2.0 * ell_a)
     return EdgeCheck(slack=min(per.values()), per_axes=per, r=r, ell=ell)
 
 
@@ -694,8 +691,7 @@ def spectral_report(
             # the dense eigenvector carries +-1e-16 noise in its far tail;
             # the power-iterated one is positive by construction
             r_pow, phi_pow = perron_pair(op, tol=1e-9, max_iter=20000)
-            resid = np.linalg.norm(op.apply_M(phi_pow) - r_pow * phi_pow) / np.linalg.norm(phi_pow)
-            pair = EigenPair(r_pow, phi_pow / np.sqrt(op.dvec), phi_pow, float(resid))
+            pair = EigenPair(r_pow, phi_pow / np.sqrt(op.dvec), phi_pow, op.residual(r_pow, phi_pow))
         except NoConvergence:
             pair = _make_pair(op, w[-1], np.linalg.eigh(op.sym)[1][:, -1])
         below = w[w < r - PERIPHERAL_TOL * max(1.0, r)]

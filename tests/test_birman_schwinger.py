@@ -13,6 +13,8 @@ from sparsewalk.errors import (
     Epsilon0Zero,
     LambdaInSpectrum,
     NoSignChange,
+    SparseWalkError,
+    TailRadiusTooLarge,
 )
 from sparsewalk.lattice import _sup_norm
 
@@ -45,12 +47,12 @@ def test_eigenvalue_condition_at_lambda_plus():
     lam_plus = sw.lambda_pm_1d(0.0, 1.0)[1]
     asm = sw.assemble_bs(k, spec, lam_plus, box=40)
     assert asm.matrix[0, 0] == pytest.approx(1.0, abs=1e-9)
-    hit, dist = sw.bs_eigenvalue_test(asm, tol=1e-6)
+    hit, dist = sw.bs_eigenvalue_test(asm)
     assert hit and dist < 1e-9
     asm_off = sw.assemble_bs(k, spec, 1.5, box=40)
     # oracle: g_1.5(0) = 1.5/sqrt(1.25), matrix = [g - 1], distance |g - 2|
     g15 = 1.5 / math.sqrt(1.25)
-    hit, dist = sw.bs_eigenvalue_test(asm_off, tol=1e-6)
+    hit, dist = sw.bs_eigenvalue_test(asm_off)
     assert not hit
     assert dist == pytest.approx(2.0 - g15, abs=1e-9)
 
@@ -156,6 +158,14 @@ def test_off_diag_tail_norm_profiles():
     assert bounds[2] < 1e-3
     single = sw.assemble_bs(k, sw.single_delta(1, 1.0), 2.0, box=64)
     assert sw.off_diag_tail_norm(single, 8) == 0.0
+
+
+def test_off_diag_tail_norm_radius_at_the_box_is_named():
+    asm = sw.assemble_bs(sw.simple1d(), sw.single_delta(1, 1.0), 2.0, box=16)
+    for N in (16, 17):
+        with pytest.raises(TailRadiusTooLarge) as info:
+            sw.off_diag_tail_norm(asm, N)
+        assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_off_diag_tail_norm_dense_control():

@@ -9,6 +9,7 @@ from sparsewalk import lattice
 from sparsewalk.lattice import char_on_grid
 from sparsewalk.errors import (
     BoxTooSmall,
+    DimensionMismatch,
     EmptySupport,
     LazinessOutOfRange,
     NegativeRadius,
@@ -19,6 +20,7 @@ from sparsewalk.errors import (
     ShapeMismatch,
     SparseWalkError,
     ThetaNotOnSpectrum,
+    WaveRadiusTooSmall,
 )
 
 
@@ -380,3 +382,87 @@ def test_box_indexing_roundtrip():
     for i in range(box.volume):
         assert box.index(tuple(sites[i])) == i
     assert not box.contains((4, 0))
+
+
+def _old_index(box, site):
+    """The row-major index loop LatticeBox.index ran before ``flat``."""
+    idx = 0
+    for s, c in zip(site, box.center):
+        idx = idx * box.side + (s - c + box.radius)
+    return idx
+
+
+def _old_neighbour_table(kernel, sites, radius):
+    """The band builder on the sites of Q(0, radius) that ``_neighbour_table`` replaced."""
+    weights = (2 * radius + 1) ** np.arange(kernel.dimension - 1, -1, -1)
+    shifted = sites[:, None, :] + kernel.offset_array()[None, :, :]
+    inside = np.all(np.abs(shifted) <= radius, axis=2)
+    cols = np.where(inside, (shifted + radius) @ weights, 0)
+    probs = np.where(inside, kernel.prob_array()[None, :], 0.0)
+    return cols, probs
+
+
+def _old_dense_P(kernel, sites, radius):
+    """The former ``lattice._dense_P``: dense P on the sites of Q(0, radius)."""
+    cols, probs = _old_neighbour_table(kernel, sites, radius)
+    rows, ks = np.nonzero(probs)
+    P0 = np.zeros((len(sites), len(sites)))
+    P0[rows, cols[rows, ks]] = probs[rows, ks]
+    return P0
+
+
+CENTRED_BOXES = [((0,), 5), ((3,), 4), ((0, 0), 3), ((2, -1), 4), ((-1, 2, 1), 2)]
+#: a 2d kernel with diagonal moves, and a lazy 3d walk, for the band checks
+DIAG2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
+LAZY3D = {(0, 0, 0): 0.4, (1, 0, 0): 0.1, (-1, 0, 0): 0.1, (0, 1, 0): 0.1, (0, -1, 0): 0.1,
+          (0, 0, 1): 0.1, (0, 0, -1): 0.1}
+
+
+@pytest.mark.parametrize("center, radius", CENTRED_BOXES)
+def test_flat_and_index_match_the_old_index_loop(center, radius):
+    box = sw.LatticeBox.cube(radius, len(center), center=center)
+    sites = box.sites()
+    old = [_old_index(box, tuple(int(c) for c in s)) for s in sites]
+    assert old == list(range(box.volume))
+    assert box.flat(sites).tolist() == old
+    assert [box.index(tuple(s)) for s in sites.tolist()] == old
+    assert box.origin_index() == _old_index(box, box.center)
+    # an (m, k, d) array keeps its leading axes
+    assert box.flat(sites.reshape(-1, 1, len(center))).shape == (box.volume, 1)
+
+
+@pytest.mark.parametrize("center, radius", CENTRED_BOXES)
+def test_band_on_a_centred_box_matches_the_old_dense_P(center, radius):
+    d = len(center)
+    kernel = sw.lazy1d(0.3) if d == 1 else sw.validate_kernel(DIAG2D if d == 2 else LAZY3D)
+    box = sw.LatticeBox.cube(radius, d, center=center)
+    cols, probs = lattice._neighbour_table(kernel, box)
+    old = _old_dense_P(kernel, box.sites() - box.center, radius)
+    assert np.array_equal(lattice._band_dense(cols, probs), old)
+    old_cols, old_probs = _old_neighbour_table(kernel, box.sites() - box.center, radius)
+    assert np.array_equal(cols, old_cols) and np.array_equal(probs, old_probs)
+
+
+def test_site_of_the_wrong_dimension_is_named():
+    box = sw.LatticeBox.cube(3, 2)
+    probes = (
+        lambda: box.index((1,)),
+        lambda: box.contains((1, 0, 0)),
+        lambda: sw.simple1d().prob((1, 0)),
+    )
+    for probe in probes:
+        with pytest.raises(DimensionMismatch) as info:
+            probe()
+        assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def test_char_function_of_the_wrong_dimension_is_named():
+    with pytest.raises(DimensionMismatch) as info:
+        sw.char_function(sw.simple2d(), np.zeros(3))
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def test_weyl_residual_below_radius_one_is_named():
+    with pytest.raises(WaveRadiusTooSmall) as info:
+        sw.weyl_sequence_residual(sw.simple1d(), 0.0, 0)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)

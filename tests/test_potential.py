@@ -144,3 +144,50 @@ def test_sup_norm_bound():
     assert spec.sup_norm == 2.5
     _, empirical = sw.v0_of(spec, [1, 50])
     assert max(empirical) <= spec.sup_norm
+
+
+def _old_values_on(spec, sites):
+    """The former ``PotentialSpec.values_on``: one dict lookup per site."""
+    return np.array([spec._lookup.get(tuple(int(c) for c in s), 0.0) for s in sites])
+
+
+def _old_support_in_box(spec, box):
+    """The former ``birman_schwinger._support_in_box``."""
+    out = [
+        (s, h)
+        for s, h in zip(spec.sites, spec.heights)
+        if all(abs(c - cc) <= box.radius for c, cc in zip(s, box.center))
+    ]
+    return sorted(out, key=lambda sh: (max(abs(c) for c in sh[0]), sh[0]))
+
+
+#: (potential, box radius, box centre)
+ONE_PLUS_V_CASES = {
+    "1d geometric": (
+        lambda: sw.build_geometric_sparse(1, 1.0, 3, box_radius=100, anchor=((0,), 2.0)), 90, None
+    ),
+    "2d geometric": (
+        lambda: sw.build_geometric_sparse(2, 0.5, 3, box_radius=12, anchor=((1, -1), 1.6)), 12, None
+    ),
+    "3d geometric": (lambda: sw.build_geometric_sparse(3, 0.7, 2, box_radius=8), 5, None),
+    "2d off the origin": (
+        lambda: sw.make_potential(2, {(0, 0): 1.0, (1, -1): 0.5, (-2, 1): 0.25, (6, 3): 0.3}),
+        4,
+        (2, -1),
+    ),
+    "dense_level": (lambda: sw.dense_level(2, 0.3, box_radius=6), 8, None),
+    "no potential": (lambda: None, 7, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PLUS_V_CASES))
+def test_one_plus_v_matches_one_plus_values_on(case):
+    make, radius, center = ONE_PLUS_V_CASES[case]
+    spec = make()
+    d = 2 if spec is None else spec.dimension
+    box = sw.LatticeBox.cube(radius, d, center=center)
+    got = potential._one_plus_v(spec, box)
+    want = np.ones(box.volume) if spec is None else 1.0 + _old_values_on(spec, box.sites())
+    assert got.tolist() == want.tolist()
+    if spec is not None:
+        assert spec.support(box) == _old_support_in_box(spec, box)

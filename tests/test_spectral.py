@@ -419,13 +419,14 @@ def test_bipartite_detect():
     assert sw.bipartite_detect(sw.lazy1d(0.3)) is None
     sign2 = sw.bipartite_detect(sw.simple2d())
     assert sign2 is not None and sign2.axes == (0, 1)
-    assert sign2.sign((1, 0)) == -1
-    assert sign2.sign((1, 1)) == 1
+    assert sign2.sign_on(np.array([(1, 0), (1, 1)])).tolist() == [-1.0, 1.0]
 
 
 def test_bipartite_verification_failure_is_named(monkeypatch):
     # a sign that joins equal-sign sites must fail with a named error
-    monkeypatch.setattr(spectral.BipartiteSign, "sign", lambda self, site: 1)
+    monkeypatch.setattr(
+        spectral.BipartiteSign, "sign_on", lambda self, sites: np.ones(sites.shape[:-1])
+    )
     with pytest.raises(SelfCheckFailed):
         sw.bipartite_detect(sw.simple1d())
 
@@ -727,3 +728,22 @@ def test_lambda_pm_1d_rejects_nonpositive_v():
         with pytest.raises(LevelNotPositive) as info:
             sw.lambda_pm_1d(0.25, v)
         assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def _old_residual(op, value, phi):
+    """The eigen residual as _make_pair, spectral_report and doob_kernel each wrote it."""
+    return float(np.linalg.norm(op.apply_M(phi) - value * phi) / np.linalg.norm(phi))
+
+
+def test_residual_matches_the_old_make_pair_expression():
+    kernel = sw.simple2d()
+    spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=10, anchor=((1, -1), 1.6))
+    op = sw.truncated_operator(kernel, spec, 10)
+    sol = sw.eigensolve_top(op, 3)
+    for pair in sol.by_value + sol.by_abs:
+        assert pair.residual == _old_residual(op, pair.value, pair.phi)
+        assert op.residual(pair.value, pair.phi) == pair.residual
+    r, phi = sw.perron_pair(op)
+    assert op.residual(r, phi) == _old_residual(op, r, phi)
+    pairs = spectral.discrete_pairs(op, -1.0, 1.0)[1]
+    assert pairs and all(p.residual == _old_residual(op, p.value, p.phi) for p in pairs)

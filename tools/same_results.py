@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus eleven sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus twelve sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -27,10 +27,13 @@ same v; ``gibbs2d``, the ``convergence_rate`` deviations of the
 kernel and potential of the 2d chain case against its chain, the
 ``partition_growth`` values Z_N to N = 80 for that potential, and
 ``convolution_power_at_zero`` of the 2d kernel with diagonal moves for
-n <= 20; and ``discrete1d``, the ``discrete_pairs`` values and their
+n <= 20; ``discrete1d``, the ``discrete_pairs`` values and their
 ``axis_decay`` rates and residuals for the lazy 1d walk (q = 0.3) and the
 simple 1d walk under the anchored geometric potential at L = 80, below
-the essential spectrum as well as above.  The package
+the essential spectrum as well as above; and ``shifted2d``, the
+``resolvent_via_bs`` residual and Frobenius norm and the ``assemble_bs``
+support count and matrix norm of the ``bs2d`` case on a box centred off the
+origin.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -48,7 +51,7 @@ path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
-``gibbs2d`` or ``discrete1d`` section still loads;
+``gibbs2d``, ``discrete1d`` or ``shifted2d`` section still loads;
 that section is then left out of the comparison.
 """
 
@@ -84,6 +87,8 @@ CLI_RUNS = (
 SEEDED = {"doob": 12345, "fk": 7}
 #: the 2d Birman-Schwinger case: simple2d, lambda 2, box radius 4, pts 64
 BS2D_SITES = {(0, 0): 1.0, (1, -1): 0.5, (-2, 1): 0.25}
+#: the shifted 2d case: the bs2d case on a radius-4 box centred here
+SHIFTED2D_CENTER = (2, -1)
 #: kernels whose ``lower`` is recorded: the presets, two kernels whose
 #: minimum of p-hat lies off every grid, and the 3d lazy walk (q = 0.17)
 KERNELS = {
@@ -151,7 +156,7 @@ DISCRETE1D_WINDOW = (10, 18)
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d", "gibbs2d", "discrete1d",
+    "crossings1d", "gibbs2d", "discrete1d", "shifted2d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -192,6 +197,7 @@ def fingerprint() -> dict:
         "crossings1d": crossings1d(),
         "gibbs2d": gibbs2d(),
         "discrete1d": discrete1d(),
+        "shifted2d": shifted2d(),
     }
 
 
@@ -205,6 +211,21 @@ def bs2d() -> dict:
     for field in dataclasses.fields(cert):
         out[f"neumann_{field.name}"] = repr(getattr(cert, field.name))
     return out
+
+
+def shifted2d() -> dict:
+    """Reprs of the bs2d resolvent and assembly on a box centred off the origin."""
+    kernel = sw.simple2d()
+    spec = sw.make_potential(2, BS2D_SITES)
+    box = sw.LatticeBox.cube(4, 2, center=SHIFTED2D_CENTER)
+    R, residual = sw.resolvent_via_bs(kernel, spec, 2.0, box, pts_per_axis=64)
+    asm = sw.assemble_bs(kernel, spec, 2.0, box, 64)
+    return {
+        "resolvent_residual": repr(residual),
+        "resolvent_frobenius": repr(float(np.linalg.norm(R))),
+        "support_sites": repr(len(asm.support_sites)),
+        "matrix_norm": repr(float(np.linalg.norm(asm.matrix))),
+    }
 
 
 def chain2d_operator():
