@@ -222,8 +222,9 @@ def fk_monte_carlo(
     d = kernel.dimension
     x0 = (0,) * d if x0 is None else _as_offset(x0, d)
     offsets = kernel.offset_array()
-    cum = np.cumsum(kernel.prob_array())
-    cum[-1] = 1.0
+    # offset k is drawn when cum[k - 1] <= u < cum[k]; the last one also
+    # takes the rounding gap below 1, so its cumulative sum is not needed
+    cum = np.cumsum(kernel.prob_array())[:-1]
     # dense potential lookup covering the walk range
     reach = n * kernel.reach + max((abs(c) for c in x0), default=0)
     vbox = LatticeBox.cube(max(reach, 1), d)
@@ -239,9 +240,12 @@ def fk_monte_carlo(
         m = min(MC_CHUNK, samples - done)
         rng = counter_rng(seed, done // MC_CHUNK)
         u = rng.random((m, n))
+        step = (u >= cum[0]).astype(np.intp)  # index of the offset drawn
+        for c in cum[1:]:
+            step += u >= c
         flat = np.empty((m, n + 1), dtype=flat_steps.dtype)
         flat[:, 0] = 0
-        np.cumsum(flat_steps[np.searchsorted(cum, u, side="right")], axis=1, out=flat[:, 1:])
+        np.cumsum(flat_steps[step], axis=1, out=flat[:, 1:])
         flat += flat0
         w = vgrid[flat[:, :n]].prod(axis=1)  # weight uses sites S_0 .. S_{n-1}
         if f is not None:

@@ -11,12 +11,15 @@ p-hat(theta) = sum_x p(x) cos(theta . x) is the characteristic function.
 This module owns kernel validation, p-hat, the convolution action on finite
 boxes and the one stepper of its weighted powers M^m f, M = (1 + V) P
 (``_powers``), exact return probabilities, and the plane-wave (Weyl) residual
-diagnostics used to witness essential spectrum.  p-hat on a tensor grid
-comes from one evaluator, ``_char_grid``, and along the fibres of a
-range-1 axis from one other, ``_fibre_parts``; min p-hat is computed once,
-in ``validate_kernel``, and kept as ``WalkKernel.lower``.  A box owns its
-row-major site index, ``LatticeBox.flat``; the band of P on a box comes
-from ``_neighbour_table`` and its dense form from ``_band_dense``.
+diagnostics used to witness essential spectrum.  P acts on a box through one
+slice stencil, ``_stencil``, which ``apply_P`` and the truncation's matvecs
+call.  p-hat on a tensor grid comes from one evaluator, ``_char_grid``, and
+along the fibres of a range-1 axis from one other, ``_fibre_parts``; min
+p-hat is computed once, in ``validate_kernel``, and kept as
+``WalkKernel.lower``.  A box owns its row-major site index,
+``LatticeBox.flat``.  The band of P on a box, one row per site, comes from
+``_neighbour_table`` and its dense form from ``_band_dense``; only readers
+of rows use it (dense M and S, the Doob chain).
 """
 
 from __future__ import annotations
@@ -411,19 +414,30 @@ def _fibre_grid(
 
 
 def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
-    """Convolution action of P on a function given on a box, zero outside."""
+    """Convolution action of P on a function given on a box, zero outside.
+
+    (P f)(x) = sum_y p(y) f(x - y), summed in offset order.
+    """
     if box.radius <= kernel.reach:
         raise BoxTooSmall(f"box radius {box.radius} must exceed kernel range {kernel.reach}")
     if f.shape != box.shape:
         raise ShapeMismatch(f"f shape {f.shape} does not match box shape {box.shape}")
-    r = kernel.reach
-    padded = np.zeros(tuple(s + 2 * r for s in f.shape), dtype=f.dtype)
-    inner = tuple(slice(r, r + s) for s in f.shape)
-    padded[inner] = f
-    out = np.zeros_like(f)
-    for off, p in zip(kernel.offsets, kernel.probs):
-        sl = tuple(slice(r - o, r - o + s) for o, s in zip(off, f.shape))
-        out += p * padded[sl]
+    return _stencil([tuple(-c for c in off) for off in kernel.offsets], kernel.probs, f)
+
+
+def _stencil(offsets, probs, g: np.ndarray) -> np.ndarray:
+    """sum_k probs[k] g[x + offsets[k]] at every x of a box, zero outside it.
+
+    The one applicator of P on a box.  The leading len(offsets[0]) axes of g
+    are the box, any further axes (a block of columns) are carried along;
+    each |offset| must be shorter than the box side.  Terms are added in the
+    given order, one shifted slice each: no padding and no gather.
+    """
+    out = np.zeros_like(g)
+    for off, p in zip(offsets, probs):
+        dst = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, g.shape))
+        src = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, g.shape))
+        out[dst] += p * g[src]
     return out
 
 

@@ -11,13 +11,15 @@ phi = D^(1/2) psi.  Normalizing psi in l^2 normalizes phi in the weighted
 inner product <f, g>_V = <(1+V)^(-1) f, g>, which is the natural geometry:
 the operator is self-adjoint there.
 
-The truncation is stored as a band, one column per kernel offset: the box
-index of each neighbour and its P value, zero for a neighbour outside the
-box.  The top eigenpairs (thick-restart block Lanczos, whose basis never
-exceeds RESTART_BLOCKS blocks), power iteration, the spectral-projection
-fit and every eigen residual use matrix-free products over that band, at
-any box volume; the dense M and S are built on first use, only up to
-DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
+P acts on the box through the slice stencil of ``lattice._stencil``, one
+shifted slice per kernel offset.  The top eigenpairs (thick-restart block
+Lanczos, whose basis never exceeds RESTART_BLOCKS blocks), power iteration,
+the spectral-projection fit and every eigen residual use these matrix-free
+products, at any box volume.  The truncation also keeps the band of P, one
+column per kernel offset (the box index of each neighbour and its P value,
+zero for a neighbour outside the box), for the readers of rows: the Doob
+chain and the dense M and S, built on first use, only up to DENSE_CAP rows,
+where the whole spectrum or its bottom edge is needed.
 
 This module provides the truncation itself, a block Lanczos solver for the
 top eigenpairs, a power-iteration Perron solver, the predictor for the
@@ -57,7 +59,7 @@ from .errors import (
     TooFewRadii,
     TruncationTooSmall,
 )
-from .lattice import LatticeBox, WalkKernel, _band_dense, _char_lower, _neighbour_table
+from .lattice import LatticeBox, WalkKernel, _band_dense, _char_lower, _neighbour_table, _stencil
 from .potential import PotentialSpec, _one_plus_v, sparseness_profile
 from .resolvent import MIN_FIT_POINTS, DecayFit, decay_rate_estimate, g_level_crossings
 
@@ -127,8 +129,10 @@ STURM_FLOOR_EXP = -45
 class TruncatedOperator:
     """Dirichlet truncation of the perturbed operator to a cube.
 
-    ``cols`` and ``probs`` are the (volume, |offsets|) band of P from
-    ``lattice._neighbour_table``; ``dvec`` is 1 + V on ``sites``, from
+    ``apply_S`` and ``apply_M`` act by the slice stencil of P; ``cols`` and
+    ``probs`` are the (volume, |offsets|) band of P from
+    ``lattice._neighbour_table``, kept for the readers of rows (the Doob
+    chain, dense M and S).  ``dvec`` is 1 + V on ``sites``, from
     ``potential._one_plus_v``.
     """
 
@@ -145,15 +149,18 @@ class TruncatedOperator:
         return self.box.volume
 
     def apply_S(self, f: np.ndarray) -> np.ndarray:
-        """S f = D^(1/2) P D^(1/2) f over the band; f is (n,) or (n, b)."""
-        tail = (1,) * (f.ndim - 1)
-        sqd = np.sqrt(self.dvec).reshape(-1, *tail)
-        probs = self.probs.reshape(*self.probs.shape, *tail)
-        return sqd * (probs * (sqd * f).take(self.cols, axis=0)).sum(axis=1)
+        """S f = D^(1/2) P D^(1/2) f; f is (n,) or (n, b)."""
+        sqd = np.sqrt(self.dvec).reshape(-1, *(1,) * (f.ndim - 1))
+        return sqd * self._apply_P(sqd * f)
 
     def apply_M(self, f: np.ndarray) -> np.ndarray:
-        """M f = D P f over the band."""
-        return self.dvec * (self.probs * f[self.cols]).sum(axis=1)
+        """M f = D P f."""
+        return self.dvec * self._apply_P(f)
+
+    def _apply_P(self, f: np.ndarray) -> np.ndarray:
+        """(P f)(x) = sum_y p(y) f(x + y) for f of shape (n,) or (n, b)."""
+        g = f.reshape(self.box.shape + f.shape[1:])
+        return _stencil(self.kernel.offsets, self.kernel.probs, g).reshape(f.shape)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -447,16 +454,20 @@ def essential_spectrum_predictor(
     )
 
 
-def discrete_pairs(op: TruncatedOperator, bottom: float, top: float) -> tuple[np.ndarray, tuple]:
-    """The ascending spectrum of the truncation and its discrete pairs.
+def discrete_pairs(
+    op: TruncatedOperator, bottom: float, top: float
+) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The ascending spectrum of the truncation, its discrete pairs, its top psi.
 
     One dense eigh of S; every eigenvalue more than DISCRETE_MARGIN below
     `bottom` or above `top` (the hull of sigma(P) and Lambda_V, as in
     ``LambdaVPrediction``) comes back as an EigenPair, in ascending order.
+    The eigenvector of S at the top eigenvalue comes last.
     """
     w, U = np.linalg.eigh(op.sym)
     outside = (w < bottom - DISCRETE_MARGIN) | (w > top + DISCRETE_MARGIN)
-    return w, tuple(_make_pair(op, w[i], U[:, i]) for i in np.flatnonzero(outside))
+    pairs = tuple(_make_pair(op, w[i], U[:, i]) for i in np.flatnonzero(outside))
+    return w, pairs, U[:, -1].copy()  # a copy, so U is freed on return
 
 
 def axis_decay(op: TruncatedOperator, phi: np.ndarray, window) -> DecayFit | None:
@@ -685,7 +696,7 @@ def spectral_report(
     reports = []
     for L in Ls:
         op = truncated_operator(kernel, spec, L)
-        w, discrete = discrete_pairs(op, pred.bottom, pred.top)
+        w, discrete, top_psi = discrete_pairs(op, pred.bottom, pred.top)
         r = float(w[-1])
         try:
             # the dense eigenvector carries +-1e-16 noise in its far tail;
@@ -693,7 +704,7 @@ def spectral_report(
             r_pow, phi_pow = perron_pair(op, tol=1e-9, max_iter=20000)
             pair = EigenPair(r_pow, phi_pow / np.sqrt(op.dvec), phi_pow, op.residual(r_pow, phi_pow))
         except NoConvergence:
-            pair = _make_pair(op, w[-1], np.linalg.eigh(op.sym)[1][:, -1])
+            pair = _make_pair(op, w[-1], top_psi)
         below = w[w < r - PERIPHERAL_TOL * max(1.0, r)]
         gap = float(r - below.max()) if below.size else 0.0
         second = _second_abs(w, r)

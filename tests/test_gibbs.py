@@ -241,7 +241,8 @@ def test_fk_monte_carlo_2d_end_sites_match_the_semigroup():
 
 
 def _fk_by_positions(kernel, spec, f, n, samples, seed, x0):
-    """fk_monte_carlo as it ran on an (m, n + 1, d) array of path sites."""
+    """fk_monte_carlo as it ran on an (m, n + 1, d) array of path sites,
+    with the steps drawn by ``searchsorted`` on the cumulative sums."""
     d = kernel.dimension
     offsets = kernel.offset_array()
     cum = np.cumsum(kernel.prob_array())
@@ -273,7 +274,18 @@ FK_CASES = {
         sw.simple2d, 2, lambda x: np.exp(-0.1 * np.abs(x).sum(axis=1)), 9, (1, -2)
     ),
     "simple2d n 0": (sw.simple2d, 2, lambda x: x[:, 0] + 2.0, 0, (1, 1)),
+    "lazy3d": (lambda: _lazy3d(0.17), 3, None, 10, (0, 0, 0)),
+    "lazy3d f from (1, 0, -1)": (
+        lambda: _lazy3d(0.17), 3, lambda x: 1.0 + (x[:, 2] > 0), 8, (1, 0, -1)
+    ),
 }
+
+
+def _lazy3d(q):
+    raw = {(0, 0, 0): q}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+    return sw.validate_kernel(raw)
 
 
 @pytest.mark.parametrize("case", sorted(FK_CASES))

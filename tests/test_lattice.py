@@ -443,6 +443,29 @@ def test_band_on_a_centred_box_matches_the_old_dense_P(center, radius):
     assert np.array_equal(cols, old_cols) and np.array_equal(probs, old_probs)
 
 
+def _old_apply_P(kernel, f):
+    """The padded-array convolution that ``apply_P`` ran before ``_stencil``."""
+    r = kernel.reach
+    padded = np.zeros(tuple(s + 2 * r for s in f.shape), dtype=f.dtype)
+    padded[tuple(slice(r, r + s) for s in f.shape)] = f
+    out = np.zeros_like(f)
+    for off, p in zip(kernel.offsets, kernel.probs):
+        out += p * padded[tuple(slice(r - o, r - o + s) for o, s in zip(off, f.shape))]
+    return out
+
+
+@pytest.mark.parametrize("center, radius", CENTRED_BOXES)
+def test_apply_P_on_a_centred_box_matches_the_old_padded_sum(center, radius):
+    d = len(center)
+    kernel = sw.lazy1d(0.3) if d == 1 else sw.validate_kernel(DIAG2D if d == 2 else LAZY3D)
+    box = sw.LatticeBox.cube(radius, d, center=center)
+    rng = np.random.default_rng(radius)
+    f = rng.standard_normal(box.shape)
+    assert np.array_equal(sw.apply_P(kernel, f, box), _old_apply_P(kernel, f))
+    wave = np.exp(1j * box.sites() @ rng.standard_normal(d)).reshape(box.shape)
+    assert np.array_equal(sw.apply_P(kernel, wave, box), _old_apply_P(kernel, wave))
+
+
 def test_site_of_the_wrong_dimension_is_named():
     box = sw.LatticeBox.cube(3, 2)
     probes = (

@@ -84,6 +84,79 @@ def test_band_matvecs_match_dense(name):
     assert not op.sym.flags.writeable and not op.matrix.flags.writeable
 
 
+def _old_apply_S(op, f):
+    """S f gathered through the band, as before the slice stencil."""
+    tail = (1,) * (f.ndim - 1)
+    sqd = np.sqrt(op.dvec).reshape(-1, *tail)
+    probs = op.probs.reshape(*op.probs.shape, *tail)
+    return sqd * (probs * (sqd * f).take(op.cols, axis=0)).sum(axis=1)
+
+
+def _old_apply_M(op, f):
+    """M f gathered through the band, as before the slice stencil."""
+    return op.dvec * (op.probs * f[op.cols]).sum(axis=1)
+
+
+class _BandOperator(spectral.TruncatedOperator):
+    """A truncation whose matvecs read its ``cols`` and ``probs`` fields."""
+
+    apply_S = _old_apply_S
+    apply_M = _old_apply_M
+
+
+def _lazy3d(q):
+    raw = {(0, 0, 0): q}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+    return sw.validate_kernel(raw)
+
+
+def _range2_2d():
+    """A 2d kernel on all 25 offsets of Q(0, 2), weights 1 + |a| + 2 |b|."""
+    raw = {(a, b): 1.0 + abs(a) + 2 * abs(b) for a in range(-2, 3) for b in range(-2, 3)}
+    total = sum(raw.values())
+    return sw.validate_kernel({x: w / total for x, w in raw.items()})
+
+
+STENCIL_KERNELS = {
+    **BAND_KERNELS,
+    "lazy3d": (lambda: _lazy3d(0.17), 6),
+    "range3 1d": (
+        lambda: sw.validate_kernel({0: 0.1, 1: 0.2, -1: 0.2, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1}),
+        14,
+    ),
+    "range2 2d": (_range2_2d, 9),
+}
+
+
+def _stencil_case(name):
+    kernel, L = STENCIL_KERNELS[name][0](), STENCIL_KERNELS[name][1]
+    d = kernel.dimension
+    spec = sw.build_geometric_sparse(d, 0.5, 3, box_radius=L, anchor=((1,) + (0,) * (d - 1), 1.5))
+    return kernel, sw.truncated_operator(kernel, spec, L)
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_KERNELS))
+def test_stencil_matvecs_equal_the_band_gather(name):
+    kernel, op = _stencil_case(name)
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((op.volume, 6))
+    assert np.array_equal(op.apply_S(block), _old_apply_S(op, block))
+    # the transposed Lanczos block is not C-contiguous
+    rows = np.ascontiguousarray(block.T)
+    assert np.array_equal(op.apply_S(rows.T), _old_apply_S(op, rows.T))
+    f = rng.random(op.volume) + 0.5
+    pairs = ((op.apply_S(f), _old_apply_S(op, f)), (op.apply_M(f), _old_apply_M(op, f)))
+    K = len(kernel.offsets)
+    if K < 8:  # the band's sum over K < 8 columns runs in column order, like the stencil
+        assert all(np.array_equal(new, old) for new, old in pairs)
+    else:
+        # numpy sums 8 or more columns pairwise: both orders lie within the
+        # (K - 1) eps bound of the terms' absolute sum, here the sum itself
+        for new, old in pairs:
+            assert np.all(np.abs(new - old) <= (K - 1) * np.finfo(float).eps * old)
+
+
 @pytest.mark.parametrize("name", ["simple2d", "skew2d"])
 def test_perron_pair_2d_matches_eigvalsh(name):
     _, _, op = _anchored(name)
@@ -282,7 +355,8 @@ def test_eigensolve_top_refills_a_broken_down_block():
     idx = np.arange(op.volume)
     cols = np.stack([idx, np.where(idx < 30, idx ^ 1, idx)], axis=1)
     probs = np.where(idx[:, None] < 30, [0.3, 0.5], [0.8, 0.0])
-    op = dataclasses.replace(op, cols=cols, probs=probs)
+    fields = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
+    op = _BandOperator(**{**fields, "cols": cols, "probs": probs})
     sol = sw.eigensolve_top(op, 2)
     for pair in sol.by_value + sol.by_abs:
         assert abs(pair.value - 0.8) <= 1e-12 and pair.residual <= 1e-10
@@ -545,8 +619,9 @@ def test_discrete_pairs_below_and_above_the_hull(q):
     kernel, spec = sw.lazy1d(q), _anchored_geometric()
     pred = sw.essential_spectrum_predictor(kernel, spec)
     op = sw.truncated_operator(kernel, spec, 80)
-    w, pairs = spectral.discrete_pairs(op, pred.bottom, pred.top)
+    w, pairs, top_psi = spectral.discrete_pairs(op, pred.bottom, pred.top)
     assert np.allclose(w, np.linalg.eigvalsh(op.sym), atol=1e-12, rtol=0)
+    assert np.linalg.norm(op.apply_S(top_psi) - w[-1] * top_psi) <= 1e-12
     values = [pair.value for pair in pairs]
     margin = spectral.DISCRETE_MARGIN
     assert values == [float(x) for x in w if x < pred.bottom - margin or x > pred.top + margin]
@@ -567,6 +642,33 @@ def test_discrete_pairs_below_and_above_the_hull(q):
 def test_spectral_report_lists_the_discrete_spectrum_below_the_hull():
     bundle = sw.spectral_report(sw.lazy1d(0.3), _anchored_geometric(), [40, 60, 80])
     assert bundle.discrete == pytest.approx(LAZY_DISCRETE, abs=1e-4)
+
+
+def test_spectral_report_fallback_reuses_the_one_eigh(monkeypatch):
+    kernel, spec, Ls = sw.simple1d(), sw.single_delta(1, 1.0), [20, 30]
+
+    def stalled(*args, **kwargs):
+        raise NoConvergence("stalled")
+
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(spectral, "perron_pair", stalled)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    bundle = sw.spectral_report(kernel, spec, Ls)
+    assert len(calls) == len(Ls)
+    monkeypatch.undo()
+    for report, L in zip(bundle.reports, Ls):
+        op = sw.truncated_operator(kernel, spec, L)
+        w, U = np.linalg.eigh(op.sym)
+        pair = spectral._make_pair(op, w[-1], U[:, -1])
+        assert np.array_equal(report.phi, pair.phi) and np.array_equal(report.eigenvalues, w)
+        assert report.residual == pair.residual and report.positivity_min == float(pair.phi.min())
+        assert report.decay == spectral.axis_decay(op, pair.phi, spectral.REPORT_FIT_WINDOW)
 
 
 def test_axis_decay_window():

@@ -33,7 +33,10 @@ simple 1d walk under the anchored geometric potential at L = 80, below
 the essential spectrum as well as above; and ``shifted2d``, the
 ``resolvent_via_bs`` residual and Frobenius norm and the ``assemble_bs``
 support count and matrix norm of the ``bs2d`` case on a box centred off the
-origin.  The package
+origin; and ``mc_nd``, the ``fk_monte_carlo`` estimate and standard error
+at a fixed seed for the simple 2d walk under the potential of the 2d chain
+case and for the lazy 3d walk under a 3d geometric potential, each with
+f = 1 and with a decaying f.  The package
 is imported from ``PYTHONPATH``, so two checkouts are compared by running
 this script against each and diffing the outputs:
 
@@ -51,7 +54,7 @@ path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
-``gibbs2d``, ``discrete1d`` or ``shifted2d`` section still loads;
+``gibbs2d``, ``discrete1d``, ``shifted2d`` or ``mc_nd`` section still loads;
 that section is then left out of the comparison.
 """
 
@@ -153,10 +156,15 @@ GIBBS2D_RETURN = 20
 DISCRETE1D_KERNELS = {"lazy1d(0.3)": lambda: sw.lazy1d(0.3), "simple1d": sw.simple1d}
 DISCRETE1D_L = 80
 DISCRETE1D_WINDOW = (10, 18)
+#: the nd Monte Carlo case: MC_ND_SAMPLES paths of MC_ND_N steps from the
+#: origin at seed MC_ND_SEED, with f = 1 and with f = exp(-|x|_1 / 4)
+MC_ND_N = 12
+MC_ND_SAMPLES = 20_000
+MC_ND_SEED = 97
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d", "gibbs2d", "discrete1d", "shifted2d",
+    "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -198,6 +206,7 @@ def fingerprint() -> dict:
         "gibbs2d": gibbs2d(),
         "discrete1d": discrete1d(),
         "shifted2d": shifted2d(),
+        "mc_nd": mc_nd(),
     }
 
 
@@ -306,6 +315,24 @@ def discrete1d() -> dict:
             out[f"{name} {i} value"] = repr(pair.value)
             out[f"{name} {i} decay"] = repr((fit.rate, fit.residual_rms))
     return out
+
+
+def mc_nd() -> dict:
+    """Reprs of (estimate, stderr) of fk_monte_carlo in 2d and 3d, with and without f."""
+    kernel, spec, _ = chain2d_operator()
+    cases = {
+        "simple2d": (kernel, spec),
+        "lazy3d(0.17)": (
+            lazy3d(0.17),
+            sw.build_geometric_sparse(3, 0.5, 3, box_radius=MC_ND_N, anchor=((1, 0, 0), 1.6)),
+        ),
+    }
+    fs = {"f=1": None, "f=decay": lambda x: np.exp(-0.25 * np.abs(x).sum(axis=1))}
+    return {
+        f"{name} {label}": repr(sw.fk_monte_carlo(walk, pot, f, MC_ND_N, MC_ND_SAMPLES, MC_ND_SEED))
+        for name, (walk, pot) in cases.items()
+        for label, f in fs.items()
+    }
 
 
 def green_nd() -> dict:
