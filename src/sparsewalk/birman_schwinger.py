@@ -38,7 +38,7 @@ from .errors import (
 )
 from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _neighbour_table, _sup_norm
 from .potential import PotentialSpec, _one_plus_v
-from .resolvent import decay_rate_estimate, g_lambda_quadrature, green_table
+from .resolvent import _root, decay_rate_estimate, g_lambda_quadrature, green_table
 
 #: minimum distance from the unperturbed spectrum for assembly
 ASSEMBLY_MARGIN = 0.02
@@ -159,9 +159,11 @@ def bs_crossing_scan(
     """Locate lambda where the top compressed eigenvalue crosses 1.
 
     The top eigenvalue of the compressed matrix decreases in lambda above
-    the spectrum, so the crossing is a bisection; it recovers the perturbed
-    top eigenvalue from resolvent data alone, independent of any dense
-    eigensolve of the truncation.
+    the spectrum, so the crossing is bracketed by [lo, hi] and found by the
+    root solver of the level crossings, ``resolvent._root``, to within
+    xtol / 2 of the sign change; it recovers the perturbed top eigenvalue
+    from resolvent data alone, independent of any dense eigensolve of the
+    truncation.
     """
 
     def top_minus_one(lam: float) -> float:
@@ -171,13 +173,7 @@ def bs_crossing_scan(
     f_lo, f_hi = top_minus_one(lo), top_minus_one(hi)
     if f_lo <= 0.0 or f_hi >= 0.0:
         raise NoSignChange(f"no sign change in [{lo}, {hi}]: {f_lo:+.3e}, {f_hi:+.3e}")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if top_minus_one(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _root(top_minus_one, lo, hi, f_lo, f_hi, xtol)
 
 
 def resolvent_via_bs(

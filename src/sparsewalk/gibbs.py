@@ -59,7 +59,7 @@ MIN_SAMPLES = 1000
 
 #: uniforms drawn at a time by simulate_chain; the stream is the same as one
 #: draw of every step, the block only bounds memory
-SIM_BLOCK = 1 << 16
+SIM_BLOCK = 1 << 12
 
 
 def counter_rng(seed: int, stream: int = 0) -> np.random.Generator:

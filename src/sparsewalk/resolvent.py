@@ -40,7 +40,7 @@ Two evaluators read ``_inverse``:
   only if its Richardson differences contract.  ``green_table``,
   ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
 * ``_g0_on_grid`` (uncertified): lambda * mean ``_inverse`` at a single
-  grid, for one lambda: a bisection step of the level-crossing solver.
+  grid, for one lambda: one step of the level-crossing root solver.
 
 The level crossings g_lambda(0) = target > 1 need no scan.  Above the
 spectrum g decreases from +infinity (d <= 2) to 1.  Below the bottom edge
@@ -48,9 +48,9 @@ ell < 0, with t = 1/lambda, g = mean 1/(1 - t p-hat) is convex in t, since
 1 - t p-hat > 0 there, and g = 1 at t = 0; the same holds for every grid
 and fibre mean, each a mean over p-hat values in [ell, 1].  So {g <= target}
 is an interval reaching t = 0, and each side holds at most one root, found
-by one bisection.  The solver bisects on ``_PTS_BISECT`` grids and checks
-each root on ``_PTS_LADDER``, whose base grids are tried in turn until the
-Richardson error falls below 1e-11 |g|.
+by one bracketed solve, ``_root`` (Brent's zeroin).  The solver evaluates g
+on ``_PTS_BISECT`` grids and checks each root on ``_PTS_LADDER``, whose base
+grids are tried in turn until the Richardson error falls below 1e-11 |g|.
 """
 
 from __future__ import annotations
@@ -372,10 +372,11 @@ def decay_rate_estimate(values) -> DecayFit:
 #: ladder starts below the 64-point floor, so 3d roots fail GridTooCoarse
 _PTS_LADDER = {1: (512, 2048, 8192, 32768), 2: (128, 512), 3: (32, 64)}
 
-#: single-level grids for the bisection steps of the level crossings
+#: single-level grids for the root-solver steps of the level crossings
 _PTS_BISECT = {1: 32768, 2: 2048, 3: 128}
 
-#: g_level_crossings bisects each root to an interval below CROSSING_XTOL
+#: g_level_crossings puts each root within CROSSING_XTOL / 2 of a sign change
+#: of g - target on its ``_PTS_BISECT`` grid
 CROSSING_XTOL = 1e-12
 
 
@@ -414,35 +415,76 @@ class LevelCrossings:
     below: tuple[float, ...]
 
 
-def _bisect(excess, inner: float, outer: float, xtol: float) -> float:
-    """Midpoint of [inner, outer] (either order) once it is below xtol wide.
+def _root(excess, inner: float, outer: float, f_inner: float, f_outer: float, xtol: float) -> float:
+    """Brent's zeroin on [inner, outer] (either order), from its end values.
 
-    excess(inner) > 0 >= excess(outer) on entry; each step keeps that.
+    f_inner = excess(inner) > 0 >= f_outer = excess(outer) on entry.  Each
+    step is an inverse quadratic or secant step, or a bisection when that
+    step would leave the bracket or shrink it too slowly (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).  The
+    bracket [b, c] keeps excess(b) and excess(c) on opposite sides of 0.
+    Once |c - b| <= max(xtol / 2, 4 ulp(b)), or excess(b) == 0, it returns
+    b, the end with the smaller |excess|; so b lies within xtol / 2 of a
+    sign change of excess whenever xtol / 2 >= 4 ulp(b).
     """
-    while abs(outer - inner) > xtol:
-        mid = 0.5 * (inner + outer)
-        if excess(mid) > 0.0:
-            inner = mid
+    a, fa, b, fb = inner, f_inner, outer, f_outer
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.25 * xtol, 2.0 * math.ulp(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # accept the interpolated step only inside 3/4 of the bracket and
+            # shorter than half the step before last; bisect otherwise
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            outer = mid
-    return 0.5 * (inner + outer)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = excess(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def g_level_crossings(kernel: WalkKernel, target: float) -> LevelCrossings:
     """Solve g_lambda(0) = target (> 1) on both resolvent components.
 
     Above the spectrum g is strictly decreasing from g(1+) to 1, so a
-    bisection applies whenever a bracket exists.  Below the bottom edge
-    ell < 0, g is convex in t = 1/lambda (its second derivative is
-    2 mean p-hat^2 / (1 - t p-hat)^3 >= 0) and g = 1 < target at t = 0, so
+    bracketed root solver applies whenever a bracket exists: the first
+    point 1 + 0.5 / 4^k where g exceeds the target and the point before it,
+    or, if that is 1.5, the last two points of 1 + 0.5 * 2^k above and not
+    above the target.  Below the bottom edge ell < 0, g is convex in
+    t = 1/lambda (its second derivative is 2 mean p-hat^2 / (1 - t p-hat)^3
+    >= 0) and g = 1 < target at t = 0, so
     g - target changes sign at most once: g > target between the root and
     ell, g < target beyond it.  Every root satisfies
     |lambda| <= (v + 1) |ell| with v = 1/(target - 1), since
-    g <= |lambda| / (|lambda| - |ell|) there; one bisection on
+    g <= |lambda| / (|lambda| - |ell|) there; one solve on
     [-((v + 1) |ell| + 1), ell - 1e-7] finds it whenever g(ell - 1e-7)
-    exceeds the target.  Bisection uses single uncertified grids (near-edge
-    values are only needed qualitatively); every root is then re-verified
-    with a certified evaluation.
+    exceeds the target.  Both solves are ``_root`` (Brent's zeroin), started
+    from the end values the bracket search computed, on single uncertified
+    grids (near-edge values are only needed qualitatively); each root lies
+    within CROSSING_XTOL / 2 of a sign change of the grid's g - target and
+    is then re-verified with a certified evaluation.
     """
     if not target > 1.0:
         raise TargetNotAboveOne(f"target must exceed 1, got {target!r}")
@@ -452,19 +494,24 @@ def g_level_crossings(kernel: WalkKernel, target: float) -> LevelCrossings:
         return _g0_on_grid(kernel, lam, fine) - target
 
     above = None
-    lo = None
+    outer = f_outer = None
     h = 0.5
     while h >= 1e-9:
-        lam = 1.0 + h
-        if excess(lam) > 0.0:
-            lo = lam
+        inner = 1.0 + h
+        f_inner = excess(inner)
+        if f_inner > 0.0:
             break
+        outer, f_outer = inner, f_inner
         h /= 4.0
-    if lo is not None:
-        hi = lo
-        while excess(hi) > 0.0:
-            hi = 1.0 + 2.0 * (hi - 1.0)
-        above = _bisect(excess, lo, hi, CROSSING_XTOL)
+    if f_inner > 0.0:
+        while outer is None:
+            lam = 1.0 + 2.0 * (inner - 1.0)
+            f_lam = excess(lam)
+            if f_lam > 0.0:
+                inner, f_inner = lam, f_lam
+            else:
+                outer, f_outer = lam, f_lam
+        above = _root(excess, inner, outer, f_inner, f_outer, CROSSING_XTOL)
         _verify_root(kernel, above, target)
 
     below: tuple[float, ...] = ()
@@ -473,8 +520,9 @@ def g_level_crossings(kernel: WalkKernel, target: float) -> LevelCrossings:
         v = 1.0 / (target - 1.0)
         floor = -((v + 1.0) * abs(ell) + 1.0)
         edge = ell - 1e-7
-        if excess(edge) > 0.0:
-            root = _bisect(excess, edge, floor, CROSSING_XTOL)
+        f_edge = excess(edge)
+        if f_edge > 0.0:
+            root = _root(excess, edge, floor, f_edge, excess(floor), CROSSING_XTOL)
             _verify_root(kernel, root, target)
             below = (root,)
     return LevelCrossings(target=target, above=above, below=below)

@@ -415,12 +415,13 @@ def essential_spectrum_predictor(
     """Solve g_lambda(0) = 1 + 1/v for every declared essential value v > 0.
 
     Above the spectrum the level function is strictly decreasing so there
-    is at most one root per level, found by bisection; the root for v0 is
-    the top of the essential spectrum and must exist (otherwise
-    NoRootAboveOne, which in d >= 3 is a legitimate outcome for small v0).
+    is at most one root per level, found by a bracketed root solve; the
+    root for v0 is the top of the essential spectrum and must exist
+    (otherwise NoRootAboveOne, which in d >= 3 is a legitimate outcome for
+    small v0).
     Below the bottom edge g is convex in 1/lambda and equals 1 at
     1/lambda = 0, so there too a level has at most one root, found by one
-    bisection (see ``g_level_crossings``).  With check_sparseness, a
+    bracketed solve (see ``g_level_crossings``).  With check_sparseness, a
     potential whose sparseness profile does not collapse raises NotSparse.
     No potential (None) or no v > 0 predicts no roots and the hull [lower, 1].
     """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparsewalk as sw
+from sparsewalk import birman_schwinger as bs
 from sparsewalk.errors import (
     AlphaNotPositive,
     AlphaTooLarge,
@@ -85,6 +86,24 @@ def test_crossing_scan_matches_dense_eigensolve():
     top = float(np.linalg.eigvalsh(op.sym)[-1])
     crossing = sw.bs_crossing_scan(k, spec, 1.05, 4.0, box=60)
     assert crossing == pytest.approx(top, abs=1e-6)
+
+
+@pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [0.0, 0.25])
+def test_crossing_scan_on_criterion_4_cases(q, v, monkeypatch):
+    # criterion 4's bracket and xtol: at most 20 assemblies (bisection took
+    # 37), and the crossing is the exact lambda_+ of the single delta
+    calls = []
+    assemble = bs.assemble_bs
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "assemble_bs", counted)
+    crossing = sw.bs_crossing_scan(sw.lazy1d(q), sw.single_delta(1, v), 1.03, 4.0, box=60, xtol=1e-10)
+    assert len(calls) <= 20, len(calls)
+    assert abs(crossing - sw.lambda_pm_1d(q, v)[1]) <= 1e-9
 
 
 def test_crossing_scan_without_sign_change_is_named():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_doob_band_matches_dense_rows(dim):
     assert abs(chain.row_deficit - deficit) <= 4 * np.spacing(1.0)
 
 
-@pytest.mark.parametrize("block", [gibbs.SIM_BLOCK, 777])
+@pytest.mark.parametrize("block", [1 << 16, gibbs.SIM_BLOCK, 777])
 @pytest.mark.parametrize("seed", [3, 2024])
 @pytest.mark.parametrize("dim", sorted(CHAINS))
 def test_simulate_chain_matches_dense_sampler(dim, seed, block, monkeypatch):
@@ -76,6 +77,35 @@ def test_simulate_chain_matches_dense_sampler(dim, seed, block, monkeypatch):
     x0 = (0,) * chain.box.dim
     path = sw.simulate_chain(chain, x0, 10_000, seed)
     assert np.array_equal(path, _dense_path(chain, x0, 10_000, seed))
+
+
+def _path_in_65536_blocks(chain, x0, steps, seed):
+    """simulate_chain's loop as it was with 1 << 16 uniforms per block."""
+    cum = np.cumsum(chain.probs, axis=1)
+    cum[cum == cum[:, -1:]] = 1.0
+    cum_rows, col_rows = cum.tolist(), chain.cols.tolist()
+    rng = sw.counter_rng(seed)
+    path = np.empty(steps + 1, dtype=int)
+    cur = path[0] = chain.index(x0)
+    for start in range(0, steps, 1 << 16):
+        block = []
+        for u in rng.random(min(1 << 16, steps - start)).tolist():
+            cur = col_rows[cur][bisect_right(cum_rows[cur], u)]
+            block.append(cur)
+        path[start + 1 : start + 1 + len(block)] = block
+    return chain.sites[path]
+
+
+@pytest.mark.parametrize("dim", sorted(CHAINS))
+def test_simulate_chain_path_does_not_depend_on_the_block(dim):
+    # consecutive draws of the generator concatenate, so the block size only
+    # bounds memory; 70 001 steps end mid-block for both sizes
+    steps = 70_001
+    assert steps > 1 << 16 and steps % (1 << 16) and steps % gibbs.SIM_BLOCK
+    _, _, _, chain = CHAINS[dim]()
+    x0 = (0,) * chain.box.dim
+    path = sw.simulate_chain(chain, x0, steps, 12345)
+    assert np.array_equal(path, _path_in_65536_blocks(chain, x0, steps, 12345))
 
 
 class _TopUniforms:

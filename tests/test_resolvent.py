@@ -24,7 +24,14 @@ from sparsewalk.lattice import (
     apply_P,
     char_on_grid,
 )
-from sparsewalk.resolvent import _DFT_BLOCK, _PTS_BISECT, _g0_on_grid, _verify_root
+from sparsewalk.resolvent import (
+    _DFT_BLOCK,
+    _PTS_BISECT,
+    CROSSING_XTOL,
+    _g0_on_grid,
+    _root,
+    _verify_root,
+)
 
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
@@ -540,6 +547,101 @@ def test_one_crossing_below_the_spectrum(name):
             lam_minus, lam_plus = sw.lambda_pm_1d(k.p0, v)
             assert lc.above == pytest.approx(lam_plus, abs=1e-9)
             assert lc.below[0] == pytest.approx(lam_minus, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", CROSSING_BATTERY)
+def test_crossings_are_xtol_close_in_few_grid_means(name, monkeypatch):
+    # each root lies within CROSSING_XTOL / 2 of a sign change of the grid
+    # mean it solves on, and a solve takes at most 40 of those means (plain
+    # bisection took 76-87 on these cases)
+    k = CROSSING_BATTERY[name]()
+    fine = _PTS_BISECT[k.dimension]
+    calls = []
+
+    def counted(kernel, lam, pts):
+        calls.append(lam)
+        return _g0_on_grid(kernel, lam, pts)
+
+    monkeypatch.setattr(resolvent, "_g0_on_grid", counted)
+    for v in (0.3, 1.0, 2.5):
+        target = 1.0 + 1.0 / v
+        calls.clear()
+        lc = sw.g_level_crossings(k, target)
+        assert len(calls) <= 40, (v, len(calls))
+        assert lc.above is not None and len(lc.below) == 1, v
+        for root in (lc.above, lc.below[0]):
+            sides = [_g0_on_grid(k, root + h * CROSSING_XTOL, fine) - target for h in (-0.5, 0.5)]
+            assert (sides[0] > 0.0) != (sides[1] > 0.0), (v, root, sides)
+
+
+def _solve(f, inner, outer, xtol):
+    """_root from the end values of f; the root and the evaluations it made."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return _root(counted, inner, outer, f(inner), f(outer), xtol), calls
+
+
+def _sign_change_within(f, x, h):
+    return f(x) == 0.0 or (f(x - h) > 0.0) != (f(x + h) > 0.0)
+
+
+ROOT_CASES = {
+    # slope 2 left of the root, 1/50 right of it
+    "kinked": (lambda x: 2.0 * (0.3 - x) if x < 0.3 else 0.02 * (0.3 - x), 0.0, 1.0),
+    # within 1e-15 of 0.5 on [0, 0.3], steep at the outer end
+    "flat near inner": (lambda x: 0.5 - math.exp(60.0 * (x - 0.9)), 0.0, 1.0),
+    "inner above outer": (lambda x: math.tanh(4.0 * (x - 0.25)), 1.0, -3.0),
+    "cubic": (lambda x: 0.1 - x**3, -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", ROOT_CASES)
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
+def test_root_is_within_half_xtol_of_the_sign_change(name, xtol):
+    f, inner, outer = ROOT_CASES[name]
+    root, calls = _solve(f, inner, outer, xtol)
+    assert min(inner, outer) <= root <= max(inner, outer)
+    assert _sign_change_within(f, root, 0.5 * xtol), (root, f(root))
+    # bisection needs log2(width / xtol) evaluations; Brent's fallback keeps
+    # the worst case within a small multiple of that
+    assert len(calls) <= 3 * math.log2(abs(outer - inner) / xtol), len(calls)
+
+
+def test_root_of_a_jump_is_within_half_xtol():
+    # no interpolation helps at a jump, so only the final bracket bounds the
+    # distance; a bracket stopped at xtol instead of xtol / 2 leaves some of
+    # these jumps up to 0.95 xtol away
+    xtol = 1e-6
+    for jump in np.linspace(0.01, 0.99, 97):
+        root, _ = _solve(lambda x: 1.0 if x <= jump else -1.0, 0.0, 1.0, xtol)
+        assert abs(root - jump) <= 0.5 * xtol, jump
+
+
+def test_root_at_the_outer_end_is_returned_without_evaluations():
+    root, calls = _solve(lambda x: 0.5 - x, 0.0, 0.5, 1e-12)
+    assert root == 0.5 and calls == []
+
+
+def test_root_in_a_bracket_narrower_than_xtol():
+    xtol = 1e-9
+    # narrower than xtol / 2: the end nearer the root, without evaluations
+    root, calls = _solve(lambda x: 1.0 - x, 1.0 - 1e-10, 1.0 + 3e-10, xtol)
+    assert root == 1.0 - 1e-10 and calls == []
+    # between xtol / 2 and xtol: still within xtol / 2 of the sign change
+    root, calls = _solve(lambda x: 1.0 - x, 1.0 - 8e-10, 1.0 + 1e-10, xtol)
+    assert abs(root - 1.0) <= 0.5 * xtol and len(calls) <= 2
+
+
+def test_root_terminates_below_the_float_spacing():
+    # a step with no zero among the doubles and xtol far below their
+    # spacing near 1e6: the bracket stops at a few ulps instead of looping
+    c = 1e6 + 1.0 / 3.0
+    root, calls = _solve(lambda x: 1.0 if x <= c else -1.0, 0.0, 2e6, 1e-30)
+    assert abs(root - c) <= 4 * math.ulp(c) and len(calls) <= 200
 
 
 def test_level_crossings_target_not_above_one():

@@ -36,9 +36,11 @@ support count and matrix norm of the ``bs2d`` case on a box centred off the
 origin; and ``mc_nd``, the ``fk_monte_carlo`` estimate and standard error
 at a fixed seed for the simple 2d walk under the potential of the 2d chain
 case and for the lazy 3d walk under a 3d geometric potential, each with
-f = 1 and with a decaying f.  The package
-is imported from ``PYTHONPATH``, so two checkouts are compared by running
-this script against each and diffing the outputs:
+f = 1 and with a decaying f; and ``bsscan1d``, the ``bs_crossing_scan``
+crossing of a single delta under the lazy 1d walk at criterion 4's six
+(v, q) and at v = 1.5, q = 0.3, with criterion 4's bracket, box and xtol.
+The package is imported from ``PYTHONPATH``, so two checkouts are compared
+by running this script against each and diffing the outputs:
 
     PYTHONPATH=<checkout>/src python3 tools/same_results.py > same.json
 
@@ -54,8 +56,8 @@ path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
-``gibbs2d``, ``discrete1d``, ``shifted2d`` or ``mc_nd`` section still loads;
-that section is then left out of the comparison.
+``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd`` or ``bsscan1d``
+section still loads; that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -161,10 +163,13 @@ DISCRETE1D_WINDOW = (10, 18)
 MC_ND_N = 12
 MC_ND_SAMPLES = 20_000
 MC_ND_SEED = 97
+#: the 1d Birman-Schwinger crossing case: (v, q) of a single delta under
+#: lazy1d(q), scanned on [1.03, 4.0] at box radius 60 and xtol 1e-10
+BSSCAN1D_CASES = [(v, q) for v in (0.5, 1.0, 2.0) for q in (0.0, 0.25)] + [(1.5, 0.3)]
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd",
+    "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -207,6 +212,7 @@ def fingerprint() -> dict:
         "discrete1d": discrete1d(),
         "shifted2d": shifted2d(),
         "mc_nd": mc_nd(),
+        "bsscan1d": bsscan1d(),
     }
 
 
@@ -360,6 +366,16 @@ def crossings1d() -> dict:
             out[f"{name} v={v} above"] = repr(lc.above)
             out[f"{name} v={v} below"] = repr(lc.below)
     return out
+
+
+def bsscan1d() -> dict:
+    """Reprs of the Birman-Schwinger crossings of the 1d crossing-scan case."""
+    return {
+        f"v={v} q={q}": repr(
+            sw.bs_crossing_scan(sw.lazy1d(q), sw.single_delta(1, v), 1.03, 4.0, box=60, xtol=1e-10)
+        )
+        for v, q in BSSCAN1D_CASES
+    }
 
 
 def green_full2d() -> dict:
