@@ -13,7 +13,7 @@ the operator is self-adjoint there.
 
 P acts on the box through the slice stencil of ``lattice._stencil``, one
 shifted slice per kernel offset.  The top eigenpairs (thick-restart block
-Lanczos, whose basis never exceeds RESTART_BLOCKS blocks), power iteration,
+Lanczos on a basis bounded by RESTART_BLOCKS), power iteration,
 the spectral-projection fit and every eigen residual use these matrix-free
 products, at any box volume.  The truncation also keeps the band of P, one
 column per kernel offset (the box index of each neighbour and its P value,
@@ -88,9 +88,10 @@ BREAKDOWN_TOL = 1e-15
 #: than this fraction of ||S Q|| (rounding is amplified by the inverse)
 REORTH_TOL = 0.1
 
-#: the Lanczos basis holds at most RESTART_BLOCKS blocks of `count` rows;
-#: a full basis restarts from the KEEP_BLOCKS * count Ritz vectors at each
-#: end of the spectrum
+#: the Lanczos basis holds at most RESTART_BLOCKS blocks of max(count, 2)
+#: rows (20 rows cannot separate the clustered top of the free simple walk
+#: at L = 150); a full basis restarts from the KEEP_BLOCKS * count Ritz
+#: vectors at each end of the spectrum
 RESTART_BLOCKS = 20
 KEEP_BLOCKS = 3
 
@@ -244,9 +245,9 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     ch. 13).  Each new block is orthogonalized against the whole basis,
     and once more when rounding could have been amplified (REORTH_TOL);
     its row of T = Q S Q^T is that full projection.  The basis holds at
-    most RESTART_BLOCKS * count rows; a box of fewer than
-    (RESTART_BLOCKS + 1) * count sites is spanned whole instead, with no
-    restart, and the pairs are then exact.  When the basis is full,
+    most RESTART_BLOCKS * max(count, 2) rows; a box of fewer than that
+    plus `count` sites is spanned whole instead, with no restart, and the
+    pairs are then exact.  When the basis is full,
     Rayleigh-Ritz on T stops once every wanted pair (the top `count` by
     value and the top `count` by |value|, which lie at the two ends of the
     spectrum) has residual ||B y_last|| <= RITZ_TOL max(1, max |theta|),
@@ -265,7 +266,8 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     count = min(count, n)
     # a box less than one block beyond the cap is spanned whole, so no
     # pending block is ever cut below `count` rows and kept past a restart
-    cap = RESTART_BLOCKS * count if n >= (RESTART_BLOCKS + 1) * count else n
+    cap = RESTART_BLOCKS * max(count, 2)
+    cap = cap if n >= cap + count else n
     keep = KEEP_BLOCKS * count
     rng = np.random.default_rng(LANCZOS_SEED)
     basis = np.empty((cap, n))  # orthonormal rows: kept Ritz vectors, then blocks
@@ -410,7 +412,7 @@ class LambdaVPrediction:
 
 
 def essential_spectrum_predictor(
-    kernel: WalkKernel, spec: PotentialSpec | None, check_sparseness: bool = True
+    kernel: WalkKernel, spec: PotentialSpec | None
 ) -> LambdaVPrediction:
     """Solve g_lambda(0) = 1 + 1/v for every declared essential value v > 0.
 
@@ -421,12 +423,12 @@ def essential_spectrum_predictor(
     small v0).
     Below the bottom edge g is convex in 1/lambda and equals 1 at
     1/lambda = 0, so there too a level has at most one root, found by one
-    bracketed solve (see ``g_level_crossings``).  With check_sparseness, a
-    potential whose sparseness profile does not collapse raises NotSparse.
+    bracketed solve (see ``g_level_crossings``).  A potential whose
+    sparseness profile does not collapse raises NotSparse.
     No potential (None) or no v > 0 predicts no roots and the hull [lower, 1].
     """
     ess = [v for v in (spec.essential_values if spec is not None else ()) if v > 0.0]
-    if ess and check_sparseness:
+    if ess:
         profile = sparseness_profile(spec, 0.5, min(spec.box_radius, 512))
         tail = [s for _, s in profile.sup_tail]
         if tail and tail[-1] > max(0.5 * tail[0], 1e-9):

@@ -228,6 +228,150 @@ def test_fibre_start_matches_full_grid_start(monkeypatch, name):
     assert abs(k.lower - full) <= 1e-14
 
 
+#: the grid argmin, cell (0, 255), sits beside the saddle at (pi, pi)
+SADDLE_2D = {(0, 0): 0.13245605167956526}
+for _off, _p in (
+    ((1, 0), 0.13725633299288578),
+    ((1, 1), 0.06215126163449404),
+    ((2, 1), 0.13903615845314515),
+    ((2, 3), 0.07380970347817357),
+    ((2, -2), 0.021518517601518863),
+):
+    SADDLE_2D[_off] = SADDLE_2D[tuple(-c for c in _off)] = _p
+
+
+def test_lower_is_not_stopped_by_a_saddle():
+    k = sw.validate_kernel(SADDLE_2D)
+    # p-hat takes this value, so min p-hat is no higher; the golden-section
+    # polish stalled 1.8e-5 above it, and plain Newton stops on the saddle
+    # at (pi, pi), -0.40040878
+    assert k.lower <= sw.char_function(k, (-3.0648, 3.0546))
+    # Newton from the brute-force grid point
+    assert abs(k.lower - (-0.4004278632568614)) <= 1e-14
+
+
+def _golden_lower(offsets, probs, grid_density):
+    """min p-hat by the polish _char_lower used before one descent.
+
+    The same start, three golden-section coordinate sweeps of 80 steps
+    within one grid cell per axis, then plain Newton; no 2 p0 - 1 clamp.
+    """
+    axis = lattice._fibre_axis(offsets)
+    grid = lattice._grid_phase((1,), grid_density).ravel()
+    if axis is None:
+        vals = lattice._char_grid(offsets, probs, grid_density)
+        theta = grid[np.array(np.unravel_index(int(np.argmin(vals)), vals.shape))]
+    else:
+        alpha, R, argz = lattice._fibre_parts(offsets, probs, axis, grid_density)
+        i = int(np.argmin(alpha - R))
+        cell = np.unravel_index(i, (grid_density,) * (offsets.shape[1] - 1))
+        theta = np.insert(grid[list(cell)], axis, np.pi - argz[i])
+
+    def along(ax, t):
+        trial = theta.copy()
+        trial[ax] = t
+        return lattice._char_eval(offsets, probs, trial[None, :])[0]
+
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    span = 2 * np.pi / grid_density
+    for _ in range(3):
+        for ax in range(len(theta)):
+            lo, hi = theta[ax] - span, theta[ax] + span
+            c, dd = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            for _ in range(80):
+                if along(ax, c) < along(ax, dd):
+                    hi = dd
+                else:
+                    lo = c
+                c, dd = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            theta[ax] = 0.5 * (lo + hi)
+    value = lattice._char_eval(offsets, probs, theta[None, :])[0]
+    for _ in range(20):
+        cos, sin = probs * np.cos(offsets @ theta), probs * np.sin(offsets @ theta)
+        trial = theta - np.linalg.lstsq((offsets.T * cos) @ offsets, sin @ offsets, rcond=None)[0]
+        trial_value = lattice._char_eval(offsets, probs, trial[None, :])[0]
+        if not trial_value < value - 1e-15:
+            break
+        theta, value = trial, trial_value
+    return float(value)
+
+
+def _fine_min(offsets, probs, pts):
+    """min p-hat over the midpoint grid of [-pi, pi]^d, d <= 2, pts per axis.
+
+    In 2d p-hat = Re sum_y p(y) e^(i y_0 theta_0) e^(i y_1 theta_1), one
+    complex matrix product over the support.
+    """
+    axis = -np.pi + (np.arange(pts) + 0.5) * (2 * np.pi / pts)
+    first = probs * np.exp(1j * np.outer(axis, offsets[:, 0]))
+    if offsets.shape[1] == 1:
+        return float(first.sum(axis=1).real.min())
+    return float((first @ np.exp(1j * np.outer(offsets[:, 1], axis))).real.min())
+
+
+def _random_support(seed, d):
+    """Offsets and probabilities of a random symmetric kernel on Z^d.
+
+    Unit moves, so the walk is irreducible, plus two to four random moves of
+    sup-norm at most 1-3.  Not validated: in 3d without a range-1 axis
+    ``validate_kernel`` scans a 256^3 grid.
+    """
+    rng = np.random.default_rng(seed)
+    reach = int(rng.integers(1, 4))
+    moves = [tuple(e) for e in np.eye(d, dtype=int)]
+    for _ in range(int(rng.integers(2, 5))):
+        m = tuple(int(c) for c in rng.integers(-reach, reach + 1, size=d))
+        if any(m) and m not in moves and tuple(-c for c in m) not in moves:
+            moves.append(m)
+    w = rng.uniform(0.02, 1.0, size=len(moves) + 1)
+    w[0] *= rng.random() < 0.6  # no holding at all in about 40% of kernels
+    w /= w[0] + 2.0 * w[1:].sum()
+    raw = {(0,) * d: w[0]}
+    for m, p in zip(moves, w[1:]):
+        raw[m] = raw[tuple(-c for c in m)] = p
+    order = sorted(o for o in raw if raw[o] > 0)
+    return np.array(order), np.array([raw[o] for o in order])
+
+
+#: dimension -> (start grid, fine grid or None); 3d starts at 64, since
+#: without a range-1 axis the 256^3 start grid takes 134 MB
+DESCENT_GRIDS = {1: (256, 1 << 16), 2: (256, 1024), 3: (64, None)}
+
+
+@pytest.mark.parametrize("d", sorted(DESCENT_GRIDS))
+def test_descent_never_above_the_golden_polish_or_a_fine_grid(d):
+    start, fine = DESCENT_GRIDS[d]
+    starts = set()
+    for seed in range(20):
+        offsets, probs = _random_support(1900 + 100 * d + seed, d)
+        starts.add(lattice._fibre_axis(offsets) is None)
+        lower = lattice._char_lower(offsets, probs, start)
+        assert lower <= _golden_lower(offsets, probs, start) + 1e-15
+        if fine is not None:
+            assert lower <= _fine_min(offsets, probs, fine) + 1e-15
+    # in 2d and 3d both the fibre start and the full-grid start are tried
+    assert len(starts) == (1 if d == 1 else 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [sw.simple1d, lambda: sw.lazy1d(0.25), sw.simple2d, lambda: _lazy3d(0.17)],
+    ids=["simple1d", "lazy1d(0.25)", "simple2d", "lazy3d(0.17)"],
+)
+def test_validation_takes_few_phat_evaluations(monkeypatch, make):
+    calls = []
+    evaluate = lattice._char_eval
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(lattice, "_char_eval", counted)
+    make()
+    # the golden-section sweeps took 482 (1d) to 1442 (3d)
+    assert len(calls) <= 40
+
+
 def test_validate_3d_scans_no_full_grid():
     # a 256^3 p-hat grid alone is 134 MB; the fibre grid of the other two
     # axes is 256^2

@@ -406,6 +406,15 @@ def test_eigensolve_top_memory_is_bounded_by_the_restart_cap():
     assert max(p.residual for p in sol.by_value + sol.by_abs) <= 1e-10
 
 
+@pytest.mark.parametrize("L", [150, 200])
+def test_eigensolve_top_count_one_separates_the_free_top(L):
+    # a 20-row basis stalled here at Ritz residual 1e-4: the top of the
+    # free spectrum, cos(pi k / (2L + 2)), is clustered
+    top = sw.eigensolve_top(sw.truncated_operator(sw.simple1d(), None, L), 1).by_value[0]
+    assert top.residual <= 1e-12
+    assert abs(top.value - math.cos(math.pi / (2 * L + 2))) <= 1e-12
+
+
 def test_eigensolve_top_stagnation_is_named(monkeypatch):
     monkeypatch.setattr(spectral, "RITZ_TOL", 0.0)
     _, _, op = _anchored("simple2d")
@@ -485,7 +494,7 @@ def test_predictor_d3_no_root():
     )
     spec = sw.build_geometric_sparse(3, 1.0, 3, box_radius=16)
     with pytest.raises(NoRootAboveOne):
-        sw.essential_spectrum_predictor(k3, spec, check_sparseness=False)
+        sw.essential_spectrum_predictor(k3, spec)
 
 
 def test_bipartite_detect():

@@ -24,6 +24,13 @@ other metric is
   or when neither side's interquartile range exceeds the bound (relative
   to its median);
 * ``unresolved`` otherwise: the runs spread too widely to tell.
+
+With ``--setup-probes N`` it then runs N single ``perfbench/run.py
+--setup-probe`` processes per checkout, alternating as the pairs do (probe
+i at seed S + i), and prints each side's median [q1, q3] set-up time and
+the probes the change wins.  A run's ``setup_s`` is the median of only a
+few samples taken close together, so it follows the host's state at that
+moment; interleaved single probes compare the two trees' set-up code.
 """
 
 from __future__ import annotations
@@ -49,6 +56,16 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: run.py exited {done.returncode}\n{done.stderr}")
     return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+
+
+def setup_probe(checkout: Path, workload: str, seed: int) -> float:
+    """Set-up time, import included, of one fresh ``run.py --setup-probe`` process."""
+    cmd = [sys.executable, "perfbench/run.py", "--setup-probe", "--workload", workload, "--seed", str(seed)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: setup probe exited {done.returncode}\n{done.stderr}")
+    return float(lines[-1])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -101,6 +118,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--claim", help="the end-to-end metric the change claims to improve")
+    p.add_argument("--setup-probes", type=int, default=0, help="single set-up probes per checkout after the pairs")
     args = p.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -136,6 +154,19 @@ def main(argv=None) -> int:
             f"  {name:13s} {p_med:.5g} [{p_q1:.5g}, {p_q3:.5g}] -> {c_med:.5g} [{c_q1:.5g}, {c_q3:.5g}]"
             f"  change wins {wins(parent, change, lower_better)}/{args.pairs}"
             f"  parent IQR {p_q3 - p_q1:.4g}  bound {m['bound']}  {judged}"
+        )
+
+    if args.setup_probes > 0:
+        probes = {"parent": [], "change": []}
+        for i in range(args.setup_probes):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                probes[side].append(setup_probe(getattr(args, side), args.workload, args.seed + i))
+        (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = quartiles(probes["parent"]), quartiles(probes["change"])
+        print(
+            f"\n{args.workload}, {args.setup_probes} set-up probe(s) per side, median [q1, q3] s, parent -> change\n"
+            f"  setup probe   {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}] -> {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]"
+            f"  change wins {wins(probes['parent'], probes['change'], True)}/{args.setup_probes}"
         )
     return 0
 

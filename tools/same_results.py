@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus twelve sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus fifteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -38,7 +38,9 @@ at a fixed seed for the simple 2d walk under the potential of the 2d chain
 case and for the lazy 3d walk under a 3d geometric potential, each with
 f = 1 and with a decaying f; and ``bsscan1d``, the ``bs_crossing_scan``
 crossing of a single delta under the lazy 1d walk at criterion 4's six
-(v, q) and at v = 1.5, q = 0.3, with criterion 4's bracket, box and xtol.
+(v, q) and at v = 1.5, q = 0.3, with criterion 4's bracket, box and
+xtol; and ``saddle2d``, the ``WalkKernel.lower`` of a 2d kernel whose grid
+argmin of p-hat sits beside a saddle.
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -56,8 +58,9 @@ path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
-``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd`` or ``bsscan1d``
-section still loads; that section is then left out of the comparison.
+``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d`` or
+``saddle2d`` section still loads; that section is then left out of the
+comparison.
 """
 
 from __future__ import annotations
@@ -166,10 +169,21 @@ MC_ND_SEED = 97
 #: the 1d Birman-Schwinger crossing case: (v, q) of a single delta under
 #: lazy1d(q), scanned on [1.03, 4.0] at box radius 60 and xtol 1e-10
 BSSCAN1D_CASES = [(v, q) for v in (0.5, 1.0, 2.0) for q in (0.0, 0.25)] + [(1.5, 0.3)]
+#: the saddle case: a 2d kernel whose p-hat grid argmin, cell (0, 255) at
+#: 256 points per axis, sits beside the saddle at (pi, pi)
+SADDLE2D = {(0, 0): 0.13245605167956526}
+for _off, _p in (
+    ((1, 0), 0.13725633299288578),
+    ((1, 1), 0.06215126163449404),
+    ((2, 1), 0.13903615845314515),
+    ((2, 3), 0.07380970347817357),
+    ((2, -2), 0.021518517601518863),
+):
+    SADDLE2D[_off] = SADDLE2D[tuple(-c for c in _off)] = _p
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
-    "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d",
+    "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d", "saddle2d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -213,6 +227,7 @@ def fingerprint() -> dict:
         "shifted2d": shifted2d(),
         "mc_nd": mc_nd(),
         "bsscan1d": bsscan1d(),
+        "saddle2d": {"lower": repr(sw.validate_kernel(SADDLE2D).lower)},
     }
 
 
