@@ -48,24 +48,25 @@ WIN_SHARE = 0.9
 RUN_TIMEOUT_S = 300
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """Metrics of one untraced run of the checkout's own benchmark."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def run_py(checkout: Path, *args: str) -> str:
+    """Last output line of the checkout's own ``perfbench/run.py`` with these arguments."""
+    cmd = [sys.executable, "perfbench/run.py", *args]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: run.py exited {done.returncode}\n{done.stderr}")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+        raise SystemExit(f"{checkout}: run.py {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+    return lines[-1]
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """Metrics of one untraced run of the checkout's own benchmark."""
+    line = run_py(checkout, "--workload", workload, "--seed", str(seed), "--trace", "0")
+    return {name: m["value"] for name, m in json.loads(line)["metrics"].items()}
 
 
 def setup_probe(checkout: Path, workload: str, seed: int) -> float:
     """Set-up time, import included, of one fresh ``run.py --setup-probe`` process."""
-    cmd = [sys.executable, "perfbench/run.py", "--setup-probe", "--workload", workload, "--seed", str(seed)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: setup probe exited {done.returncode}\n{done.stderr}")
-    return float(lines[-1])
+    return float(run_py(checkout, "--setup-probe", "--workload", workload, "--seed", str(seed)))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
