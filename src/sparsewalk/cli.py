@@ -67,7 +67,6 @@ def exp_validate(cfg: dict, out: Path) -> dict:
         "range": kernel.reach,
         "p0": kernel.p0,
         "spectrum_lower": kernel.lower,
-        "irreducible_proxy": "Q(0,2r) covered",
         "bipartite": spectral.bipartite_detect(kernel) is not None,
     }
 
@@ -125,7 +124,8 @@ def exp_bs(cfg: dict, out: Path) -> dict:
 def exp_spectrum(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
-    Ls = numbers(require(cfg, "L_sequence", "spectrum"), "L_sequence", int)
+    floor = spectral._truncation_floor(kernel)
+    Ls = numbers(require(cfg, "L_sequence", "spectrum"), "L_sequence", int, least=floor)
     if len(set(Ls)) < 2:
         raise ConfigInvalid(f"'L_sequence' needs at least two box radii that differ, got {Ls}")
     bundle = spectral.spectral_report(kernel, spec, Ls)
@@ -172,7 +172,7 @@ def exp_decay(cfg: dict, out: Path) -> dict:
     lam = number(cfg.get("lambda", 2.0), "lambda")
     alpha = _positive(cfg, "alpha", 0.6)
     box = number(cfg.get("box_radius", 512), "box_radius", int, least=1)
-    L = number(cfg.get("L", 80), "L", int)
+    L = number(cfg.get("L", 80), "L", int, least=spectral._truncation_floor(kernel))
     lo, hi = numbers(cfg.get("fit_window", (10, 18)), "fit_window", int, 2)
     if not (0 <= lo and hi <= L and hi - lo + 1 >= resolvent.MIN_FIT_POINTS):
         span = f"and span at least {resolvent.MIN_FIT_POINTS} sites"
@@ -194,7 +194,7 @@ def exp_decay(cfg: dict, out: Path) -> dict:
 
 
 def _chain_from_config(cfg, kernel, spec):
-    L = number(cfg.get("L", 60), "L", int)
+    L = number(cfg.get("L", 60), "L", int, least=spectral._truncation_floor(kernel))
     tol = _positive(cfg, "eigen_tol", 1e-10)
     op = spectral.truncated_operator(kernel, spec, L)
     r, phi = spectral.perron_pair(op, tol=tol)
@@ -210,6 +210,9 @@ def exp_gibbs(cfg: dict, out: Path) -> dict:
         raise ConfigInvalid(f"'n_range' [{n_lo}, {n_hi}] must satisfy k = {k_fixed} < lo <= hi")
     e1 = [1] + [0] * (kernel.dimension - 1)
     site = tuple(numbers(cfg.get("indicator_site", e1), "indicator_site", int, kernel.dimension))
+    # the functional reads S_1, which only ever lands on a support offset
+    if site not in kernel.offsets:
+        raise ConfigInvalid(f"'indicator_site' {list(site)} is not a one-step move of the kernel")
     op, chain = _chain_from_config(cfg, kernel, spec)
     # before any artifact: past DENSE_CAP this raises BoxTooLarge
     w = np.linalg.eigvalsh(op.sym)

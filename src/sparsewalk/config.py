@@ -39,6 +39,25 @@ KEYS = {
 }
 EXPERIMENTS = tuple(KEYS)
 
+#: section -> kernel preset ("offsets" for explicit rows) or potential type
+#: -> the keys a section of that kind may hold
+SECTION_KEYS = {
+    "kernel": {
+        "simple1d": ("preset",),
+        "simple2d": ("preset",),
+        "lazy1d": ("preset", "q"),
+        "offsets": ("offsets", "dimension"),
+    },
+    "potential": {
+        "geometric": ("type", "v", "base", "box_radius", "anchor"),
+        "dense": ("type", "v", "box_radius"),
+        "explicit": ("type", "sites", "tail", "essential_values", "box_radius"),
+        "decaying": ("type", "sites", "essential_values", "box_radius"),
+        "none": ("type",),
+        "zero": ("type",),
+    },
+}
+
 #: experiments whose outputs depend on pseudo-randomness
 SEEDED = ("doob", "fk")
 
@@ -71,12 +90,33 @@ def _load(path: Path, chain: tuple[Path, ...]) -> dict:
     return merged
 
 
+def _section(cfg: dict, name: str) -> dict | None:
+    spec = cfg.get(name)
+    if spec is not None and not isinstance(spec, dict):
+        raise ConfigInvalid(f"'{name}' section must be a JSON object, got {spec!r}")
+    return spec
+
+
+def _check_section(spec: dict, name: str, kind: str) -> None:
+    """ConfigInvalid naming every key that a `kind` section does not read."""
+    allowed = SECTION_KEYS[name][kind]
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown key(s) {unknown} in the '{name}' section for {kind!r}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+
+
 def kernel_from_config(cfg: dict) -> WalkKernel:
-    spec = cfg.get("kernel")
+    spec = _section(cfg, "kernel")
     if spec is None:
         raise ConfigInvalid("config needs a 'kernel' section")
     if "preset" in spec:
         name = spec["preset"]
+        if name not in ("simple1d", "lazy1d", "simple2d"):
+            raise ConfigInvalid(f"unknown kernel preset {name!r}")
+        _check_section(spec, "kernel", name)
         if name == "simple1d":
             return simple1d()
         if name == "lazy1d":
@@ -86,10 +126,9 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
                 return lazy1d(number(spec["q"], "q"))
             except LazinessOutOfRange as err:
                 raise ConfigInvalid(f"lazy1d preset: {err}") from err
-        if name == "simple2d":
-            return simple2d()
-        raise ConfigInvalid(f"unknown kernel preset {name!r}")
+        return simple2d()
     if "offsets" in spec:
+        _check_section(spec, "kernel", "offsets")
         try:
             entries = {tuple(int(c) for c in row[:-1]): float(row[-1]) for row in spec["offsets"]}
             return validate_kernel(entries, dimension=spec.get("dimension"))
@@ -101,12 +140,17 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
 
 
 def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
-    spec = cfg.get("potential")
-    if spec is not None and "type" not in spec:
-        raise ConfigInvalid("potential section needs a 'type' ('none' for no potential)")
-    if spec is None or spec["type"] in ("none", "zero"):
+    spec = _section(cfg, "potential")
+    if spec is None:
         return None
+    if "type" not in spec:
+        raise ConfigInvalid("potential section needs a 'type' ('none' for no potential)")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in SECTION_KEYS["potential"]:
+        raise ConfigInvalid(f"unknown potential type {kind!r}")
+    _check_section(spec, "potential", kind)
+    if kind in ("none", "zero"):
+        return None
     box_radius = spec.get("box_radius")
     try:
         if kind == "geometric":
@@ -122,23 +166,19 @@ def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
             )
         if kind == "dense":
             return dense_level(dimension, float(spec.get("v", 1.0)), int(box_radius or 128))
-        if kind in ("explicit", "decaying"):
-            sites = {
-                tuple(int(c) for c in row[:-1]): float(row[-1]) for row in spec["sites"]
-            }
-            tail = "decaying" if kind == "decaying" else spec.get("tail", "decaying")
-            return make_potential(
-                dimension,
-                sites,
-                tail=tail,
-                essential_values=spec.get("essential_values", (0.0,)),
-                box_radius=box_radius,
-            )
+        sites = {tuple(int(c) for c in row[:-1]): float(row[-1]) for row in spec["sites"]}
+        tail = "decaying" if kind == "decaying" else spec.get("tail", "decaying")
+        return make_potential(
+            dimension,
+            sites,
+            tail=tail,
+            essential_values=spec.get("essential_values", (0.0,)),
+            box_radius=box_radius,
+        )
     except ConfigInvalid:
         raise
     except Exception as err:
         raise ConfigInvalid(f"potential section invalid: {err}") from err
-    raise ConfigInvalid(f"unknown potential type {kind!r}")
 
 
 def require(cfg: dict, key: str, kind: str):
@@ -163,12 +203,12 @@ def number(value, key: str, cast=float, least=None):
     return value
 
 
-def numbers(value, key: str, cast=float, length: int | None = None) -> list:
+def numbers(value, key: str, cast=float, length: int | None = None, least=None) -> list:
     """A list of `length` (any if None) numbers, each read by `number`."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         size = "a list" if length is None else f"a list of {length}"
         raise ConfigInvalid(f"'{key}' must be {size} numbers, got {value!r}")
-    return [number(v, key, cast) for v in value]
+    return [number(v, key, cast, least) for v in value]
 
 
 def check_experiment(cfg: dict) -> str:

@@ -25,7 +25,7 @@ class NotSymmetric(SparseWalkError):
 
 
 class NotIrreducible(SparseWalkError):
-    """Sums of support offsets fail to reach the finite proxy cube."""
+    """The support generates a proper subgroup of Z^d: a Euclid pivot is not +-1."""
 
 
 class BoxTooSmall(SparseWalkError):

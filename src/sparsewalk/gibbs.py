@@ -359,8 +359,9 @@ def convergence_rate(
     chain's exact prefix law; f maps a k-tuple of sites to a float.  Every
     n is read from one sweep of M^m 1 up to max(n_range) on one box: mu_n needs
     Z_n = (M^n 1)(0) and M^(n-k) 1, so only the last k + 1 powers are kept.
-    The fitted ratio must be < 1; NoDecayDetected otherwise (or when no
-    usable deviations remain above floating-point noise).
+    The fitted ratio must be < 1; NoDecayDetected otherwise, or when only
+    one or two deviations lie above floating-point noise.  When none does,
+    E_mu_n F = E_nu F to rounding at every n and eps_fit is 0.0.
     """
     ns = sorted(int(n) for n in n_range)
     if k_fixed < 0:

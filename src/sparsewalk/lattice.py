@@ -16,15 +16,15 @@ slice stencil, ``_stencil``, which ``apply_P`` and the truncation's matvecs
 call.  p-hat on a tensor grid comes from one evaluator, ``_char_grid``, and
 along the fibres of a range-1 axis from one other, ``_fibre_parts``; min
 p-hat is computed once, in ``validate_kernel``, and kept as
-``WalkKernel.lower``.  A box owns its row-major site index,
-``LatticeBox.flat``.  The band of P on a box, one row per site, comes from
-``_neighbour_table`` and its dense form from ``_band_dense``; only readers
-of rows use it (dense M and S, the Doob chain).
+``WalkKernel.lower``; the same call decides irreducibility exactly, by
+Euclid's algorithm on the support vectors.  A box owns its row-major site
+index, ``LatticeBox.flat``.  The band of P on a box, one row per site,
+comes from ``_neighbour_table`` and its dense form from ``_band_dense``;
+only readers of rows use it (dense M and S, the Doob chain).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -48,10 +48,6 @@ from .errors import (
 )
 
 Offset = tuple[int, ...]
-
-#: reachability proxy: offset sums must cover Q(0, 2r) while roaming Q(0, 4r)
-IRREDUCIBILITY_COVER_FACTOR = 2
-IRREDUCIBILITY_ROAM_FACTOR = 4
 
 
 def _as_offset(key, dim: int | None) -> Offset:
@@ -206,10 +202,12 @@ def validate_kernel(raw, dimension: int | None = None) -> WalkKernel:
 
     Zero-probability entries are dropped.  Checks, in order: nonemptiness,
     nonnegativity, normalization (1e-12), symmetry p(x) = p(-x) as a pairing
-    test, and irreducibility via a finite BFS proxy: sums of support offsets
-    started at 0 must cover Q(0, 2r) while roaming inside Q(0, 4r).  The
-    proxy radius is a documented choice, not an assertion of equivalence
-    with full additive generation.
+    test, and irreducibility, decided exactly: the support must generate Z^d
+    as a group (Spitzer, Principles of Random Walk, section 2).  Euclid's
+    algorithm runs down each column of the support vectors, the row with
+    the smallest nonzero entry reducing the others, and every pivot must be
+    +-1.  Row operations are unimodular, so the generated group never
+    changes (Hermite normal form; Cohen, 1993, section 2.4).
     """
     items = [(k, float(v)) for k, v in dict(raw).items()]
     if not items:
@@ -240,27 +238,20 @@ def validate_kernel(raw, dimension: int | None = None) -> WalkKernel:
             raise NotSymmetric(f"p{off}={val} but p{neg}={other}")
 
     reach = max(_sup_norm(o) for o in entries)
-    if reach == 0:
-        raise NotIrreducible("support is {0}; the walk never moves")
-
-    cover = IRREDUCIBILITY_COVER_FACTOR * reach
-    roam = IRREDUCIBILITY_ROAM_FACTOR * reach
-    seen = {(0,) * dim}
-    queue = deque(seen)
-    support = list(entries)
-    while queue:
-        cur = queue.popleft()
-        for off in support:
-            nxt = tuple(c + o for c, o in zip(cur, off))
-            if nxt not in seen and max(map(abs, nxt)) <= roam:
-                seen.add(nxt)
-                queue.append(nxt)
-    target = itertools.product(range(-cover, cover + 1), repeat=dim)
-    missing = [t for t in target if t not in seen]
-    if missing:
-        raise NotIrreducible(
-            f"offset sums miss {len(missing)} sites of Q(0,{cover}), e.g. {missing[0]}"
-        )
+    rows = list(entries)
+    for c in range(dim):
+        while len(live := [r for r in rows if r[c]]) > 1:
+            piv = min(live, key=lambda r: abs(r[c]))
+            rows = [
+                r if r is piv else tuple(a - r[c] // piv[c] * b for a, b in zip(r, piv))
+                for r in rows
+            ]
+        pivot = abs(live[0][c]) if live else 0
+        if pivot != 1:
+            raise NotIrreducible(
+                f"the support generates a proper subgroup of Z^{dim}: pivot {pivot} on axis {c}"
+            )
+        rows.remove(live[0])
 
     order = sorted(entries)
     offsets = tuple(order)

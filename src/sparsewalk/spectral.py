@@ -195,10 +195,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _truncation_floor(kernel: WalkKernel) -> int:
+    """The least box radius L that ``truncated_operator`` accepts."""
+    return 4 * kernel.reach
+
+
 def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -> TruncatedOperator:
     """Assemble the truncation on Q(0, L) with zero outside."""
-    if L < 4 * kernel.reach:
-        raise TruncationTooSmall(f"L={L} must be at least 4x kernel range {kernel.reach}")
+    floor = _truncation_floor(kernel)
+    if L < floor:
+        raise TruncationTooSmall(f"L={L} is below {floor}, four times the kernel range")
     box = LatticeBox.cube(L, kernel.dimension)
     cols, probs = _neighbour_table(kernel, box)
     return TruncatedOperator(

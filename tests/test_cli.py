@@ -23,6 +23,7 @@ from sparsewalk.lattice import LatticeBox
 SIMPLE = {"kernel": {"preset": "simple1d"}}
 DELTA = {"potential": {"type": "explicit", "sites": [[0, 1.0]]}}
 ANCHORED = {"potential": {"type": "geometric", "v": 1.0, "base": 3, "anchor": [0, 2.0]}}
+RANGE2_1D = [[2, 0.25], [-2, 0.25], [1, 0.25], [-1, 0.25]]
 
 
 def _write(tmp_path, name, payload) -> Path:
@@ -280,6 +281,56 @@ MALFORMED = {
         {"cfg.json": {"kernel": {"preset": "lazy1d", "q": 1.0}}},
         "lazy1d preset: q must lie in [0, 1), got 1.0",
     ),
+    "kernel section that is a number": (
+        "validate",
+        {"cfg.json": {"kernel": 5}},
+        "'kernel' section must be a JSON object, got 5",
+    ),
+    "potential section that is a number": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": 3}},
+        "'potential' section must be a JSON object, got 3",
+    ),
+    "simple1d preset with a q": (
+        "validate",
+        {"cfg.json": {"kernel": {"preset": "simple1d", "q": 0.3}}},
+        "unknown key(s) ['q'] in the 'kernel' section for 'simple1d'; allowed: preset",
+    ),
+    "geometric potential with the misspelled key vv": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "geometric", "vv": 3.0}}},
+        "unknown key(s) ['vv'] in the 'potential' section for 'geometric'",
+    ),
+    "gibbs with an indicator site S_1 cannot hit": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "indicator_site": [5]}},
+        "'indicator_site' [5] is not a one-step move of the kernel",
+    ),
+    "gibbs with L 2": (
+        "gibbs",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "L": 2}},
+        "'L' must be at least 4, got 2",
+    ),
+    "doob with L -3": (
+        "doob",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "L": -3, "seed": 1}},
+        "'L' must be at least 4, got -3",
+    ),
+    "decay under a range-2 kernel with L 7": (
+        "decay",
+        {"cfg.json": {"kernel": {"offsets": RANGE2_1D}, **DELTA, "L": 7, "fit_window": [0, 7]}},
+        "'L' must be at least 8, got 7",
+    ),
+    "spectrum with L_sequence below the floor": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "L_sequence": [2, 3]}},
+        "'L_sequence' must be at least 4, got 2",
+    ),
+    "spectrum under a range-2 kernel with L_sequence below 8": (
+        "spectrum",
+        {"cfg.json": {"kernel": {"offsets": RANGE2_1D}, "L_sequence": [7, 20]}},
+        "'L_sequence' must be at least 8, got 7",
+    ),
 }
 
 
@@ -317,6 +368,8 @@ def test_demo_configs_hold_only_known_keys(kind, name):
     cfg["experiment"] = kind
     cfg.setdefault("seed", 1)
     assert check_experiment(cfg) == kind
+    # every key of the kernel and potential sections is one its kind reads
+    potential_from_config(cfg, kernel_from_config(cfg).dimension)
 
 
 @pytest.mark.parametrize("kind", ["none", "zero"])

@@ -43,6 +43,100 @@ def test_validate_rejects_even_support():
         sw.validate_kernel({2: 0.5, -2: 0.5})
 
 
+def _uniform(moves, hold=0.0):
+    """The symmetric kernel spreading 1 - hold evenly over +-moves, hold at 0."""
+    support = {tuple(m) for m in moves} | {tuple(-c for c in m) for m in moves}
+    raw = {o: (1.0 - hold) / len(support) for o in support}
+    if hold:
+        raw[(0,) * len(moves[0])] = hold
+    return raw
+
+
+#: supports that generate a proper subgroup of Z^d
+SUBLATTICES = {
+    "index 2 in 2d": _uniform([(1, 1), (1, -1)]),
+    "rank 1 in 2d": _uniform([(1, 0), (2, 0)]),
+    "3d even-sum lattice with holding": _uniform(
+        [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)], hold=0.2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBLATTICES))
+def test_validate_rejects_a_proper_sublattice(name):
+    with pytest.raises(NotIrreducible, match="proper subgroup"):
+        sw.validate_kernel(SUBLATTICES[name])
+
+
+@pytest.mark.parametrize(
+    "moves, reach",
+    [([(3, 5), (5, 8)], 8), ([(5,), (7,)], 7)],
+    ids=["unimodular pair in 2d", "coprime pair in 1d"],
+)
+def test_validate_accepts_long_generators(moves, reach):
+    # oracle: det((3, 5), (5, 8)) = -1 and 3 * 5 - 2 * 7 = 1
+    k = sw.validate_kernel(_uniform(moves))
+    assert k.reach == reach
+    assert k.lower == pytest.approx(-1.0, abs=1e-12)
+
+
+def _proxy_irreducible(support, dim):
+    """The BFS proxy validate_kernel used before the exact test.
+
+    Sums of support offsets started at 0 must cover Q(0, 2r) while roaming
+    inside Q(0, 4r).  The set of reached sites is grown one whole frontier
+    at a time on a boolean cube, so a battery of a few hundred supports
+    stays well under a second.
+    """
+    reach = max(max(map(abs, off)) for off in support)
+    cover, roam = 2 * reach, 4 * reach
+    side = 2 * roam + 1
+    seen = np.zeros((side,) * dim, dtype=bool)
+    seen[(roam,) * dim] = True
+    while True:
+        grown = seen.copy()
+        for off in support:
+            dst = tuple(slice(max(o, 0), side + min(o, 0)) for o in off)
+            src = tuple(slice(max(-o, 0), side - max(o, 0)) for o in off)
+            grown[dst] |= seen[src]
+        if (grown == seen).all():
+            return bool(seen[(slice(roam - cover, roam + cover + 1),) * dim].all())
+        seen = grown
+
+
+def _random_supports(seed):
+    """100 symmetric supports each in 1d, 2d (range <= 4) and 3d (range <= 2).
+
+    One to d + 1 random generator pairs, and holding in about 30%.
+    """
+    rng = np.random.default_rng(seed)
+    for d, cap in ((1, 4), (2, 4), (3, 2)):
+        count = 0
+        while count < 100:
+            r = int(rng.integers(1, cap + 1))
+            gens = rng.integers(-r, r + 1, size=(int(rng.integers(1, d + 2)), d))
+            gens = [tuple(int(c) for c in g) for g in gens if g.any()]
+            if gens:
+                count += 1
+                yield d, gens, float(rng.random() < 0.3) * 0.25
+
+
+def test_exact_irreducibility_agrees_with_the_bfs_proxy(monkeypatch):
+    # only the verdict is compared: skip min p-hat, whose 3d full grid is slow
+    monkeypatch.setattr(lattice, "_char_lower", lambda *args: 0.0)
+    verdicts = []
+    for d, gens, hold in _random_supports(2020):
+        raw = _uniform(gens, hold)
+        try:
+            sw.validate_kernel(raw, d)
+            accepted = True
+        except NotIrreducible:
+            accepted = False
+        assert accepted == _proxy_irreducible(list(raw), d), (d, gens)
+        verdicts.append(accepted)
+    assert 50 < sum(verdicts) < 250  # both verdicts are well represented
+
+
 def test_validate_rejects_bad_mass():
     with pytest.raises(NotNormalized):
         sw.validate_kernel({1: 0.5, -1: 0.5001})

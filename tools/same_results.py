@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus fifteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus sixteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -40,7 +40,10 @@ f = 1 and with a decaying f; and ``bsscan1d``, the ``bs_crossing_scan``
 crossing of a single delta under the lazy 1d walk at criterion 4's six
 (v, q) and at v = 1.5, q = 0.3, with criterion 4's bracket, box and
 xtol; and ``saddle2d``, the ``WalkKernel.lower`` of a 2d kernel whose grid
-argmin of p-hat sits beside a saddle.
+argmin of p-hat sits beside a saddle; and ``irreducible``, the verdict of
+``validate_kernel`` (``accepted`` or ``NotIrreducible``) on six named
+supports: three proper sublattices, a 1d even support, and two long
+generator pairs that generate the whole lattice.
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -58,9 +61,9 @@ path digest has no tolerance: any change is beyond it.  It exits 1 if any
 value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
-``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d`` or
-``saddle2d`` section still loads; that section is then left out of the
-comparison.
+``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d``,
+``saddle2d`` or ``irreducible`` section still loads; that section is then
+left out of the comparison.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ import numpy as np
 
 import sparsewalk as sw
 from sparsewalk import acceptance, cli, spectral
+from sparsewalk.errors import NotIrreducible
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 CLI_RUNS = (
@@ -180,10 +184,22 @@ for _off, _p in (
     ((2, -2), 0.021518517601518863),
 ):
     SADDLE2D[_off] = SADDLE2D[tuple(-c for c in _off)] = _p
+#: the irreducibility case: each support's moves; p is uniform on +-moves
+IRREDUCIBLE_MOVES = {
+    "even 1d": [(2,)],
+    "index 2 in 2d": [(1, 1), (1, -1)],
+    "rank 1 in 2d": [(1, 0), (2, 0)],
+    "3d even-sum lattice with holding": [
+        (0, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)
+    ],
+    "unimodular pair in 2d": [(3, 5), (5, 8)],
+    "coprime pair in 1d": [(5,), (7,)],
+}
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
     "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d", "saddle2d",
+    "irreducible",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -228,7 +244,21 @@ def fingerprint() -> dict:
         "mc_nd": mc_nd(),
         "bsscan1d": bsscan1d(),
         "saddle2d": {"lower": repr(sw.validate_kernel(SADDLE2D).lower)},
+        "irreducible": irreducible(),
     }
+
+
+def irreducible() -> dict:
+    """The verdict of validate_kernel on each support of the irreducibility case."""
+    out = {}
+    for name, moves in IRREDUCIBLE_MOVES.items():
+        support = set(moves) | {tuple(-c for c in m) for m in moves}
+        try:
+            sw.validate_kernel({o: 1.0 / len(support) for o in support})
+            out[name] = "accepted"
+        except NotIrreducible:
+            out[name] = "NotIrreducible"
+    return out
 
 
 def bs2d() -> dict:
