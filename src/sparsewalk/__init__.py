@@ -31,13 +31,9 @@ from .potential import (
     SparsenessProfile,
     build_geometric_sparse,
     dense_level,
-    essential_value_counts,
-    find_concentration_cube,
     make_potential,
-    pair_separation,
     single_delta,
     sparseness_profile,
-    v0_of,
     zero_potential,
 )
 from .spectral import (
@@ -64,14 +60,12 @@ from .birman_schwinger import (
     assemble_bs,
     bs_crossing_scan,
     bs_eigenvalue_test,
-    grow_exclusion_set,
     neumann_invertibility,
     off_diag_tail_norm,
     resolvent_via_bs,
 )
 from .gibbs import (
     ChainKernel,
-    GibbsMarginal,
     PartitionGrowth,
     chain_prefix_law,
     convergence_rate,
@@ -79,7 +73,6 @@ from .gibbs import (
     doob_kernel,
     fk_monte_carlo,
     fk_semigroup,
-    gibbs_marginal,
     occupation_distribution,
     partition_growth,
     simulate_chain,

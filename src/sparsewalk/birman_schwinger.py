@@ -38,7 +38,7 @@ from .errors import (
 )
 from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _neighbour_table, _sup_norm
 from .potential import PotentialSpec, _one_plus_v
-from .resolvent import _root, decay_rate_estimate, g_lambda_quadrature, green_table
+from .resolvent import _root, decay_rate_estimate, green_table
 
 #: minimum distance from the unperturbed spectrum for assembly
 ASSEMBLY_MARGIN = 0.02
@@ -48,9 +48,8 @@ ASSEMBLY_MARGIN = 0.02
 BS_HIT_TOL = 1e-6
 BS_SOLVE_TOL = 1e-8
 
-#: grid of bs_crossing_scan's assemblies; most sites grow_exclusion_set excludes
+#: grid of bs_crossing_scan's assemblies
 BS_SCAN_PTS = 512
-MAX_EXCLUDED = 64
 
 
 @dataclass(frozen=True)
@@ -343,37 +342,3 @@ def neumann_invertibility(
         contraction=h_norm / eps0,
         green_decay_rate=fit.rate,
     )
-
-
-def grow_exclusion_set(
-    kernel: WalkKernel,
-    spec: PotentialSpec,
-    lam: float,
-    alpha: float,
-    box: LatticeBox | int,
-) -> NeumannCertificate:
-    """Greedy K growth: repeatedly exclude the site worst for epsilon0.
-
-    A large-enough finite K always exists but there is no closed-form
-    recipe; excluding sites by increasing |1 - gamma V(x)| until the
-    certificate validates is the obvious constructive policy.
-    """
-    # the grid every neumann_invertibility call below takes gamma from
-    gamma = g_lambda_quadrature(kernel, lam, 512).value - 1.0
-    ranked = sorted(
-        zip(spec.sites, spec.heights), key=lambda sh: abs(1.0 - gamma * sh[1])
-    )
-    K: list = []
-    last_err: Exception | None = None
-    for size in range(0, min(MAX_EXCLUDED, len(ranked)) + 1):
-        K = [s for s, _ in ranked[:size]]
-        try:
-            cert = neumann_invertibility(kernel, spec, K, lam, alpha, box)
-        except Epsilon0Zero as err:
-            last_err = err
-            continue
-        if cert.valid:
-            return cert
-    if last_err is not None:
-        raise last_err
-    raise Epsilon0Zero(f"no valid certificate with up to {MAX_EXCLUDED} excluded sites")

@@ -227,11 +227,20 @@ def exp_gibbs(cfg: dict, out: Path) -> dict:
     return {"fitted_eps": fit.eps_fit, "spectral_eps": second / float(w[-1])}
 
 
+def _seed(cfg: dict) -> int:
+    # a config error (exit 2) before any computation; counter_rng's own
+    # SeedOutOfRange would come only at the first draw, as exit 1
+    seed = number(cfg["seed"], "seed", int, least=0)
+    if seed >= gibbsmod.SEED_LIMIT:
+        raise ConfigInvalid(f"'seed' must be below 2**64, got {seed}")
+    return seed
+
+
 def exp_doob(cfg: dict, out: Path) -> dict:
     kernel = kernel_from_config(cfg)
     spec = potential_from_config(cfg, kernel.dimension)
     steps = number(cfg.get("steps", 100000), "steps", int, least=0)
-    seed = number(cfg["seed"], "seed", int)
+    seed = _seed(cfg)
     op, chain = _chain_from_config(cfg, kernel, spec)
     path = gibbsmod.simulate_chain(chain, (0,) * kernel.dimension, steps, seed)
     emp = gibbsmod.occupation_distribution(chain, path)
@@ -253,7 +262,7 @@ def exp_fk(cfg: dict, out: Path) -> dict:
     spec = potential_from_config(cfg, kernel.dimension)
     n = number(cfg.get("n", 20), "n", int, least=0)
     samples = number(cfg.get("samples", 100000), "samples", int, least=gibbsmod.MIN_SAMPLES)
-    seed = number(cfg["seed"], "seed", int)
+    seed = _seed(cfg)
     box = lattice.LatticeBox.cube(n * kernel.reach + 2, kernel.dimension)
     powers = lattice._powers(kernel, gibbsmod._dvec_on(spec, box), np.ones(box.shape), n, box)
     exact = [float(z[(box.radius,) * kernel.dimension]) for z in powers]

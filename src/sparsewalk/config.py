@@ -129,9 +129,12 @@ def kernel_from_config(cfg: dict) -> WalkKernel:
         return simple2d()
     if "offsets" in spec:
         _check_section(spec, "kernel", "offsets")
+        dimension = spec.get("dimension")
+        if dimension is not None:
+            dimension = number(dimension, "dimension", int, least=1)
         try:
-            entries = {tuple(int(c) for c in row[:-1]): float(row[-1]) for row in spec["offsets"]}
-            return validate_kernel(entries, dimension=spec.get("dimension"))
+            entries = dict(_site_row(row, "offsets") for row in spec["offsets"])
+            return validate_kernel(entries, dimension=dimension)
         except ConfigInvalid:
             raise
         except Exception as err:
@@ -152,27 +155,29 @@ def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
     if kind in ("none", "zero"):
         return None
     box_radius = spec.get("box_radius")
+    if box_radius is not None:
+        box_radius = number(box_radius, "box_radius", int, least=1)
     try:
         if kind == "geometric":
             anchor = spec.get("anchor")
             if anchor is not None:
-                anchor = (tuple(int(c) for c in anchor[:-1]), float(anchor[-1]))
+                anchor = _site_row(anchor, "anchor")
             return build_geometric_sparse(
                 dimension,
-                v=float(spec.get("v", 1.0)),
-                base=int(spec.get("base", 3)),
+                v=number(spec.get("v", 1.0), "v"),
+                base=number(spec.get("base", 3), "base", int, least=2),
                 box_radius=box_radius,
                 anchor=anchor,
             )
         if kind == "dense":
-            return dense_level(dimension, float(spec.get("v", 1.0)), int(box_radius or 128))
-        sites = {tuple(int(c) for c in row[:-1]): float(row[-1]) for row in spec["sites"]}
+            return dense_level(dimension, number(spec.get("v", 1.0), "v"), box_radius or 128)
+        sites = dict(_site_row(row, "sites") for row in spec["sites"])
         tail = "decaying" if kind == "decaying" else spec.get("tail", "decaying")
         return make_potential(
             dimension,
             sites,
             tail=tail,
-            essential_values=spec.get("essential_values", (0.0,)),
+            essential_values=numbers(spec.get("essential_values", (0.0,)), "essential_values"),
             box_radius=box_radius,
         )
     except ConfigInvalid:
@@ -206,9 +211,15 @@ def number(value, key: str, cast=float, least=None):
 def numbers(value, key: str, cast=float, length: int | None = None, least=None) -> list:
     """A list of `length` (any if None) numbers, each read by `number`."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "a list" if length is None else f"a list of {length}"
+        size = "a list of" if length is None else f"a list of {length}"
         raise ConfigInvalid(f"'{key}' must be {size} numbers, got {value!r}")
     return [number(v, key, cast, least) for v in value]
+
+
+def _site_row(row, key: str) -> tuple[tuple[int, ...], float]:
+    """(site, value) of a config row [x_1, ..., x_d, value]: integer coordinates, then a number."""
+    numbers(row, key)
+    return tuple(numbers(row[:-1], key, int)), number(row[-1], key)
 
 
 def check_experiment(cfg: dict) -> str:

@@ -115,12 +115,27 @@ class AnchorBelowV0(SparseWalkError):
     """Anchor value smaller than the sparse level it must dominate."""
 
 
-class InsufficientSupport(SparseWalkError):
-    """Fewer than two support points beyond the requested radius."""
+class TailInvalid(SparseWalkError, ValueError):
+    """Tail kind other than "decaying" or "sparse", or a decaying tail that
+    declares an essential value other than 0.
+
+    Also a ValueError, like NoSignChange.
+    """
 
 
-class NotFoundInBox(SparseWalkError):
-    """No concentration cube inside the working box (box too small)."""
+class NegativePotential(SparseWalkError, ValueError):
+    """A potential value or a declared essential value below 0.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class SiteOutsideBox(SparseWalkError, ValueError):
+    """A potential site outside the working box (also a ValueError)."""
+
+
+class BaseTooSmall(SparseWalkError, ValueError):
+    """Geometric sparse family asked for a base below 2 (also a ValueError)."""
 
 
 # -- Birman-Schwinger -------------------------------------------------------
@@ -138,7 +153,8 @@ class AlphaTooLarge(SparseWalkError):
 
 
 class AlphaNotPositive(SparseWalkError, ValueError):
-    """Requested weight exponent is zero or negative.
+    """Requested weight exponent (alpha of the Neumann certificate, epsilon of
+    the sparseness profile) is zero or negative.
 
     Also a ValueError, like NoSignChange.
     """
@@ -202,7 +218,7 @@ class NotSparse(SparseWalkError, ValueError):
 
 
 class LevelNotPositive(SparseWalkError, ValueError):
-    """Height v of a point perturbation is zero or negative.
+    """Height v of a point perturbation or of a sparse family is zero or negative.
 
     Also a ValueError, like NoSignChange.
     """
@@ -238,7 +254,7 @@ class NonPositivePhi(SparseWalkError):
 
 
 class MarginalLengthInvalid(SparseWalkError, ValueError):
-    """Gibbs marginal lengths missing or negative.
+    """Gibbs marginal length k negative.
 
     Also a ValueError, like NoSignChange.
     """
@@ -263,12 +279,15 @@ class RowDeficitTooLarge(SparseWalkError):
     """Chain rows lose too much mass before renormalization."""
 
 
+class SeedOutOfRange(SparseWalkError, ValueError):
+    """Counter RNG seed or stream outside [0, 2^64), where it would alias another stream.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 class StartOutsideBox(SparseWalkError):
     """Chain simulation started outside the truncation box."""
-
-
-class HorizonExceedsBox(SparseWalkError):
-    """Path horizon cannot be absorbed by the working box."""
 
 
 class NoDecayDetected(SparseWalkError):

@@ -28,6 +28,7 @@ walk that band, and the dense matrix is only derived on request.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -36,13 +37,13 @@ import numpy as np
 
 from .errors import (
     EigenResidualTooLarge,
-    HorizonExceedsBox,
     HorizonTooShort,
     MarginalLengthInvalid,
     NegativeStepCount,
     NoDecayDetected,
     NonPositivePhi,
     RowDeficitTooLarge,
+    SeedOutOfRange,
     ShapeMismatch,
     StartOutsideBox,
     TooFewSamples,
@@ -61,15 +62,21 @@ MIN_SAMPLES = 1000
 #: draw of every step, the block only bounds memory
 SIM_BLOCK = 1 << 12
 
+#: seeds and streams are the two 64-bit words of the Philox key: [0, 2^64)
+SEED_LIMIT = 1 << 64
+
 
 def counter_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based Philox generator keyed by (seed, stream).
 
     Streams are independent by key separation, so chunked or parallel
-    sampling reproduces exactly regardless of scheduling.
+    sampling reproduces exactly regardless of scheduling.  A seed or stream
+    outside [0, 2^64) would alias another key (SeedOutOfRange).
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = [operator.index(seed), operator.index(stream)]
+    if not all(0 <= word < SEED_LIMIT for word in key):
+        raise SeedOutOfRange(f"seed {seed} and stream {stream} must lie in [0, 2**64)")
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -257,51 +264,6 @@ def fk_monte_carlo(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
     return mean, math.sqrt(var / samples)
-
-
-@dataclass(frozen=True)
-class GibbsMarginal:
-    """Exact finite-horizon marginal of the reweighted path measure."""
-
-    horizon: int
-    k: int
-    law: dict
-    partition: float
-
-
-def gibbs_marginal(
-    kernel: WalkKernel,
-    spec: PotentialSpec | None,
-    N: int,
-    ks,
-    box: LatticeBox,
-) -> dict[int, GibbsMarginal]:
-    """Marginal laws of (S_1 .. S_k) under the horizon-N Gibbs measure.
-
-    Computed by forward path enumeration against the exact backward
-    semigroup: the weight of a prefix (x_1 .. x_k) is
-
-        prod_{j<k} (1 + V(x_j)) p(x_{j+1} - x_j) * (M^(N-k) 1)(x_k) / Z_N
-
-    with x_0 = 0 and Z_N = (M^N 1)(0).  The box must absorb the full
-    horizon so the transfer values are exact.  One sweep of M^m 1 up to
-    m = N keeps only the powers M^(N-k) 1 that some k reads.
-    """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 0:
-        raise MarginalLengthInvalid(f"marginal lengths must be given and nonnegative, got {ks}")
-    if N < max(ks) + 1:
-        raise HorizonTooShort(f"N = {N} must exceed every marginal length, got {ks}")
-    if box.radius < N * kernel.reach:
-        raise HorizonExceedsBox(f"box radius {box.radius} < N*r = {N * kernel.reach}")
-    dvec = _dvec_on(spec, box)
-    powers = enumerate(_powers(kernel, dvec, np.ones(box.shape), N, box))
-    back = {m: cur for m, cur in powers if m == N or N - m in ks}
-    partition = float(back[N][(box.radius,) * kernel.dimension])
-    return {
-        k: GibbsMarginal(N, k, _prefix_law(kernel, dvec, box, k, back[N - k], partition), partition)
-        for k in ks
-    }
 
 
 def _prefix_law(kernel: WalkKernel, dvec, box: LatticeBox, k: int, back, partition: float) -> dict:

@@ -6,7 +6,7 @@ attained near infinity on unboundedly many sites (0 always belongs).  The
 limiting height v0 = max of the essential values controls whether the
 perturbed operator grows new essential spectrum.  Essential values are
 declared rather than inferred because they are a tail property invisible to
-any finite box; the counting witness below checks declaration consistency.
+any finite box.
 
 All distances are sup-norm, matching the cube geometry used throughout.
 The support inside a box comes from ``PotentialSpec.support``, and 1 + V on
@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox, SelfCheckFailed
+from .errors import (
+    AlphaNotPositive,
+    AnchorBelowV0,
+    BaseTooSmall,
+    LevelNotPositive,
+    NegativePotential,
+    SiteOutsideBox,
+    TailInvalid,
+)
 from .lattice import LatticeBox, Offset, _as_offset, _sup_norm
 
 #: default working-box radius per dimension (keeps dense matrices tractable)
@@ -91,23 +99,23 @@ def make_potential(
 ) -> PotentialSpec:
     """Build a validated PotentialSpec from an explicit site->value map."""
     if tail not in ("decaying", "sparse"):
-        raise ValueError(f"unknown tail kind {tail!r}")
+        raise TailInvalid(f"unknown tail kind {tail!r}")
     ess = tuple(sorted({float(v) for v in essential_values} | {0.0}))
     if tail == "decaying" and ess != (0.0,):
-        raise ValueError("decaying tails must declare essential values {0}")
+        raise TailInvalid("decaying tails must declare essential values {0}")
     if any(v < 0.0 for v in ess):
-        raise ValueError("essential values must be nonnegative")
+        raise NegativePotential("essential values must be nonnegative")
     box_radius = DEFAULT_BOX_RADIUS[dimension] if box_radius is None else int(box_radius)
     cleaned = {}
     for key, val in dict(values).items():
         site = _as_offset(key, dimension)
         val = float(val)
         if val < 0.0:
-            raise ValueError(f"negative potential value {val} at {site}")
+            raise NegativePotential(f"negative potential value {val} at {site}")
         if val > 0.0:
             cleaned[site] = val
         if _sup_norm(site) > box_radius:
-            raise ValueError(f"site {site} outside working box radius {box_radius}")
+            raise SiteOutsideBox(f"site {site} outside working box radius {box_radius}")
     order = sorted(cleaned, key=lambda s: (_sup_norm(s), s))
     return PotentialSpec(
         dimension=dimension,
@@ -157,9 +165,9 @@ def build_geometric_sparse(
     pushes the top of the spectrum strictly above the essential part.
     """
     if base < 2:
-        raise ValueError("base must be >= 2")
+        raise BaseTooSmall(f"base must be >= 2, got {base!r}")
     if v <= 0.0:
-        raise ValueError("v must be positive")
+        raise LevelNotPositive(f"v must be positive, got {v!r}")
     box_radius = DEFAULT_BOX_RADIUS[dimension] if box_radius is None else int(box_radius)
     vals: dict[Offset, float] = {}
     k = 0
@@ -188,31 +196,6 @@ def build_geometric_sparse(
 
 # -- queries ------------------------------------------------------------------
 
-def v0_of(spec: PotentialSpec, radii) -> tuple[float, list[float]]:
-    """Declared v0 alongside the empirical tail sups over growing radii.
-
-    empirical(n) = sup of V over box sites with |x| >= radii[n].  For sparse
-    tails the empirical value must witness the declaration at every radius
-    inside the box; a violation means the declaration is inconsistent.
-    """
-    declared = spec.v0
-    radii = [int(R) for R in radii]
-    for R in radii:
-        if R > spec.box_radius:
-            raise ValueError(f"radius {R} exceeds working box {spec.box_radius}")
-    empirical = []
-    for R in radii:
-        tail_vals = [h for s, h in zip(spec.sites, spec.heights) if _sup_norm(s) >= R]
-        empirical.append(max(tail_vals) if tail_vals else 0.0)
-    if spec.tail == "sparse":
-        for R, e in zip(radii, empirical):
-            if e < declared - 1e-12:
-                raise ValueError(
-                    f"declared v0={declared} not witnessed beyond radius {R} (sup={e})"
-                )
-    return declared, empirical
-
-
 @dataclass(frozen=True)
 class SparsenessProfile:
     """Cross-term sums a_eps(x) and their tail sups over growing radii."""
@@ -233,7 +216,7 @@ def sparseness_profile(
     while a dense potential keeps it bounded away from 0.
     """
     if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+        raise AlphaNotPositive(f"epsilon must be positive, got {epsilon!r}")
     box_radius = spec.box_radius if box_radius is None else int(box_radius)
     supp = spec.support(LatticeBox.cube(box_radius, spec.dimension))
     samples = []
@@ -252,88 +235,3 @@ def sparseness_profile(
     return SparsenessProfile(
         epsilon=float(epsilon), samples=tuple(samples), sup_tail=tuple(sup_tail)
     )
-
-
-def pair_separation(spec: PotentialSpec, r: float) -> float:
-    """min |x - y| over distinct support pairs with |x|, |y| >= r."""
-    far = [s for s in spec.sites if _sup_norm(s) >= r]
-    if len(far) < 2:
-        raise InsufficientSupport(
-            f"need two support points beyond radius {r}, found {len(far)}"
-        )
-    best = None
-    for i, x in enumerate(far):
-        for y in far[i + 1 :]:
-            dist = max(abs(a - b) for a, b in zip(x, y))
-            if best is None or dist < best:
-                best = dist
-    return float(best)
-
-
-def find_concentration_cube(
-    spec: PotentialSpec, L: int, ell: int, eps: float
-) -> Offset:
-    """Center c of a cube Q(c, ell) avoiding Q(0, L) where V concentrates.
-
-    The returned c satisfies, re-checked independently after the search:
-    Q(0, L) and Q(c, ell) disjoint; V(c) > (1 - eps) v0; and the total of V
-    over the rest of the cube is below eps.  Ties in |c| prefer positive
-    leading coordinates, so 1d results favour +c over -c.
-    """
-    if spec.v0 <= 0.0:
-        raise ValueError("concentration search requires v0 > 0")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    candidates = sorted(spec.sites, key=lambda s: (_sup_norm(s), tuple(-c for c in s)))
-    for c in candidates:
-        if _sup_norm(c) <= L + ell:
-            continue
-        if spec.value(c) <= (1.0 - eps) * spec.v0:
-            continue
-        others = 0.0
-        for s, h in zip(spec.sites, spec.heights):
-            if s != c and max(abs(a - b) for a, b in zip(s, c)) <= ell:
-                others += h
-        if others < eps:
-            if not _check_concentration(spec, c, L, ell, eps):
-                raise SelfCheckFailed(f"concentration cube at {c} failed its re-check")
-            return c
-    raise NotFoundInBox(
-        f"no concentration cube with L={L}, ell={ell}, eps={eps} inside the box"
-    )
-
-
-def _check_concentration(spec: PotentialSpec, c: Offset, L: int, ell: int, eps: float) -> bool:
-    """Independent verbatim re-check of the three cube conditions."""
-    disjoint = _sup_norm(c) > L + ell
-    high = spec.value(c) > (1.0 - eps) * spec.v0
-    rest = sum(
-        spec.value(tuple(a + b for a, b in zip(c, off)))
-        for off in itertools.product(range(-ell, ell + 1), repeat=spec.dimension)
-        if any(off)
-    )
-    return disjoint and high and rest < eps
-
-
-def essential_value_counts(spec: PotentialSpec, eps: float, radii) -> dict[float, list[int]]:
-    """Counting witness: sites with |V(x) - v| < eps inside growing boxes.
-
-    For every declared essential value the count must grow with the radius;
-    unbounded growth is exactly what membership in the essential value set
-    means, and this is its finite-box shadow.
-    """
-    out: dict[float, list[int]] = {}
-    radii = [int(R) for R in radii]
-    for v in spec.essential_values:
-        counts = []
-        for R in radii:
-            vol = (2 * R + 1) ** spec.dimension
-            in_box = [
-                (s, h) for s, h in zip(spec.sites, spec.heights) if _sup_norm(s) <= R
-            ]
-            near = sum(1 for _, h in in_box if abs(h - v) < eps)
-            if abs(v) < eps:  # off-support sites all carry V = 0
-                near += vol - len(in_box)
-            counts.append(near)
-        out[v] = counts
-    return out

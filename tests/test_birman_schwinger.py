@@ -313,12 +313,14 @@ def test_neumann_matches_pairwise_reference(name, spec, lam, box, pts):
 
 
 def test_grow_exclusion_set():
+    # at lambda_+ every v = 1 site has gamma V = 1, so K must hold all 12 sites +-3^k
     k = sw.simple1d()
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=512)
     lam_plus = sw.lambda_pm_1d(0.0, 1.0)[1]
-    cert = sw.grow_exclusion_set(k, spec, lam_plus, 0.2, box=512)
+    cert = sw.neumann_invertibility(k, spec, spec.sites, lam_plus, 0.2, 512)
+    assert cert.excluded == tuple(sorted(spec.sites)) and len(cert.excluded) == 12
     assert cert.valid
-    assert len(cert.excluded) > 0  # the v = 1 sites had to be screened
+    assert cert.contraction == 0.0 and cert.epsilon0 == 1.0
 
 
 def test_bs_matrix_symmetry_sparse_spec():

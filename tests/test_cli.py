@@ -124,6 +124,15 @@ def test_seed_flag_restores_determinism(tmp_path):
     assert (out1 / "fk.csv").read_bytes() == (out2 / "fk.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_flag_out_of_range_is_config_error(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "cfg.json", {**SIMPLE, **DELTA, "n": 6, "samples": 2000})
+    out = tmp_path / "out"
+    assert main(["fk", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'seed' must be")
+    assert not (out / "summary.json").exists()
+
+
 def test_fk_exact_column_is_the_semigroup_of_each_m(tmp_path):
     # oracle: fk_semigroup applied m times from scratch, bit for bit
     payload = {**SIMPLE, **DELTA, "n": 6, "samples": 2000}
@@ -330,6 +339,74 @@ MALFORMED = {
         "spectrum",
         {"cfg.json": {"kernel": {"offsets": RANGE2_1D}, "L_sequence": [7, 20]}},
         "'L_sequence' must be at least 8, got 7",
+    ),
+    "dense potential with box_radius 0": (
+        "fk",
+        {
+            "cfg.json": {
+                **SIMPLE,
+                "potential": {"type": "dense", "v": 0.5, "box_radius": 0},
+                "n": 6,
+                "samples": 2000,
+                "seed": 1,
+            }
+        },
+        "'box_radius' must be at least 1, got 0",
+    ),
+    "geometric potential with base 3.7": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "geometric", "base": 3.7}}},
+        "'base' must be an integer, got 3.7",
+    ),
+    "geometric potential with v true": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "geometric", "v": True}}},
+        "'v' must be a number, got True",
+    ),
+    "geometric potential with box_radius 40.9": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "geometric", "box_radius": 40.9}}},
+        "'box_radius' must be an integer, got 40.9",
+    ),
+    "explicit potential with a fractional site": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "explicit", "sites": [[2.6, 1.0]]}}},
+        "'sites' must be an integer, got 2.6",
+    ),
+    "explicit potential with essential value true": (
+        "essential",
+        {
+            "cfg.json": {
+                **SIMPLE,
+                "potential": {
+                    "type": "explicit",
+                    "sites": [[2, 1.0]],
+                    "tail": "sparse",
+                    "essential_values": [True],
+                },
+            }
+        },
+        "'essential_values' must be a number, got True",
+    ),
+    "kernel offsets with a fractional coordinate": (
+        "validate",
+        {"cfg.json": {"kernel": {"offsets": [[1.4, 0.5], [-1, 0.5]]}}},
+        "'offsets' must be an integer, got 1.4",
+    ),
+    "kernel offsets with dimension true": (
+        "validate",
+        {"cfg.json": {"kernel": {"offsets": [[1, 0.5], [-1, 0.5]], "dimension": True}}},
+        "'dimension' must be a number, got True",
+    ),
+    "fk with seed -1": (
+        "fk",
+        {"cfg.json": {**SIMPLE, **DELTA, "n": 6, "samples": 2000, "seed": -1}},
+        "'seed' must be at least 0, got -1",
+    ),
+    "doob with seed 2**64": (
+        "doob",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "steps": 10, "seed": 2**64}},
+        "'seed' must be below 2**64, got 18446744073709551616",
     ),
 }
 

@@ -9,11 +9,11 @@ import sparsewalk as sw
 from sparsewalk import acceptance, gibbs, lattice
 from sparsewalk.errors import (
     EigenResidualTooLarge,
-    HorizonExceedsBox,
     HorizonTooShort,
     MarginalLengthInvalid,
     NegativeStepCount,
     NonPositivePhi,
+    SeedOutOfRange,
     ShapeMismatch,
     SparseWalkError,
     StartOutsideBox,
@@ -326,43 +326,37 @@ def test_fk_monte_carlo_matches_the_site_array_reference(case):
     assert got == _fk_by_positions(make(), spec, f, n, 9000, 11, x0)
 
 
+def _gibbs_marginal(kernel, spec, N, ks, box):
+    """The former ``gibbs.gibbs_marginal``: the law of (S_1 .. S_k) under the
+    horizon-N Gibbs measure for each k in ks, and Z_N = (M^N 1)(0), from one
+    sweep of M^m 1 to m = N on a box that absorbs the horizon."""
+    dvec = gibbs._dvec_on(spec, box)
+    powers = enumerate(lattice._powers(kernel, dvec, np.ones(box.shape), N, box))
+    back = {m: cur for m, cur in powers if m == N or N - m in ks}
+    partition = float(back[N][(box.radius,) * kernel.dimension])
+    laws = {k: gibbs._prefix_law(kernel, dvec, box, k, back[N - k], partition) for k in ks}
+    return laws, partition
+
+
 def test_gibbs_marginal_normalization_and_z1():
     kernel = sw.simple1d()
     spec = sw.single_delta(1, 1.0)
     box = sw.LatticeBox.cube(45, 1)
-    marg = sw.gibbs_marginal(kernel, spec, 40, [1, 2], box)
-    assert abs(sum(marg[1].law.values()) - 1.0) < 1e-12
-    assert abs(sum(marg[2].law.values()) - 1.0) < 1e-12
+    laws, _ = _gibbs_marginal(kernel, spec, 40, [1, 2], box)
+    assert abs(sum(laws[1].values()) - 1.0) < 1e-12
+    assert abs(sum(laws[2].values()) - 1.0) < 1e-12
     # oracle: Z_1 = 1 + V(0)
-    g1 = sw.gibbs_marginal(kernel, spec, 1, [0], sw.LatticeBox.cube(4, 1))
-    assert g1[0].partition == pytest.approx(1.0 + 1.0)
+    _, z1 = _gibbs_marginal(kernel, spec, 1, [0], sw.LatticeBox.cube(4, 1))
+    assert z1 == pytest.approx(1.0 + 1.0)
 
 
 def test_gibbs_marginal_free_walk_law():
     kernel = sw.simple1d()
     box = sw.LatticeBox.cube(12, 1)
-    marg = sw.gibbs_marginal(kernel, None, 8, [2], box)
-    for path, prob in marg[2].law.items():
+    laws, _ = _gibbs_marginal(kernel, None, 8, [2], box)
+    for path, prob in laws[2].items():
         assert prob == pytest.approx(0.25)
         assert abs(path[0][0]) == 1 and abs(path[1][0] - path[0][0]) == 1
-
-
-def test_gibbs_marginal_box_guard():
-    with pytest.raises(HorizonExceedsBox):
-        sw.gibbs_marginal(sw.simple1d(), None, 40, [1], sw.LatticeBox.cube(10, 1))
-
-
-@pytest.mark.parametrize("ks", [[], [-1, 2]])
-def test_gibbs_marginal_lengths_are_named(ks):
-    with pytest.raises(MarginalLengthInvalid) as info:
-        sw.gibbs_marginal(sw.simple1d(), None, 4, ks, sw.LatticeBox.cube(4, 1))
-    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
-
-
-def test_gibbs_marginal_short_horizon_is_named():
-    with pytest.raises(HorizonTooShort) as info:
-        sw.gibbs_marginal(sw.simple1d(), None, 1, [1], sw.LatticeBox.cube(4, 1))
-    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_chain_prefix_law_matches_matrix_powers():
@@ -394,6 +388,14 @@ def test_convergence_rate_indicator():
     )
     assert fit.eps_fit < 1.0
     assert abs(fit.eps_fit - pred) <= 0.15 * pred
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_counter_rng_seed_out_of_range_is_named(seed):
+    # the 64-bit key would alias it: -1 to 2^64 - 1, and 2^64 to seed 0
+    with pytest.raises(SeedOutOfRange) as info:
+        sw.counter_rng(seed)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_partition_growth_free_walk():
@@ -442,12 +444,12 @@ def _chain11():
 
 
 def _deviations_per_n(kernel, spec, chain, k, ns, f):
-    """One gibbs_marginal call per n on the box of max(ns): each replays M^m 1."""
+    """One _gibbs_marginal call per n on the box of max(ns): each replays M^m 1."""
     box = sw.LatticeBox.cube(max(ns) * kernel.reach + 1, kernel.dimension)
     nu = sum(p * f(path) for path, p in sw.chain_prefix_law(chain, k).items())
     devs = []
     for n in ns:
-        law = sw.gibbs_marginal(kernel, spec, n, [k], box)[k].law
+        law = _gibbs_marginal(kernel, spec, n, [k], box)[0][k]
         devs.append((n, abs(sum(p * f(path) for path, p in law.items()) - nu)))
     return tuple(devs)
 
@@ -485,7 +487,7 @@ def test_convergence_rate_steps_once_to_the_largest_n(monkeypatch):
 
     monkeypatch.setattr(lattice, "apply_P", counted)
     sw.convergence_rate(kernel, spec, chain, 1, range(10, 61), _first_step_to((1,)))
-    assert len(calls) == 60  # one gibbs_marginal per n took sum(range(10, 61)) = 1785
+    assert len(calls) == 60  # one _gibbs_marginal per n takes sum(range(10, 61)) = 1785
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,16 @@ import pytest
 
 import sparsewalk as sw
 from sparsewalk import potential
-from sparsewalk.errors import AnchorBelowV0, InsufficientSupport, NotFoundInBox, SelfCheckFailed
+from sparsewalk.errors import (
+    AlphaNotPositive,
+    AnchorBelowV0,
+    BaseTooSmall,
+    LevelNotPositive,
+    NegativePotential,
+    SiteOutsideBox,
+    SparseWalkError,
+    TailInvalid,
+)
 
 
 def test_geometric_construction():
@@ -29,32 +38,23 @@ def test_decaying_constraint():
     assert spec.v0 == 0.0
 
 
-def test_v0_of_examples():
-    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100)
-    declared, empirical = sw.v0_of(spec, [5, 20, 50, 81])
-    assert declared == 1.0
-    assert empirical == [1.0, 1.0, 1.0, 1.0]
-
-    decaying = sw.make_potential(1, {(x,): 2.0 ** (-abs(x)) for x in range(-30, 31)},
-                                 box_radius=64)
-    declared, empirical = sw.v0_of(decaying, [5, 15, 30])
-    assert declared == 0.0
-    assert empirical[0] > empirical[1] > empirical[2]
-    assert empirical[-1] <= 2.0**-30
-
-
-def test_v0_alternating_values():
-    # values alternating 1, 1/2 on sparse sites: v0 = 1, both levels essential
-    vals = {}
-    for j, site in enumerate([2**k for k in range(1, 10)]):
-        vals[(site,)] = 1.0 if j % 2 == 0 else 0.5
-        vals[(-site,)] = vals[(site,)]
-    spec = sw.make_potential(
-        1, vals, tail="sparse", essential_values=(0.0, 0.5, 1.0), box_radius=1024
-    )
-    declared, empirical = sw.v0_of(spec, [2, 100, 256])
-    assert declared == 1.0
-    assert all(e == 1.0 for e in empirical)
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: sw.make_potential(1, {}, tail="bounded"), TailInvalid),
+        (lambda: sw.make_potential(1, {}, essential_values=(0.0, 1.0)), TailInvalid),
+        (lambda: sw.make_potential(1, {}, tail="sparse", essential_values=(-1.0,)), NegativePotential),
+        (lambda: sw.make_potential(1, {(0,): -0.5}), NegativePotential),
+        (lambda: sw.make_potential(1, {(9,): 1.0}, box_radius=8), SiteOutsideBox),
+        (lambda: sw.build_geometric_sparse(1, 1.0, 1), BaseTooSmall),
+        (lambda: sw.build_geometric_sparse(1, 0.0, 3), LevelNotPositive),
+        (lambda: sw.sparseness_profile(sw.single_delta(1, 1.0), 0.0), AlphaNotPositive),
+    ],
+)
+def test_potential_preconditions_are_named(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def test_sparseness_profile_single_site():
@@ -89,61 +89,10 @@ def test_sparseness_dense_control():
     assert min(sups) > 1.0  # bounded away from zero: condition fails
 
 
-def test_pair_separation_examples():
-    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100)
-    assert sw.pair_separation(spec, 2) == 6.0
-    assert sw.pair_separation(spec, 9) == 18.0
-    assert sw.pair_separation(spec, 20) == 54.0
-    two = sw.make_potential(1, {(1,): 1.0, (-1,): 1.0}, tail="sparse",
-                            essential_values=(0.0, 1.0), box_radius=8)
-    with pytest.raises(InsufficientSupport):
-        sw.pair_separation(two, 5)
-
-
-def test_concentration_cube_examples():
-    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100)
-    assert sw.find_concentration_cube(spec, 10, 2, 0.5) == (27,)
-    assert sw.find_concentration_cube(spec, 1, 1, 0.9) == (3,)
-    decaying = sw.make_potential(1, {(x,): 2.0 ** (-abs(x)) for x in range(-20, 21)})
-    with pytest.raises(ValueError):
-        sw.find_concentration_cube(decaying, 1, 1, 0.5)
-    with pytest.raises(NotFoundInBox):
-        sw.find_concentration_cube(spec, 90, 5, 0.5)
-
-
-def test_concentration_cube_recheck_failure_is_named(monkeypatch):
-    # an explicit check, so python -O cannot skip it
-    monkeypatch.setattr(potential, "_check_concentration", lambda *args: False)
-    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100)
-    with pytest.raises(SelfCheckFailed):
-        sw.find_concentration_cube(spec, 10, 2, 0.5)
-
-
-def test_concentration_cube_conditions_hold():
-    spec = sw.build_geometric_sparse(1, 1.0, 2, box_radius=2048)
-    for L, ell, eps in ((5, 2, 0.5), (40, 3, 0.25), (100, 4, 0.1)):
-        c = sw.find_concentration_cube(spec, L, ell, eps)
-        assert max(abs(x) for x in c) > L + ell
-        assert spec.value(c) > (1 - eps) * spec.v0
-        total = sum(
-            spec.value((c[0] + o,)) for o in range(-ell, ell + 1) if o != 0
-        )
-        assert total < eps
-
-
-def test_essential_value_counts_grow():
-    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048)
-    for eps in (0.1, 0.01):
-        counts = sw.essential_value_counts(spec, eps, [64, 512, 2048])
-        for v, seq in counts.items():
-            assert seq[0] < seq[1] < seq[2], (v, seq)
-
-
 def test_sup_norm_bound():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100, anchor=((0,), 2.5))
     assert spec.sup_norm == 2.5
-    _, empirical = sw.v0_of(spec, [1, 50])
-    assert max(empirical) <= spec.sup_norm
+    assert max(spec.heights) == spec.sup_norm  # the anchor tops every height
 
 
 def _old_values_on(spec, sites):
