@@ -34,7 +34,6 @@ from .potential import (
     make_potential,
     single_delta,
     sparseness_profile,
-    zero_potential,
 )
 from .spectral import (
     EigenSolution,

@@ -32,13 +32,12 @@ from .errors import (
     BSNotInvertible,
     EmptySupport,
     Epsilon0Zero,
-    LambdaInSpectrum,
     NoSignChange,
     TailRadiusTooLarge,
 )
 from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _neighbour_table, _sup_norm
 from .potential import PotentialSpec, _one_plus_v
-from .resolvent import _root, decay_rate_estimate, green_table
+from .resolvent import _ct_margin, _guard_spectrum, _kappa_star, _root, green_table
 
 #: minimum distance from the unperturbed spectrum for assembly
 ASSEMBLY_MARGIN = 0.02
@@ -65,13 +64,6 @@ class BSAssembly:
     support_values: tuple
     kernel: WalkKernel
     box: LatticeBox
-
-
-def _guard_margin(kernel: WalkKernel, lam: float) -> None:
-    if kernel.lower - ASSEMBLY_MARGIN <= lam <= 1.0 + ASSEMBLY_MARGIN:
-        raise LambdaInSpectrum(
-            f"lambda={lam!r} within margin {ASSEMBLY_MARGIN} of [{kernel.lower!r}, 1]"
-        )
 
 
 def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
@@ -110,7 +102,7 @@ def assemble_bs(
     """Assemble the support-compressed matrix at one spectral parameter."""
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
-    _guard_margin(kernel, lam)
+    _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     supp = spec.support(box)
     if not supp:
         raise EmptySupport("potential has no support inside the box")
@@ -193,7 +185,7 @@ def resolvent_via_bs(
     """
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
-    _guard_margin(kernel, lam)
+    _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     sites = box.sites()
     vol = box.volume
     G, _ = _pair_green(kernel, lam, sites, pts_per_axis)
@@ -279,9 +271,9 @@ def neumann_invertibility(
     """Build the screened-potential Neumann certificate at one lambda.
 
     K is the finite site set whose potential values are zeroed before the
-    check.  alpha must be positive (AlphaNotPositive) and sit strictly
-    below the fitted exponential decay rate of the Green kernel at this
-    lambda (AlphaTooLarge otherwise);
+    check.  alpha must be positive (AlphaNotPositive) and below the
+    Combes-Thomas rate kappa* (``_kappa_star``, AlphaTooLarge otherwise),
+    and e^{-kappa |y|_inf} / c(kappa) at kappa = (alpha + kappa*)/2 caps |G|;
     epsilon0 = inf |1 - gamma V_K| must be positive (Epsilon0Zero names the
     failure mode: K too small, enlarge it).
     """
@@ -289,18 +281,16 @@ def neumann_invertibility(
         raise AlphaNotPositive(f"alpha must be positive, got {alpha!r}")
     if isinstance(box, int):
         box = LatticeBox.cube(box, kernel.dimension)
-    _guard_margin(kernel, lam)
+    _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     excluded = {_as_offset(k, kernel.dimension) for k in K}
 
-    origin = (0,) * kernel.dimension
-    probe = range(1, 13)
-    disp = [(t,) + origin[1:] for t in probe]
-    table = green_table(kernel, lam, [origin] + disp, pts_per_axis)
-    fit = decay_rate_estimate([(t, abs(table[d])) for t, d in zip(probe, disp)])
-    if alpha >= fit.rate:
-        raise AlphaTooLarge(f"alpha={alpha} not below fitted Green rate {fit.rate:.4f}")
+    axes = range(kernel.dimension)
+    kstar = _kappa_star(kernel, lam, axes)
+    if alpha >= kstar:
+        raise AlphaTooLarge(f"alpha={alpha} not below the Combes-Thomas rate {kstar:.4f}")
 
-    gamma = lam * table[origin] - 1.0
+    origin = (0,) * kernel.dimension
+    gamma = lam * green_table(kernel, lam, [origin], pts_per_axis)[origin] - 1.0
     supp = [(s, h) for s, h in spec.support(box) if s not in excluded]
     eps0 = 1.0  # V_K = 0 sites always contribute |1 - 0|
     for _, h in supp:
@@ -319,10 +309,12 @@ def neumann_invertibility(
         pos = np.array(pts)
         dist = np.abs(pos[None, :, :] - pos[:, None, :]).max(axis=-1)
         # quadrature bottoms out at ~1e-16 cancellation noise; beyond that, cap |G|
-        # by the fitted decay envelope (amplifying raw noise by exp(alpha |x|) would
-        # be fatal); math.exp, since np.exp may differ from it in the last bits
-        decay = np.array([math.exp(-fit.rate * t) for t in range(int(dist.max()) + 1)])
-        absG = np.minimum(np.abs(G) + 1e-15, 2.0 * fit.prefactor * decay[dist])
+        # by the Combes-Thomas envelope (amplifying raw noise by exp(alpha |x|)
+        # would be fatal); math.exp, since np.exp may differ from it in the last bits
+        kappa = 0.5 * (alpha + kstar)
+        scale = _ct_margin(kernel, lam, axes, kappa)
+        decay = np.array([math.exp(-kappa * t) / scale for t in range(int(dist.max()) + 1)])
+        absG = np.minimum(np.abs(G) + 1e-15, decay[dist])
         np.fill_diagonal(absG, 0.0)
         sq = np.sqrt(hts)
         H = abs(lam) * sq[:, None] * absG * sq[None, :]
@@ -340,5 +332,5 @@ def neumann_invertibility(
         h_norm_plain=h_plain,
         h_norm_weighted=h_weighted,
         contraction=h_norm / eps0,
-        green_decay_rate=fit.rate,
+        green_decay_rate=kstar,
     )

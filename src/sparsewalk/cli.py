@@ -77,7 +77,8 @@ def exp_green(cfg: dict, out: Path) -> dict:
     xs = cfg.get("xs", [0])
     if not isinstance(xs, list):
         raise ConfigInvalid(f"'xs' must be a list of displacements, got {xs!r}")
-    xs = [numbers(x, "xs", int) if isinstance(x, list) else number(x, "xs", int) for x in xs]
+    d = kernel.dimension
+    xs = [numbers(x, "xs", int, d) if isinstance(x, list) else number(x, "xs", int) for x in xs]
     pts = number(cfg.get("pts_per_axis", 256), "pts_per_axis", int)
     rows = []
     for lam in lambdas:

@@ -9,6 +9,7 @@ A file that includes itself, directly or through others, is ConfigInvalid.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, LazinessOutOfRange
@@ -195,11 +196,14 @@ def require(cfg: dict, key: str, kind: str):
 def number(value, key: str, cast=float, least=None):
     """The value of config key `key` as a `cast` (float or int) number.
 
-    Anything but a JSON number, a fractional value for an int key, or a
-    value below `least` (when given) raises ConfigInvalid.
+    Anything but a finite JSON number (Python's json reads NaN and Infinity),
+    a fractional value for an int key, or a value below `least` (when
+    given) raises ConfigInvalid.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"'{key}' must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float holds
+        raise ConfigInvalid(f"'{key}' must be finite, got {value!r}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ConfigInvalid(f"'{key}' must be an integer, got {value!r}")
     value = cast(value)

@@ -78,8 +78,12 @@ class LambdaInSpectrum(SparseWalkError):
     """Resolvent requested at a point of (or too close to) the spectrum."""
 
 
+class LambdaNotFinite(SparseWalkError):
+    """Resolvent or assembly requested at a NaN or infinite lambda."""
+
+
 class QuadratureNotConverged(SparseWalkError):
-    """Richardson comparison of grid levels failed to contract."""
+    """An aliasing bound above 1e-12 (1 + |G|), or a level-crossing root that fails verification."""
 
 
 class GridTooCoarse(SparseWalkError):

@@ -128,10 +128,6 @@ def make_potential(
     )
 
 
-def zero_potential(dimension: int) -> PotentialSpec:
-    return make_potential(dimension, {}, generator="zero")
-
-
 def single_delta(dimension: int, v: float, box_radius: int | None = None) -> PotentialSpec:
     """Point potential v at the origin (compact perturbation, v0 = 0)."""
     return make_potential(dimension, {(0,) * dimension: v}, box_radius=box_radius, generator="delta")

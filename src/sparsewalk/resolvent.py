@@ -36,9 +36,10 @@ midpoint rule, a matmul against exp(i theta k).
 Two evaluators read ``_inverse``:
 
 * ``_green_levels`` (certified): G_lambda(0, x) for a set of displacements
-  at pts, 2 pts and 4 pts points per axis, pts >= 64; each value is kept
-  only if its Richardson differences contract.  ``green_table``,
-  ``green_kernel`` and ``g_lambda_quadrature`` are views of it.
+  on one grid of 4 pts points per axis, pts >= 64, each with a bound on
+  its aliasing error from the Combes-Thomas rate ``_kappa_star``.
+  ``green_table``, ``green_kernel`` and ``g_lambda_quadrature`` are views
+  of it.
 * ``_g0_on_grid`` (uncertified): lambda * mean ``_inverse`` at a single
   grid, for one lambda: one step of the level-crossing root solver.
 
@@ -50,19 +51,22 @@ and fibre mean, each a mean over p-hat values in [ell, 1].  So {g <= target}
 is an interval reaching t = 0, and each side holds at most one root, found
 by one bracketed solve, ``_root`` (Brent's zeroin).  The solver evaluates g
 on ``_PTS_BISECT`` grids and checks each root on ``_PTS_LADDER``, whose base
-grids are tried in turn until the Richardson error falls below 1e-11 |g|.
+grids are tried in turn until the error bound falls below 1e-11 |g|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     GridTooCoarse,
     LambdaInSpectrum,
+    LambdaNotFinite,
     LazinessOutOfRange,
     NonPositiveValue,
     QuadratureNotConverged,
@@ -101,36 +105,45 @@ class DecayFit:
     """Least-squares exponential-decay fit of positive samples."""
 
     rate: float
-    prefactor: float
     residual_rms: float
     npoints: int
 
 
-def _guard_spectrum(kernel: WalkKernel, lam: float) -> None:
-    if kernel.lower - SPECTRUM_GUARD <= lam <= 1.0 + SPECTRUM_GUARD:
-        raise LambdaInSpectrum(
-            f"lambda={lam!r} inside [{kernel.lower!r}, 1]; resolvent undefined there"
-        )
+def _guard_spectrum(kernel: WalkKernel, lam: float, margin: float = SPECTRUM_GUARD) -> None:
+    if not math.isfinite(lam):
+        raise LambdaNotFinite(f"lambda={lam!r} is not a finite number")
+    if kernel.lower - margin <= lam <= 1.0 + margin:
+        raise LambdaInSpectrum(f"lambda={lam!r} within {margin} of [{kernel.lower!r}, 1]")
 
 
-def _richardson(vals, noise) -> float:
-    """Error estimate from three grid levels; raises if not contracting.
+def _ct_margin(kernel: WalkKernel, lam: float, axes, kappa: float) -> float:
+    """c(kappa) = dist(lam, [ell, 1]) - max over i in ``axes`` of sum_y p(y) (cosh(kappa y_i) - 1).
 
-    Differences below the rounding floor count as converged.  The floor is
-    set by noise(), the mean magnitude of the finest-level integrand (not of
-    its mean, which may be heavily cancelled; near-singular integrands
-    amplify cancellation noise far above eps).  It is evaluated only when
-    the difference alone would fail the check.
+    While c(kappa) > 0, |G_lambda(0, y)| <= e^{-kappa |y_i|} / c(kappa) for
+    every i in axes (Combes & Thomas, CMP 34, 1973).
     """
-    d1 = abs(vals[1] - vals[0])
-    d2 = abs(vals[2] - vals[1])
-    if d2 > 0.5 * d1 and d2 > 1e-12 * (1.0 + abs(vals[2])):
-        floor = 1e-12 * (1.0 + abs(vals[2])) + 1e-11 * noise()
-        if d2 > floor:
-            raise QuadratureNotConverged(
-                f"grid doubling contracted {d1:.3e} -> {d2:.3e}; refine pts_per_axis"
-            )
-    return d2
+    # plain floats suit a handful of offsets; cosh - 1 = 2 sinh^2(/2) has no cancellation
+    # near kappa = 0, and s * s overflows to inf where s ** 2 would raise
+    excess = 0.0
+    for i in axes:
+        total = 0.0
+        for y, p in zip(kernel.offsets, kernel.probs):
+            s = math.sinh(0.5 * kappa * y[i])
+            total += 2.0 * p * s * s
+        excess = max(excess, total)
+    return max(lam - 1.0, kernel.lower - lam) - excess
+
+
+def _kappa_star(kernel: WalkKernel, lam: float, axes) -> float:
+    """kappa*: the smallest root over ``axes`` of c(kappa), by ``_root`` from doubling brackets."""
+    roots = []
+    for i in axes:
+        margin = partial(_ct_margin, kernel, lam, (i,))
+        hi = 1.0
+        while (f_hi := margin(hi)) > 0.0:
+            hi *= 2.0
+        roots.append(_root(margin, 0.0, hi, margin(0.0), f_hi, 0.0))
+    return min(roots)
 
 
 def _inverse(kernel: WalkKernel, axis: int | None, lam, level: int) -> np.ndarray:
@@ -182,33 +195,42 @@ def _dft(rows, xs: list[tuple[int, ...]], axis: int, level: int) -> np.ndarray:
 
 def _green_levels(
     kernel: WalkKernel, lam: float, displacements, pts_per_axis: int
-) -> dict[tuple[int, ...], tuple[float, float]]:
-    """Certified G_lambda(0, x) and its Richardson error for each displacement.
+) -> dict[tuple[int, ...], tuple[float, float, float]]:
+    """G_lambda(0, x), its aliasing bound and its rounding floor for each displacement.
 
-    One grid per level (pts, 2 pts, 4 pts per axis) serves every
-    displacement: the origin is the mean of ``_inverse``, every x != 0
-    comes from ``_dft``.  Its weight rows run along the fibre axis, or on
-    the full grid along the last axis.  By the symmetry of p, x and -x
-    share one evaluation.
+    One grid of N = 4 pts points per axis serves every displacement (x and
+    -x share one evaluation): the origin is the mean of ``_inverse``, every
+    x != 0 comes from ``_dft``.  On the k integrated axes (all d, or the
+    d - 1 off the fibre axis) the midpoint rule aliases exactly:
+    Q_N(x) - G(0, x) = sum_{m != 0} +-G(0, x + N m) (Trefethen & Weideman,
+    SIAM Review 56, 2014).  The (2j + 1)^k - (2j - 1)^k terms with
+    |m|_inf = j are each at most e^{-kappa (jN - X)} / c(kappa)
+    (``_ct_margin``), X = max |x_i| over those axes, kappa = max(kappa* -
+    1/N, kappa*/2); summed in closed form for k <= 3 and X < N, infinite
+    otherwise.  The floor: eps sqrt(n) per sum of n terms (Higham & Mary,
+    SIAM J. Sci. Comput. 41, 2019), eps pi |x|_1 per phase and eps/delta
+    per unit term from the rounding of p-hat.
     """
     if pts_per_axis < 64:
         raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
     _guard_spectrum(kernel, lam)
+    d = kernel.dimension
     canon = {}
     for x in displacements:
         x = _as_offset(x, None)
+        if len(x) > d:
+            raise DimensionMismatch(f"displacement {x} has dimension {len(x)}, above {d}")
         # missing trailing coordinates are 0, so x = 0 is the origin in any d
-        full = x + (0,) * (kernel.dimension - len(x))
+        full = x + (0,) * (d - len(x))
         canon[x] = min(full, tuple(-c for c in full))
-    means: dict[tuple[int, ...], list[float]] = {x: [] for x in sorted(set(canon.values()))}
-    d = kernel.dimension
+    distinct = sorted(set(canon.values()))
     origin = (0,) * d
-    others = [x for x in means if x != origin]
+    others = [x for x in distinct if x != origin]
     axis = _fibre_axis(kernel.offset_array())
-    for level in (pts_per_axis, 2 * pts_per_axis, 4 * pts_per_axis):
-        base = _inverse(kernel, axis, lam, level)
-        # integrand(x): its mean magnitude at the finest level sets the
-        # noise floor of x
+    level = 4 * pts_per_axis
+    base = _inverse(kernel, axis, lam, level)
+    means = {origin: float(np.mean(base))}
+    if others:
         if axis is None:
             def rows(c):
                 cols = base.reshape(-1, level)
@@ -218,9 +240,6 @@ def _green_levels(
                     # base is real: the sine part matters only through the other axes
                     table = table + 1j * (cols @ np.sin(phase, out=phase))
                 return table
-
-            def integrand(x):
-                return base.reshape((level,) * d) * np.cos(_grid_phase(x, level))
         else:
             alpha, R, argz = _fibre_grid(kernel, axis, level)
             rho = R / (lam - alpha + 1.0 / base)  # 1/base = sgn(A) s
@@ -229,31 +248,47 @@ def _green_levels(
                 k = c[:, None]
                 # one row per k, handed over as columns by a transposed view
                 return (base * rho ** np.abs(k) * np.exp(-1j * k * argz)).T
+        values = _dft(rows, others, d - 1 if axis is None else axis, level) / base.size
+        means.update(zip(others, values.tolist()))
 
-            def integrand(x):
-                return base * rho ** abs(x[axis])
-        if origin in means:
-            means[origin].append(float(np.mean(base)))
-        if others:
-            values = _dft(rows, others, d - 1 if axis is None else axis, level) / base.size
-            for x, value in zip(others, values):
-                means[x].append(float(value))
-
-    results = {
-        x: (vals[2], _richardson(vals, lambda x=x: float(np.mean(np.abs(integrand(x))))))
-        for x, vals in means.items()
-    }
+    axes = [a for a in range(d) if a != axis]
+    kstar = _kappa_star(kernel, lam, axes)
+    kappa = max(kstar - 1.0 / level, 0.5 * kstar)
+    r, s = math.exp(-kappa * level), -math.expm1(-kappa * level)  # s = 1 - r
+    # sum_j [(2j + 1)^k - (2j - 1)^k] r^(j - 1)
+    shells = {1: 2.0 / s, 2: 8.0 / s**2, 3: 24.0 * (1.0 + r) / s**3 + 2.0 / s}
+    scale = shells.get(len(axes), math.inf) / _ct_margin(kernel, lam, axes, kappa)
+    # off the spectrum _inverse keeps one sign: its mean magnitude is |mean|
+    eps_mean = math.ulp(1.0) * abs(means[origin])
+    slope = 1.0 / _ct_margin(kernel, lam, axes, 0.0)  # c(0) = delta
+    results = {}
+    for x in distinct:
+        X = max(abs(x[a]) for a in axes)
+        alias = math.exp(-kappa * (level - X)) * scale if X < level else math.inf
+        phases = math.sqrt(base.size) * (1.0 + math.pi * sum(map(abs, x)))
+        results[x] = (means[x], alias, eps_mean * (phases + slope))
     return {x: results[c] for x, c in canon.items()}
+
+
+def _certified(kernel: WalkKernel, lam: float, displacements, pts_per_axis: int):
+    """(G, error bound) per x; QuadratureNotConverged if aliasing exceeds 1e-12 (1 + |G|)."""
+    levels = _green_levels(kernel, lam, displacements, pts_per_axis)
+    for x, (value, alias, _) in levels.items():
+        if alias > 1e-12 * (1.0 + abs(value)):
+            raise QuadratureNotConverged(
+                f"aliasing bound {alias:.3e} of G(0, {x}) at lambda={lam!r}; refine pts_per_axis"
+            )
+    return {x: (value, alias + rounding) for x, (value, alias, rounding) in levels.items()}
 
 
 def g_lambda_quadrature(kernel: WalkKernel, lam: float, pts_per_axis: int = 256) -> GreenEvaluation:
     """g_lambda(0) = lambda (2 pi)^-d  integral dtheta / (lambda - p-hat).
 
-    Periodic trapezoid on the torus (spectrally accurate off the spectrum),
-    exact along a range-1 axis in d >= 2; the error estimate compares two
-    grid doublings.
+    Midpoint rule on one torus grid (spectrally accurate off the spectrum),
+    exact along a range-1 axis in d >= 2; the error is the bound of
+    ``_green_levels``, and QuadratureNotConverged means it was too large.
     """
-    [(mean, err)] = _green_levels(kernel, lam, [(0,) * kernel.dimension], pts_per_axis).values()
+    [(mean, err)] = _certified(kernel, lam, [(0,) * kernel.dimension], pts_per_axis).values()
     return GreenEvaluation(lam=lam, value=lam * mean, method="quadrature", est_error=err * abs(lam))
 
 
@@ -265,15 +300,15 @@ def green_kernel(
     By translation invariance G_lambda(x, y) = G_lambda(0, y - x); by the
     symmetry of p the value depends on x only through +-x.
     """
-    [(value, err)] = _green_levels(kernel, lam, [x], pts_per_axis).values()
+    [(value, err)] = _certified(kernel, lam, [x], pts_per_axis).values()
     return GreenEvaluation(lam=lam, value=value, method="quadrature", est_error=err)
 
 
 def green_table(
     kernel: WalkKernel, lam: float, displacements, pts_per_axis: int = 256
 ) -> dict[tuple[int, ...], float]:
-    """G_lambda(0, x) for many displacements sharing one set of grids."""
-    levels = _green_levels(kernel, lam, displacements, pts_per_axis)
+    """G_lambda(0, x) for many displacements sharing one grid."""
+    levels = _certified(kernel, lam, displacements, pts_per_axis)
     return {x: value for x, (value, _) in levels.items()}
 
 
@@ -360,7 +395,6 @@ def decay_rate_estimate(values) -> DecayFit:
     resid = ys - np.polyval(coef, xs)
     return DecayFit(
         rate=float(-coef[0]),
-        prefactor=float(np.exp(coef[1])),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         npoints=len(pts),
     )
@@ -387,23 +421,17 @@ def _g0_on_grid(kernel: WalkKernel, lam: float, pts_per_axis: int) -> float:
 
 
 def _g0(kernel: WalkKernel, lam: float) -> float:
-    """Certified g_lambda(0), escalating through the _PTS_LADDER base grids.
+    """g_lambda(0), escalating through the _PTS_LADDER base grids.
 
-    Levels whose Richardson check fails are skipped; if none contracts the
-    evaluation fails.
+    Returns the first level whose aliasing bound is at most
+    1e-11 max(1, |g|), or else the last level's value.
     """
-    last = None
+    origin = (0,) * kernel.dimension
     for pts in _PTS_LADDER[kernel.dimension]:
-        try:
-            ev = g_lambda_quadrature(kernel, lam, pts)
-        except QuadratureNotConverged:
-            continue
-        last = ev
-        if ev.est_error <= 1e-11 * max(1.0, abs(ev.value)):
-            return ev.value
-    if last is None:
-        raise QuadratureNotConverged(f"g_lambda(0) did not converge at lambda={lam!r}")
-    return last.value
+        [(mean, alias, _)] = _green_levels(kernel, lam, [origin], pts).values()
+        if abs(lam) * alias <= 1e-11 * max(1.0, abs(lam * mean)):
+            break
+    return lam * mean
 
 
 @dataclass(frozen=True)

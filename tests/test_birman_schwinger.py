@@ -6,6 +6,7 @@ import pytest
 
 import sparsewalk as sw
 from sparsewalk import birman_schwinger as bs
+from sparsewalk import resolvent
 from sparsewalk.errors import (
     AlphaNotPositive,
     AlphaTooLarge,
@@ -13,6 +14,7 @@ from sparsewalk.errors import (
     EmptySupport,
     Epsilon0Zero,
     LambdaInSpectrum,
+    LambdaNotFinite,
     NoSignChange,
     SparseWalkError,
     TailRadiusTooLarge,
@@ -76,7 +78,7 @@ def test_assembly_guards():
     with pytest.raises(LambdaInSpectrum):
         sw.assemble_bs(k, sw.single_delta(1, 1.0), 1.01, box=40)
     with pytest.raises(EmptySupport):
-        sw.assemble_bs(k, sw.zero_potential(1), 2.0, box=40)
+        sw.assemble_bs(k, sw.make_potential(1, {}), 2.0, box=40)
 
 
 def test_crossing_scan_matches_dense_eigensolve():
@@ -125,7 +127,7 @@ def test_neumann_alpha_not_positive_is_checked_first(alpha):
 
 def test_resolvent_via_bs_zero_potential():
     k = sw.simple1d()
-    R, resid = sw.resolvent_via_bs(k, sw.zero_potential(1), 2.0, box=30)
+    R, resid = sw.resolvent_via_bs(k, sw.make_potential(1, {}), 2.0, box=30)
     assert resid < 1e-8
     # formula collapses to the truncated Green matrix
     direct = sw.green_table(k, 2.0, [(x,) for x in range(-4, 5)])
@@ -245,15 +247,32 @@ def test_neumann_alpha_guard():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=512)
     with pytest.raises(AlphaTooLarge):
         sw.neumann_invertibility(k, spec, (), 2.0, 5.0, box=512)
+    # simple2d at lambda = 2: kappa* = arccosh 3 = 1.763 on both axes, below
+    # the 1.859 that a fit of |G| along e1 reads
+    spec2 = _seeded_support_2d(11, 8)
+    with pytest.raises(AlphaTooLarge):
+        sw.neumann_invertibility(sw.simple2d(), spec2, (), 2.0, 1.8, box=8, pts_per_axis=128)
+    cert = sw.neumann_invertibility(sw.simple2d(), spec2, (), 2.0, 1.76, box=8, pts_per_axis=128)
+    assert cert.green_decay_rate == pytest.approx(math.acosh(3.0), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_named_before_any_green_value(lam):
+    k, spec = sw.simple1d(), sw.single_delta(1, 1.0)
+    with pytest.raises(LambdaNotFinite):
+        sw.assemble_bs(k, spec, lam, box=40)
+    with pytest.raises(LambdaNotFinite):
+        sw.neumann_invertibility(k, spec, (), lam, 0.5, box=40)
 
 
 def _reference_neumann(kernel, spec, lam, alpha, box, pts_per_axis):
     """Certificate with K empty, built pair by pair: the reference for the vectorised envelope."""
     origin = (0,) * kernel.dimension
-    probe = range(1, 13)
-    disp = [(t,) + origin[1:] for t in probe]
-    table = sw.green_table(kernel, lam, [origin] + disp, pts_per_axis)
-    fit = sw.decay_rate_estimate([(t, abs(table[d])) for t, d in zip(probe, disp)])
+    axes = range(kernel.dimension)
+    kstar = resolvent._kappa_star(kernel, lam, axes)
+    kappa = 0.5 * (alpha + kstar)
+    scale = resolvent._ct_margin(kernel, lam, axes, kappa)
+    table = sw.green_table(kernel, lam, [origin], pts_per_axis)
     gamma = lam * table[origin] - 1.0
     supp = [(s, h) for s, h in zip(spec.sites, spec.heights) if _sup_norm(s) <= box]
     eps0 = 1.0
@@ -269,7 +288,7 @@ def _reference_neumann(kernel, spec, lam, alpha, box, pts_per_axis):
         for j in range(n):
             if i != j:
                 d = tuple(b - a for a, b in zip(pts[i], pts[j]))
-                envelope = 2.0 * fit.prefactor * math.exp(-fit.rate * _sup_norm(d))
+                envelope = math.exp(-kappa * _sup_norm(d)) / scale
                 absG[i, j] = min(abs(table[d]) + 1e-15, envelope)
     sq = np.sqrt(hts)
     H = abs(lam) * sq[:, None] * absG * sq[None, :]
@@ -285,7 +304,7 @@ def _reference_neumann(kernel, spec, lam, alpha, box, pts_per_axis):
         h_norm_plain=h_plain,
         h_norm_weighted=h_weighted,
         contraction=max(h_plain, h_weighted) / eps0,
-        green_decay_rate=fit.rate,
+        green_decay_rate=kstar,
     )
 
 

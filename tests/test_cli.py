@@ -403,6 +403,31 @@ MALFORMED = {
         {"cfg.json": {**SIMPLE, **DELTA, "n": 6, "samples": 2000, "seed": -1}},
         "'seed' must be at least 0, got -1",
     ),
+    "green with lambda NaN": (
+        "green",
+        {"cfg.json": {**SIMPLE, "lambdas": [float("nan")]}},
+        "'lambdas' must be finite, got nan",
+    ),
+    "green with lambda Infinity": (
+        "green",
+        {"cfg.json": {**SIMPLE, "lambdas": [2.0, float("inf")]}},
+        "'lambdas' must be finite, got inf",
+    ),
+    "geometric potential with v NaN": (
+        "essential",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "geometric", "v": float("nan")}}},
+        "'v' must be finite, got nan",
+    ),
+    "green with a 3d displacement under simple2d": (
+        "green",
+        {"cfg.json": {"kernel": {"preset": "simple2d"}, "lambdas": [2.0], "xs": [[1, 2, 3]]}},
+        "'xs' must be a list of 2 numbers, got [1, 2, 3]",
+    ),
+    "green with a 2d displacement under simple1d": (
+        "green",
+        {"cfg.json": {**SIMPLE, "lambdas": [2.0], "xs": [[1, 2]]}},
+        "'xs' must be a list of 1 numbers, got [1, 2]",
+    ),
     "doob with seed 2**64": (
         "doob",
         {"cfg.json": {**SIMPLE, **ANCHORED, "steps": 10, "seed": 2**64}},
