@@ -359,8 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of main, built by its first call: build_parser takes about
+#: 1.6 ms and parsing leaves the parser unchanged, so one serves every call
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "suite":
             ok = run_suite(args.name, args.out, only=args.only)

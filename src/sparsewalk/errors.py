@@ -247,6 +247,17 @@ class NotTridiagonal(SparseWalkError, ValueError):
     """
 
 
+class TargetNotNumeric(SparseWalkError, ValueError):
+    """Sturm oracle target that `decimal` cannot read as a number, such as "abc".
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
+class DigitsNotPositive(SparseWalkError, ValueError):
+    """Sturm oracle asked for dps < 1 working digits (also a ValueError)."""
+
+
 # -- Gibbs dynamics ---------------------------------------------------------
 
 class EigenResidualTooLarge(SparseWalkError):

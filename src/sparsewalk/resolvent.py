@@ -319,6 +319,8 @@ def g_lambda_series(kernel: WalkKernel, lam: float, tol: float = 1e-10) -> Green
     by exact repeated convolution, and the tail is bounded geometrically by
     |lambda|^(-n) / (1 - 1/|lambda|).
     """
+    if not math.isfinite(lam):
+        raise LambdaNotFinite(f"lambda={lam!r} is not a finite number")
     if abs(lam) <= 1.0:
         raise SeriesDiverges(f"series needs |lambda| > 1, got {lam!r}")
     ratio = 1.0 / abs(lam)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import sparsewalk
-from sparsewalk.cli import main
+from sparsewalk import cli
+from sparsewalk.cli import build_parser, main
 from sparsewalk.config import (
     check_experiment,
     kernel_from_config,
@@ -497,6 +498,22 @@ def test_decay_covers_the_discrete_spectrum_below_the_hull(tmp_path):
 
 def test_unknown_suite_name(tmp_path):
     assert main(["suite", "wrong-name", "--out", str(tmp_path / "s")]) == 2
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    missing = str(tmp_path / "missing.json")
+    assert main(["validate", "--config", missing]) == 2
+    assert main(["green", "--config", missing, "--out", str(tmp_path / "g")]) == 2
+    assert main(["suite", "wrong-name", "--out", str(tmp_path / "s")]) == 2
+    assert len(built) == 1
 
 
 def test_suite_subset_runs_and_reports(tmp_path, capsys):

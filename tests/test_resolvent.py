@@ -291,6 +291,14 @@ def test_series_rejects_unit_disc():
         sw.g_lambda_series(sw.simple1d(), -0.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_lambda(lam):
+    # NaN slipped past the |lambda| <= 1 guard and +-inf reached log(0):
+    # both ended in a bare ValueError from the n_stop formula
+    with pytest.raises(LambdaNotFinite):
+        sw.g_lambda_series(sw.simple1d(), lam)
+
+
 def test_phi_closed_form_checks_q():
     # q = 1 divided by zero; q = 1.5 returned a number (-0.17)
     for q, lam in ((1.0, 2.0), (1.5, 3.0), (-0.1, 2.0)):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+import signal
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 
@@ -10,8 +12,12 @@ import sparsewalk as sw
 from sparsewalk import spectral
 from sparsewalk.errors import (
     BoxTooLarge,
+    DigitsNotPositive,
+    DimensionMismatch,
     GapNotCertified,
+    LambdaNotFinite,
     LevelNotPositive,
+    NegativeRadius,
     NoConvergence,
     NoRootAboveOne,
     NotSparse,
@@ -20,6 +26,7 @@ from sparsewalk.errors import (
     PairCountOutOfRange,
     SelfCheckFailed,
     SparseWalkError,
+    TargetNotNumeric,
     ToleranceNotPositive,
     TooFewRadii,
     TruncationTooSmall,
@@ -743,6 +750,52 @@ def test_sturm_oracle_kernel_is_named():
     assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "spec, L, target, dps, error",
+    [
+        (None, 8, math.inf, 60, LambdaNotFinite),  # widened forever
+        (None, 8, "-Infinity", 60, LambdaNotFinite),
+        (None, 8, math.nan, 60, LambdaNotFinite),  # decimal.InvalidOperation
+        (None, 8, "abc", 60, TargetNotNumeric),  # decimal.ConversionSyntax
+        (None, -1, 0.5, 60, NegativeRadius),  # IndexError
+        (None, 8, 0.5, 0, DigitsNotPositive),  # ValueError from decimal.Context
+        (sw.single_delta(2, 1.0), 8, 0.5, 60, DimensionMismatch),
+    ],
+)
+def test_sturm_oracle_rejects_bad_input(spec, L, target, dps, error):
+    with _deadline(10), pytest.raises(error) as info:
+        sw.truncated_spectrum_distance_1d(sw.simple1d(), spec, L, target, dps=dps)
+    assert isinstance(info.value, SparseWalkError)
+
+
+def test_sturm_oracle_ends_below_twenty_digits():
+    # at dps < 21 the bracket cannot reach hi / lo - 1 <= 1e-20; the search
+    # ends once dps digits cannot split it
+    k, spec = sw.lazy1d(0.25), sw.single_delta(1, 1.0)
+    w = np.linalg.eigvalsh(sw.truncated_operator(k, spec, 40).sym)
+    for dps, rel in ((1, 10.0), (8, 1e-6), (15, 1e-12)):
+        for target in STURM_TARGETS.values():
+            with _deadline(10):
+                got, exact = sw.truncated_spectrum_distance_1d(k, spec, 40, target, dps=dps)
+            assert exact and got == pytest.approx(float(np.min(np.abs(w - target))), rel=rel)
+
+
 def _mpmath_distance(kernel, spec, L, target, dps):
     """The Sturm oracle as it ran on mpmath: same recurrence, pivot guard,
     bisection and floor, in dps-digit binary floating point."""
@@ -832,6 +885,17 @@ def test_sturm_oracle_matches_the_mpmath_recurrence():
         k = sw.lazy1d(q)
         got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=dps)
         assert got == _mpmath_distance(k, spec, L, target, dps), (q, spec, L, target, dps)
+
+
+def test_sturm_oracle_matches_the_mpmath_recurrence_at_larger_l():
+    pytest.importorskip("mpmath")
+    # the battery above stops at L = 64: a target inside the bulk, with
+    # eigenvalues on both sides, and one more than 1 above the spectrum in
+    # [-2, 2], where the search widens first
+    spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048)
+    for k, L, target in ((sw.simple1d(), 128, 0.3), (sw.lazy1d(0.3), 160, 3.5)):
+        got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=60)
+        assert got == _mpmath_distance(k, spec, L, target, 60), (L, target)
 
 
 def test_lambda_pm_1d_rejects_nonpositive_v():
