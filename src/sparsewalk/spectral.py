@@ -875,7 +875,7 @@ def truncated_spectrum_distance_1d(
         side = -1 if big_g > 0 else 1
         x = Decimal(0)
         moved = moved_before = Decimal("Infinity")
-        while True:
+        while hi / lo - 1 > tol:
             step = None
             if big_h:
                 step = side * big_g / big_h
@@ -895,6 +895,4 @@ def truncated_spectrum_distance_1d(
                     side, big_h = -side, 0
             else:
                 lo = x
-            if hi / lo - 1 <= tol:
-                break
         return float(hi), True
