@@ -45,7 +45,7 @@ print("\n== accumulation measured in high precision ==")
 with localcontext(Context(prec=60)):
     target = Decimal(2) / Decimal(3).sqrt()  # lambda_+ to 60 digits
 for L in (128, 256, 512):
-    dist, exact = sw.truncated_spectrum_distance_1d(kernel, spec, L, target, dps=60)
+    dist, exact = sw.truncated_spectrum_distance_1d(kernel, spec, L, target)
     tag = "" if exact else " (certified upper bound)"
     print(f"L = {L:4d}: distance of truncated spectrum to lambda_+ = {dist:.3e}{tag}")
 print("float64 eigensolvers bottom out near 1e-13; the collapse is real.")

@@ -155,7 +155,7 @@ def criterion_5() -> CriterionResult:
     for label, target in targets:
         dists = {}
         for L in (256, 512, 1024):
-            dists[L] = spectral.truncated_spectrum_distance_1d(kernel, spec, L, target, dps=60)
+            dists[L] = spectral.truncated_spectrum_distance_1d(kernel, spec, L, target)
         d_first = dists[256][0]
         d_last = dists[1024][0]
         checks[f"{label} first resolved"] = dists[256][1]

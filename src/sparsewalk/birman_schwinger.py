@@ -35,7 +35,15 @@ from .errors import (
     NoSignChange,
     TailRadiusTooLarge,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _neighbour_table, _sup_norm
+from .lattice import (
+    LatticeBox,
+    WalkKernel,
+    _as_offset,
+    _band_dense,
+    _dense_cap,
+    _neighbour_table,
+    _sup_norm,
+)
 from .potential import PotentialSpec, _one_plus_v
 from .resolvent import _ct_margin, _guard_spectrum, _kappa_star, _root, green_table
 
@@ -62,7 +70,6 @@ class BSAssembly:
     green: np.ndarray
     support_sites: tuple
     support_values: tuple
-    kernel: WalkKernel
     box: LatticeBox
 
 
@@ -76,8 +83,10 @@ def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
     reads each pair back; the n x n temporaries die with this frame, before
     the caller allocates its own n x n matrices.
     (np.unique would take its hash path here, whose first call alone adds
-    about 1.4 MB of resident memory.)
+    about 1.4 MB of resident memory.)  More than ``lattice.DENSE_CAP``
+    sites raise BoxTooLarge before the codes are built.
     """
+    _dense_cap(len(sites))
     pos = np.array(sites)
     half = int((pos.max(axis=0) - pos.min(axis=0)).max())
     side = 2 * half + 1
@@ -123,7 +132,6 @@ def assemble_bs(
         green=G,
         support_sites=tuple(sites),
         support_values=tuple(float(h) for h in heights),
-        kernel=kernel,
         box=box,
     )
 

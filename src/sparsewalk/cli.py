@@ -79,7 +79,7 @@ def exp_green(cfg: dict, out: Path) -> dict:
         raise ConfigInvalid(f"'xs' must be a list of displacements, got {xs!r}")
     d = kernel.dimension
     xs = [numbers(x, "xs", int, d) if isinstance(x, list) else number(x, "xs", int) for x in xs]
-    pts = number(cfg.get("pts_per_axis", 256), "pts_per_axis", int)
+    pts = number(cfg.get("pts_per_axis", 256), "pts_per_axis", int, least=resolvent.PTS_FLOOR)
     rows = []
     for lam in lambdas:
         for x in xs:
@@ -91,7 +91,7 @@ def exp_green(cfg: dict, out: Path) -> dict:
 
 def _positive(cfg: dict, key: str, default: float) -> float:
     # a config error (exit 2) here, since exp_bs turns every certificate
-    # error into valid_certificate=False and perron_pair's is exit 1
+    # error into valid_certificate=False and exp_decay's would be exit 1
     value = number(cfg.get(key, default), key)
     if not value > 0.0:
         raise ConfigInvalid(f"'{key}' must be positive, got {value!r}")
@@ -196,9 +196,8 @@ def exp_decay(cfg: dict, out: Path) -> dict:
 
 def _chain_from_config(cfg, kernel, spec):
     L = number(cfg.get("L", 60), "L", int, least=spectral._truncation_floor(kernel))
-    tol = _positive(cfg, "eigen_tol", 1e-10)
     op = spectral.truncated_operator(kernel, spec, L)
-    r, phi = spectral.perron_pair(op, tol=tol)
+    r, phi = spectral.perron_pair(op)
     return op, gibbsmod.doob_kernel(kernel, spec, (r, phi), op.box)
 
 
@@ -252,9 +251,6 @@ def exp_doob(cfg: dict, out: Path) -> dict:
         if m > 1e-12 or e > 0
     ]
     _write_csv(out / "doob.csv", ["site", "stationary", "empirical"], rows)
-    if cfg.get("dump_path"):
-        lines = "\n".join(json.dumps(list(map(int, s))) for s in path)
-        _write_atomic(out / "path.jsonl", lines + "\n")
     return {"row_deficit": chain.row_deficit, "tv_distance": tv, "rate": chain.rate}
 
 

@@ -34,8 +34,8 @@ KEYS = {
     "spectrum": ("L_sequence",),
     "essential": (),
     "decay": ("lambda", "alpha", "box_radius", "L", "fit_window"),
-    "gibbs": ("n_range", "k", "indicator_site", "L", "eigen_tol"),
-    "doob": ("steps", "L", "eigen_tol", "dump_path"),
+    "gibbs": ("n_range", "k", "indicator_site", "L"),
+    "doob": ("steps", "L"),
     "fk": ("n", "samples"),
 }
 EXPERIMENTS = tuple(KEYS)
@@ -53,9 +53,7 @@ SECTION_KEYS = {
         "geometric": ("type", "v", "base", "box_radius", "anchor"),
         "dense": ("type", "v", "box_radius"),
         "explicit": ("type", "sites", "tail", "essential_values", "box_radius"),
-        "decaying": ("type", "sites", "essential_values", "box_radius"),
         "none": ("type",),
-        "zero": ("type",),
     },
 }
 
@@ -153,7 +151,7 @@ def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
     if not isinstance(kind, str) or kind not in SECTION_KEYS["potential"]:
         raise ConfigInvalid(f"unknown potential type {kind!r}")
     _check_section(spec, "potential", kind)
-    if kind in ("none", "zero"):
+    if kind == "none":
         return None
     box_radius = spec.get("box_radius")
     if box_radius is not None:
@@ -173,11 +171,10 @@ def potential_from_config(cfg: dict, dimension: int) -> PotentialSpec | None:
         if kind == "dense":
             return dense_level(dimension, number(spec.get("v", 1.0), "v"), box_radius or 128)
         sites = dict(_site_row(row, "sites") for row in spec["sites"])
-        tail = "decaying" if kind == "decaying" else spec.get("tail", "decaying")
         return make_potential(
             dimension,
             sites,
-            tail=tail,
+            tail=spec.get("tail", "decaying"),
             essential_values=numbers(spec.get("essential_values", (0.0,)), "essential_values"),
             box_radius=box_radius,
         )

@@ -36,10 +36,6 @@ class NegativeRadius(SparseWalkError, ValueError):
     """Lattice cube requested with a negative radius (also a ValueError)."""
 
 
-class ThetaNotOnSpectrum(SparseWalkError):
-    """Supplied frequency does not match the requested spectral point."""
-
-
 class NegativeStepCount(SparseWalkError, ValueError):
     """A power of P or of the weighted transfer operator with n < 0.
 
@@ -182,7 +178,7 @@ class TailRadiusTooLarge(SparseWalkError, ValueError):
 # -- spectral truncations ---------------------------------------------------
 
 class BoxTooLarge(SparseWalkError):
-    """Dense matrix of a truncation requested above the dense cap."""
+    """Dense build above DENSE_CAP sites: a truncation's M or S, or a matrix on the support of V."""
 
 
 class TruncationTooSmall(SparseWalkError, ValueError):
@@ -254,10 +250,6 @@ class TargetNotNumeric(SparseWalkError, ValueError):
     """
 
 
-class DigitsNotPositive(SparseWalkError, ValueError):
-    """Sturm oracle asked for dps < 1 working digits (also a ValueError)."""
-
-
 # -- Gibbs dynamics ---------------------------------------------------------
 
 class EigenResidualTooLarge(SparseWalkError):
@@ -307,12 +299,6 @@ class StartOutsideBox(SparseWalkError):
 
 class NoDecayDetected(SparseWalkError):
     """Marginal deviations do not decay over the requested range."""
-
-
-# -- internal invariants ----------------------------------------------------
-
-class SelfCheckFailed(SparseWalkError):
-    """An independent re-check disagreed with the result it was checking."""
 
 
 # -- CLI --------------------------------------------------------------------

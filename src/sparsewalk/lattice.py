@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BoxTooLarge,
     BoxTooSmall,
     DimensionMismatch,
     EmptySupport,
@@ -43,11 +44,14 @@ from .errors import (
     NotNormalized,
     NotSymmetric,
     ShapeMismatch,
-    ThetaNotOnSpectrum,
     WaveRadiusTooSmall,
 )
 
 Offset = tuple[int, ...]
+
+#: most sites of an n x n dense build (``_dense_cap``): a band (the
+#: truncation's M and S, the Doob chain's rows) or a matrix on the support of V
+DENSE_CAP = 6000
 
 
 def _as_offset(key, dim: int | None) -> Offset:
@@ -444,8 +448,15 @@ def _neighbour_table(kernel: WalkKernel, box: LatticeBox) -> tuple[np.ndarray, n
     return cols, probs
 
 
+def _dense_cap(n: int) -> None:
+    """BoxTooLarge before an n x n dense build past DENSE_CAP sites."""
+    if n > DENSE_CAP:
+        raise BoxTooLarge(f"{n} sites exceed dense cap {DENSE_CAP}")
+
+
 def _band_dense(cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Dense square matrix of a band: probs[i, k] at (i, cols[i, k]), zero elsewhere."""
+    _dense_cap(len(cols))
     rows, ks = np.nonzero(probs)
     out = np.zeros((len(cols), len(cols)))
     out[rows, cols[rows, ks]] = probs[rows, ks]
@@ -464,10 +475,8 @@ def convolution_power_at_zero(kernel: WalkKernel, n: int) -> float:
     return float(deque(_powers(kernel, np.ones(box.shape), f, n, box), maxlen=1)[0][origin])
 
 
-def weyl_sequence_residual(
-    kernel: WalkKernel, theta, n: int, lam: float | None = None
-) -> float:
-    """Residual ||(lam - P) u_n|| for the normalized plane wave on Q(0, n+r).
+def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
+    """Residual ||(p-hat(theta) - P) u_n|| for the normalized plane wave on Q(0, n+r).
 
     u_n restricts exp(i theta . x) to the cube Q(0, n + r) and normalizes.
     The operator annihilates the wave in the bulk, so the residual comes
@@ -477,11 +486,7 @@ def weyl_sequence_residual(
     if n < 1:
         raise WaveRadiusTooSmall(f"n must be >= 1, got {n}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    phat = float(_char_eval(kernel.offset_array(), kernel.prob_array(), th[None, :])[0])
-    if lam is None:
-        lam = float(phat)
-    elif abs(phat - lam) >= 1e-10:
-        raise ThetaNotOnSpectrum(f"p-hat(theta)={phat!r} != lambda={lam!r}")
+    lam = float(_char_eval(kernel.offset_array(), kernel.prob_array(), th[None, :])[0])
     r = kernel.reach
     box = LatticeBox.cube(n + 2 * r + 1, kernel.dimension)
     sites = box.sites()

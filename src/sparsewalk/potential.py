@@ -17,7 +17,7 @@ truncation, transfer sweep and resolvent reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     SiteOutsideBox,
     TailInvalid,
 )
-from .lattice import LatticeBox, Offset, _as_offset, _sup_norm
+from .lattice import LatticeBox, Offset, _as_offset, _dense_cap, _sup_norm
 
 #: default working-box radius per dimension (keeps dense matrices tractable)
 DEFAULT_BOX_RADIUS = {1: 2048, 2: 64, 3: 16}
@@ -52,22 +52,10 @@ class PotentialSpec:
     essential_values: tuple[float, ...]
     box_radius: int
     generator: str = "explicit"
-    _lookup: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._lookup.update(zip(self.sites, self.heights))
 
     @property
     def v0(self) -> float:
         return max(self.essential_values)
-
-    @property
-    def sup_norm(self) -> float:
-        vals = self.heights + self.essential_values
-        return max(vals) if vals else 0.0
-
-    def value(self, site) -> float:
-        return self._lookup.get(_as_offset(site, self.dimension), 0.0)
 
     def support(self, box: LatticeBox) -> list[tuple[Offset, float]]:
         """(site, height) of the support inside a box, sorted by (|x|, x)."""
@@ -209,12 +197,14 @@ def sparseness_profile(
     a_eps vanishes off the support, so only support sites are tabulated.
     sup_tail reports sup_{|x| >= R} a_eps(x) at R = box/8, box/4, box/2;
     the sequence collapsing toward 0 is the operative sparseness signal,
-    while a dense potential keeps it bounded away from 0.
+    while a dense potential keeps it bounded away from 0.  A support past
+    ``lattice.DENSE_CAP`` sites raises BoxTooLarge before the pair table.
     """
     if epsilon <= 0.0:
         raise AlphaNotPositive(f"epsilon must be positive, got {epsilon!r}")
     box_radius = spec.box_radius if box_radius is None else int(box_radius)
     supp = spec.support(LatticeBox.cube(box_radius, spec.dimension))
+    _dense_cap(len(supp))
     samples = []
     if supp:
         pts = np.array([s for s, _ in supp], dtype=float)

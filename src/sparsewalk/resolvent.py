@@ -89,6 +89,9 @@ SPECTRUM_GUARD = 1e-12
 #: fewest points a decay fit takes
 MIN_FIT_POINTS = 8
 
+#: fewest quadrature points per axis (GridTooCoarse below it)
+PTS_FLOOR = 64
+
 
 @dataclass(frozen=True)
 class GreenEvaluation:
@@ -211,8 +214,8 @@ def _green_levels(
     SIAM J. Sci. Comput. 41, 2019), eps pi |x|_1 per phase and eps/delta
     per unit term from the rounding of p-hat.
     """
-    if pts_per_axis < 64:
-        raise GridTooCoarse(f"pts_per_axis must be >= 64, got {pts_per_axis}")
+    if pts_per_axis < PTS_FLOOR:
+        raise GridTooCoarse(f"pts_per_axis must be >= {PTS_FLOOR}, got {pts_per_axis}")
     _guard_spectrum(kernel, lam)
     d = kernel.dimension
     canon = {}

@@ -45,8 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BoxTooLarge,
-    DigitsNotPositive,
     DimensionMismatch,
     GapNotCertified,
     LambdaNotFinite,
@@ -58,7 +56,6 @@ from .errors import (
     NotStabilized,
     NotTridiagonal,
     PairCountOutOfRange,
-    SelfCheckFailed,
     TargetNotNumeric,
     ToleranceNotPositive,
     TooFewRadii,
@@ -67,9 +64,6 @@ from .errors import (
 from .lattice import LatticeBox, WalkKernel, _band_dense, _char_lower, _neighbour_table, _stencil
 from .potential import PotentialSpec, _one_plus_v, sparseness_profile
 from .resolvent import MIN_FIT_POINTS, DecayFit, decay_rate_estimate, g_level_crossings
-
-#: largest truncation (rows) whose dense M or S may be built
-DENSE_CAP = 6000
 
 #: eigenvalues within this of the top are treated as the peripheral set
 PERIPHERAL_TOL = 1e-10
@@ -109,9 +103,6 @@ STALL_RESTARTS = 10
 PERRON_CHECK_EVERY = 16
 PERRON_POINTWISE_TOL = 1e-9
 
-#: the bipartite sign is re-verified on Q(0, BIPARTITE_VERIFY_RADIUS)
-BIPARTITE_VERIFY_RADIUS = 4
-
 #: gap_projection_test iterates GAP_STEPS times and fits the norms of the
 #: steps n in GAP_FIT_RANGE (inclusive)
 GAP_STEPS = 60
@@ -127,7 +118,9 @@ DISCRETE_MARGIN = 1e-4
 REPORT_FIT_WINDOW = (1, 12)
 STABILIZE_TOL = 1e-6
 
-#: the Sturm oracle certifies distances down to 10^STURM_FLOOR_EXP
+#: the Sturm oracle works in STURM_DIGITS-digit decimal arithmetic and
+#: certifies distances down to 10^STURM_FLOOR_EXP
+STURM_DIGITS = 60
 STURM_FLOOR_EXP = -45
 
 
@@ -143,7 +136,6 @@ class TruncatedOperator:
     """
 
     kernel: WalkKernel
-    spec: PotentialSpec | None
     box: LatticeBox
     dvec: np.ndarray
     sites: np.ndarray
@@ -171,18 +163,13 @@ class TruncatedOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense M = D P, read-only, built on first use."""
-        return _read_only(self.dvec[:, None] * self._capped_P())
+        return _read_only(self.dvec[:, None] * _band_dense(self.cols, self.probs))
 
     @cached_property
     def sym(self) -> np.ndarray:
         """Dense S = D^(1/2) P D^(1/2), read-only, built on first use."""
         sqd = np.sqrt(self.dvec)
-        return _read_only(sqd[:, None] * self._capped_P() * sqd[None, :])
-
-    def _capped_P(self) -> np.ndarray:
-        if self.volume > DENSE_CAP:
-            raise BoxTooLarge(f"volume {self.volume} exceeds dense cap {DENSE_CAP}")
-        return _band_dense(self.cols, self.probs)
+        return _read_only(sqd[:, None] * _band_dense(self.cols, self.probs) * sqd[None, :])
 
     def residual(self, value: float, phi: np.ndarray) -> float:
         """Relative eigen residual ||M phi - value phi|| / ||phi|| over the band."""
@@ -214,7 +201,6 @@ def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -
     cols, probs = _neighbour_table(kernel, box)
     return TruncatedOperator(
         kernel=kernel,
-        spec=spec,
         box=box,
         dvec=_read_only(_one_plus_v(spec, box)),
         sites=_read_only(box.sites()),
@@ -524,20 +510,13 @@ def bipartite_detect(kernel: WalkKernel) -> BipartiteSign | None:
 
     For each nonempty axis subset I the candidate even set is
     A = {x : sum_{a in I} x_a even}; the kernel is bipartite for that I
-    exactly when p vanishes on A.  The returned sign is re-verified on the
-    sites of Q(0, BIPARTITE_VERIFY_RADIUS): transitions never connect sites
-    of equal sign.
+    exactly when p vanishes on A.  Every move then changes
+    sum_{a in I} x_a by an odd amount, so J anticommutes with P.
     """
     offs = kernel.offset_array()
     for axes in _axis_sets(kernel.dimension):
-        if _even(offs, axes).any():
-            continue  # some support offset lies in A
-        cand = BipartiteSign(axes=axes)
-        base = LatticeBox.cube(BIPARTITE_VERIFY_RADIUS, kernel.dimension).sites()
-        joined = cand.sign_on(base)[:, None] * cand.sign_on(base[:, None, :] + offs[None, :, :])
-        if (joined == 1.0).any():
-            raise SelfCheckFailed(f"bipartite sign on axes {axes} failed verification")
-        return cand
+        if not _even(offs, axes).any():  # no support offset lies in A
+            return BipartiteSign(axes=axes)
     return None
 
 
@@ -611,16 +590,15 @@ def gap_projection_test(
     kernel: WalkKernel,
     spec: PotentialSpec | None,
     L: int,
-    f: np.ndarray | None = None,
 ) -> GapProjection:
     """Geometric contraction of the semigroup off the peripheral eigenspace.
 
     The projector keeps the top eigenfunction (plus its sign-flipped twin
-    in the bipartite case); iterating r^(-1) M on the complement must
-    contract at the ratio second_abs / r, and the fitted rate is compared
-    against that prediction.  r, phi and the second |lambda| come from the
-    top three pairs by |value| of eigensolve_top and the iteration runs on
-    the band, so no dense matrix is built.  Raises GapNotCertified when
+    in the bipartite case); iterating r^(-1) M on the complement of delta
+    at the origin must contract at the ratio second_abs / r, and the fitted
+    rate is compared against that prediction.  r, phi and the second
+    |lambda| come from the top three pairs by |value| of eigensolve_top and
+    the iteration runs on the band, so no dense matrix is built.  Raises GapNotCertified when
     neither -r < ell (no top pair within PERIPHERAL_TOL of -r) nor a
     bipartite sign holds.
     """
@@ -635,19 +613,15 @@ def gap_projection_test(
         branch = "one_term"
     else:
         raise GapNotCertified("-r < ell fails and the kernel is not bipartite")
-    if f is None:
-        f = np.zeros(op.volume)
-        f[op.box.origin_index()] = 1.0
+    f = np.zeros(op.volume)
+    f[op.box.origin_index()] = 1.0
     proj = op.v_inner(f, phi) * phi
     if branch == "bipartite":
         jphi = bip.sign_on(op.sites) * phi
         proj = proj + op.v_inner(f, jphi) * jphi
-    h = f - proj
     eps_pred = _second_abs(top_abs, r) / r
-    if op.v_norm(h) <= 1e-13 * max(op.v_norm(f), 1.0):
-        return GapProjection(branch=branch, eps_fit=0.0, eps_pred=eps_pred, norms=())
     norms = []
-    y = h.copy()
+    y = f - proj
     for _ in range(GAP_STEPS):
         y = op.apply_M(y) / r
         norms.append(op.v_norm(y))
@@ -761,13 +735,12 @@ def truncated_spectrum_distance_1d(
     spec: PotentialSpec | None,
     L: int,
     target,
-    dps: int = 60,
 ) -> tuple[float, bool]:
     """Distance from the spectrum of the 1d truncation to `target`.
 
     Only range-1 kernels in d = 1 qualify: the symmetrized truncation T is
     tridiagonal, so eigenvalue counts below any shift follow from a Sturm
-    (LDL pivot-sign) recurrence evaluated in `dps`-digit `decimal`
+    (LDL pivot-sign) recurrence evaluated in STURM_DIGITS-digit `decimal`
     arithmetic.  Sparse potentials push truncated eigenvalues toward the
     essential spectrum at super-exponential speed, far beyond float64
     resolution, which is why this oracle exists.  `target` may be a float,
@@ -790,16 +763,13 @@ def truncated_spectrum_distance_1d(
     When the nearest eigenvalue is closer than 10^STURM_FLOOR_EXP the search
     stops and (10^STURM_FLOOR_EXP, False) is returned as a certified upper
     bound.  A target `decimal` cannot read raises TargetNotNumeric, a NaN or
-    infinite one LambdaNotFinite, L < 0 NegativeRadius, dps < 1
-    DigitsNotPositive and a potential not in d = 1 DimensionMismatch, all
-    before any sweep.
+    infinite one LambdaNotFinite, L < 0 NegativeRadius and a potential not
+    in d = 1 DimensionMismatch, all before any sweep.
     """
     if kernel.dimension != 1 or kernel.reach != 1:
         raise NotTridiagonal("Sturm oracle needs a range-1 kernel in d = 1")
     if spec is not None and spec.dimension != 1:
         raise DimensionMismatch(f"Sturm oracle needs a 1d potential, got d = {spec.dimension}")
-    if dps < 1:
-        raise DigitsNotPositive(f"Sturm oracle needs dps >= 1 digits, got {dps!r}")
     try:
         tgt = Decimal(target)  # exact, whatever the context's precision
     except InvalidOperation:
@@ -807,7 +777,7 @@ def truncated_spectrum_distance_1d(
     if not tgt.is_finite():
         raise LambdaNotFinite(f"Sturm target {target!r} is not a finite number")
     box = LatticeBox.cube(L, 1)  # NegativeRadius for L < 0
-    with localcontext(Context(prec=dps)):
+    with localcontext(Context(prec=STURM_DIGITS)):
         q = Decimal(kernel.p0)
         hop = (1 - q) / 2
         dval = [Decimal(1)] * box.side
@@ -816,7 +786,7 @@ def truncated_spectrum_distance_1d(
         diag = [q * v for v in dval]
         off2 = [hop * hop * dval[i] * dval[i + 1] for i in range(2 * L)]
         rest = list(zip(diag[1:], off2))
-        tiny = Decimal(10) ** (-(dps * 4))
+        tiny = Decimal(10) ** (-4 * STURM_DIGITS)
 
         def count_below(sigma):
             d = diag[0] - sigma
@@ -884,8 +854,6 @@ def truncated_spectrum_distance_1d(
                 if not (lo < x - step < hi and abs(step) < moved_before / 2):
                     step = None
             nxt = x - step if step is not None else (lo * hi).sqrt()
-            if not lo < nxt < hi:
-                break  # the bracket is as tight as dps digits allow
             moved_before, moved, x = moved, abs(nxt - x), nxt
             c_near, big_g, big_h = count_and_log_derivatives(tgt + side * x)
             if side * (c_near - count_below(tgt - side * x)) > 0:

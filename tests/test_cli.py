@@ -269,12 +269,33 @@ MALFORMED = {
     "gibbs with eigen_tol 0": (
         "gibbs",
         {"cfg.json": {**SIMPLE, **ANCHORED, "eigen_tol": 0}},
-        "'eigen_tol' must be positive, got 0.0",
+        "unknown key(s) ['eigen_tol'] for 'gibbs'",
     ),
     "doob with eigen_tol -1": (
         "doob",
         {"cfg.json": {**SIMPLE, **ANCHORED, "eigen_tol": -1, "seed": 1}},
-        "'eigen_tol' must be positive, got -1.0",
+        "unknown key(s) ['eigen_tol'] for 'doob'",
+    ),
+    "doob with dump_path": (
+        "doob",
+        {"cfg.json": {**SIMPLE, **ANCHORED, "dump_path": True, "seed": 1}},
+        "unknown key(s) ['dump_path'] for 'doob'",
+    ),
+    "potential type zero": (
+        "spectrum",
+        {"cfg.json": {**SIMPLE, "potential": {"type": "zero"}, "L_sequence": [20, 30]}},
+        "unknown potential type 'zero'",
+    ),
+    "potential type decaying": (
+        "spectrum",
+        {
+            "cfg.json": {
+                **SIMPLE,
+                "potential": {"type": "decaying", "sites": [[0, 1.0]]},
+                "L_sequence": [20, 30],
+            }
+        },
+        "unknown potential type 'decaying'",
     ),
     "spectrum with one radius twice": (
         "spectrum",
@@ -475,7 +496,7 @@ def test_demo_configs_hold_only_known_keys(kind, name):
     potential_from_config(cfg, kernel_from_config(cfg).dimension)
 
 
-@pytest.mark.parametrize("kind", ["none", "zero"])
+@pytest.mark.parametrize("kind", ["none"])
 def test_potential_type_none_means_free_walk(tmp_path, kind):
     cfg = _write(tmp_path, "cfg.json", {**SIMPLE, "potential": {"type": kind}, "L_sequence": [20, 30]})
     out = tmp_path / "out"
@@ -533,15 +554,48 @@ def test_suite_subset_runs_and_reports(tmp_path, capsys):
 
 
 def test_green_grid_floor_fails_with_one_line(tmp_path, capsys):
+    # the floor of resolvent._green_levels, read as a config bound
     cfg = _write(
         tmp_path,
         "cfg.json",
         {"kernel": {"preset": "simple1d"}, "lambdas": [1.25], "pts_per_axis": 32},
     )
-    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "'pts_per_axis' must be at least 64, got 32" in err
+    assert err.count("\n") == 1
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {"kernel": {"preset": "simple1d"}, "lambdas": [1.25], "pts_per_axis": 64},
+    )
+    assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+#: experiment -> its required keys, for the dense 2d box above DENSE_CAP
+DENSE_OVER_CAP = {
+    "essential": {},
+    "spectrum": {"L_sequence": [4, 6]},
+    "bs": {"lambda_lo": 2.0, "lambda_hi": 3.0},
+    "decay": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSE_OVER_CAP))
+def test_dense_support_above_the_cap_fails_with_one_line(tmp_path, capsys, kind):
+    # a 2d dense box of radius 40 holds 6561 > DENSE_CAP support sites; the
+    # pair and profile matrices on them are refused before any allocation
+    dense = {"type": "dense", "v": 1.0, "box_radius": 40}
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {"kernel": {"preset": "simple2d"}, "potential": dense, **DENSE_OVER_CAP[kind]},
+    )
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("experiment failed: ")
-    assert "GridTooCoarse" in err
+    assert "BoxTooLarge" in err and "6561" in err
     assert err.count("\n") == 1
 
 

@@ -19,7 +19,6 @@ from sparsewalk.errors import (
     NotSymmetric,
     ShapeMismatch,
     SparseWalkError,
-    ThetaNotOnSpectrum,
     WaveRadiusTooSmall,
 )
 
@@ -600,11 +599,6 @@ def test_weyl_residual_basics():
 def test_weyl_residual_2d_exponent():
     slope, _ = sw.weyl_scaling_fit(sw.simple2d(), (0.0, 0.0), (10, 20, 40))
     assert -0.6 <= slope <= -0.4
-
-
-def test_weyl_theta_mismatch():
-    with pytest.raises(ThetaNotOnSpectrum):
-        sw.weyl_sequence_residual(sw.simple1d(), 0.0, 10, lam=0.5)
 
 
 def test_cube_rejects_a_negative_radius():

@@ -19,13 +19,12 @@ def test_geometric_construction():
     spec = sw.build_geometric_sparse(1, v=1.0, base=3, box_radius=100)
     assert set(spec.sites) == {(s,) for s in (1, -1, 3, -3, 9, -9, 27, -27, 81, -81)}
     assert spec.v0 == 1.0
-    assert spec.value((9,)) == 1.0
-    assert spec.value((2,)) == 0.0
+    assert set(spec.heights) == {1.0}
 
 
 def test_geometric_anchor():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100, anchor=((0,), 2.0))
-    assert spec.value((0,)) == 2.0
+    assert dict(zip(spec.sites, spec.heights))[(0,)] == 2.0
     assert spec.v0 == 1.0  # anchor is a single site, not an essential value
     with pytest.raises(AnchorBelowV0):
         sw.build_geometric_sparse(1, 1.0, 3, box_radius=100, anchor=((0,), 0.5))
@@ -91,13 +90,13 @@ def test_sparseness_dense_control():
 
 def test_sup_norm_bound():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=100, anchor=((0,), 2.5))
-    assert spec.sup_norm == 2.5
-    assert max(spec.heights) == spec.sup_norm  # the anchor tops every height
+    assert max(spec.heights) == 2.5  # the anchor tops every height
 
 
 def _old_values_on(spec, sites):
     """The former ``PotentialSpec.values_on``: one dict lookup per site."""
-    return np.array([spec._lookup.get(tuple(int(c) for c in s), 0.0) for s in sites])
+    lookup = dict(zip(spec.sites, spec.heights))
+    return np.array([lookup.get(tuple(int(c) for c in s), 0.0) for s in sites])
 
 
 def _old_support_in_box(spec, box):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import signal
 import tracemalloc
@@ -12,7 +13,6 @@ import sparsewalk as sw
 from sparsewalk import spectral
 from sparsewalk.errors import (
     BoxTooLarge,
-    DigitsNotPositive,
     DimensionMismatch,
     GapNotCertified,
     LambdaNotFinite,
@@ -24,13 +24,13 @@ from sparsewalk.errors import (
     NotStabilized,
     NotTridiagonal,
     PairCountOutOfRange,
-    SelfCheckFailed,
     SparseWalkError,
     TargetNotNumeric,
     ToleranceNotPositive,
     TooFewRadii,
     TruncationTooSmall,
 )
+from sparsewalk.lattice import DENSE_CAP, _band_dense, _neighbour_table
 
 #: symmetric only jointly, p(x) = p(-x), with unequal diagonal moves
 SKEW2D = {
@@ -388,7 +388,7 @@ def _anchored_simple2d_40():
 def test_band_solvers_run_past_the_dense_cap():
     # 2d L = 40 has 6561 sites: above DENSE_CAP, so only the band is used
     kernel, spec, op = _anchored_simple2d_40()
-    assert op.volume == 6561 > spectral.DENSE_CAP
+    assert op.volume == 6561 > DENSE_CAP
     with pytest.raises(BoxTooLarge):
         op.sym
     top = sw.eigensolve_top(op, 1).by_value[0]
@@ -512,13 +512,54 @@ def test_bipartite_detect():
     assert sign2.sign_on(np.array([(1, 0), (1, 1)])).tolist() == [-1.0, 1.0]
 
 
-def test_bipartite_verification_failure_is_named(monkeypatch):
-    # a sign that joins equal-sign sites must fail with a named error
-    monkeypatch.setattr(
-        spectral.BipartiteSign, "sign_on", lambda self, sites: np.ones(sites.shape[:-1])
-    )
-    with pytest.raises(SelfCheckFailed):
-        sw.bipartite_detect(sw.simple1d())
+def _random_symmetric_kernel(rng, d):
+    """A seeded irreducible symmetric kernel in d dimensions, offsets in
+    [-2, 2]^d (in [-1, 1]^3 for d = 3, where a range-2 validation is slow).
+
+    Half the draws are bipartite by construction: every offset has an odd
+    coordinate sum over a random axis subset I (e_j for j in I,
+    e_i + e_j0 for i outside I, and random odd offsets), which generates Z^d.
+    """
+    axes = [a for a in range(d) if rng.random() < 0.5] or [int(rng.integers(d))]
+    unit = np.eye(d, dtype=int)
+    reach = 2 if d < 3 else 1
+    pool = list(itertools.product(range(-reach, reach + 1), repeat=d))
+    extra = [pool[i] for i in rng.choice(len(pool), size=3)]
+    if rng.random() < 0.5:
+        gens = [unit[j] for j in axes] + [unit[i] + unit[axes[0]] for i in range(d) if i not in axes]
+        extra = [o for o in extra if sum(o[a] for a in axes) % 2]
+    else:
+        gens = list(unit) + ([np.zeros(d, dtype=int)] if rng.random() < 0.5 else [])
+    probs = {}
+    for off in [tuple(int(c) for c in g) for g in gens] + extra:
+        w = float(rng.uniform(0.1, 1.0))
+        for o in {off, tuple(-c for c in off)}:
+            probs[o] = probs.get(o, 0.0) + w
+    total = sum(probs.values())
+    return sw.validate_kernel({o: p / total for o, p in probs.items()})
+
+
+def test_bipartite_sign_anticommutes_with_random_kernels():
+    # a returned J flips every move of P, so J P J = -P on the band of a box;
+    # None means every axis subset I has a support offset in A, an even sum over I
+    rng = np.random.default_rng(20262)
+    verdicts = []
+    for d in (1, 2, 3):
+        for _ in range(12):
+            kernel = _random_symmetric_kernel(rng, d)
+            sign = sw.bipartite_detect(kernel)
+            offs = kernel.offset_array()
+            if sign is None:
+                for size in range(1, d + 1):
+                    for axes in itertools.combinations(range(d), size):
+                        assert (offs[:, list(axes)].sum(axis=1) % 2 == 0).any(), (kernel, axes)
+            else:
+                box = sw.LatticeBox.cube(3, d)
+                P = _band_dense(*_neighbour_table(kernel, box))
+                J = sign.sign_on(box.sites())
+                assert np.array_equal(J[:, None] * P * J[None, :], -P), (kernel, sign)
+            verdicts.append(sign is None)
+    assert 0 < sum(verdicts) < len(verdicts)  # both outcomes occur
 
 
 def test_diag_dominance():
@@ -542,20 +583,13 @@ def test_edge_inequality_cases():
     assert free.slack >= -1e-8
 
 
-def test_gap_projection_absorbs_top_vector():
-    anchor = sw.build_geometric_sparse(1, 1.0, 3, anchor=((0,), 2.0))
-    op = sw.truncated_operator(sw.simple1d(), anchor, 40)
-    sol = sw.eigensolve_top(op, count=1)
-    proj = sw.gap_projection_test(sw.simple1d(), anchor, 40, f=sol.by_value[0].phi)
-    assert proj.eps_fit == 0.0
-
-
 def test_gap_projection_rates():
     anchor = sw.build_geometric_sparse(1, 1.0, 3, anchor=((0,), 2.0))
     proj = sw.gap_projection_test(sw.simple1d(), anchor, 60)
     assert proj.branch == "bipartite"
     assert proj.eps_fit < 1.0
     assert abs(proj.eps_fit - proj.eps_pred) <= 0.1 * proj.eps_pred
+    assert len(proj.norms) == spectral.GAP_STEPS
     proj3 = sw.gap_projection_test(sw.lazy1d(0.3), anchor, 60)
     assert proj3.branch == "one_term"
     assert abs(proj3.eps_fit - proj3.eps_pred) <= 0.1 * proj3.eps_pred
@@ -563,7 +597,7 @@ def test_gap_projection_rates():
 
 def test_gap_projection_runs_past_the_dense_cap():
     kernel, spec, op = _anchored_simple2d_40()
-    assert op.volume > spectral.DENSE_CAP
+    assert op.volume > DENSE_CAP
     proj = sw.gap_projection_test(kernel, spec, 40)
     assert proj.branch == "bipartite"
     assert proj.eps_fit < 1.0
@@ -716,19 +750,19 @@ STURM_POTENTIALS = {
 STURM_TARGETS = {"above": 2.5, "below": -1.5, "inside": 0.3}
 
 
-@pytest.mark.parametrize("dps", [40, 60])
+@pytest.mark.parametrize("L", [40, 60])
 @pytest.mark.parametrize("where", sorted(STURM_TARGETS))
 @pytest.mark.parametrize("potential", sorted(STURM_POTENTIALS))
 @pytest.mark.parametrize("q", [0.0, 0.25, 0.4])
-def test_sturm_oracle_matches_eigh_at_small_scale(q, potential, where, dps):
+def test_sturm_oracle_matches_eigh_at_small_scale(q, potential, where, L):
     # cross-check the high-precision distance against dense eigvalsh where
     # the spacing is fat enough for float64 to resolve
     k = sw.lazy1d(q)
     spec = STURM_POTENTIALS[potential]()
-    w = np.linalg.eigvalsh(sw.truncated_operator(k, spec, 40).sym)
+    w = np.linalg.eigvalsh(sw.truncated_operator(k, spec, L).sym)
     target = STURM_TARGETS[where]
     expected = float(np.min(np.abs(w - target)))
-    got, exact = sw.truncated_spectrum_distance_1d(k, spec, 40, target, dps=dps)
+    got, exact = sw.truncated_spectrum_distance_1d(k, spec, L, target)
     assert exact
     assert got == pytest.approx(expected, rel=1e-8)
 
@@ -738,9 +772,9 @@ def test_sturm_oracle_certifies_upper_bound():
     k = sw.simple1d()
     with localcontext(Context(prec=60)):
         target = Decimal(2) / Decimal(3).sqrt()
-    d256, exact256 = sw.truncated_spectrum_distance_1d(k, spec, 256, target, dps=60)
+    d256, exact256 = sw.truncated_spectrum_distance_1d(k, spec, 256, target)
     assert exact256 and 0.0 < d256 < 1e-12
-    d512, exact512 = sw.truncated_spectrum_distance_1d(k, spec, 512, target, dps=60)
+    d512, exact512 = sw.truncated_spectrum_distance_1d(k, spec, 512, target)
     assert d512 <= d256 / 2
 
 
@@ -767,47 +801,33 @@ def _deadline(seconds):
 
 
 @pytest.mark.parametrize(
-    "spec, L, target, dps, error",
+    "spec, L, target, error",
     [
-        (None, 8, math.inf, 60, LambdaNotFinite),  # widened forever
-        (None, 8, "-Infinity", 60, LambdaNotFinite),
-        (None, 8, math.nan, 60, LambdaNotFinite),  # decimal.InvalidOperation
-        (None, 8, "abc", 60, TargetNotNumeric),  # decimal.ConversionSyntax
-        (None, -1, 0.5, 60, NegativeRadius),  # IndexError
-        (None, 8, 0.5, 0, DigitsNotPositive),  # ValueError from decimal.Context
-        (sw.single_delta(2, 1.0), 8, 0.5, 60, DimensionMismatch),
+        (None, 8, math.inf, LambdaNotFinite),  # widened forever
+        (None, 8, "-Infinity", LambdaNotFinite),
+        (None, 8, math.nan, LambdaNotFinite),  # decimal.InvalidOperation
+        (None, 8, "abc", TargetNotNumeric),  # decimal.ConversionSyntax
+        (None, -1, 0.5, NegativeRadius),  # IndexError
+        (sw.single_delta(2, 1.0), 8, 0.5, DimensionMismatch),
     ],
 )
-def test_sturm_oracle_rejects_bad_input(spec, L, target, dps, error):
+def test_sturm_oracle_rejects_bad_input(spec, L, target, error):
     with _deadline(10), pytest.raises(error) as info:
-        sw.truncated_spectrum_distance_1d(sw.simple1d(), spec, L, target, dps=dps)
+        sw.truncated_spectrum_distance_1d(sw.simple1d(), spec, L, target)
     assert isinstance(info.value, SparseWalkError)
 
 
-def test_sturm_oracle_ends_below_twenty_digits():
-    # at dps < 21 the bracket cannot reach hi / lo - 1 <= 1e-20; the search
-    # ends once dps digits cannot split it
-    k, spec = sw.lazy1d(0.25), sw.single_delta(1, 1.0)
-    w = np.linalg.eigvalsh(sw.truncated_operator(k, spec, 40).sym)
-    for dps, rel in ((1, 10.0), (8, 1e-6), (15, 1e-12)):
-        for target in STURM_TARGETS.values():
-            with _deadline(10):
-                got, exact = sw.truncated_spectrum_distance_1d(k, spec, 40, target, dps=dps)
-            assert exact and got == pytest.approx(float(np.min(np.abs(w - target))), rel=rel)
-
-
-def _mpmath_distance(kernel, spec, L, target, dps):
+def _mpmath_distance(kernel, spec, L, target):
     """The Sturm oracle as it ran on mpmath: same recurrence, pivot guard,
-    bisection and floor, in dps-digit binary floating point."""
+    bisection and floor, in STURM_DIGITS-digit binary floating point."""
     import mpmath as mp
 
+    dps = spectral.STURM_DIGITS
+    heights = dict(zip(spec.sites, spec.heights)) if spec is not None else {}
     with mp.workdps(dps):
         q = mp.mpf(kernel.p0)
         hop = (1 - q) / 2
-        dval = [
-            mp.mpf(1) + (mp.mpf(spec.value((x,))) if spec is not None else 0)
-            for x in range(-L, L + 1)
-        ]
+        dval = [mp.mpf(1) + mp.mpf(heights.get((x,), 0)) for x in range(-L, L + 1)]
         diag = [q * v for v in dval]
         off2 = [hop * hop * dval[i] * dval[i + 1] for i in range(2 * L)]
         tgt = mp.mpf(target) if not hasattr(target, "_mpf_") else +target
@@ -868,8 +888,8 @@ def test_sturm_oracle_matches_the_mpmath_recurrence():
         mp_targets = (2 / mp.sqrt(3), -2 / mp.sqrt(3))
     for target, mp_target in zip(targets, mp_targets):
         for L in (256, 512, 1024):
-            got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=60)
-            assert got == _mpmath_distance(k, spec, L, mp_target, 60), (target, L)
+            got = sw.truncated_spectrum_distance_1d(k, spec, L, target)
+            assert got == _mpmath_distance(k, spec, L, mp_target), (target, L)
     # seeded battery: lazy walks, every potential family, float targets
     rng = np.random.default_rng(20261)
     for _ in range(8):
@@ -881,10 +901,9 @@ def test_sturm_oracle_matches_the_mpmath_recurrence():
             sw.build_geometric_sparse(1, v, 3, box_radius=2048, anchor=((0,), v + 1.0)),
         )[int(rng.integers(4))]
         L, target = int(rng.integers(16, 65)), float(rng.uniform(-2.5, 3.5))
-        dps = int(rng.choice([30, 40, 60]))
         k = sw.lazy1d(q)
-        got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=dps)
-        assert got == _mpmath_distance(k, spec, L, target, dps), (q, spec, L, target, dps)
+        got = sw.truncated_spectrum_distance_1d(k, spec, L, target)
+        assert got == _mpmath_distance(k, spec, L, target), (q, spec, L, target)
 
 
 def test_sturm_oracle_matches_the_mpmath_recurrence_at_larger_l():
@@ -894,8 +913,8 @@ def test_sturm_oracle_matches_the_mpmath_recurrence_at_larger_l():
     # [-2, 2], where the search widens first
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048)
     for k, L, target in ((sw.simple1d(), 128, 0.3), (sw.lazy1d(0.3), 160, 3.5)):
-        got = sw.truncated_spectrum_distance_1d(k, spec, L, target, dps=60)
-        assert got == _mpmath_distance(k, spec, L, target, 60), (L, target)
+        got = sw.truncated_spectrum_distance_1d(k, spec, L, target)
+        assert got == _mpmath_distance(k, spec, L, target), (L, target)
 
 
 def test_lambda_pm_1d_rejects_nonpositive_v():

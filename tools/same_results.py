@@ -16,8 +16,8 @@ simple 2d walk, ``g_lambda_quadrature`` of the simple 2d and lazy 3d
 walks, and a ``green_table`` of a 2d kernel with diagonal moves;
 ``green_full2d``, ``green_table`` values of a 2d kernel with range 2 on
 both axes, the one case on the full torus grid beyond 1d; ``sturm``,
-the ``(distance, exact)`` pairs of the Sturm oracle on seven 1d cases
-(a float target, a str target at L = 128, a target that is an
+the ``(distance, exact)`` pairs of the 60-digit Sturm oracle on seven 1d
+cases (a float target, a str target at L = 128, a target that is an
 eigenvalue, so the search ends on the floor, a target more than 1 above
 the spectrum, so the search widens, one below its bottom, one inside
 the bulk, and criterion 5's L = 1024 call, which ends on the floor);
@@ -134,7 +134,7 @@ DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), 
 #: the full-grid 2d case: pts-64 tables at GREEN_ND_LAMBDAS of a kernel
 #: with no range-1 axis, on the displacements of the diagonal case
 RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
-#: the Sturm cases: (kernel, potential, L, target, dps); 2/sqrt(3) to 64
+#: the Sturm cases: (kernel, potential, L, target); 2/sqrt(3) to 64
 #: digits is lambda_+ of the simple walk under the geometric potential, and 0
 #: is an eigenvalue of the free simple walk on any box of odd side.  The
 #: delta case's spectrum lies in [-1, 2] (p-hat >= -1/2 and 1 + V <= 2), so
@@ -149,18 +149,18 @@ def _geometric_sturm():
 
 STURM_CASES = {
     "lazy1d(0.25) delta 1.3": (
-        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, 1.3, 40
+        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, 1.3
     ),
-    "geometric L=128": (sw.simple1d, _geometric_sturm, 128, TWO_OVER_ROOT3, 60),
-    "free floor": (sw.simple1d, lambda: None, 64, 0, 60),
+    "geometric L=128": (sw.simple1d, _geometric_sturm, 128, TWO_OVER_ROOT3),
+    "free floor": (sw.simple1d, lambda: None, 64, 0),
     "lazy1d(0.25) delta above 3.5": (
-        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, 3.5, 60
+        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, 3.5
     ),
     "lazy1d(0.25) delta below -1.5": (
-        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, -1.5, 60
+        lambda: sw.lazy1d(0.25), lambda: sw.single_delta(1, 1.0), 64, -1.5
     ),
-    "geometric bulk 0.3 L=128": (sw.simple1d, _geometric_sturm, 128, "0.3", 60),
-    "geometric floor L=1024": (sw.simple1d, _geometric_sturm, 1024, TWO_OVER_ROOT3, 60),
+    "geometric bulk 0.3 L=128": (sw.simple1d, _geometric_sturm, 128, "0.3"),
+    "geometric floor L=1024": (sw.simple1d, _geometric_sturm, 1024, TWO_OVER_ROOT3),
 }
 #: the 1d crossing case: lazy1d at CROSSING_QS and a range-3 kernel, each
 #: at the levels 1 + 1/v for v in CROSSING_VS
@@ -450,8 +450,8 @@ def green_full2d() -> dict:
 def sturm() -> dict:
     """Reprs of the Sturm oracle's (distance, exact) on the STURM_CASES."""
     return {
-        name: repr(sw.truncated_spectrum_distance_1d(kernel(), spec(), L, target, dps=dps))
-        for name, (kernel, spec, L, target, dps) in STURM_CASES.items()
+        name: repr(sw.truncated_spectrum_distance_1d(kernel(), spec(), L, target))
+        for name, (kernel, spec, L, target) in STURM_CASES.items()
     }
 
 
