@@ -37,14 +37,16 @@ class NegativeRadius(SparseWalkError, ValueError):
 
 
 class NegativeStepCount(SparseWalkError, ValueError):
-    """A power of P or of the weighted transfer operator with n < 0.
+    """A power of P or of the weighted transfer operator, a Monte Carlo
+    path or a chain path with a negative step count.
 
     Also a ValueError, like NoSignChange.
     """
 
 
 class ShapeMismatch(SparseWalkError, ValueError):
-    """An array on a box (f for P, phi for the Doob transform) has the wrong shape.
+    """An array has the wrong shape: f on a box for P, phi for the Doob
+    transform, or the values of f on the end sites of Monte Carlo paths.
 
     Also a ValueError, like NoSignChange.
     """

@@ -15,9 +15,13 @@ the Gibbs marginals converge to the law of that chain at the geometric
 rate set by the absolute spectral gap.  This module computes the exact
 semigroup and marginals by transfer matrices, simulates the chain, runs
 unbiased Monte Carlo with a counter-based RNG, and fits the convergence
-and partition-growth rates.  Every M^m f comes from one sweep,
-``lattice._powers``, and each reader keeps only the powers it uses:
-``convergence_rate`` reads all n from one pass to max(n).
+and partition-growth rates.  The Monte Carlo runs time-major: one step
+updates the weights and positions of a whole chunk of paths, two vectors
+that stay in cache, and multiplies each path's factors from the left as
+``prod`` along the path would, so its estimates are bit for bit those of
+a path-major array of positions reduced by ``prod``.  Every M^m f comes
+from one sweep, ``lattice._powers``, and each reader keeps only the
+powers it uses: ``convergence_rate`` reads all n from one pass to max(n).
 
 K has the sparsity of p, so the chain keeps its rows on the band of the
 truncation (one column per kernel offset, zero weight for a neighbour
@@ -156,6 +160,8 @@ def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
 
     Returns the visited sites as a (steps + 1, d) integer array.
     """
+    if steps < 0:
+        raise NegativeStepCount(f"steps must be >= 0, got {steps}")
     x0 = _as_offset(x0, chain.box.dim)
     if not chain.box.contains(x0):
         raise StartOutsideBox(f"{x0} outside {chain.box}")
@@ -220,23 +226,37 @@ def fk_monte_carlo(
 
     Walk paths are sampled exactly (no truncation), each carrying the
     multiplicative weight prod (1 + V); f is a callable on an (m, d) site
-    array or None for f = 1.  Randomness comes in fixed chunks keyed by
-    (seed, chunk), so the estimate is reproducible however the chunks are
-    scheduled.  Returns (estimate, standard error).
+    array that returns m values, or None for f = 1.  Randomness comes in
+    fixed chunks keyed by (seed, chunk), so the estimate is reproducible
+    however the chunks are scheduled.  Returns (estimate, standard error).
+
+    A chunk draws its uniforms as one (m, n) block and runs time-major:
+    the offset indices, in the narrowest unsigned type that holds them, are
+    transposed to (n, m), and step t multiplies the m weights by 1 + V at
+    the current sites, then moves the m positions; both vectors stay in
+    cache.  Each weight takes its factors from the left, t = 0 .. n-1, the
+    order numpy's ``prod`` multiplies along a path in, so the estimates are
+    bit for bit those of ``prod`` over an (m, n) array of path sites.
+    n < 0 raises NegativeStepCount, and an f that does not return one value
+    per path raises ShapeMismatch.
     """
     if samples < MIN_SAMPLES:
         raise TooFewSamples(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if n < 0:
+        raise NegativeStepCount(f"n must be >= 0, got {n}")
     d = kernel.dimension
     x0 = (0,) * d if x0 is None else _as_offset(x0, d)
     offsets = kernel.offset_array()
     # offset k is drawn when cum[k - 1] <= u < cum[k]; the last one also
     # takes the rounding gap below 1, so its cumulative sum is not needed
     cum = np.cumsum(kernel.prob_array())[:-1]
+    # the narrowest unsigned type that holds every offset index 0 .. len(cum)
+    index_dtype = np.min_scalar_type(len(cum))
     # dense potential lookup covering the walk range
     reach = n * kernel.reach + max((abs(c) for c in x0), default=0)
     vbox = LatticeBox.cube(max(reach, 1), d)
     vgrid = _dvec_on(spec, vbox).ravel()
-    # flat vbox indices are linear in the site, so a walk is a cumsum of flat steps
+    # flat vbox indices are linear in the site, so a walk adds flat steps
     flat_steps = vbox.flat(offsets) - vbox.origin_index()
     flat0 = vbox.flat(x0)
 
@@ -247,17 +267,21 @@ def fk_monte_carlo(
         m = min(MC_CHUNK, samples - done)
         rng = counter_rng(seed, done // MC_CHUNK)
         u = rng.random((m, n))
-        step = (u >= cum[0]).astype(np.intp)  # index of the offset drawn
+        step = (u >= cum[0]).astype(index_dtype)  # index of the offset drawn
         for c in cum[1:]:
             step += u >= c
-        flat = np.empty((m, n + 1), dtype=flat_steps.dtype)
-        flat[:, 0] = 0
-        np.cumsum(flat_steps[step], axis=1, out=flat[:, 1:])
-        flat += flat0
-        w = vgrid[flat[:, :n]].prod(axis=1)  # weight uses sites S_0 .. S_{n-1}
+        step = np.ascontiguousarray(step.T)  # row t: the offsets of step t
+        pos = np.full(m, flat0, dtype=flat_steps.dtype)
+        w = np.ones(m)
+        for row in step:
+            w *= vgrid.take(pos)
+            pos += flat_steps.take(row)
         if f is not None:
-            end = np.stack(np.unravel_index(flat[:, n], vbox.shape), axis=1) - vbox.radius
-            w = w * np.asarray(f(end), dtype=float)
+            end = np.stack(np.unravel_index(pos, vbox.shape), axis=1) - vbox.radius
+            fv = np.asarray(f(end), dtype=float)
+            if fv.shape != (m,):
+                raise ShapeMismatch(f"f returned shape {fv.shape} for {m} end sites; need ({m},)")
+            w *= fv
         total += float(w.sum())
         total_sq += float((w * w).sum())
         done += m

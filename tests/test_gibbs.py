@@ -187,6 +187,8 @@ def test_simulate_chain_contracts():
     assert not np.array_equal(a, c)
     with pytest.raises(StartOutsideBox):
         sw.simulate_chain(chain, (1000,), 10, seed=1)
+    with pytest.raises(NegativeStepCount):
+        sw.simulate_chain(chain, (0,), -1, seed=1)
 
 
 def test_simulate_chain_occupation_matches_stationary():
@@ -296,17 +298,43 @@ def _fk_by_positions(kernel, spec, f, n, samples, seed, x0):
     return mean, math.sqrt(var / samples)
 
 
+def _geometric(d):
+    return lambda: sw.build_geometric_sparse(
+        d, 0.5, 3, box_radius=40, anchor=((1,) + (0,) * (d - 1), 1.6)
+    )
+
+
+def _uniform_square(r):
+    """Uniform walk on the (2r + 1) x (2r + 1) square: (2r + 1)^2 offsets."""
+    square = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+    return sw.validate_kernel({x: 1.0 / len(square) for x in square})
+
+
+#: heights in reach of 12 lazy steps from 0 whose products are not exact,
+#: so a weight depends on the order its factors are multiplied in; they
+#: spread the weights over many decades, so that the heaviest paths set the
+#: last bits of the sums: at seed 11 a right-to-left or a pairwise product
+#: moves the standard error
+NON_DYADIC_1D = {-2: 0.3, -1: 10.0 / 3.0, 0: 70.0 / 3.0, 1: 110.0 / 7.0, 2: 4.5, 3: 2.0 / 7.0}
+
 FK_CASES = {
-    "lazy1d": (lambda: sw.lazy1d(0.25), 1, None, 12, (0,)),
-    "lazy1d f from 2": (lambda: sw.lazy1d(0.25), 1, lambda x: (x[:, 0] % 3 == 0) + 0.5, 7, (2,)),
-    "simple2d": (sw.simple2d, 2, None, 12, (0, 0)),
-    "simple2d f from (1, -2)": (
-        sw.simple2d, 2, lambda x: np.exp(-0.1 * np.abs(x).sum(axis=1)), 9, (1, -2)
+    "lazy1d": (lambda: sw.lazy1d(0.25), _geometric(1), None, 12, (0,)),
+    "lazy1d f from 2": (
+        lambda: sw.lazy1d(0.25), _geometric(1), lambda x: (x[:, 0] % 3 == 0) + 0.5, 7, (2,)
     ),
-    "simple2d n 0": (sw.simple2d, 2, lambda x: x[:, 0] + 2.0, 0, (1, 1)),
-    "lazy3d": (lambda: _lazy3d(0.17), 3, None, 10, (0, 0, 0)),
+    "lazy1d non-dyadic heights": (
+        lambda: sw.lazy1d(0.25), lambda: sw.make_potential(1, NON_DYADIC_1D), None, 12, (0,)
+    ),
+    "simple2d": (sw.simple2d, _geometric(2), None, 12, (0, 0)),
+    "simple2d f from (1, -2)": (
+        sw.simple2d, _geometric(2), lambda x: np.exp(-0.1 * np.abs(x).sum(axis=1)), 9, (1, -2)
+    ),
+    "simple2d n 0": (sw.simple2d, _geometric(2), lambda x: x[:, 0] + 2.0, 0, (1, 1)),
+    # 289 offsets: an index past 255 must not wrap
+    "uniform17x17 n 4": (lambda: _uniform_square(8), _geometric(2), None, 4, (0, 0)),
+    "lazy3d": (lambda: _lazy3d(0.17), _geometric(3), None, 10, (0, 0, 0)),
     "lazy3d f from (1, 0, -1)": (
-        lambda: _lazy3d(0.17), 3, lambda x: 1.0 + (x[:, 2] > 0), 8, (1, 0, -1)
+        lambda: _lazy3d(0.17), _geometric(3), lambda x: 1.0 + (x[:, 2] > 0), 8, (1, 0, -1)
     ),
 }
 
@@ -320,10 +348,36 @@ def _lazy3d(q):
 
 @pytest.mark.parametrize("case", sorted(FK_CASES))
 def test_fk_monte_carlo_matches_the_site_array_reference(case):
-    make, d, f, n, x0 = FK_CASES[case]
-    spec = sw.build_geometric_sparse(d, 0.5, 3, box_radius=40, anchor=((1,) + (0,) * (d - 1), 1.6))
+    make, make_spec, f, n, x0 = FK_CASES[case]
+    spec = make_spec()
     got = sw.fk_monte_carlo(make(), spec, f, n, 9000, seed=11, x0=x0)
     assert got == _fk_by_positions(make(), spec, f, n, 9000, 11, x0)
+
+
+def _no_draws(seed, stream=0):
+    raise AssertionError("drew before the input was checked")
+
+
+def test_fk_monte_carlo_negative_steps_are_named(monkeypatch):
+    monkeypatch.setattr(gibbs, "counter_rng", _no_draws)
+    with pytest.raises(NegativeStepCount) as info:
+        sw.fk_monte_carlo(sw.simple1d(), None, None, -1, 2000, seed=5)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: 2.0,  # one value for all paths
+        lambda x: x.astype(float),  # (m, 1): would broadcast to (m, m)
+        lambda x: np.ones(len(x) - 1),
+    ],
+    ids=["scalar", "column", "short"],
+)
+def test_fk_monte_carlo_f_without_one_value_per_path_is_named(f):
+    with pytest.raises(ShapeMismatch) as info:
+        sw.fk_monte_carlo(sw.simple1d(), None, f, 5, 2000, seed=5)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 def _gibbs_marginal(kernel, spec, N, ks, box):

@@ -36,9 +36,12 @@ the essential spectrum as well as above; and ``shifted2d``, the
 ``resolvent_via_bs`` residual and Frobenius norm and the ``assemble_bs``
 support count and matrix norm of the ``bs2d`` case on a box centred off the
 origin; and ``mc_nd``, the ``fk_monte_carlo`` estimate and standard error
-at a fixed seed for the simple 2d walk under the potential of the 2d chain
-case and for the lazy 3d walk under a 3d geometric potential, each with
-f = 1 and with a decaying f; and ``bsscan1d``, the ``bs_crossing_scan``
+at a fixed seed for the simple 2d walk and the 289-offset uniform walk on
+the 17 x 17 square, each under the potential of the 2d chain case, for the
+lazy 3d walk under a 3d geometric potential, and for the lazy 1d walk from
+x0 = 5 under a potential of non-dyadic heights at a sample count that is
+not a multiple of ``MC_CHUNK``, each with f = 1 and with a decaying f; and
+``bsscan1d``, the ``bs_crossing_scan``
 crossing of a single delta under the lazy 1d walk at criterion 4's six
 (v, q) and at v = 1.5, q = 0.3, with criterion 4's bracket, box and
 xtol; and ``saddle2d``, the ``WalkKernel.lower`` of a 2d kernel whose grid
@@ -179,10 +182,15 @@ DISCRETE1D_KERNELS = {"lazy1d(0.3)": lambda: sw.lazy1d(0.3), "simple1d": sw.simp
 DISCRETE1D_L = 80
 DISCRETE1D_WINDOW = (10, 18)
 #: the nd Monte Carlo case: MC_ND_SAMPLES paths of MC_ND_N steps from the
-#: origin at seed MC_ND_SEED, with f = 1 and with f = exp(-|x|_1 / 4)
+#: origin at seed MC_ND_SEED, with f = 1 and with f = exp(-|x|_1 / 4); the
+#: 1d case starts at MC_1D_X0 and draws MC_1D_SAMPLES, which ends mid-chunk,
+#: under the heights MC_1D_SITES
 MC_ND_N = 12
 MC_ND_SAMPLES = 20_000
 MC_ND_SEED = 97
+MC_1D_X0 = (5,)
+MC_1D_SAMPLES = 10_001
+MC_1D_SITES = {3: 0.3, 5: 1.0 / 3.0, 6: 0.7, 8: 1.1, 11: 0.45}
 #: the 1d Birman-Schwinger crossing case: (v, q) of a single delta under
 #: lazy1d(q), scanned on [1.03, 4.0] at box radius 60 and xtol 1e-10
 BSSCAN1D_CASES = [(v, q) for v in (0.5, 1.0, 2.0) for q in (0.0, 0.25)] + [(1.5, 0.3)]
@@ -382,19 +390,30 @@ def discrete1d() -> dict:
 
 
 def mc_nd() -> dict:
-    """Reprs of (estimate, stderr) of fk_monte_carlo in 2d and 3d, with and without f."""
+    """Reprs of (estimate, stderr) of fk_monte_carlo in 1d, 2d and 3d, with and without f."""
     kernel, spec, _ = chain2d_operator()
+    square = [(a, b) for a in range(-8, 9) for b in range(-8, 9)]
     cases = {
-        "simple2d": (kernel, spec),
+        "simple2d": (kernel, spec, None, MC_ND_SAMPLES),
         "lazy3d(0.17)": (
             lazy3d(0.17),
             sw.build_geometric_sparse(3, 0.5, 3, box_radius=MC_ND_N, anchor=((1, 0, 0), 1.6)),
+            None,
+            MC_ND_SAMPLES,
+        ),
+        "uniform17x17": (
+            sw.validate_kernel({x: 1.0 / len(square) for x in square}), spec, None, MC_ND_SAMPLES
+        ),
+        "lazy1d(0.25) from 5": (
+            sw.lazy1d(0.25), sw.make_potential(1, MC_1D_SITES), MC_1D_X0, MC_1D_SAMPLES
         ),
     }
     fs = {"f=1": None, "f=decay": lambda x: np.exp(-0.25 * np.abs(x).sum(axis=1))}
     return {
-        f"{name} {label}": repr(sw.fk_monte_carlo(walk, pot, f, MC_ND_N, MC_ND_SAMPLES, MC_ND_SEED))
-        for name, (walk, pot) in cases.items()
+        f"{name} {label}": repr(
+            sw.fk_monte_carlo(walk, pot, f, MC_ND_N, samples, MC_ND_SEED, x0=x0)
+        )
+        for name, (walk, pot, x0, samples) in cases.items()
         for label, f in fs.items()
     }
 
