@@ -21,12 +21,11 @@ print("support:", [s[0] for s in spec.sites])
 
 print("\n== sparseness profile (collapse => theorem applies) ==")
 for eps in (0.25, 1.0):
-    prof = sw.sparseness_profile(spec, eps)
-    sups = ", ".join(f"R={R}: {s:.3e}" for R, s in prof.sup_tail)
+    sups = ", ".join(f"R={R}: {s:.3e}" for R, s in sw.sparseness_profile(spec, eps))
     print(f"eps={eps}: sup tail {sups}")
 dense = sw.dense_level(1, 1.0, box_radius=256)
-prof = sw.sparseness_profile(dense, 0.25)
-print("dense control stays bounded:", [f"{s:.3f}" for _, s in prof.sup_tail])
+sup_tail = sw.sparseness_profile(dense, 0.25)
+print("dense control stays bounded:", [f"{s:.3f}" for _, s in sup_tail])
 
 print("\n== predicted excess essential spectrum ==")
 pred = sw.essential_spectrum_predictor(kernel, spec)

@@ -47,5 +47,5 @@ print(f"one-term projection: fitted eps {proj3.eps_fit:.4f} vs spectral {proj3.e
 
 print("\n== edge inequality ==")
 for kernel, label in ((simple, "q=0"), (lazy, "q=0.3")):
-    res = sw.edge_inequality_check(kernel, anchor, 40)
-    print(f"{label}: slack of -r + 2 ell(1_A P 1_A) <= ell is {res.slack:+.3e}")
+    slack = sw.edge_inequality_check(kernel, anchor, 40)
+    print(f"{label}: slack of -r + 2 ell(1_A P 1_A) <= ell is {slack:+.3e}")

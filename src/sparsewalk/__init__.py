@@ -28,7 +28,6 @@ from .resolvent import (
 )
 from .potential import (
     PotentialSpec,
-    SparsenessProfile,
     build_geometric_sparse,
     dense_level,
     make_potential,

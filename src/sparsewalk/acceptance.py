@@ -232,9 +232,9 @@ def criterion_8() -> CriterionResult:
         battery.append((f"q={q} anchor", kernel, _geometric(anchored=True)))
     checks, values = {}, {}
     for label, kernel, spec in battery:
-        res = spectral.edge_inequality_check(kernel, spec, 40)
-        checks[label] = res.slack >= -1e-8
-        values[label] = res.slack
+        slack = spectral.edge_inequality_check(kernel, spec, 40)
+        checks[label] = slack >= -1e-8
+        values[label] = slack
     return _result(8, "edge inequality", t0, checks, values)
 
 

@@ -40,6 +40,7 @@ from .lattice import (
     WalkKernel,
     _as_offset,
     _band_dense,
+    _box,
     _dense_cap,
     _neighbour_table,
     _sup_norm,
@@ -66,7 +67,6 @@ class BSAssembly:
     lam: float
     gamma: float
     matrix: np.ndarray
-    off_diag: np.ndarray
     green: np.ndarray
     support_sites: tuple
     support_values: tuple
@@ -109,8 +109,7 @@ def assemble_bs(
     pts_per_axis: int = 512,
 ) -> BSAssembly:
     """Assemble the support-compressed matrix at one spectral parameter."""
-    if isinstance(box, int):
-        box = LatticeBox.cube(box, kernel.dimension)
+    box = _box(box, kernel.dimension)
     _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     supp = spec.support(box)
     if not supp:
@@ -121,14 +120,10 @@ def assemble_bs(
     G, table = _pair_green(kernel, lam, sites, pts_per_axis)
     sq = np.sqrt(heights)
     base = lam * G - np.eye(n)
-    matrix = sq[:, None] * base * sq[None, :]
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
     return BSAssembly(
         lam=lam,
         gamma=lam * table[(0,) * kernel.dimension] - 1.0,
-        matrix=matrix,
-        off_diag=off,
+        matrix=sq[:, None] * base * sq[None, :],
         green=G,
         support_sites=tuple(sites),
         support_values=tuple(float(h) for h in heights),
@@ -191,8 +186,7 @@ def resolvent_via_bs(
     > L/2 from the boundary), where truncation effects are exponentially
     small.
     """
-    if isinstance(box, int):
-        box = LatticeBox.cube(box, kernel.dimension)
+    box = _box(box, kernel.dimension)
     _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     sites = box.sites()
     vol = box.volume
@@ -287,8 +281,7 @@ def neumann_invertibility(
     """
     if alpha <= 0.0:
         raise AlphaNotPositive(f"alpha must be positive, got {alpha!r}")
-    if isinstance(box, int):
-        box = LatticeBox.cube(box, kernel.dimension)
+    box = _box(box, kernel.dimension)
     _guard_spectrum(kernel, lam, ASSEMBLY_MARGIN)
     excluded = {_as_offset(k, kernel.dimension) for k in K}
 

@@ -44,6 +44,13 @@ class NegativeStepCount(SparseWalkError, ValueError):
     """
 
 
+class CountNotInteger(SparseWalkError, TypeError):
+    """A count, a box radius or a seed that is not an integer, such as 2.5.
+
+    Also a TypeError, as operator.index raises.
+    """
+
+
 class ShapeMismatch(SparseWalkError, ValueError):
     """An array has the wrong shape: f on a box for P, phi for the Doob
     transform, or the values of f on the end sites of Monte Carlo paths.

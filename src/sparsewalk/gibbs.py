@@ -32,7 +32,6 @@ walk that band, and the dense matrix is only derived on request.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -52,7 +51,7 @@ from .errors import (
     StartOutsideBox,
     TooFewSamples,
 )
-from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _powers
+from .lattice import LatticeBox, WalkKernel, _as_offset, _band_dense, _box, _count, _powers
 from .potential import PotentialSpec, _one_plus_v
 from .spectral import truncated_operator
 
@@ -75,9 +74,10 @@ def counter_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams are independent by key separation, so chunked or parallel
     sampling reproduces exactly regardless of scheduling.  A seed or stream
-    outside [0, 2^64) would alias another key (SeedOutOfRange).
+    outside [0, 2^64) would alias another key (SeedOutOfRange); one that is
+    not an integer raises CountNotInteger.
     """
-    key = [operator.index(seed), operator.index(stream)]
+    key = [_count(seed, "seed"), _count(stream, "stream")]
     if not all(0 <= word < SEED_LIMIT for word in key):
         raise SeedOutOfRange(f"seed {seed} and stream {stream} must lie in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
@@ -99,8 +99,6 @@ class ChainKernel:
     stationary: np.ndarray
     row_deficit: float
     rate: float
-    phi: np.ndarray
-    dvec: np.ndarray
 
     def index(self, site) -> int:
         return self.box.index(site)
@@ -124,7 +122,7 @@ def doob_kernel(
     normalization deficit recorded (it quantifies truncation honesty, and
     must not exceed 1e-6).
     """
-    op = truncated_operator(kernel, spec, box if isinstance(box, int) else box.radius)
+    op = truncated_operator(kernel, spec, _box(box, kernel.dimension).radius)
     r, phi = float(eigenpair[0]), np.asarray(eigenpair[1], dtype=float)
     if phi.shape != (op.volume,):
         raise ShapeMismatch(f"phi shape {phi.shape} does not match box volume {op.volume}")
@@ -150,8 +148,6 @@ def doob_kernel(
         stationary=m,
         row_deficit=deficit,
         rate=r,
-        phi=phi,
-        dvec=op.dvec,
     )
 
 
@@ -160,6 +156,7 @@ def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
 
     Returns the visited sites as a (steps + 1, d) integer array.
     """
+    steps = _count(steps, "steps")
     if steps < 0:
         raise NegativeStepCount(f"steps must be >= 0, got {steps}")
     x0 = _as_offset(x0, chain.box.dim)
@@ -203,6 +200,7 @@ def fk_semigroup(
     killed, so a box absorbing the full horizon reproduces the free-lattice
     value exactly).
     """
+    n = _count(n, "n")
     if n < 0:
         raise NegativeStepCount(f"n must be >= 0, got {n}")
     steps = _powers(kernel, _dvec_on(spec, box), np.array(f, dtype=float), n, box)
@@ -237,9 +235,11 @@ def fk_monte_carlo(
     cache.  Each weight takes its factors from the left, t = 0 .. n-1, the
     order numpy's ``prod`` multiplies along a path in, so the estimates are
     bit for bit those of ``prod`` over an (m, n) array of path sites.
-    n < 0 raises NegativeStepCount, and an f that does not return one value
-    per path raises ShapeMismatch.
+    n < 0 raises NegativeStepCount, an n or a sample count that is not an
+    integer CountNotInteger, and an f that does not return one value per
+    path ShapeMismatch.
     """
+    n, samples = _count(n, "n"), _count(samples, "samples")
     if samples < MIN_SAMPLES:
         raise TooFewSamples(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if n < 0:
@@ -406,6 +406,7 @@ def partition_growth(kernel: WalkKernel, spec: PotentialSpec | None, N_max: int)
     converges geometrically (the two-step stride cancels the sign-flipping
     peripheral component of bipartite kernels).
     """
+    N_max = _count(N_max, "N_max")
     if N_max < 3:
         raise HorizonTooShort(f"N_max must be >= 3, got {N_max}")
     box = LatticeBox.cube(N_max * kernel.reach + 1, kernel.dimension)

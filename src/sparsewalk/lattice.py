@@ -26,6 +26,7 @@ only readers of rows use it (dense M and S, the Doob chain).
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import (
     BoxTooLarge,
     BoxTooSmall,
+    CountNotInteger,
     DimensionMismatch,
     EmptySupport,
     LazinessOutOfRange,
@@ -52,6 +54,14 @@ Offset = tuple[int, ...]
 #: most sites of an n x n dense build (``_dense_cap``): a band (the
 #: truncation's M and S, the Doob chain's rows) or a matrix on the support of V
 DENSE_CAP = 6000
+
+
+def _count(value, name: str) -> int:
+    """A count, radius or seed as an int; CountNotInteger for 2.5, "3" or None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise CountNotInteger(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_offset(key, dim: int | None) -> Offset:
@@ -78,11 +88,12 @@ class LatticeBox:
 
     @classmethod
     def cube(cls, radius: int, dim: int, center: Offset | None = None) -> "LatticeBox":
+        radius = _count(radius, "cube radius")
         if radius < 0:
             raise NegativeRadius(f"cube radius must be nonnegative, got {radius!r}")
         if center is None:
             center = (0,) * dim
-        return cls(center=tuple(int(c) for c in center), radius=int(radius), dim=dim)
+        return cls(center=tuple(int(c) for c in center), radius=radius, dim=dim)
 
     @property
     def side(self) -> int:
@@ -119,6 +130,11 @@ class LatticeBox:
 
     def origin_index(self) -> int:
         return self.index(self.center)
+
+
+def _box(box: LatticeBox | int, dim: int) -> LatticeBox:
+    """A box as given, or the cube of that radius about the origin."""
+    return box if isinstance(box, LatticeBox) else LatticeBox.cube(box, dim)
 
 
 @dataclass(frozen=True)
@@ -465,6 +481,7 @@ def _band_dense(cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def convolution_power_at_zero(kernel: WalkKernel, n: int) -> float:
     """Exact n-step return probability p_n(0) by repeated convolution."""
+    n = _count(n, "n")
     if n < 0:
         raise NegativeStepCount(f"n must be >= 0, got {n}")
     box = LatticeBox.cube(n * kernel.reach + kernel.reach + 1, kernel.dimension)
@@ -483,6 +500,7 @@ def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
     from a boundary shell of width ~2r and scales like n^(-1/2) after
     normalization, in every dimension.
     """
+    n = _count(n, "n")
     if n < 1:
         raise WaveRadiusTooSmall(f"n must be >= 1, got {n}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -499,6 +517,6 @@ def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
 
 def weyl_scaling_fit(kernel: WalkKernel, theta, ns) -> tuple[float, list[float]]:
     """Log-log slope of the Weyl residual against n; expected near -1/2."""
-    residuals = [weyl_sequence_residual(kernel, theta, int(n)) for n in ns]
+    residuals = [weyl_sequence_residual(kernel, theta, n) for n in ns]
     slope = float(np.polyfit(np.log(np.asarray(ns, float)), np.log(residuals), 1)[0])
     return slope, residuals

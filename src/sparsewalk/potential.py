@@ -1,10 +1,10 @@
 """Sparse nonnegative potentials on Z^d.
 
 A potential is stored as its explicit values inside a working box together
-with a tail descriptor and a declared set of essential values: the values v
-attained near infinity on unboundedly many sites (0 always belongs).  The
-limiting height v0 = max of the essential values controls whether the
-perturbed operator grows new essential spectrum.  Essential values are
+with a declared set of essential values: the values v attained near
+infinity on unboundedly many sites (0 always belongs).  The limiting
+height v0 = max of the essential values controls whether the perturbed
+operator grows new essential spectrum.  Essential values are
 declared rather than inferred because they are a tail property invisible to
 any finite box.
 
@@ -38,17 +38,11 @@ DEFAULT_BOX_RADIUS = {1: 2048, 2: 64, 3: 16}
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Nonnegative potential: explicit finite values plus a tail declaration.
-
-    tail is "decaying" (values vanish at infinity; essential values {0}) or
-    "sparse" (declared positive essential values are attained on sparse
-    unbounded site families, witnessed inside the box).
-    """
+    """Nonnegative potential: explicit finite values plus its essential values."""
 
     dimension: int
     sites: tuple[Offset, ...]
     heights: tuple[float, ...]
-    tail: str
     essential_values: tuple[float, ...]
     box_radius: int
     generator: str = "explicit"
@@ -85,7 +79,13 @@ def make_potential(
     box_radius: int | None = None,
     generator: str = "explicit",
 ) -> PotentialSpec:
-    """Build a validated PotentialSpec from an explicit site->value map."""
+    """Build a validated PotentialSpec from an explicit site->value map.
+
+    tail is "decaying" (values vanish at infinity; essential values {0}) or
+    "sparse" (declared positive essential values are attained on sparse
+    unbounded site families, witnessed inside the box); it is checked
+    against the essential values and not stored.
+    """
     if tail not in ("decaying", "sparse"):
         raise TailInvalid(f"unknown tail kind {tail!r}")
     ess = tuple(sorted({float(v) for v in essential_values} | {0.0}))
@@ -109,7 +109,6 @@ def make_potential(
         dimension=dimension,
         sites=tuple(order),
         heights=tuple(cleaned[s] for s in order),
-        tail=tail,
         essential_values=ess,
         box_radius=box_radius,
         generator=generator,
@@ -180,23 +179,14 @@ def build_geometric_sparse(
 
 # -- queries ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparsenessProfile:
-    """Cross-term sums a_eps(x) and their tail sups over growing radii."""
-
-    epsilon: float
-    samples: tuple[tuple[Offset, float], ...]
-    sup_tail: tuple[tuple[int, float], ...]
-
-
 def sparseness_profile(
     spec: PotentialSpec, epsilon: float, box_radius: int | None = None
-) -> SparsenessProfile:
-    """a_eps(x) = sum_{y != x} sqrt(V(x) V(y)) exp(-eps |x - y|) over the box.
+) -> tuple[tuple[int, float], ...]:
+    """Tail sups of a_eps(x) = sum_{y != x} sqrt(V(x) V(y)) exp(-eps |x - y|).
 
-    a_eps vanishes off the support, so only support sites are tabulated.
-    sup_tail reports sup_{|x| >= R} a_eps(x) at R = box/8, box/4, box/2;
-    the sequence collapsing toward 0 is the operative sparseness signal,
+    a_eps vanishes off the support, so only support sites are summed.
+    Returns (R, sup_{|x| >= R} a_eps(x)) at R = box/8, box/4, box/2; the
+    sequence collapsing toward 0 is the operative sparseness signal,
     while a dense potential keeps it bounded away from 0.  A support past
     ``lattice.DENSE_CAP`` sites raises BoxTooLarge before the pair table.
     """
@@ -212,12 +202,8 @@ def sparseness_profile(
         diff = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
         weights = np.sqrt(hts[:, None] * hts[None, :]) * np.exp(-epsilon * diff)
         np.fill_diagonal(weights, 0.0)
-        a_vals = weights.sum(axis=1)
-        samples = [(s, float(a)) for (s, _), a in zip(supp, a_vals)]
-    sup_tail = []
-    for R in (box_radius // 8, box_radius // 4, box_radius // 2):
-        tail = [a for (s, a) in samples if _sup_norm(s) >= R]
-        sup_tail.append((R, max(tail) if tail else 0.0))
-    return SparsenessProfile(
-        epsilon=float(epsilon), samples=tuple(samples), sup_tail=tuple(sup_tail)
+        samples = [(s, float(a)) for (s, _), a in zip(supp, weights.sum(axis=1))]
+    return tuple(
+        (R, max((a for s, a in samples if _sup_norm(s) >= R), default=0.0))
+        for R in (box_radius // 8, box_radius // 4, box_radius // 2)
     )

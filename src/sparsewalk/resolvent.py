@@ -97,7 +97,6 @@ PTS_FLOOR = 64
 class GreenEvaluation:
     """One evaluated resolvent quantity with a method tag and error estimate."""
 
-    lam: float
     value: float
     method: str
     est_error: float
@@ -109,7 +108,6 @@ class DecayFit:
 
     rate: float
     residual_rms: float
-    npoints: int
 
 
 def _guard_spectrum(kernel: WalkKernel, lam: float, margin: float = SPECTRUM_GUARD) -> None:
@@ -292,7 +290,7 @@ def g_lambda_quadrature(kernel: WalkKernel, lam: float, pts_per_axis: int = 256)
     ``_green_levels``, and QuadratureNotConverged means it was too large.
     """
     [(mean, err)] = _certified(kernel, lam, [(0,) * kernel.dimension], pts_per_axis).values()
-    return GreenEvaluation(lam=lam, value=lam * mean, method="quadrature", est_error=err * abs(lam))
+    return GreenEvaluation(value=lam * mean, method="quadrature", est_error=err * abs(lam))
 
 
 def green_kernel(
@@ -304,7 +302,7 @@ def green_kernel(
     symmetry of p the value depends on x only through +-x.
     """
     [(value, err)] = _certified(kernel, lam, [x], pts_per_axis).values()
-    return GreenEvaluation(lam=lam, value=value, method="quadrature", est_error=err)
+    return GreenEvaluation(value=value, method="quadrature", est_error=err)
 
 
 def green_table(
@@ -350,7 +348,7 @@ def g_lambda_series(kernel: WalkKernel, lam: float, tol: float = 1e-10) -> Green
         power /= lam
         total += power * float(dist[origin])
     tail = ratio**n_stop / (1.0 - ratio)
-    return GreenEvaluation(lam=lam, value=total, method="series", est_error=tail)
+    return GreenEvaluation(value=total, method="series", est_error=tail)
 
 
 def g_lambda_closed_1d(q: float, lam: float, x: int = 0) -> GreenEvaluation:
@@ -366,14 +364,14 @@ def g_lambda_closed_1d(q: float, lam: float, x: int = 0) -> GreenEvaluation:
     that single boundary point is special-cased.
     """
     if lam == 0.0 and q == 0.5:
-        return GreenEvaluation(lam=lam, value=0.0, method="closed_1d", est_error=0.0)
+        return GreenEvaluation(value=0.0, method="closed_1d", est_error=0.0)
     phi = phi_closed_1d(q, lam)
     root = math.sqrt((lam - 1.0) * (lam - (2.0 * q - 1.0)))
     if lam > 1.0:
         value = lam / root * phi ** abs(int(x))
     else:
         value = -lam / root * phi ** (-abs(int(x)))
-    return GreenEvaluation(lam=lam, value=value, method="closed_1d", est_error=0.0)
+    return GreenEvaluation(value=value, method="closed_1d", est_error=0.0)
 
 
 def phi_closed_1d(q: float, lam: float) -> float:
@@ -398,11 +396,7 @@ def decay_rate_estimate(values) -> DecayFit:
     ys = np.log([p[1] for p in pts])
     coef = np.polyfit(xs, ys, 1)
     resid = ys - np.polyval(coef, xs)
-    return DecayFit(
-        rate=float(-coef[0]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        npoints=len(pts),
-    )
+    return DecayFit(rate=float(-coef[0]), residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
 # -- level crossings of g_lambda(0) ------------------------------------------
@@ -443,7 +437,6 @@ def _g0(kernel: WalkKernel, lam: float) -> float:
 class LevelCrossings:
     """Solutions of g_lambda(0) = target off the spectrum."""
 
-    target: float
     above: float | None
     below: tuple[float, ...]
 
@@ -558,7 +551,7 @@ def g_level_crossings(kernel: WalkKernel, target: float) -> LevelCrossings:
             root = _root(excess, edge, floor, f_edge, excess(floor), CROSSING_XTOL)
             _verify_root(kernel, root, target)
             below = (root,)
-    return LevelCrossings(target=target, above=above, below=below)
+    return LevelCrossings(above=above, below=below)
 
 
 def _verify_root(kernel: WalkKernel, root: float, target: float) -> None:

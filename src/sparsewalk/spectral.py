@@ -22,16 +22,19 @@ chain and the dense M and S, built on first use, only up to DENSE_CAP rows,
 where the whole spectrum or its bottom edge is needed.
 
 This module provides the truncation itself, a block Lanczos solver for the
-top eigenpairs, a power-iteration Perron solver, the predictor for the
-excess essential spectrum (the level set g_lambda(0) = 1 + 1/v over
-declared essential values v), the discrete pairs outside its hull with
-sigma(P) and their decay along e1, bipartiteness and diagonal-dominance
-certificates for the absolute gap, the edge inequality check,
-spectral-projection contraction fits, and a Sturm-sequence distance
-oracle in standard-library `decimal` arithmetic for tridiagonal
-truncations whose spectral accumulation happens far below float64
-resolution: it locates the nearest eigenvalue by Newton steps read off
-the LDL pivot sweep and certifies the distance by eigenvalue counts.
+top eigenpairs, a power-iteration Perron solver (the positive ground state
+of the Doob chain), the predictor for the excess essential spectrum (the
+level set g_lambda(0) = 1 + 1/v over declared essential values v), the
+discrete pairs outside its hull with sigma(P) and their decay along e1,
+the per-box spectral report, which reads one dense eigh per box for its
+spectrum and the decay of its top eigenfunction, bipartiteness and
+diagonal-dominance certificates for the absolute gap, the edge
+inequality check, spectral-projection contraction fits, and a
+Sturm-sequence distance oracle in standard-library `decimal` arithmetic
+for tridiagonal truncations whose spectral accumulation happens far
+below float64 resolution: it locates the nearest eigenvalue by Newton
+steps read off the LDL pivot sweep and certifies the distance by
+eigenvalue counts.
 """
 
 from __future__ import annotations
@@ -61,7 +64,15 @@ from .errors import (
     TooFewRadii,
     TruncationTooSmall,
 )
-from .lattice import LatticeBox, WalkKernel, _band_dense, _char_lower, _neighbour_table, _stencil
+from .lattice import (
+    LatticeBox,
+    WalkKernel,
+    _band_dense,
+    _char_lower,
+    _count,
+    _neighbour_table,
+    _stencil,
+)
 from .potential import PotentialSpec, _one_plus_v, sparseness_profile
 from .resolvent import MIN_FIT_POINTS, DecayFit, decay_rate_estimate, g_level_crossings
 
@@ -99,9 +110,11 @@ KEEP_BLOCKS = 3
 STALL_RESTARTS = 10
 
 #: perron_pair checks convergence every PERRON_CHECK_EVERY squared steps and
-#: then also needs every pointwise eigen-ratio within PERRON_POINTWISE_TOL of 1
+#: then also needs every pointwise eigen-ratio within PERRON_POINTWISE_TOL of 1;
+#: it gives up after PERRON_MAX_ITER squared steps
 PERRON_CHECK_EVERY = 16
 PERRON_POINTWISE_TOL = 1e-9
+PERRON_MAX_ITER = 50000
 
 #: gap_projection_test iterates GAP_STEPS times and fits the norms of the
 #: steps n in GAP_FIT_RANGE (inclusive)
@@ -112,8 +125,8 @@ GAP_FIT_RANGE = (10, 50)
 #: Lambda_V is discrete (``discrete_pairs``)
 DISCRETE_MARGIN = 1e-4
 
-#: spectral_report fits the decay of phi on the sites t e1, t in
-#: REPORT_FIT_WINDOW; its discrete eigenvalues must agree within
+#: spectral_report fits the decay of the top eigenfunction on the sites t e1,
+#: t in REPORT_FIT_WINDOW; its discrete eigenvalues must agree within
 #: STABILIZE_TOL across the last two boxes
 REPORT_FIT_WINDOW = (1, 12)
 STABILIZE_TOL = 1e-6
@@ -194,6 +207,7 @@ def _truncation_floor(kernel: WalkKernel) -> int:
 
 def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -> TruncatedOperator:
     """Assemble the truncation on Q(0, L) with zero outside."""
+    L = _count(L, "L")
     floor = _truncation_floor(kernel)
     if L < floor:
         raise TruncationTooSmall(f"L={L} is below {floor}, four times the kernel range")
@@ -211,8 +225,9 @@ def truncated_operator(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -
 
 @dataclass(frozen=True)
 class EigenPair:
+    """An eigenvalue with phi = D^(1/2) psi, signed so that its largest entry is positive."""
+
     value: float
-    psi: np.ndarray
     phi: np.ndarray
     residual: float
 
@@ -227,10 +242,8 @@ class EigenSolution:
 
 def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPair:
     phi = np.sqrt(op.dvec) * psi
-    sgn = np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0
-    psi = sgn * psi
-    phi = sgn * phi
-    return EigenPair(value=float(value), psi=psi, phi=phi, residual=op.residual(value, phi))
+    phi = (np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0) * phi
+    return EigenPair(value=float(value), phi=phi, residual=op.residual(value, phi))
 
 
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
@@ -257,6 +270,7 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     when STALL_RESTARTS restarts in a row bring no new smallest worst
     residual.
     """
+    count = _count(count, "count")
     if not 1 <= count <= MAX_PAIRS:
         raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
     n = op.volume
@@ -328,11 +342,7 @@ def _wanted(theta: np.ndarray, count: int) -> list[int]:
     return sorted(set(top) | set(np.argsort(-np.abs(theta), kind="stable")[:count].tolist()))
 
 
-def perron_pair(
-    op: TruncatedOperator,
-    tol: float = 1e-10,
-    max_iter: int = 50000,
-) -> tuple[float, np.ndarray]:
+def perron_pair(op: TruncatedOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Strictly positive top eigenpair by squared power iteration.
 
     Iterating the square of the symmetric matrix converges even when the
@@ -346,14 +356,15 @@ def perron_pair(
     The norm alone says nothing about the exponentially small tail entries,
     and it is exactly these ratios that become the row sums of the Doob
     chain downstream.  Returns (r, phi) with phi normalized in the
-    weighted norm.  A tolerance tol <= 0 raises ToleranceNotPositive.
+    weighted norm.  A tolerance tol <= 0 raises ToleranceNotPositive, and
+    no convergence within PERRON_MAX_ITER squared steps NoConvergence.
     """
     if not tol > 0.0:
         raise ToleranceNotPositive(f"tol must be positive, got {tol!r}")
     S = op.apply_S
     x = np.ones(op.volume) / math.sqrt(op.volume)
     r_hat = 1.0
-    for it in range(max_iter):
+    for it in range(PERRON_MAX_ITER):
         y = S(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
@@ -374,7 +385,7 @@ def perron_pair(
             if resid <= tol * max(rho, 1.0) and point <= PERRON_POINTWISE_TOL:
                 phi = np.sqrt(op.dvec) * psi
                 return rho, phi
-    raise NoConvergence(f"power iteration did not reach tol={tol} in {max_iter} steps")
+    raise NoConvergence(f"power iteration did not reach tol={tol} in {PERRON_MAX_ITER} steps")
 
 
 def lambda_pm_1d(q: float, v: float) -> tuple[float, float]:
@@ -426,8 +437,7 @@ def essential_spectrum_predictor(
     """
     ess = [v for v in (spec.essential_values if spec is not None else ()) if v > 0.0]
     if ess:
-        profile = sparseness_profile(spec, 0.5, min(spec.box_radius, 512))
-        tail = [s for _, s in profile.sup_tail]
+        tail = [s for _, s in sparseness_profile(spec, 0.5, min(spec.box_radius, 512))]
         if tail and tail[-1] > max(0.5 * tail[0], 1e-9):
             raise NotSparse(
                 f"sparseness profile does not collapse (sup tail {tail}); "
@@ -524,7 +534,6 @@ def bipartite_detect(kernel: WalkKernel) -> BipartiteSign | None:
 class DiagDominance:
     holds: bool
     margin: float
-    per_axes: dict
 
 
 def diag_dominance_check(kernel: WalkKernel) -> DiagDominance:
@@ -535,41 +544,32 @@ def diag_dominance_check(kernel: WalkKernel) -> DiagDominance:
     the non-bipartite route to the absolute spectral gap.
     """
     offs = kernel.offset_array()
-    per: dict[tuple[int, ...], float] = {}
+    best = -math.inf
     for axes in _axis_sets(kernel.dimension):
         # a Python sum in offset order: np.sum may pair the terms differently
         # and move the last bits of the margin
         rest = _even(offs, axes) & offs.any(axis=1)
-        per[axes] = kernel.p0 - sum(p for p, keep in zip(kernel.probs, rest) if keep)
-    best = max(per.values())
-    return DiagDominance(holds=best > 0.0, margin=best, per_axes=per)
+        best = max(best, kernel.p0 - sum(p for p, keep in zip(kernel.probs, rest) if keep))
+    return DiagDominance(holds=best > 0.0, margin=best)
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
-    slack: float
-    per_axes: dict
-    r: float
-    ell: float
-
-
-def edge_inequality_check(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -> EdgeCheck:
+def edge_inequality_check(kernel: WalkKernel, spec: PotentialSpec | None, L: int) -> float:
     """Slack of -r + 2 ell(1_A P 1_A) <= ell on the truncation.
 
     ell(1_A P 1_A) is the minimum over frequencies of the symbol restricted
     to the even set A; the slack must be >= -1e-8 for every axis subset and
-    the minimum over subsets is reported.
+    the minimum over subsets is returned.
     """
     op = truncated_operator(kernel, spec, L)
     w = np.linalg.eigvalsh(op.sym)
     r, ell = float(w[-1]), float(w[0])
     offs, ps = kernel.offset_array(), kernel.prob_array()
-    per: dict[tuple[int, ...], float] = {}
+    slack = math.inf
     for axes in _axis_sets(kernel.dimension):
         even = _even(offs, axes)
         ell_a = _char_lower(offs[even], ps[even], 512) if even.any() else 0.0
-        per[axes] = ell - (-r + 2.0 * ell_a)
-    return EdgeCheck(slack=min(per.values()), per_axes=per, r=r, ell=ell)
+        slack = min(slack, ell - (-r + 2.0 * ell_a))
+    return slack
 
 
 @dataclass(frozen=True)
@@ -577,7 +577,6 @@ class GapProjection:
     branch: str
     eps_fit: float
     eps_pred: float
-    norms: tuple[float, ...]
 
 
 def _second_abs(w: np.ndarray, r: float) -> float:
@@ -629,16 +628,14 @@ def gap_projection_test(
     lo, hi = GAP_FIT_RANGE
     sel = (ns >= lo) & (ns <= hi) & (np.array(norms) > 1e-250)
     slope = np.polyfit(ns[sel], np.log(np.array(norms)[sel]), 1)[0]
-    return GapProjection(
-        branch=branch, eps_fit=float(np.exp(slope)), eps_pred=eps_pred, norms=tuple(norms)
-    )
+    return GapProjection(branch=branch, eps_fit=float(np.exp(slope)), eps_pred=eps_pred)
 
 
 # -- spectral reports ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Digest of one truncation: edges, gaps, top eigenfunction, decay."""
+    """Digest of one truncation: edges, gaps, decay of the top eigenfunction."""
 
     L: int
     r: float
@@ -646,12 +643,8 @@ class SpectralReport:
     gap: float
     abs_gap: float
     second_abs: float
-    residual: float
-    positivity_min: float
     decay: DecayFit | None
-    bipartite: bool
     eigenvalues: np.ndarray
-    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -669,15 +662,18 @@ def spectral_report(
 ) -> ReportBundle:
     """Per-box spectral digests plus a discrete-eigenvalue Cauchy check.
 
-    The decay fit is ``axis_decay`` of the top eigenfunction on
-    REPORT_FIT_WINDOW.  The discrete eigenvalues are the ``discrete_pairs``
+    Each box takes one dense eigh, in ``discrete_pairs``: the edges, gaps
+    and spectrum are its eigenvalues, and the decay fit is ``axis_decay``
+    on REPORT_FIT_WINDOW of the top eigenfunction D^(1/2) psi, psi its top
+    eigenvector.  The discrete eigenvalues are the ``discrete_pairs``
     outside the hull of ``essential_spectrum_predictor``, below it as well
     as above; from the top down, each must agree within STABILIZE_TOL with
     an eigenvalue of the previous box, else NotStabilized.  The rest of the
     spectrum is the finite-volume shadow of the essential part and is only
     expected to accumulate, never to stabilize.  Repeated radii count once.
+    A radius that is not an integer raises CountNotInteger.
     """
-    Ls = sorted({int(L) for L in L_sequence})
+    Ls = sorted({_count(L, "L") for L in L_sequence})
     if len(Ls) < 2:
         raise TooFewRadii(f"need at least two distinct box radii, got {list(L_sequence)}")
     pred = essential_spectrum_predictor(kernel, spec)
@@ -686,13 +682,6 @@ def spectral_report(
         op = truncated_operator(kernel, spec, L)
         w, discrete, top_psi = discrete_pairs(op, pred.bottom, pred.top)
         r = float(w[-1])
-        try:
-            # the dense eigenvector carries +-1e-16 noise in its far tail;
-            # the power-iterated one is positive by construction
-            r_pow, phi_pow = perron_pair(op, tol=1e-9, max_iter=20000)
-            pair = EigenPair(r_pow, phi_pow / np.sqrt(op.dvec), phi_pow, op.residual(r_pow, phi_pow))
-        except NoConvergence:
-            pair = _make_pair(op, w[-1], top_psi)
         below = w[w < r - PERIPHERAL_TOL * max(1.0, r)]
         gap = float(r - below.max()) if below.size else 0.0
         second = _second_abs(w, r)
@@ -704,12 +693,8 @@ def spectral_report(
                 gap=gap,
                 abs_gap=float(r - second),
                 second_abs=second,
-                residual=pair.residual,
-                positivity_min=float(pair.phi.min()),
-                decay=axis_decay(op, pair.phi, REPORT_FIT_WINDOW),
-                bipartite=bipartite_detect(kernel) is not None,
+                decay=axis_decay(op, np.sqrt(op.dvec) * top_psi, REPORT_FIT_WINDOW),
                 eigenvalues=w,
-                phi=pair.phi,
             )
         )
     prev = reports[-2].eigenvalues

@@ -66,11 +66,11 @@ def test_two_site_off_diagonal():
     spec = sw.make_potential(1, {(1,): v, (-1,): v}, tail="decaying")
     asm = sw.assemble_bs(k, spec, 1.25, box=40)
     # oracle: off-diagonal v * lambda * G(-1, 1) = v * g(2) = v * 5/12
-    assert asm.off_diag[0, 1] == pytest.approx(v * 5.0 / 12.0, abs=1e-9)
+    assert asm.matrix[0, 1] == pytest.approx(v * 5.0 / 12.0, abs=1e-9)
     assert np.max(np.abs(asm.matrix - asm.matrix.T)) < 1e-12
-    split = asm.matrix - asm.gamma * np.diag(asm.support_values) - asm.off_diag
+    off_diag = asm.matrix - np.diag(np.diag(asm.matrix))
+    split = asm.matrix - asm.gamma * np.diag(asm.support_values) - off_diag
     assert np.max(np.abs(split)) < 1e-12
-    assert np.max(np.abs(np.diag(asm.off_diag))) == 0.0
 
 
 def test_assembly_guards():
@@ -347,5 +347,6 @@ def test_bs_matrix_symmetry_sparse_spec():
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=256)
     asm = sw.assemble_bs(k, spec, 1.8, box=256)
     assert np.max(np.abs(asm.matrix - asm.matrix.T)) < 1e-12
-    split = asm.matrix - asm.gamma * np.diag(asm.support_values) - asm.off_diag
+    off_diag = asm.matrix - np.diag(np.diag(asm.matrix))
+    split = asm.matrix - asm.gamma * np.diag(asm.support_values) - off_diag
     assert np.max(np.abs(split)) < 1e-12

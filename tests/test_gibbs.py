@@ -62,8 +62,10 @@ def _dense_path(chain, x0, steps, seed):
 
 @pytest.mark.parametrize("dim", sorted(CHAINS))
 def test_doob_band_matches_dense_rows(dim):
-    _, _, op, chain = CHAINS[dim]()
-    rows, deficit = _dense_doob(op, chain.rate, chain.phi)
+    kernel, spec, op, _ = CHAINS[dim]()
+    r, phi = sw.perron_pair(op)
+    chain = sw.doob_kernel(kernel, spec, (r, phi), op.box)
+    rows, deficit = _dense_doob(op, r, phi)
     assert np.all(np.abs(chain.rows - rows) <= 4 * np.spacing(rows))
     assert abs(chain.row_deficit - deficit) <= 4 * np.spacing(1.0)
 

@@ -9,6 +9,7 @@ from sparsewalk import lattice
 from sparsewalk.lattice import char_on_grid
 from sparsewalk.errors import (
     BoxTooSmall,
+    CountNotInteger,
     DimensionMismatch,
     EmptySupport,
     LazinessOutOfRange,
@@ -721,3 +722,56 @@ def test_weyl_residual_below_radius_one_is_named():
     with pytest.raises(WaveRadiusTooSmall) as info:
         sw.weyl_sequence_residual(sw.simple1d(), 0.0, 0)
     assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
+def _delta_pair(L=8):
+    op = sw.truncated_operator(sw.simple1d(), sw.single_delta(1, 1.0), L)
+    return sw.perron_pair(op)
+
+
+#: every count and radius read through lattice._count: (call, an integer it
+#: accepts, a value that is not an integer); the last four take a box or a radius
+K1, DELTA = sw.simple1d(), sw.single_delta(1, 1.0)
+COUNT_CASES = {
+    "fk_monte_carlo n": (lambda n: sw.fk_monte_carlo(K1, DELTA, None, n, 2000, seed=1), 5, 2.5),
+    "fk_monte_carlo samples": (
+        lambda m: sw.fk_monte_carlo(K1, DELTA, None, 5, m, seed=1), 2000, 2000.5
+    ),
+    "counter_rng seed": (lambda s: sw.counter_rng(s).random(3), 7, 2.5),
+    "simulate_chain steps": (
+        lambda t: sw.simulate_chain(sw.doob_kernel(K1, DELTA, _delta_pair(), 8), (0,), t, 1),
+        50,
+        3.5,
+    ),
+    "fk_semigroup n": (
+        lambda n: sw.fk_semigroup(K1, DELTA, np.ones(21), n, sw.LatticeBox.cube(10, 1)), 4, 2.5
+    ),
+    "partition_growth N_max": (lambda n: sw.partition_growth(K1, DELTA, n).z_values, 6, 3.5),
+    "convolution_power_at_zero n": (lambda n: sw.convolution_power_at_zero(K1, n), 6, 2.5),
+    "eigensolve_top count": (
+        lambda c: sw.eigensolve_top(sw.truncated_operator(K1, DELTA, 8), c).by_value[-1].value,
+        2,
+        2.5,
+    ),
+    "LatticeBox.cube radius": (lambda L: sw.LatticeBox.cube(L, 1), 8, 8.5),
+    "truncated_operator L": (lambda L: sw.truncated_operator(K1, DELTA, L).dvec, 8, 8.5),
+    "weyl_sequence_residual n": (lambda n: sw.weyl_sequence_residual(K1, 0.0, n), 2, 2.5),
+    "spectral_report L": (
+        lambda L: [rep.r for rep in sw.spectral_report(K1, DELTA, [20, L]).reports], 30, 30.5
+    ),
+    "assemble_bs box": (lambda b: sw.assemble_bs(K1, DELTA, 1.5, b).matrix, 16, 16.0),
+    "resolvent_via_bs box": (lambda b: sw.resolvent_via_bs(K1, DELTA, 1.5, b)[0], 16, 16.0),
+    "neumann_invertibility box": (
+        lambda b: sw.neumann_invertibility(K1, DELTA, (), 1.5, 0.3, b).contraction, 16, 16.0
+    ),
+    "doob_kernel box": (lambda b: sw.doob_kernel(K1, DELTA, _delta_pair(), b).probs, 8, 8.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_counts_and_radii_must_be_integers(name):
+    call, good, bad = COUNT_CASES[name]
+    with pytest.raises(CountNotInteger) as info:
+        call(bad)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, TypeError)
+    np.testing.assert_array_equal(call(np.int64(good)), call(good))

@@ -58,16 +58,16 @@ def test_potential_preconditions_are_named(build, error):
 
 def test_sparseness_profile_single_site():
     spec = sw.single_delta(1, 2.0, box_radius=64)
-    prof = sw.sparseness_profile(spec, 1.0)
-    assert dict(prof.samples)[(0,)] == 0.0
-    assert prof.sup_tail[-1][1] == 0.0
+    # a_eps at the one site sums no other site; radius 7 puts R = 0 first
+    assert sw.sparseness_profile(spec, 1.0, box_radius=7)[0] == (0, 0.0)
+    assert sw.sparseness_profile(spec, 1.0)[-1][1] == 0.0
 
 
 def test_sparseness_profile_base2_strictly_decreasing():
     # base 2 places one site per octave, so each tail radius drops the sup
     spec = sw.build_geometric_sparse(1, 1.0, 2, box_radius=2048)
     for eps in (0.25, 0.5, 1.0):
-        sups = [s for _, s in sw.sparseness_profile(spec, eps).sup_tail]
+        sups = [s for _, s in sw.sparseness_profile(spec, eps)]
         assert sups[0] > sups[1] > sups[2]
 
 
@@ -76,15 +76,14 @@ def test_sparseness_profile_base3_collapses():
     # the profile still collapses from first to last radius
     spec = sw.build_geometric_sparse(1, 1.0, 3, box_radius=2048)
     for eps in (0.25, 0.5, 1.0):
-        sups = [s for _, s in sw.sparseness_profile(spec, eps).sup_tail]
+        sups = [s for _, s in sw.sparseness_profile(spec, eps)]
         assert sups[0] >= sups[1] >= sups[2]
         assert sups[2] < 1e-6 * max(sups[0], 1e-300)
 
 
 def test_sparseness_dense_control():
     spec = sw.dense_level(1, 1.0, box_radius=128)
-    prof = sw.sparseness_profile(spec, 0.5)
-    sups = [s for _, s in prof.sup_tail]
+    sups = [s for _, s in sw.sparseness_profile(spec, 0.5)]
     assert min(sups) > 1.0  # bounded away from zero: condition fails
 
 

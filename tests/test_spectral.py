@@ -342,7 +342,8 @@ def test_eigensolve_top_returns_both_copies_of_a_double_eigenvalue():
     assert double == pytest.approx(0.97465721, abs=1e-8)
     first, second = sol.by_value[1], sol.by_value[2]
     assert abs(first.value - double) <= 1e-12 and abs(second.value - double) <= 1e-12
-    assert abs(float(first.psi @ second.psi)) <= 1e-10
+    psi = [pair.phi / np.sqrt(op.dvec) for pair in (first, second)]
+    assert abs(float(psi[0] @ psi[1])) <= 1e-10
     assert sol.by_value[3].value < double - 1e-3
 
 
@@ -351,7 +352,7 @@ def test_eigensolve_top_is_deterministic():
     one, two = sw.eigensolve_top(op, 3), sw.eigensolve_top(op, 3)
     for a, b in zip(one.by_value + one.by_abs, two.by_value + two.by_abs):
         assert a.value == b.value and a.residual == b.residual
-        assert np.array_equal(a.psi, b.psi) and np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.phi, b.phi)
 
 
 def test_eigensolve_top_refills_a_broken_down_block():
@@ -367,7 +368,8 @@ def test_eigensolve_top_refills_a_broken_down_block():
     sol = sw.eigensolve_top(op, 2)
     for pair in sol.by_value + sol.by_abs:
         assert abs(pair.value - 0.8) <= 1e-12 and pair.residual <= 1e-10
-    assert abs(float(sol.by_value[0].psi @ sol.by_value[1].psi)) <= 1e-10
+    psi = [pair.phi / np.sqrt(op.dvec) for pair in sol.by_value[:2]]
+    assert abs(float(psi[0] @ psi[1])) <= 1e-10
 
 
 @pytest.mark.parametrize("count", [0, 11, -1])
@@ -574,13 +576,11 @@ def test_diag_dominance():
 
 
 def test_edge_inequality_cases():
-    res = sw.edge_inequality_check(sw.simple1d(), sw.single_delta(1, 1.0), 40)
-    assert res.slack >= -1e-8
-    assert res.slack == pytest.approx(0.0, abs=1e-8)  # bipartite symmetry
-    res3 = sw.edge_inequality_check(sw.lazy1d(0.3), sw.single_delta(1, 1.0), 40)
-    assert res3.slack >= -1e-8
-    free = sw.edge_inequality_check(sw.lazy1d(0.3), None, 40)
-    assert free.slack >= -1e-8
+    slack = sw.edge_inequality_check(sw.simple1d(), sw.single_delta(1, 1.0), 40)
+    assert slack >= -1e-8
+    assert slack == pytest.approx(0.0, abs=1e-8)  # bipartite symmetry
+    assert sw.edge_inequality_check(sw.lazy1d(0.3), sw.single_delta(1, 1.0), 40) >= -1e-8
+    assert sw.edge_inequality_check(sw.lazy1d(0.3), None, 40) >= -1e-8
 
 
 def test_gap_projection_rates():
@@ -589,7 +589,6 @@ def test_gap_projection_rates():
     assert proj.branch == "bipartite"
     assert proj.eps_fit < 1.0
     assert abs(proj.eps_fit - proj.eps_pred) <= 0.1 * proj.eps_pred
-    assert len(proj.norms) == spectral.GAP_STEPS
     proj3 = sw.gap_projection_test(sw.lazy1d(0.3), anchor, 60)
     assert proj3.branch == "one_term"
     assert abs(proj3.eps_fit - proj3.eps_pred) <= 0.1 * proj3.eps_pred
@@ -629,9 +628,7 @@ def test_spectral_report_bundle():
     assert bundle.discrete  # the anchored state is discrete and stabilized
     top = max(bundle.discrete)
     assert top == pytest.approx(rs[-1], abs=1e-9)
-    assert bundle.reports[-1].positivity_min > 0.0
     assert bundle.reports[-1].decay is not None
-    assert bundle.reports[-1].bipartite
 
 
 def test_spectral_report_unstable_candidate_prints_a_float():
@@ -694,12 +691,8 @@ def test_spectral_report_lists_the_discrete_spectrum_below_the_hull():
     assert bundle.discrete == pytest.approx(LAZY_DISCRETE, abs=1e-4)
 
 
-def test_spectral_report_fallback_reuses_the_one_eigh(monkeypatch):
+def test_spectral_report_reads_one_eigh_per_box(monkeypatch):
     kernel, spec, Ls = sw.simple1d(), sw.single_delta(1, 1.0), [20, 30]
-
-    def stalled(*args, **kwargs):
-        raise NoConvergence("stalled")
-
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -707,18 +700,17 @@ def test_spectral_report_fallback_reuses_the_one_eigh(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     eigh = np.linalg.eigh
-    monkeypatch.setattr(spectral, "perron_pair", stalled)
+    monkeypatch.setattr(spectral, "perron_pair", lambda *a, **k: pytest.fail("perron_pair called"))
     monkeypatch.setattr(np.linalg, "eigh", counted)
     bundle = sw.spectral_report(kernel, spec, Ls)
-    assert len(calls) == len(Ls)
+    assert calls == [(2 * L + 1, 2 * L + 1) for L in Ls]
     monkeypatch.undo()
     for report, L in zip(bundle.reports, Ls):
         op = sw.truncated_operator(kernel, spec, L)
         w, U = np.linalg.eigh(op.sym)
-        pair = spectral._make_pair(op, w[-1], U[:, -1])
-        assert np.array_equal(report.phi, pair.phi) and np.array_equal(report.eigenvalues, w)
-        assert report.residual == pair.residual and report.positivity_min == float(pair.phi.min())
-        assert report.decay == spectral.axis_decay(op, pair.phi, spectral.REPORT_FIT_WINDOW)
+        assert np.array_equal(report.eigenvalues, w)
+        fit = spectral.axis_decay(op, np.sqrt(op.dvec) * U[:, -1], spectral.REPORT_FIT_WINDOW)
+        assert fit is not None and report.decay == fit
 
 
 def test_axis_decay_window():

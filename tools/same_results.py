@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus sixteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus seventeen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -48,7 +48,12 @@ xtol; and ``saddle2d``, the ``WalkKernel.lower`` of a 2d kernel whose grid
 argmin of p-hat sits beside a saddle; and ``irreducible``, the verdict of
 ``validate_kernel`` (``accepted`` or ``NotIrreducible``) on six named
 supports: three proper sublattices, a 1d even support, and two long
-generator pairs that generate the whole lattice.
+generator pairs that generate the whole lattice; and ``report1d``, every
+number the ``spectrum`` experiment writes per box radius (r, ell, gap,
+abs_gap, second_abs and the decay rate and fit rms of the top
+eigenfunction) and its discrete eigenvalues, from ``spectral_report`` on
+the setting of ``spectrum_anchor.json`` and on the lazy 1d walk
+(q = 0.3) under the same potential and radii.
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -67,8 +72,8 @@ value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
 ``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d``,
-``saddle2d`` or ``irreducible`` section still loads; that section is then
-left out of the comparison.
+``saddle2d``, ``irreducible`` or ``report1d`` section still loads; that
+section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ import numpy as np
 
 import sparsewalk as sw
 from sparsewalk import acceptance, cli, spectral
+from sparsewalk.config import kernel_from_config, load_config, potential_from_config
 from sparsewalk.errors import NotIrreducible
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -216,11 +222,15 @@ IRREDUCIBLE_MOVES = {
     "unimodular pair in 2d": [(3, 5), (5, 8)],
     "coprime pair in 1d": [(5,), (7,)],
 }
+#: the 1d report case: the spectrum experiment's config, as written and with
+#: its kernel replaced by the lazy 1d walk at REPORT1D_Q
+REPORT1D_CONFIG = CONFIGS / "spectrum_anchor.json"
+REPORT1D_Q = 0.3
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
     "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d", "saddle2d",
-    "irreducible",
+    "irreducible", "report1d",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -266,7 +276,26 @@ def fingerprint() -> dict:
         "bsscan1d": bsscan1d(),
         "saddle2d": {"lower": repr(sw.validate_kernel(SADDLE2D).lower)},
         "irreducible": irreducible(),
+        "report1d": report1d(),
     }
+
+
+def report1d() -> dict:
+    """Reprs of the spectrum experiment's numbers per L, and of its discrete spectrum."""
+    cfg = load_config(REPORT1D_CONFIG)
+    kernel = kernel_from_config(cfg)
+    spec = potential_from_config(cfg, kernel.dimension)
+    out = {}
+    walks = {"spectrum_anchor": kernel, f"lazy1d({REPORT1D_Q})": sw.lazy1d(REPORT1D_Q)}
+    for name, walk in walks.items():
+        bundle = sw.spectral_report(walk, spec, cfg["L_sequence"])
+        for rep in bundle.reports:
+            for field in ("r", "ell", "gap", "abs_gap", "second_abs"):
+                out[f"{name} L={rep.L} {field}"] = repr(getattr(rep, field))
+            fit = rep.decay
+            out[f"{name} L={rep.L} decay"] = repr((fit.rate, fit.residual_rms) if fit else None)
+        out[f"{name} discrete"] = repr(bundle.discrete)
+    return out
 
 
 def irreducible() -> dict:
