@@ -43,7 +43,6 @@ from .lattice import (
     _box,
     _dense_cap,
     _neighbour_table,
-    _sup_norm,
 )
 from .potential import PotentialSpec, _one_plus_v
 from .resolvent import _ct_margin, _guard_spectrum, _kappa_star, _root, green_table
@@ -78,27 +77,38 @@ def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
 
     The one pair-Green builder: assemble_bs calls it on the support of V,
     resolvent_via_bs on every site of the box and neumann_invertibility on
-    the screened support.  Each displacement is encoded as one integer, so
-    one sort finds the distinct ones (in tuple order) and a sorted search
-    reads each pair back; the n x n temporaries die with this frame, before
-    the caller allocates its own n x n matrices.
-    (np.unique would take its hash path here, whose first call alone adds
-    about 1.4 MB of resident memory.)  More than ``lattice.DENSE_CAP``
-    sites raise BoxTooLarge before the codes are built.
+    the screened support.  Each displacement x is encoded as one integer
+    below prod_a side_a, side_a = 2 (spread of the sites along axis a) + 1.
+    While that product is at most n^2, a presence array over the codes
+    gives the distinct ones in tuple order and a lookup table of their
+    ranks reads each pair back; past it (few sites spread far apart) one
+    sort and a sorted search do, so no temporary outgrows the n x n codes.
+    The n x n temporaries die with this frame, before the caller allocates
+    its own n x n matrices.  More than ``lattice.DENSE_CAP`` sites raise
+    BoxTooLarge before the codes are built.
     """
-    _dense_cap(len(sites))
+    n = len(sites)
+    _dense_cap(n)
     pos = np.array(sites)
-    half = int((pos.max(axis=0) - pos.min(axis=0)).max())
-    side = 2 * half + 1
-    shape = (side,) * pos.shape[1]
-    weights = side ** np.arange(len(shape) - 1, -1, -1)
+    half = pos.max(axis=0) - pos.min(axis=0)
+    shape = tuple((2 * half + 1).tolist())
+    weights = np.cumprod((1,) + shape[:0:-1])[::-1]  # row-major strides
     flat = pos @ weights
-    codes = flat[None, :] - flat[:, None] + half * int(weights.sum())
-    keys = np.sort(codes, axis=None)
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    codes = (flat + int(half @ weights))[None, :] - flat[:, None]
+    if math.prod(shape) <= n * n:
+        present = np.zeros(math.prod(shape), dtype=bool)
+        present[codes] = True
+        keys = np.flatnonzero(present)
+        rank = np.empty(len(present), dtype=np.intp)
+        rank[keys] = np.arange(len(keys))
+        index = rank[codes]
+    else:
+        keys = np.sort(codes, axis=None)
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        index = np.searchsorted(keys, codes)
     disp = [tuple(row) for row in (np.stack(np.unravel_index(keys, shape), axis=-1) - half).tolist()]
     table = green_table(kernel, lam, disp, pts_per_axis)
-    return np.array([table[x] for x in disp])[np.searchsorted(keys, codes)], table
+    return np.array([table[x] for x in disp])[index], table
 
 
 def assemble_bs(
@@ -226,14 +236,15 @@ def off_diag_tail_norm(asm: BSAssembly, N: int) -> float:
     """
     if N >= asm.box.radius:
         raise TailRadiusTooLarge(f"N = {N} must stay below the box radius {asm.box.radius}")
-    sites = asm.support_sites
+    far = np.abs(np.array(asm.support_sites)).max(axis=1) >= N
+    if not far.any():
+        return 0.0
     sq = np.sqrt(np.array(asm.support_values))
-    absH = sq[:, None] * np.abs(asm.green) * sq[None, :]
-    np.fill_diagonal(absH, 0.0)
-    norms = np.array([_sup_norm(s) for s in sites])
-    far = norms >= N
-    a_n = float(absH[far].sum(axis=1).max()) if far.any() else 0.0
-    b_n = float(absH[:, far].sum(axis=1).max()) if far.any() else 0.0
+    absG = np.abs(asm.green)
+    np.fill_diagonal(absG, 0.0)
+    # row sums of |H|_ij = sq_i |G_ij| sq_j over every column, and over the far ones
+    a_n = float((sq * (absG @ sq))[far].max())
+    b_n = float((sq * (absG @ (sq * far))).max())
     return abs(asm.lam) * math.sqrt(a_n * b_n)
 
 
@@ -320,7 +331,7 @@ def neumann_invertibility(
         sq = np.sqrt(hts)
         H = abs(lam) * sq[:, None] * absG * sq[None, :]
         h_plain = float(H.sum(axis=1).max())
-        norms = np.array([_sup_norm(s) for s in pts], dtype=float)
+        norms = np.abs(pos).max(axis=1).astype(float)
         W = H * np.exp(alpha * (norms[:, None] - norms[None, :]))
         h_weighted = float(W.sum(axis=1).max())
 

@@ -349,7 +349,7 @@ def convergence_rate(
     one or two deviations lie above floating-point noise.  When none does,
     E_mu_n F = E_nu F to rounding at every n and eps_fit is 0.0.
     """
-    ns = sorted(int(n) for n in n_range)
+    ns = sorted(_count(n, "n") for n in n_range)
     if k_fixed < 0:
         raise MarginalLengthInvalid(f"marginal length must be nonnegative, got {k_fixed}")
     if not ns or ns[0] < k_fixed + 1:

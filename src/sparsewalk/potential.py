@@ -30,7 +30,7 @@ from .errors import (
     SiteOutsideBox,
     TailInvalid,
 )
-from .lattice import LatticeBox, Offset, _as_offset, _dense_cap, _sup_norm
+from .lattice import LatticeBox, Offset, _as_offset, _count, _dense_cap, _sup_norm
 
 #: default working-box radius per dimension (keeps dense matrices tractable)
 DEFAULT_BOX_RADIUS = {1: 2048, 2: 64, 3: 16}
@@ -93,7 +93,9 @@ def make_potential(
         raise TailInvalid("decaying tails must declare essential values {0}")
     if any(v < 0.0 for v in ess):
         raise NegativePotential("essential values must be nonnegative")
-    box_radius = DEFAULT_BOX_RADIUS[dimension] if box_radius is None else int(box_radius)
+    if box_radius is None:
+        box_radius = DEFAULT_BOX_RADIUS[dimension]
+    box_radius = _count(box_radius, "box_radius")
     cleaned = {}
     for key, val in dict(values).items():
         site = _as_offset(key, dimension)
@@ -151,7 +153,9 @@ def build_geometric_sparse(
         raise BaseTooSmall(f"base must be >= 2, got {base!r}")
     if v <= 0.0:
         raise LevelNotPositive(f"v must be positive, got {v!r}")
-    box_radius = DEFAULT_BOX_RADIUS[dimension] if box_radius is None else int(box_radius)
+    if box_radius is None:
+        box_radius = DEFAULT_BOX_RADIUS[dimension]
+    box_radius = _count(box_radius, "box_radius")
     vals: dict[Offset, float] = {}
     k = 0
     while base**k <= box_radius:
@@ -192,7 +196,7 @@ def sparseness_profile(
     """
     if epsilon <= 0.0:
         raise AlphaNotPositive(f"epsilon must be positive, got {epsilon!r}")
-    box_radius = spec.box_radius if box_radius is None else int(box_radius)
+    box_radius = _count(spec.box_radius if box_radius is None else box_radius, "box_radius")
     supp = spec.support(LatticeBox.cube(box_radius, spec.dimension))
     _dense_cap(len(supp))
     samples = []

@@ -26,12 +26,16 @@ from (kernel, lambda, level) to the grid it averages:
   stay an independent route, and kernels with range >= 2 on every axis.
 
 The origin is the plain mean of that grid.  Every x != 0 comes from one
-DFT, ``_dft``, of one weight row per coordinate x_a along one axis, which
-contracts the d - 1 other axes once each.  On fibres the row is exact:
-the theta_a-mean of exp(i k theta_a)/(lambda - p-hat) is sgn(A) rho^|k|
-exp(-i k arg z)/s with rho = R/(A + sgn(A) s), the 1d closed form on each
-fibre.  On the full grid the axis is the last one and the row is its
-midpoint rule, a matmul against exp(i theta k).
+DFT, ``_dft``: one weight row per coordinate x_a along one axis, and one
+inverse FFT of each row over the d - 1 other axes, which gives every x'
+on the grid at once.  The midpoint grid theta_j = -pi + (j + 1/2) 2 pi / N
+only turns each value by (-1)^c e^{i pi c / N}, c = sum x' (``_turn``).
+On fibres the row is exact: the theta_a-mean of
+exp(i k theta_a)/(lambda - p-hat) is sgn(A) rho^|k| exp(-i k arg z)/s
+with rho = R/(A + sgn(A) s), the 1d closed form on each fibre.  On the
+full grid the axis is the last one and the row is its midpoint rule,
+read from one inverse FFT of every grid line along it; in 1d that FFT
+is the whole table.
 
 Two evaluators read ``_inverse``:
 
@@ -79,7 +83,6 @@ from .lattice import (
     _as_offset,
     _fibre_axis,
     _fibre_grid,
-    _grid_phase,
     char_on_grid,
 )
 
@@ -165,32 +168,42 @@ def _inverse(kernel: WalkKernel, axis: int | None, lam, level: int) -> np.ndarra
 _DFT_BLOCK = 2**16
 
 
-def _dft(rows, xs: list[tuple[int, ...]], axis: int, level: int) -> np.ndarray:
-    """Re sum_theta' rows(x_a)(theta') exp(i theta' . x') for every x in xs.
+def _turn(c, level: int) -> np.ndarray:
+    """(-1)^c exp(i pi c / N), N = level, with c taken mod 2N into [-N, N).
+
+    On the midpoint grid theta_j = -pi + (j + 1/2) 2 pi / N,
+    exp(i theta_j c) = _turn(c) exp(2 pi i j c / N).
+    """
+    m = (np.asarray(c) + level) % (2 * level) - level
+    return np.where(m % 2, -1.0, 1.0) * np.exp(1j * np.pi / level * m)
+
+
+def _dft(rows, xs: np.ndarray, axis: int, level: int) -> np.ndarray:
+    """Re sum_theta' rows(x_a)(theta') exp(i theta' . x') for every row x of xs.
 
     theta' runs over the midpoint grid of the d - 1 axes other than
     ``axis``, and x' are the matching coordinates of x.  rows(c) returns
-    the weight rows of the coordinates c along ``axis`` as the columns of a
-    (level**(d - 1), len(c)) array; it is called on blocks of the
-    coordinates that occur in xs.  Each other axis is contracted once, by a
-    tensordot against exp(i theta c') for the coordinates c' that occur,
-    and each x reads Re(.) at its own coordinates, so negative coordinates
-    and |c| > level / 2 need no index folding.
+    the weight rows of the coordinates c along ``axis``, one row of
+    level**(d - 1) points per c; it is called on blocks of the coordinates
+    that occur in xs, each block at most ``_DFT_BLOCK`` entries or one
+    row.  One inverse FFT of each row over the d - 1 axes gives every x' at
+    once (Cooley & Tukey, Math. Comp. 19, 1965); each x reads it at
+    x' mod N and turns it by ``_turn`` of sum x', so negative coordinates
+    and |c| > N / 2 need no other folding.
     """
-    d = len(xs[0])
-    grid = _grid_phase((1,), level).ravel()
-    ks, kwhere = np.unique([x[axis] for x in xs], return_inverse=True)
-    rest = [np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d) if ax != axis]
-    twiddles = [np.exp(1j * np.multiply.outer(grid, c)) for c, _ in rest]
-    block = max(1, _DFT_BLOCK // max(level, level ** (d - 1)))
+    d = xs.shape[1]
+    ks, kwhere = np.unique(xs[:, axis], return_inverse=True)
+    rest = np.delete(xs, axis, axis=1)
+    turn = _turn(rest.sum(axis=1), level)
+    at = tuple((rest % level).T)
+    block = max(1, _DFT_BLOCK // level ** (d - 1))
     out = np.empty(len(xs))
     for start in range(0, len(ks), block):
-        table = rows(ks[start : start + block]).reshape((level,) * (d - 1) + (-1,))
-        for tw in twiddles:
-            table = np.tensordot(table, tw, axes=([0], [0]))
-        # table axes: (x_a in this block, the other coordinates in axis order)
+        table = rows(ks[start : start + block]).reshape((-1,) + (level,) * (d - 1))
+        if d > 1:
+            table = np.fft.ifftn(table, axes=range(1, d), norm="forward")
         sel = (kwhere >= start) & (kwhere < start + block)
-        out[sel] = table[(kwhere[sel] - start,) + tuple(w[sel] for _, w in rest)].real
+        out[sel] = (table[(kwhere[sel] - start,) + tuple(a[sel] for a in at)] * turn[sel]).real
     return out
 
 
@@ -200,7 +213,7 @@ def _green_levels(
     """G_lambda(0, x), its aliasing bound and its rounding floor for each displacement.
 
     One grid of N = 4 pts points per axis serves every displacement (x and
-    -x share one evaluation): the origin is the mean of ``_inverse``, every
+    -x read one value): the origin is the mean of ``_inverse``, every
     x != 0 comes from ``_dft``.  On the k integrated axes (all d, or the
     d - 1 off the fibre axis) the midpoint rule aliases exactly:
     Q_N(x) - G(0, x) = sum_{m != 0} +-G(0, x + N m) (Trefethen & Weideman,
@@ -208,51 +221,34 @@ def _green_levels(
     |m|_inf = j are each at most e^{-kappa (jN - X)} / c(kappa)
     (``_ct_margin``), X = max |x_i| over those axes, kappa = max(kappa* -
     1/N, kappa*/2); summed in closed form for k <= 3 and X < N, infinite
-    otherwise.  The floor: eps sqrt(n) per sum of n terms (Higham & Mary,
-    SIAM J. Sci. Comput. 41, 2019), eps pi |x|_1 per phase and eps/delta
-    per unit term from the rounding of p-hat.
+    otherwise.  The floor: eps |G(0, 0)| / delta from the rounding of p-hat
+    (delta = c(0), the distance to the spectrum), eps pi |x_a| |G(0, 0)|
+    from the phase and power of each fibre row, and the FFT's rounding on a
+    mean of n = N^k weights w.  For N a power of two that is the radix-2
+    normwise bound t eta ||w||_2 / sqrt(n), with t = log2 n and
+    eta = u + gamma_4 (sqrt 2 + u) for twiddles within u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2).
+    The weights are at most |_inverse| <= 1/delta, which keeps one sign, so
+    ||w||_2 / sqrt(n) <= sqrt(|G(0, 0)| / delta); the bound also covers the
+    pairwise mean at the origin and the product with ``_turn``.  Other N
+    take mixed-radix or Bluestein passes, which that theorem does not
+    cover; there the floor keeps eps sqrt(n) (1 + pi |x|_1) |G(0, 0)|, the
+    generous probabilistic bound of a sum of n terms with phases pi |x|_1
+    (Higham & Mary, SIAM J. Sci. Comput. 41, 2019).
     """
     if pts_per_axis < PTS_FLOOR:
         raise GridTooCoarse(f"pts_per_axis must be >= {PTS_FLOOR}, got {pts_per_axis}")
     _guard_spectrum(kernel, lam)
     d = kernel.dimension
-    canon = {}
-    for x in displacements:
-        x = _as_offset(x, None)
+    keys = [_as_offset(x, None) for x in displacements]
+    for x in keys:
         if len(x) > d:
             raise DimensionMismatch(f"displacement {x} has dimension {len(x)}, above {d}")
-        # missing trailing coordinates are 0, so x = 0 is the origin in any d
-        full = x + (0,) * (d - len(x))
-        canon[x] = min(full, tuple(-c for c in full))
-    distinct = sorted(set(canon.values()))
-    origin = (0,) * d
-    others = [x for x in distinct if x != origin]
     axis = _fibre_axis(kernel.offset_array())
+    axes = [a for a in range(d) if a != axis]
     level = 4 * pts_per_axis
     base = _inverse(kernel, axis, lam, level)
-    means = {origin: float(np.mean(base))}
-    if others:
-        if axis is None:
-            def rows(c):
-                cols = base.reshape(-1, level)
-                phase = np.multiply.outer(_grid_phase((1,), level).ravel(), c)
-                table = cols @ np.cos(phase)
-                if d > 1:
-                    # base is real: the sine part matters only through the other axes
-                    table = table + 1j * (cols @ np.sin(phase, out=phase))
-                return table
-        else:
-            alpha, R, argz = _fibre_grid(kernel, axis, level)
-            rho = R / (lam - alpha + 1.0 / base)  # 1/base = sgn(A) s
-
-            def rows(c):
-                k = c[:, None]
-                # one row per k, handed over as columns by a transposed view
-                return (base * rho ** np.abs(k) * np.exp(-1j * k * argz)).T
-        values = _dft(rows, others, d - 1 if axis is None else axis, level) / base.size
-        means.update(zip(others, values.tolist()))
-
-    axes = [a for a in range(d) if a != axis]
+    g0 = float(np.mean(base))
     kstar = _kappa_star(kernel, lam, axes)
     kappa = max(kstar - 1.0 / level, 0.5 * kstar)
     r, s = math.exp(-kappa * level), -math.expm1(-kappa * level)  # s = 1 - r
@@ -260,15 +256,49 @@ def _green_levels(
     shells = {1: 2.0 / s, 2: 8.0 / s**2, 3: 24.0 * (1.0 + r) / s**3 + 2.0 / s}
     scale = shells.get(len(axes), math.inf) / _ct_margin(kernel, lam, axes, kappa)
     # off the spectrum _inverse keeps one sign: its mean magnitude is |mean|
-    eps_mean = math.ulp(1.0) * abs(means[origin])
+    ulp = math.ulp(1.0) * abs(g0)
     slope = 1.0 / _ct_margin(kernel, lam, axes, 0.0)  # c(0) = delta
-    results = {}
-    for x in distinct:
-        X = max(abs(x[a]) for a in axes)
-        alias = math.exp(-kappa * (level - X)) * scale if X < level else math.inf
-        phases = math.sqrt(base.size) * (1.0 + math.pi * sum(map(abs, x)))
-        results[x] = (means[x], alias, eps_mean * (phases + slope))
-    return {x: results[c] for x, c in canon.items()}
+    n = base.size
+    if n & (n - 1):  # odd factors: the floor grows with |x|_1
+        fft, per_x = ulp * math.sqrt(n), ulp * math.sqrt(n) * math.pi
+    else:
+        t, u = math.log2(n), 0.5 * math.ulp(1.0)
+        eta = u + 4.0 * u / (1.0 - 4.0 * u) * (math.sqrt(2.0) + u)
+        fft, per_x = t * eta / (1.0 - t * eta) * math.sqrt(abs(g0) * slope), 0.0
+    # x = 0 (missing trailing coordinates are 0, so in any d) is the plain mean
+    out = dict.fromkeys(keys, (g0, scale * r, ulp * slope + fft))
+    nonzero = [x for x in out if any(x)]
+    if not nonzero:
+        return out
+    xs = np.array([x + (0,) * (d - len(x)) for x in nonzero], dtype=np.int64)
+    size = np.abs(xs)
+    # x and -x read the same coordinates, the ones whose first nonzero entry is
+    # negative, so their values agree to the bit
+    lead = xs[np.arange(len(xs)), np.argmax(xs != 0, axis=1)]
+    xs[lead > 0] *= -1
+    if axis is None:
+        cols = base.reshape(-1, level)
+        step = max(1, _DFT_BLOCK // level)
+
+        def rows(c):
+            # sum_j cols[:, j] exp(2 pi i j c / N), turned onto the midpoint grid
+            lines = (cols[i : i + step] for i in range(0, len(cols), step))
+            table = np.concatenate([np.fft.ifft(b, norm="forward")[:, c % level] for b in lines])
+            return _turn(c, level)[:, None] * table.T
+    else:
+        alpha, R, argz = _fibre_grid(kernel, axis, level)
+        rho = R / (lam - alpha + 1.0 / base)  # 1/base = sgn(A) s
+
+        def rows(c):
+            k = c[:, None]
+            return base * rho ** np.abs(k) * np.exp(-1j * k * argz)
+    means = _dft(rows, xs, d - 1 if axis is None else axis, level) / n
+    X = size[:, axes].max(axis=1)
+    alias = np.where(X < level, scale * np.exp(kappa * (np.minimum(X, level) - level)), math.inf)
+    along = 0.0 if axis is None else size[:, axis]
+    rounding = ulp * (slope + math.pi * along) + fft + per_x * size.sum(axis=1)
+    out.update(zip(nonzero, zip(means.tolist(), alias.tolist(), rounding.tolist())))
+    return out
 
 
 def _certified(kernel: WalkKernel, lam: float, displacements, pts_per_axis: int):

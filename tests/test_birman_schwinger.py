@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sparsewalk import resolvent
 from sparsewalk.errors import (
     AlphaNotPositive,
     AlphaTooLarge,
+    BoxTooLarge,
     BSNotInvertible,
     EmptySupport,
     Epsilon0Zero,
@@ -19,7 +21,7 @@ from sparsewalk.errors import (
     SparseWalkError,
     TailRadiusTooLarge,
 )
-from sparsewalk.lattice import _sup_norm
+from sparsewalk.lattice import DENSE_CAP, _sup_norm
 
 
 def test_single_site_assembly():
@@ -350,3 +352,83 @@ def test_bs_matrix_symmetry_sparse_spec():
     off_diag = asm.matrix - np.diag(np.diag(asm.matrix))
     split = asm.matrix - asm.gamma * np.diag(asm.support_values) - off_diag
     assert np.max(np.abs(split)) < 1e-12
+
+
+def _sorted_search(sites):
+    """Distinct displacements of the site pairs by one sort, each pair's index by sorted search."""
+    pos = np.array(sites)
+    half = int((pos.max(axis=0) - pos.min(axis=0)).max())
+    side = 2 * half + 1
+    shape = (side,) * pos.shape[1]
+    weights = side ** np.arange(len(shape) - 1, -1, -1)
+    flat = pos @ weights
+    codes = flat[None, :] - flat[:, None] + half * int(weights.sum())
+    keys = np.sort(codes, axis=None)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    disp = [tuple(row) for row in (np.stack(np.unravel_index(keys, shape), axis=-1) - half).tolist()]
+    return disp, np.searchsorted(keys, codes)
+
+
+#: the 1d dense control's support, a 2d box centred off the origin, a small 3d set
+PAIR_SITES = {
+    "dense1d": lambda: [
+        s for s, _ in sw.dense_level(1, 1.0, 256).support(sw.LatticeBox.cube(256, 1))
+    ],
+    "box2d": lambda: sw.LatticeBox.cube(4, 2, center=(3, -2)).sites(),
+    "set3d": lambda: [(0, 0, 0), (1, -2, 3), (-4, 0, 1), (2, 2, -2), (5, -1, 0), (-3, 3, 3)],
+}
+
+
+#: the lazy nearest-neighbour walk on Z^3
+LAZY3D = {(0, 0, 0): 0.25}
+for _e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+    LAZY3D[_e] = LAZY3D[tuple(-c for c in _e)] = 0.125
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SITES))
+def test_pair_green_indices_match_sorted_search(monkeypatch, name):
+    sites = PAIR_SITES[name]()
+    kernel = {1: sw.simple1d(), 2: sw.simple2d(), 3: sw.validate_kernel(LAZY3D)}[len(sites[0])]
+    pts = 512 if kernel.dimension == 1 else 64  # 1d: displacements out to 512
+    disp, index = _sorted_search(sites)
+    G, table = bs._pair_green(kernel, 1.5, sites, pts)
+    assert list(table) == disp
+    assert np.array_equal(G, np.array([table[x] for x in disp])[index])
+    # a table of ranks shows the indices themselves, not only the values they read
+    monkeypatch.setattr(bs, "green_table", lambda k, lam, xs, pts: {x: i for i, x in enumerate(xs)})
+    ranks, _ = bs._pair_green(kernel, 1.5, sites, pts)
+    assert np.array_equal(ranks, index)
+
+
+@pytest.mark.parametrize("anchor", [None, ((3, 400, -300), 2.0)])
+def test_pair_green_memory_follows_the_sites_not_their_spread(monkeypatch, anchor):
+    # +-2^k e1 out to 512, the decay experiment's box, and an anchor off the axis: about
+    # 20 sites whose displacements span up to 2049 x 801 x 601 codes
+    spec = sw.build_geometric_sparse(3, 1.0, 2, box_radius=512, anchor=anchor)
+    sites = [s for s, _ in spec.support(sw.LatticeBox.cube(512, 3))]
+    disp, index = _sorted_search(sites)
+    kernel = sw.validate_kernel(LAZY3D)
+    monkeypatch.setattr(bs, "green_table", lambda k, lam, xs, pts: {x: i for i, x in enumerate(xs)})
+    tracemalloc.start()
+    try:
+        ranks, table = bs._pair_green(kernel, 1.5, sites, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(table) == disp
+    assert np.array_equal(ranks, index)
+    # the codes and the table keys are O(n^2); the code space is not
+    assert peak < 1000 * len(sites) ** 2, peak
+
+
+def test_pair_green_cap_comes_before_the_codes():
+    sites = [(i,) for i in range(DENSE_CAP + 1)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoxTooLarge):
+            bs._pair_green(sw.simple1d(), 1.5, sites, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n code array would take 8 n^2 bytes
+    assert peak < len(sites) ** 2

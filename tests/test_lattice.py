@@ -730,7 +730,8 @@ def _delta_pair(L=8):
 
 
 #: every count and radius read through lattice._count: (call, an integer it
-#: accepts, a value that is not an integer); the last four take a box or a radius
+#: accepts, a value that is not an integer); the last eight take a box, a
+#: radius or a horizon
 K1, DELTA = sw.simple1d(), sw.single_delta(1, 1.0)
 COUNT_CASES = {
     "fk_monte_carlo n": (lambda n: sw.fk_monte_carlo(K1, DELTA, None, n, 2000, seed=1), 5, 2.5),
@@ -765,6 +766,22 @@ COUNT_CASES = {
         lambda b: sw.neumann_invertibility(K1, DELTA, (), 1.5, 0.3, b).contraction, 16, 16.0
     ),
     "doob_kernel box": (lambda b: sw.doob_kernel(K1, DELTA, _delta_pair(), b).probs, 8, 8.0),
+    "make_potential box_radius": (
+        lambda b: sw.make_potential(1, {(3,): 1.0}, box_radius=b).box_radius, 8, 8.5
+    ),
+    "build_geometric_sparse box_radius": (
+        lambda b: sw.build_geometric_sparse(1, 1.0, 3, box_radius=b).sites, 40, 40.5
+    ),
+    "sparseness_profile box_radius": (
+        lambda b: sw.sparseness_profile(sw.build_geometric_sparse(1, 1.0, 3, 40), 0.5, b), 32, 32.0
+    ),
+    "convergence_rate n": (
+        lambda n: sw.convergence_rate(
+            K1, DELTA, sw.doob_kernel(K1, DELTA, _delta_pair(), 8), 1, [8, 9, n], lambda p: 1.0
+        ).deviations,
+        12,
+        12.5,
+    ),
 }
 
 

@@ -27,7 +27,6 @@ from sparsewalk.lattice import (
     char_on_grid,
 )
 from sparsewalk.resolvent import (
-    _DFT_BLOCK,
     _PTS_BISECT,
     CROSSING_XTOL,
     _g0_on_grid,
@@ -38,7 +37,7 @@ from sparsewalk.resolvent import (
 KERNELS = {"lazy1d": lambda: sw.lazy1d(0.25), "simple2d": sw.simple2d}
 
 
-# -- full-grid reference: the cosine-weighted mean and its separable DFT ------
+# -- full-grid reference: the cosine-weighted mean and its FFT ----------------
 
 def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
     """1/(lam - p-hat) on a flattened grid, weighted by cos(theta . x)."""
@@ -47,31 +46,31 @@ def _integrand(base: np.ndarray, x: tuple[int, ...], level: int) -> np.ndarray:
     return (base.reshape((level,) * len(x)) * np.cos(_grid_phase(x, level))).ravel()
 
 
-def _partial_dft(base: np.ndarray, xs: list[tuple[int, ...]], level: int) -> np.ndarray:
-    """mean(base * cos(theta . x)) for every x in xs, as one separable DFT.
+def _shift(c, level: int):
+    """exp(i theta_j c) / exp(2 pi i j c / N) on the midpoint grid: (-1)^c exp(i pi c / N)."""
+    m = (c + level) % (2 * level) - level  # the same factor for c and c mod 2N
+    return np.where(m % 2, -1.0, 1.0) * np.exp(1j * np.pi / level * m)
 
-    The last axis is contracted by two real matmuls against cos and sin of
-    theta * c, in blocks of columns; every other axis by a tensordot
-    against exp(i theta c').
+
+def _fft_means(base: np.ndarray, xs, level: int) -> np.ndarray:
+    """mean(base * cos(theta . x)) for every x in xs, by FFT.
+
+    The last axis is contracted by an inverse FFT of every grid line, read
+    at x_last mod N and shifted to the midpoint grid: one row per distinct
+    x_last, in increasing order.  The other axes take one inverse FFT of
+    each row, read at x' mod N and shifted by the sum of x'.
     """
-    d = len(xs[0])
-    axis = _grid_phase((1,), level).ravel()
-    coords, where = zip(*(np.unique([x[ax] for x in xs], return_inverse=True) for ax in range(d)))
-    twiddles = [np.exp(1j * np.multiply.outer(axis, c)) for c in coords[:-1]]
-    rows = base.reshape(-1, level)
-    block = max(1, _DFT_BLOCK // max(level, len(rows)))
-    out = np.empty(len(xs))
-    for start in range(0, len(coords[-1]), block):
-        phase = np.multiply.outer(axis, coords[-1][start : start + block])
-        table = rows @ np.cos(phase)
-        if d > 1:
-            table = table + 1j * (rows @ np.sin(phase, out=phase))
-        table = table.reshape((level,) * (d - 1) + (-1,))
-        for tw in twiddles:
-            table = np.tensordot(table, tw, axes=([0], [0]))
-        sel = (where[-1] >= start) & (where[-1] < start + block)
-        out[sel] = table[(where[-1][sel] - start,) + tuple(w[sel] for w in where[:-1])].real
-    return out / level**d
+    xs = np.array(xs)
+    d = xs.shape[1]
+    ks, where = np.unique(xs[:, -1], return_inverse=True)
+    lines = np.fft.ifft(base.reshape(-1, level), norm="forward")[:, ks % level]
+    rows = _shift(ks, level)[:, None] * lines.T
+    rows = rows.reshape((len(ks),) + (level,) * (d - 1))
+    if d > 1:
+        rows = np.fft.ifftn(rows, axes=range(1, d), norm="forward")
+    rest = xs[:, :-1]
+    values = rows[(where,) + tuple((rest % level).T)] * _shift(rest.sum(axis=1), level)
+    return values.real / base.size
 
 
 def test_quadrature_simple_walk():
@@ -171,7 +170,7 @@ def test_green_table_matches_direct_means_2d(lam):
     for level in (pts, 2 * pts, 4 * pts):
         base = 1.0 / (lam - char_on_grid(k, level))
         direct = [float(np.mean(_integrand(base, x, level))) for x in xs]
-        assert _partial_dft(base, xs, level) == pytest.approx(direct, abs=1e-14), level
+        assert list(_fft_means(base, xs, level)) == pytest.approx(direct, abs=1e-14), level
     # green_table reports the finest level
     assert [table[x] for x in xs] == pytest.approx(direct, abs=1e-14)
 
@@ -212,9 +211,10 @@ def test_kappa_star_far_from_the_spectrum():
         assert rate == pytest.approx(math.acosh(abs(lam)), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("pts", [64, 256])
+@pytest.mark.parametrize("pts", [64, 67, 100, 256])
 def test_error_bound_holds_against_closed_form_1d(pts):
-    # at pts 64 the aliasing bound dominates near the edge, at 256 the rounding floor
+    # at pts 64 the aliasing bound dominates near the edge, at 256 the rounding floor;
+    # N = 268 and 400 have odd factors, outside the radix-2 FFT bound
     q = 0.25
     k = sw.lazy1d(q)
     xs = list(range(41))
@@ -224,6 +224,19 @@ def test_error_bound_holds_against_closed_form_1d(pts):
             value, alias, rounding = levels[(x,)]
             exact = sw.g_lambda_closed_1d(q, lam, x).value / lam
             assert abs(value - exact) <= alias + rounding, (lam, x)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.25])
+@pytest.mark.parametrize("lam", [1.05, 1.25, 2.0, -2.0])
+def test_far_green_table_matches_closed_form_1d(q, lam):
+    # out to |x| = N / 2 at N = 2048, the rounding must not grow with the phase pi |x|
+    xs = list(range(1025))
+    levels = resolvent._green_levels(sw.lazy1d(q), lam, xs, 512)
+    for x in xs:
+        value, alias, rounding = levels[(x,)]
+        error = abs(value - sw.g_lambda_closed_1d(q, lam, x).value / lam)
+        assert error <= alias + rounding, x
+        assert error <= 1e-15, x
 
 
 def test_error_bound_holds_between_grids_2d():
@@ -487,7 +500,7 @@ FIBRE_CASES = {
 def _full_grid_means(k, lam, xs, level):
     # the plain mean over the full torus grid, uncached
     base = 1.0 / (lam - _char_grid(k.offsets, k.probs, level).ravel())
-    return np.mean(base), _partial_dft(base, xs, level)
+    return np.mean(base), _fft_means(base, xs, level)
 
 
 @pytest.mark.parametrize("name", FIBRE_CASES)
@@ -525,13 +538,11 @@ def test_no_range1_axis_stays_on_full_grid(lam):
     xs = [(1, 0), (2, -3), (0, 5), (-4, 1)]
     pts = 64
     table = sw.green_table(k, lam, xs + [(0, 0)], pts)
-    # bit-identical to the full-grid route at the finest level
+    # bit-identical to the FFT of the full grid at the finest level
     base = 1.0 / (lam - char_on_grid(k, 4 * pts))
     assert table[(0, 0)] == float(np.mean(base))
     canon = [min(x, tuple(-c for c in x)) for x in xs]
-    order = sorted(canon)
-    values = dict(zip(order, _partial_dft(base, order, 4 * pts)))
-    assert [table[x] for x in xs] == [float(values[c]) for c in canon]
+    assert [table[x] for x in xs] == list(_fft_means(base, canon, 4 * pts))
     g = _g0_on_grid(k, lam, 128)
     assert g == lam * np.mean(1.0 / (lam - char_on_grid(k, 128)))
 
@@ -558,8 +569,8 @@ def test_full_grid_dft_matches_reference_at_every_level(monkeypatch, lam):
     [(order, axis, level, out)] = calls
     assert axis == 1 and level == 4 * pts
     base = 1.0 / (lam - char_on_grid(k, level))
-    assert list(out / base.size) == list(_partial_dft(base, order, level))
-    finest = dict(zip(order, out / level**2))
+    assert list(out / base.size) == list(_fft_means(base, order, level))
+    finest = dict(zip(map(tuple, order.tolist()), out / base.size))
     assert [levels[x][0] for x in xs] == [float(finest[min(x, tuple(-c for c in x))]) for x in xs]
 
 

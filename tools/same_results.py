@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus seventeen sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus eighteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -53,7 +53,9 @@ number the ``spectrum`` experiment writes per box radius (r, ell, gap,
 abs_gap, second_abs and the decay rate and fit rms of the top
 eigenfunction) and its discrete eigenvalues, from ``spectral_report`` on
 the setting of ``spectrum_anchor.json`` and on the lazy 1d walk
-(q = 0.3) under the same potential and radii.
+(q = 0.3) under the same potential and radii; and ``green1d_far``, the
+``green_table`` values of the lazy 1d walk (q = 0.25) and the simple 1d
+walk at lambda = 1.05, 2 and -2 and |x| up to 1024, at pts 512.
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -72,8 +74,8 @@ value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
 ``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d``,
-``saddle2d``, ``irreducible`` or ``report1d`` section still loads; that
-section is then left out of the comparison.
+``saddle2d``, ``irreducible``, ``report1d`` or ``green1d_far`` section
+still loads; that section is then left out of the comparison.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ GREEN_ND_TARGET = 1.0 + 1.0 / 3.5
 GREEN_ND_LAMBDAS = (1.3, -1.5)
 DIAGONAL_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.15, (0, -1): 0.15, (1, 1): 0.2, (-1, -1): 0.2}
 DIAGONAL_XS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)] + [(70, -3), (-5, 33)]
+#: the far 1d case: tables of GREEN1D_FAR_KERNELS at GREEN1D_FAR_LAMBDAS and
+#: pts 512, out to |x| = 1024 = 2 pts
+GREEN1D_FAR_KERNELS = {"lazy1d(0.25)": lambda: sw.lazy1d(0.25), "simple1d": sw.simple1d}
+GREEN1D_FAR_LAMBDAS = (1.05, 2.0, -2.0)
+GREEN1D_FAR_XS = (1, 10, 100, 512, 1000, 1024)
 #: the full-grid 2d case: pts-64 tables at GREEN_ND_LAMBDAS of a kernel
 #: with no range-1 axis, on the displacements of the diagonal case
 RANGE2_2D = {(1, 0): 0.15, (-1, 0): 0.15, (0, 2): 0.15, (0, -2): 0.15, (2, 1): 0.2, (-2, -1): 0.2}
@@ -230,7 +237,7 @@ REPORT1D_Q = 0.3
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
     "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d", "saddle2d",
-    "irreducible", "report1d",
+    "irreducible", "report1d", "green1d_far",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -277,6 +284,7 @@ def fingerprint() -> dict:
         "saddle2d": {"lower": repr(sw.validate_kernel(SADDLE2D).lower)},
         "irreducible": irreducible(),
         "report1d": report1d(),
+        "green1d_far": green1d_far(),
     }
 
 
@@ -492,6 +500,17 @@ def green_full2d() -> dict:
         table = sw.green_table(kernel, lam, DIAGONAL_XS, 64)
         for x in DIAGONAL_XS:
             out[f"range2 {lam} G{x}"] = repr(table[x])
+    return out
+
+
+def green1d_far() -> dict:
+    """Reprs of far 1d Green tables, above and below the spectrum."""
+    out = {}
+    for name, make in GREEN1D_FAR_KERNELS.items():
+        for lam in GREEN1D_FAR_LAMBDAS:
+            table = sw.green_table(make(), lam, GREEN1D_FAR_XS, 512)
+            for x in GREEN1D_FAR_XS:
+                out[f"{name} {lam} G({x})"] = repr(table[(x,)])
     return out
 
 
