@@ -33,6 +33,7 @@ from .errors import (
     EmptySupport,
     Epsilon0Zero,
     NoSignChange,
+    SpreadTooLarge,
     TailRadiusTooLarge,
 )
 from .lattice import (
@@ -85,13 +86,16 @@ def _pair_green(kernel: WalkKernel, lam: float, sites, pts_per_axis: int):
     sort and a sorted search do, so no temporary outgrows the n x n codes.
     The n x n temporaries die with this frame, before the caller allocates
     its own n x n matrices.  More than ``lattice.DENSE_CAP`` sites raise
-    BoxTooLarge before the codes are built.
+    BoxTooLarge, and sites whose code space passes 2^63 SpreadTooLarge,
+    before the codes are built.
     """
     n = len(sites)
     _dense_cap(n)
     pos = np.array(sites)
     half = pos.max(axis=0) - pos.min(axis=0)
     shape = tuple((2 * half + 1).tolist())
+    if math.prod(shape) > 1 << 63:  # the codes are int64
+        raise SpreadTooLarge(f"displacement codes of sites spread {half.tolist()} pass 2^63")
     weights = np.cumprod((1,) + shape[:0:-1])[::-1]  # row-major strides
     flat = pos @ weights
     codes = (flat + int(half @ weights))[None, :] - flat[:, None]

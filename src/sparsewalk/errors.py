@@ -184,6 +184,13 @@ class TailRadiusTooLarge(SparseWalkError, ValueError):
     """
 
 
+class SpreadTooLarge(SparseWalkError, ValueError):
+    """Sites spread so far that their displacement codes would pass 2^63.
+
+    Also a ValueError, like NoSignChange.
+    """
+
+
 # -- spectral truncations ---------------------------------------------------
 
 class BoxTooLarge(SparseWalkError):

@@ -15,13 +15,18 @@ the Gibbs marginals converge to the law of that chain at the geometric
 rate set by the absolute spectral gap.  This module computes the exact
 semigroup and marginals by transfer matrices, simulates the chain, runs
 unbiased Monte Carlo with a counter-based RNG, and fits the convergence
-and partition-growth rates.  The Monte Carlo runs time-major: one step
-updates the weights and positions of a whole chunk of paths, two vectors
-that stay in cache, and multiplies each path's factors from the left as
-``prod`` along the path would, so its estimates are bit for bit those of
-a path-major array of positions reduced by ``prod``.  Every M^m f comes
-from one sweep, ``lattice._powers``, and each reader keeps only the
-powers it uses: ``convergence_rate`` reads all n from one pass to max(n).
+and partition-growth rates.  The Monte Carlo picks each step by comparing
+raw Philox words with integer limits, which split the words exactly where
+the uniforms made of them cross the cumulative step probabilities, and runs
+time-major: one step updates the weights and positions of a whole chunk of
+paths, two vectors that stay in cache, and multiplies each path's factors
+from the left as ``prod`` along the path would, so its estimates are bit
+for bit those of uniforms and a path-major array of positions reduced by
+``prod``.  One generator, ``_fk_weights``, yields the weights chunk by
+chunk and one reducer, ``_estimates``, reads the mean and standard error
+of any prefix of them.  Every M^m f comes from one sweep,
+``lattice._powers``, and each reader keeps only the powers it uses:
+``convergence_rate`` reads all n from one pass to max(n).
 
 K has the sparsity of p, so the chain keeps its rows on the band of the
 truncation (one column per kernel offset, zero weight for a neighbour
@@ -35,6 +40,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -226,32 +232,61 @@ def fk_monte_carlo(
     multiplicative weight prod (1 + V); f is a callable on an (m, d) site
     array that returns m values, or None for f = 1.  Randomness comes in
     fixed chunks keyed by (seed, chunk), so the estimate is reproducible
-    however the chunks are scheduled.  Returns (estimate, standard error).
+    however the chunks are scheduled, and the first k paths of a run are
+    the k paths of a run of k samples.  Returns (estimate, standard error).
 
-    A chunk draws its uniforms as one (m, n) block and runs time-major:
-    the offset indices, in the narrowest unsigned type that holds them, are
-    transposed to (n, m), and step t multiplies the m weights by 1 + V at
-    the current sites, then moves the m positions; both vectors stay in
-    cache.  Each weight takes its factors from the left, t = 0 .. n-1, the
-    order numpy's ``prod`` multiplies along a path in, so the estimates are
-    bit for bit those of ``prod`` over an (m, n) array of path sites.
-    n < 0 raises NegativeStepCount, an n or a sample count that is not an
-    integer CountNotInteger, and an f that does not return one value per
-    path ShapeMismatch.
+    The path weights come from ``_fk_weights``, one chunk at a time, and
+    ``_estimates`` reduces them.  n < 0 raises NegativeStepCount, an n or a
+    sample count that is not an integer CountNotInteger, and an f that does
+    not return one value per path ShapeMismatch.
     """
     n, samples = _count(n, "n"), _count(samples, "samples")
     if samples < MIN_SAMPLES:
         raise TooFewSamples(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if n < 0:
         raise NegativeStepCount(f"n must be >= 0, got {n}")
+    return _estimates(_fk_weights(kernel, spec, f, n, samples, seed, x0), (samples,))[0]
+
+
+def _step_limits(cum) -> np.ndarray:
+    """Raw Philox words at which each cumulative threshold c is reached.
+
+    ``Generator.random`` returns u = (raw >> 11) * 2^-53, so u >= c holds
+    exactly when raw >= ceil(c 2^53) << 11.  A threshold c >= 1 is never
+    reached (its word would not fit in 64 bits) and is dropped; the sums
+    increase, so only trailing ones go.
+    """
+    return np.array(
+        [math.ceil(Fraction(c) * 2**53) << 11 for c in cum.tolist() if c < 1.0], dtype=np.uint64
+    )
+
+
+def _fk_weights(
+    kernel: WalkKernel, spec: PotentialSpec | None, f, n: int, samples: int, seed: int, x0
+):
+    """Yield the path weights f(x0 + S_n) prod (1 + V) of each chunk of samples.
+
+    A chunk of m paths draws its m n raw Philox words as one (m, n) block
+    and picks each step by comparing the words with ``_step_limits``, so
+    the steps are those of ``random`` compared with the cumulative sums.
+    It then runs time-major: the offset indices, in the narrowest unsigned
+    type that holds them, are transposed to (n, m), and step t multiplies
+    the m weights by 1 + V at the current sites, then moves the m
+    positions; both vectors stay in cache.  Each weight takes its factors
+    from the left, t = 0 .. n-1, the order numpy's ``prod`` multiplies
+    along a path in, so the weights are bit for bit those of ``prod`` over
+    an (m, n) array of path sites.  Arguments are checked by the caller.
+    """
     d = kernel.dimension
     x0 = (0,) * d if x0 is None else _as_offset(x0, d)
     offsets = kernel.offset_array()
     # offset k is drawn when cum[k - 1] <= u < cum[k]; the last one also
-    # takes the rounding gap below 1, so its cumulative sum is not needed
-    cum = np.cumsum(kernel.prob_array())[:-1]
-    # the narrowest unsigned type that holds every offset index 0 .. len(cum)
-    index_dtype = np.min_scalar_type(len(cum))
+    # takes the rounding gap below 1, so its cumulative sum is not needed.
+    # The first offset has a mirror of the same weight, so cum[0] is about
+    # 1/2 at most and limits[0] always exists
+    limits = _step_limits(np.cumsum(kernel.prob_array())[:-1])
+    # the narrowest unsigned type that holds every offset index 0 .. len(limits)
+    index_dtype = np.min_scalar_type(len(limits))
     # dense potential lookup covering the walk range
     reach = n * kernel.reach + max((abs(c) for c in x0), default=0)
     vbox = LatticeBox.cube(max(reach, 1), d)
@@ -260,16 +295,12 @@ def fk_monte_carlo(
     flat_steps = vbox.flat(offsets) - vbox.origin_index()
     flat0 = vbox.flat(x0)
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
+    for done in range(0, samples, MC_CHUNK):
         m = min(MC_CHUNK, samples - done)
-        rng = counter_rng(seed, done // MC_CHUNK)
-        u = rng.random((m, n))
-        step = (u >= cum[0]).astype(index_dtype)  # index of the offset drawn
-        for c in cum[1:]:
-            step += u >= c
+        raw = counter_rng(seed, done // MC_CHUNK).bit_generator.random_raw((m, n))
+        step = (raw >= limits[0]).astype(index_dtype)  # index of the offset drawn
+        for limit in limits[1:]:
+            step += raw >= limit
         step = np.ascontiguousarray(step.T)  # row t: the offsets of step t
         pos = np.full(m, flat0, dtype=flat_steps.dtype)
         w = np.ones(m)
@@ -282,12 +313,33 @@ def fk_monte_carlo(
             if fv.shape != (m,):
                 raise ShapeMismatch(f"f returned shape {fv.shape} for {m} end sites; need ({m},)")
             w *= fv
+        yield w
+
+
+def _estimates(weights, counts) -> list[tuple[float, float]]:
+    """(mean, standard error) over the first k weights of a chunk stream, per k.
+
+    counts must increase and the stream hold at least the last of them.
+    Each chunk adds its ``w[:j].sum()`` (and that of w * w) from left to
+    right, so a k is reduced exactly as a stream of k weights would be,
+    and one stream gives every k without holding the weights.
+    """
+    out: list[tuple[float, float]] = []
+    total = total_sq = 0.0
+    done = 0
+    for w in weights:
+        sq = w * w
+        for k in counts[len(out) :]:
+            if k > done + len(w):
+                break
+            s, s_sq = total + float(w[: k - done].sum()), total_sq + float(sq[: k - done].sum())
+            mean = s / k
+            var = max(s_sq / k - mean * mean, 0.0) * k / (k - 1)
+            out.append((mean, math.sqrt(var / k)))
         total += float(w.sum())
-        total_sq += float((w * w).sum())
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        total_sq += float(sq.sum())
+        done += len(w)
+    return out
 
 
 def _prefix_law(kernel: WalkKernel, dvec, box: LatticeBox, k: int, back, partition: float) -> dict:

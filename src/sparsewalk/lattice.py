@@ -13,14 +13,15 @@ boxes and the one stepper of its weighted powers M^m f, M = (1 + V) P
 (``_powers``), exact return probabilities, and the plane-wave (Weyl) residual
 diagnostics used to witness essential spectrum.  P acts on a box through one
 slice stencil, ``_stencil``, which ``apply_P`` and the truncation's matvecs
-call.  p-hat on a tensor grid comes from one evaluator, ``_char_grid``, and
-along the fibres of a range-1 axis from one other, ``_fibre_parts``; min
-p-hat is computed once, in ``validate_kernel``, and kept as
-``WalkKernel.lower``; the same call decides irreducibility exactly, by
-Euclid's algorithm on the support vectors.  A box owns its row-major site
-index, ``LatticeBox.flat``.  The band of P on a box, one row per site,
-comes from ``_neighbour_table`` and its dense form from ``_band_dense``;
-only readers of rows use it (dense M and S, the Doob chain).
+call; ``_slice_plan`` builds its slices once per offsets and box shape.
+p-hat on a tensor grid comes from one evaluator, ``_char_grid``, and along
+the fibres of a range-1 axis from one other, ``_fibre_parts``; min p-hat is
+computed once, in ``validate_kernel``, and kept as ``WalkKernel.lower``;
+the same call decides irreducibility exactly, by Euclid's algorithm on the
+support vectors.  A box owns its row-major site index, ``LatticeBox.flat``.
+The band of P on a box, one row per site, comes from ``_neighbour_table``
+and its dense form from ``_band_dense``; only readers of rows use it (dense
+M and S, the Doob chain).
 """
 
 from __future__ import annotations
@@ -419,23 +420,34 @@ def apply_P(kernel: WalkKernel, f: np.ndarray, box: LatticeBox) -> np.ndarray:
         raise BoxTooSmall(f"box radius {box.radius} must exceed kernel range {kernel.reach}")
     if f.shape != box.shape:
         raise ShapeMismatch(f"f shape {f.shape} does not match box shape {box.shape}")
-    return _stencil([tuple(-c for c in off) for off in kernel.offsets], kernel.probs, f)
+    return _stencil(kernel.offsets, kernel.probs, f, sign=-1)
 
 
-def _stencil(offsets, probs, g: np.ndarray) -> np.ndarray:
-    """sum_k probs[k] g[x + offsets[k]] at every x of a box, zero outside it.
+def _stencil(offsets, probs, g: np.ndarray, sign: int = 1) -> np.ndarray:
+    """sum_k probs[k] g[x + sign offsets[k]] at every x of a box, zero outside it.
 
     The one applicator of P on a box.  The leading len(offsets[0]) axes of g
     are the box, any further axes (a block of columns) are carried along;
-    each |offset| must be shorter than the box side.  Terms are added in the
-    given order, one shifted slice each: no padding and no gather.
+    each |offset| must be shorter than the box side and offsets a tuple of
+    tuples.  Terms are added in the given order, one shifted slice each: no
+    padding and no gather.
     """
     out = np.zeros_like(g)
-    for off, p in zip(offsets, probs):
-        dst = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, g.shape))
-        src = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, g.shape))
+    for (dst, src), p in zip(_slice_plan(offsets, g.shape[: len(offsets[0])], sign), probs):
         out[dst] += p * g[src]
     return out
+
+
+@lru_cache(maxsize=64)
+def _slice_plan(offsets, shape: tuple[int, ...], sign: int) -> tuple:
+    """The (destination, source) slices of ``_stencil``, one pair per offset."""
+    plan = []
+    for off in offsets:
+        off = [sign * o for o in off]
+        dst = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, shape))
+        src = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, shape))
+        plan.append((dst, src))
+    return tuple(plan)
 
 
 def _powers(kernel: WalkKernel, dvec: np.ndarray, f: np.ndarray, n: int, box: LatticeBox):
@@ -507,12 +519,21 @@ def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
     lam = float(_char_eval(kernel.offset_array(), kernel.prob_array(), th[None, :])[0])
     r = kernel.reach
     box = LatticeBox.cube(n + 2 * r + 1, kernel.dimension)
-    sites = box.sites()
-    supp = np.max(np.abs(sites), axis=1) <= n + r
-    wave = np.exp(1j * (sites @ th)) * supp
-    wave = wave.reshape(box.shape)
+    wave = _plane_wave(box, th, n + r)
     resid = lam * wave - apply_P(kernel, wave, box)
     return float(np.linalg.norm(resid) / np.linalg.norm(wave))
+
+
+def _plane_wave(box: LatticeBox, theta: np.ndarray, radius: int) -> np.ndarray:
+    """exp(i theta . x) on the box, zero outside Q(0, radius).
+
+    The (volume, d) site array and the phases die on return, before P acts
+    on the wave; in 2d the sites alone take as many bytes as the wave.
+    Criterion 14's wave on Q(0, 203) sets the peak memory of the criteria.
+    """
+    sites = box.sites()
+    supp = np.max(np.abs(sites), axis=1) <= radius
+    return (np.exp(1j * (sites @ theta)) * supp).reshape(box.shape)
 
 
 def weyl_scaling_fit(kernel: WalkKernel, theta, ns) -> tuple[float, list[float]]:

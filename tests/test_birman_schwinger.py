@@ -19,6 +19,7 @@ from sparsewalk.errors import (
     LambdaNotFinite,
     NoSignChange,
     SparseWalkError,
+    SpreadTooLarge,
     TailRadiusTooLarge,
 )
 from sparsewalk.lattice import DENSE_CAP, _sup_norm
@@ -432,3 +433,16 @@ def test_pair_green_cap_comes_before_the_codes():
         tracemalloc.stop()
     # one n x n code array would take 8 n^2 bytes
     assert peak < len(sites) ** 2
+
+
+def test_pair_green_spread_past_int64_is_named(monkeypatch):
+    # per-axis code sides of about 2^23: their product passes 2^63
+    sites = [(0, 0, 0), (2**22, 2**22, 2**22), (5, -3, 1)]
+
+    def no_table(*args):
+        raise AssertionError("read the Green table before checking the codes")
+
+    monkeypatch.setattr(bs, "green_table", no_table)
+    with pytest.raises(SpreadTooLarge) as info:
+        bs._pair_green(sw.validate_kernel(LAZY3D), 1.5, sites, 64)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)

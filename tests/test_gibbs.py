@@ -356,6 +356,59 @@ def test_fk_monte_carlo_matches_the_site_array_reference(case):
     assert got == _fk_by_positions(make(), spec, f, n, 9000, 11, x0)
 
 
+#: a valid 2d kernel whose cumulative sum before the last offset passes 1:
+#: 1e-13, 0.5000000000001, 1.0000000000001
+OVER_ONE_2D = {(1, 0): 1e-13, (-1, 0): 1e-13, (0, 1): 0.5, (0, -1): 0.5}
+
+
+def _step_cums():
+    lazy = np.cumsum(sw.lazy1d(0.3).prob_array())[:-1]
+    over = np.cumsum(sw.validate_kernel(OVER_ONE_2D).prob_array())[:-1]
+    return [0.1, 1.0 / 3.0, 0.5, *lazy.tolist(), *over.tolist()]
+
+
+def test_step_limits_split_the_raw_words_as_the_uniforms():
+    cums = _step_cums()
+    assert max(cums) > 1.0
+    limits = gibbs._step_limits(np.array(cums))
+    assert limits.dtype == np.uint64
+    assert len(limits) == sum(c < 1.0 for c in cums)
+    for c, limit in zip((c for c in cums if c < 1.0), limits.tolist()):
+        # the word at the limit and the one below it
+        for raw in (limit, limit - 1):
+            u = (raw >> 11) * 2.0**-53
+            assert (np.uint64(raw) >= np.uint64(limit)) == (u >= c), (c, raw)
+    # Generator.random reads a raw word as (raw >> 11) 2^-53
+    raw = gibbs.counter_rng(7, 3).bit_generator.random_raw(1000)
+    assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, gibbs.counter_rng(7, 3).random(1000))
+
+
+@pytest.mark.parametrize("kernel", [lambda: sw.lazy1d(0.3), lambda: sw.validate_kernel(OVER_ONE_2D)])
+def test_steps_from_raw_words_are_the_steps_from_uniforms(kernel):
+    cum = np.cumsum(kernel().prob_array())[:-1]
+    limits = gibbs._step_limits(cum)
+    u = gibbs.counter_rng(5, 2).random((gibbs.MC_CHUNK, 20))
+    raw = gibbs.counter_rng(5, 2).bit_generator.random_raw((gibbs.MC_CHUNK, 20))
+    assert np.array_equal(sum(u >= c for c in cum), sum(raw >= limit for limit in limits))
+
+
+def test_criterion_13_reads_both_sample_sizes_from_one_run():
+    kernel, spec = sw.simple1d(), sw.single_delta(1, 1.0)
+    est1, err1 = sw.fk_monte_carlo(kernel, spec, None, 20, 100_000, seed=2024)
+    est3, err3 = sw.fk_monte_carlo(kernel, spec, None, 20, 300_000, seed=2024)
+    values = acceptance.criterion_13().values
+    assert (values["estimate"], values["stderr"], values["stderr_3x"]) == (est1, err1, err3)
+    assert values["ratio"] == err1 / err3
+
+
+def test_estimates_read_a_count_inside_a_chunk_as_a_run_of_that_count():
+    kernel, spec = sw.lazy1d(0.25), _geometric(1)()
+    counts = (1000, gibbs.MC_CHUNK, gibbs.MC_CHUNK + 1, 10_000)
+    weights = gibbs._fk_weights(kernel, spec, None, 9, counts[-1], 13, None)
+    got = gibbs._estimates(weights, counts)
+    assert got == [sw.fk_monte_carlo(kernel, spec, None, 9, k, seed=13) for k in counts]
+
+
 def _no_draws(seed, stream=0):
     raise AssertionError("drew before the input was checked")
 

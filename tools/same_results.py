@@ -76,6 +76,12 @@ fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d``,
 ``saddle2d``, ``irreducible``, ``report1d`` or ``green1d_far`` section
 still loads; that section is then left out of the comparison.
+
+BLAS runs single-threaded, as in ``perfbench/run.py``: the script sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy is imported, whatever the caller's environment holds.  The
+``eigen2d`` values move in their last digits with the thread count, so
+fingerprints taken under different default settings still compare equal.
 """
 
 from __future__ import annotations
@@ -85,10 +91,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 
