@@ -30,7 +30,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -527,13 +527,15 @@ def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
 def _plane_wave(box: LatticeBox, theta: np.ndarray, radius: int) -> np.ndarray:
     """exp(i theta . x) on the box, zero outside Q(0, radius).
 
-    The (volume, d) site array and the phases die on return, before P acts
-    on the wave; in 2d the sites alone take as many bytes as the wave.
+    The outer product of one wave per axis, exp(i theta_j x_j) 1[|x_j| <= radius],
+    so no (volume, d) site array or (volume,) phase array is built.
     Criterion 14's wave on Q(0, 203) sets the peak memory of the criteria.
     """
-    sites = box.sites()
-    supp = np.max(np.abs(sites), axis=1) <= radius
-    return (np.exp(1j * (sites @ theta)) * supp).reshape(box.shape)
+    waves = []
+    for t, c in zip(theta, box.center):
+        x = np.arange(c - box.radius, c + box.radius + 1)
+        waves.append(np.exp(1j * t * x) * (np.abs(x) <= radius))
+    return reduce(np.multiply.outer, waves)
 
 
 def weyl_scaling_fit(kernel: WalkKernel, theta, ns) -> tuple[float, list[float]]:

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -139,7 +139,13 @@ def _ct_margin(kernel: WalkKernel, lam: float, axes, kappa: float) -> float:
 
 
 def _kappa_star(kernel: WalkKernel, lam: float, axes) -> float:
-    """kappa*: the smallest root over ``axes`` of c(kappa), by ``_root`` from doubling brackets."""
+    """kappa*: the smallest root over ``axes`` of c(kappa), cached per (kernel, lam, axes)."""
+    return _kappa_star_cached(kernel, lam, tuple(axes))
+
+
+@lru_cache(maxsize=256)
+def _kappa_star_cached(kernel: WalkKernel, lam: float, axes: tuple[int, ...]) -> float:
+    """``_kappa_star`` by ``_root`` from doubling brackets, one root per axis."""
     roots = []
     for i in axes:
         margin = partial(_ct_margin, kernel, lam, (i,))

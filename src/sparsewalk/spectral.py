@@ -13,7 +13,9 @@ the operator is self-adjoint there.
 
 P acts on the box through the slice stencil of ``lattice._stencil``, one
 shifted slice per kernel offset.  The top eigenpairs (thick-restart block
-Lanczos on a basis bounded by RESTART_BLOCKS), power iteration,
+Lanczos on a basis bounded by RESTART_BLOCKS, on blocks of two rows, the
+thinnest that can show a repeated eigenvalue, and rerun on blocks of
+`count` rows when a wanted one repeats), power iteration,
 the spectral-projection fit and every eigen residual use these matrix-free
 products, at any box volume.  The truncation also keeps the band of P, one
 column per kernel offset (the box index of each neighbour and its P value,
@@ -98,9 +100,9 @@ BREAKDOWN_TOL = 1e-15
 #: than this fraction of ||S Q|| (rounding is amplified by the inverse)
 REORTH_TOL = 0.1
 
-#: the Lanczos basis holds at most RESTART_BLOCKS blocks of max(count, 2)
-#: rows (20 rows cannot separate the clustered top of the free simple walk
-#: at L = 150); a full basis restarts from the KEEP_BLOCKS * count Ritz
+#: the Lanczos basis holds at most RESTART_BLOCKS * max(count, 2) rows
+#: (20 rows cannot separate the clustered top of the free simple walk at
+#: L = 150); a full basis restarts from the KEEP_BLOCKS * count Ritz
 #: vectors at each end of the spectrum
 RESTART_BLOCKS = 20
 KEEP_BLOCKS = 3
@@ -249,41 +251,69 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     """Top `count` eigenpairs in both orderings, by thick-restart block Lanczos.
 
-    The block size is `count`, so an eigenvalue of multiplicity up to
-    `count` is found; the start block is seeded, so results repeat bit for
-    bit (Golub & Underwood 1977; Parlett, The Symmetric Eigenvalue Problem,
-    ch. 13).  Each new block is orthogonalized against the whole basis,
-    and once more when rounding could have been amplified (REORTH_TOL);
-    its row of T = Q S Q^T is that full projection.  The basis holds at
-    most RESTART_BLOCKS * max(count, 2) rows; a box of fewer than that
-    plus `count` sites is spanned whole instead, with no restart, and the
-    pairs are then exact.  When the basis is full,
-    Rayleigh-Ritz on T stops once every wanted pair (the top `count` by
-    value and the top `count` by |value|, which lie at the two ends of the
-    spectrum) has residual ||B y_last|| <= RITZ_TOL max(1, max |theta|),
-    B coupling the pending block to the last one.  Otherwise the basis
-    restarts from the KEEP_BLOCKS * count Ritz vectors at each end, T
-    from their values, and the pending block follows; its projection
-    couples it to every kept vector (Wu & Simon, SIAM J. Matrix Anal.
-    Appl. 22, 2000).  A direction that breaks down is refilled with a
-    seeded random vector orthogonal to the basis.  NoConvergence is raised
-    when STALL_RESTARTS restarts in a row bring no new smallest worst
-    residual.
+    The solve runs ``_lanczos`` on blocks of min(count, 2) rows.  Under a
+    fixed row cap a thin block reaches a higher polynomial degree per basis
+    row (Golub & Underwood 1977; Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000), but from a generic start a block of b rows finds only min(m, b)
+    copies of an m-fold eigenvalue.  Two rows are the thinnest block that
+    shows a repeat: when one of the wanted Ritz values (the top `count` by
+    value and by |value|) has another Ritz value within
+    PERIPHERAL_TOL max(1, max |theta|), a copy may be missing, and the
+    solve is rerun on blocks of `count` rows, which find every copy of an
+    eigenvalue of multiplicity up to `count`.  Counts 1 and 2, and every
+    rerun, take the `count` block from the start.  The start block is
+    seeded, so results repeat bit for bit.  Free 2d and 3d boxes, whose top
+    levels repeat by symmetry, pay for the thin run and the rerun.
     """
     count = _count(count, "count")
     if not 1 <= count <= MAX_PAIRS:
         raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
+    count = min(count, op.volume)
+    block = min(count, 2)
+    theta, want, vectors = _lanczos(op, count, block)
+    if block < count and _repeats(theta, want):
+        theta, want, vectors = _lanczos(op, count, count)
+    pairs = {
+        i: _make_pair(op, theta[i], x / np.linalg.norm(x)) for i, x in zip(want, vectors)
+    }
+    m = len(theta)
+    by_value = tuple(pairs[i] for i in range(m - 1, m - 1 - count, -1))
+    by_abs = tuple(pairs[i] for i in np.argsort(-np.abs(theta), kind="stable")[:count])
+    return EigenSolution(by_value=by_value, by_abs=by_abs)
+
+
+def _lanczos(
+    op: TruncatedOperator, count: int, block: int
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Ritz values, wanted indices and wanted Ritz vectors on `block`-row blocks.
+
+    Each new block is orthogonalized against the whole basis, and once
+    more when rounding could have been amplified (REORTH_TOL); its row of
+    T = Q S Q^T is that full projection (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13).  The basis holds at most RESTART_BLOCKS * max(count, 2)
+    rows; a box of fewer than that plus `block` sites is spanned whole
+    instead, with no restart, and the pairs are then exact.  When the basis
+    is full, Rayleigh-Ritz on T stops once every wanted pair (``_wanted``)
+    has residual ||B y_last|| <= RITZ_TOL max(1, max |theta|), B coupling
+    the pending block to the last one.  Otherwise the basis restarts from
+    the KEEP_BLOCKS * count Ritz vectors at each end, T from their values,
+    and the pending block follows; its projection couples it to every kept
+    vector (Wu & Simon).  A direction that breaks down is refilled with a
+    seeded random vector orthogonal to the basis.  NoConvergence is raised
+    when STALL_RESTARTS restarts in a row bring no new smallest worst
+    residual.  The wanted vectors come back as rows, in the order of the
+    indices.
+    """
     n = op.volume
-    count = min(count, n)
     # a box less than one block beyond the cap is spanned whole, so no
-    # pending block is ever cut below `count` rows and kept past a restart
+    # pending block is ever cut below `block` rows and kept past a restart
     cap = RESTART_BLOCKS * max(count, 2)
-    cap = cap if n >= cap + count else n
+    cap = cap if n >= cap + block else n
     keep = KEEP_BLOCKS * count
     rng = np.random.default_rng(LANCZOS_SEED)
     basis = np.empty((cap, n))  # orthonormal rows: kept Ritz vectors, then blocks
     T = np.zeros((cap, cap))  # Q S Q^T on the basis
-    nxt = np.linalg.qr(rng.standard_normal((n, count)))[0].T
+    nxt = np.linalg.qr(rng.standard_normal((n, block)))[0].T
     m = 0
     best, stalled = math.inf, 0
     while True:
@@ -302,7 +332,7 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
         else:
             # next block: the row space of w, refilled at breakdown
             u, sv, _ = np.linalg.svd(w.T, full_matrices=False)
-            nxt = u.T[: min(count, n - m)]
+            nxt = u.T[: min(block, n - m)]
             weak = sv[: len(nxt)] <= BREAKDOWN_TOL * scale
             refill = bool(weak.any())
             if refill:
@@ -327,19 +357,22 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
         basis[: 2 * keep] = Y[:, kept].T @ V
         T[: 2 * keep, : 2 * keep] = np.diag(theta[kept])
         m = 2 * keep
-    vectors = Y[:, want].T @ basis[:m]
-    pairs = {
-        i: _make_pair(op, theta[i], x / np.linalg.norm(x)) for i, x in zip(want, vectors)
-    }
-    by_value = tuple(pairs[i] for i in range(m - 1, m - 1 - count, -1))
-    by_abs = tuple(pairs[i] for i in np.argsort(-np.abs(theta), kind="stable")[:count])
-    return EigenSolution(by_value=by_value, by_abs=by_abs)
+    return theta, want, Y[:, want].T @ basis[:m]
 
 
 def _wanted(theta: np.ndarray, count: int) -> list[int]:
     """Indices of the top `count` of ascending theta by value and by |value|."""
     top = range(len(theta) - count, len(theta))
     return sorted(set(top) | set(np.argsort(-np.abs(theta), kind="stable")[:count].tolist()))
+
+
+def _repeats(theta: np.ndarray, want: list[int]) -> bool:
+    """Whether a wanted value of ascending theta repeats.
+
+    A repeat is another value of theta within PERIPHERAL_TOL max(1, max |theta|).
+    """
+    close = np.diff(theta) <= PERIPHERAL_TOL * max(1.0, float(np.abs(theta).max()))
+    return bool((np.r_[False, close] | np.r_[close, False])[want].any())
 
 
 def perron_pair(op: TruncatedOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:

@@ -347,6 +347,55 @@ def test_eigensolve_top_returns_both_copies_of_a_double_eigenvalue():
     assert sol.by_value[3].value < double - 1e-3
 
 
+def test_eigensolve_top_returns_every_copy_of_a_triple_eigenvalue():
+    # free simple 3d walk on Q(0, 4): (cos(a pi/10) + cos(b pi/10) + cos(c pi/10)) / 3,
+    # so the (2,1,1) and (2,2,1) levels are triple; in exact arithmetic a
+    # two-row block finds only two copies of each
+    op = sw.truncated_operator(_lazy3d(0.0), None, 4)
+    triple = (math.cos(2 * math.pi / 10) + 2 * math.cos(math.pi / 10)) / 3
+    next_triple = (2 * math.cos(2 * math.pi / 10) + math.cos(math.pi / 10)) / 3
+    assert triple == pytest.approx(0.9037100090, abs=1e-10)
+    assert next_triple == pytest.approx(0.8563635017, abs=1e-10)
+    for count in (4, 6):
+        sol = sw.eigensolve_top(op, count)
+        copies = sol.by_value[1:4]
+        assert all(abs(pair.value - triple) <= 1e-12 for pair in copies)
+        psi = np.array([pair.phi / np.sqrt(op.dvec) for pair in copies])
+        gram = psi @ psi.T
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-10
+    assert all(abs(pair.value - next_triple) <= 1e-12 for pair in sol.by_value[4:6])
+
+
+@dataclasses.dataclass(frozen=True)
+class _WidthOperator(spectral.TruncatedOperator):
+    """A truncation that records the column width of each ``apply_S`` call."""
+
+    widths: list = dataclasses.field(default_factory=list)
+
+    def apply_S(self, f):
+        self.widths.append(f.shape[1])
+        return super().apply_S(f)
+
+
+@pytest.mark.parametrize(
+    "make, count, widths",
+    [
+        (_anchored_simple2d_12, 1, [1]),
+        (_anchored_simple2d_12, 2, [2]),
+        (_anchored_simple2d_12, 6, [2]),
+        # the double 0.97465721 repeats, so the two-row solve is rerun on 4 rows
+        (_free_simple2d, 4, [2, 4]),
+    ],
+)
+def test_eigensolve_top_widens_its_block_only_at_a_repeat(make, count, widths):
+    op = make()[2]
+    op = _WidthOperator(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
+    sw.eigensolve_top(op, count)
+    # one run, or a two-row run followed by a `count`-row run
+    assert op.widths == sorted(op.widths)
+    assert sorted(set(op.widths)) == widths
+
+
 def test_eigensolve_top_is_deterministic():
     _, _, op = _anchored("skew2d")
     one, two = sw.eigensolve_top(op, 3), sw.eigensolve_top(op, 3)

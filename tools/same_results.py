@@ -3,7 +3,7 @@
 Prints one JSON document holding the ``repr`` of every ``values`` entry of
 the 14 acceptance criteria and the sha256 of every artifact written by the
 nine CLI experiments on ``demos/configs`` (``doob`` and ``fk`` at a fixed
-seed), plus eighteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
+seed), plus nineteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
@@ -55,7 +55,12 @@ eigenfunction) and its discrete eigenvalues, from ``spectral_report`` on
 the setting of ``spectrum_anchor.json`` and on the lazy 1d walk
 (q = 0.3) under the same potential and radii; and ``green1d_far``, the
 ``green_table`` values of the lazy 1d walk (q = 0.25) and the simple 1d
-walk at lambda = 1.05, 2 and -2 and |x| up to 1024, at pts 512.
+walk at lambda = 1.05, 2 and -2 and |x| up to 1024, at pts 512; and
+``eigen_degenerate``, the ``eigensolve_top`` values by value and their
+residuals on two free truncations whose wanted eigenvalues repeat, so the
+solve is rerun on blocks of ``count`` rows: the simple 2d walk on Q(0, 10)
+at count 4 (a double eigenvalue) and the simple 3d walk on Q(0, 4) at
+count 6 (two triple ones).
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -74,7 +79,8 @@ value (or CLI exit code) moved beyond those tolerances.  A saved
 fingerprint without the ``bs2d``, ``kernels``, ``chain2d``, ``eigen2d``,
 ``green_nd``, ``green_full2d``, ``sturm``, ``gap2d``, ``crossings1d``,
 ``gibbs2d``, ``discrete1d``, ``shifted2d``, ``mc_nd``, ``bsscan1d``,
-``saddle2d``, ``irreducible``, ``report1d`` or ``green1d_far`` section
+``saddle2d``, ``irreducible``, ``report1d``, ``green1d_far`` or
+``eigen_degenerate`` section
 still loads; that section is then left out of the comparison.
 
 BLAS runs single-threaded, as in ``perfbench/run.py``: the script sets
@@ -243,11 +249,17 @@ IRREDUCIBLE_MOVES = {
 #: its kernel replaced by the lazy 1d walk at REPORT1D_Q
 REPORT1D_CONFIG = CONFIGS / "spectrum_anchor.json"
 REPORT1D_Q = 0.3
+#: the degenerate eigen case: (walk, L, count) of free truncations whose
+#: wanted eigenvalues repeat
+EIGEN_DEGENERATE = {
+    "simple2d L=10 count 4": (sw.simple2d, 10, 4),
+    "lazy3d(0.0) L=4 count 6": (lambda: lazy3d(0.0), 4, 6),
+}
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
     "bs2d", "kernels", "chain2d", "eigen2d", "green_nd", "green_full2d", "sturm", "gap2d",
     "crossings1d", "gibbs2d", "discrete1d", "shifted2d", "mc_nd", "bsscan1d", "saddle2d",
-    "irreducible", "report1d", "green1d_far",
+    "irreducible", "report1d", "green1d_far", "eigen_degenerate",
 )
 
 #: numeric literals inside a value's repr; the text between them must match
@@ -295,6 +307,7 @@ def fingerprint() -> dict:
         "irreducible": irreducible(),
         "report1d": report1d(),
         "green1d_far": green1d_far(),
+        "eigen_degenerate": eigen_degenerate(),
     }
 
 
@@ -389,6 +402,17 @@ def eigen2d() -> dict:
     for i, pair in enumerate(sol.by_abs):
         out[f"by_abs {i} modulus"] = repr(abs(pair.value))
         out[f"by_abs {i} residual"] = repr(pair.residual)
+    return out
+
+
+def eigen_degenerate() -> dict:
+    """Reprs of the top values and residuals of the degenerate eigen case."""
+    out = {}
+    for name, (walk, L, count) in EIGEN_DEGENERATE.items():
+        sol = sw.eigensolve_top(sw.truncated_operator(walk(), None, L), count)
+        for i, pair in enumerate(sol.by_value):
+            out[f"{name} by_value {i} value"] = repr(pair.value)
+            out[f"{name} by_value {i} residual"] = repr(pair.residual)
     return out
 
 
