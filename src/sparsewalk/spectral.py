@@ -15,13 +15,13 @@ P acts on the box through the slice stencil of ``lattice._stencil``, one
 shifted slice per kernel offset.  The top eigenpairs (thick-restart block
 Lanczos on a basis bounded by RESTART_BLOCKS, on blocks of two rows, the
 thinnest that can show a repeated eigenvalue, and rerun on blocks of
-`count` rows when a wanted one repeats), power iteration,
-the spectral-projection fit and every eigen residual use these matrix-free
-products, at any box volume.  The truncation also keeps the band of P, one
-column per kernel offset (the box index of each neighbour and its P value,
-zero for a neighbour outside the box), for the readers of rows: the Doob
-chain and the dense M and S, built on first use, only up to DENSE_CAP rows,
-where the whole spectrum or its bottom edge is needed.
+`count` rows when a wanted one repeats or the two-row run stalls), power
+iteration, the spectral-projection fit and every eigen residual use these
+matrix-free products, at any box volume.  The truncation also keeps the
+band of P, one column per kernel offset (the box index of each neighbour
+and its P value, zero for a neighbour outside the box), for the readers of
+rows: the Doob chain and the dense M and S, built on first use, only up
+to DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
 
 This module provides the truncation itself, a block Lanczos solver for the
 top eigenpairs, a power-iteration Perron solver (the positive ground state
@@ -251,27 +251,39 @@ def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPai
 def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     """Top `count` eigenpairs in both orderings, by thick-restart block Lanczos.
 
-    The solve runs ``_lanczos`` on blocks of min(count, 2) rows.  Under a
-    fixed row cap a thin block reaches a higher polynomial degree per basis
-    row (Golub & Underwood 1977; Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
-    2000), but from a generic start a block of b rows finds only min(m, b)
-    copies of an m-fold eigenvalue.  Two rows are the thinnest block that
-    shows a repeat: when one of the wanted Ritz values (the top `count` by
-    value and by |value|) has another Ritz value within
-    PERIPHERAL_TOL max(1, max |theta|), a copy may be missing, and the
+    The solve runs ``_lanczos`` on blocks of two rows when `count` exceeds
+    two.  Under a fixed row cap a thin block reaches a higher polynomial
+    degree per basis row (Golub & Underwood 1977; Wu & Simon, SIAM J.
+    Matrix Anal. Appl. 22, 2000), but from a generic start a block of b
+    rows finds only min(m, b) copies of an m-fold eigenvalue.  Two rows are
+    the thinnest block that shows a repeat, so a missing copy always leaves
+    one: when a wanted Ritz value (the top `count` by value and by |value|)
+    has another Ritz value within PERIPHERAL_TOL max(1, max |theta|), the
     solve is rerun on blocks of `count` rows, which find every copy of an
-    eigenvalue of multiplicity up to `count`.  Counts 1 and 2, and every
-    rerun, take the `count` block from the start.  The start block is
-    seeded, so results repeat bit for bit.  Free 2d and 3d boxes, whose top
-    levels repeat by symmetry, pay for the thin run and the rerun.
+    eigenvalue of multiplicity up to `count`.  That rerun guards a miss
+    that rounding has so far always prevented: on free 2d, 3d and 4d boxes
+    at counts 3 to 10 the two-row run returned every copy, to 5e-15.  The
+    solve is also rerun when the two-row run stalls (NoConvergence), as it
+    does on free lazy 3d boxes, where its residuals floor just above
+    RITZ_TOL (2.5e-14 on Q(0, 4) with holding 0.3 at count 7) and the
+    `count` block converges.  Counts 1 and 2, and every rerun, are the
+    `count`-row solve.  The start block is seeded, so results repeat bit
+    for bit.  Free 2d and 3d boxes, whose top levels repeat by symmetry,
+    pay for the two-row run and the rerun.
     """
     count = _count(count, "count")
     if not 1 <= count <= MAX_PAIRS:
         raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
     count = min(count, op.volume)
-    block = min(count, 2)
-    theta, want, vectors = _lanczos(op, count, block)
-    if block < count and _repeats(theta, want):
+    thin = None
+    if count > 2:
+        try:
+            thin = _lanczos(op, count, 2)
+        except NoConvergence:
+            pass
+    if thin is not None and not _repeats(thin[0], thin[1]):
+        theta, want, vectors = thin
+    else:
         theta, want, vectors = _lanczos(op, count, count)
     pairs = {
         i: _make_pair(op, theta[i], x / np.linalg.norm(x)) for i, x in zip(want, vectors)

@@ -294,6 +294,12 @@ def _tiny_box():
     return sw.simple1d(), None, sw.truncated_operator(sw.simple1d(), sw.single_delta(1, 1.0), 4)
 
 
+def _stalling_lazy3d():
+    # the two-row solve stalls here at Ritz residual 2.5e-14 for count 7, 8
+    # and 10; the `count`-row rerun converges
+    return None, None, sw.truncated_operator(_lazy3d(0.3), None, 4)
+
+
 def _anchored_simple2d_12():
     # 625 sites: above the RESTART_BLOCKS * count row cap for count 3 and 6
     kernel = sw.simple2d()
@@ -311,6 +317,9 @@ PARITY_CASES = {
     "free simple2d past the cap": (
         lambda: (None, None, sw.truncated_operator(sw.simple2d(), None, 5)), 6
     ),
+    # the (2,1,1) and (2,2,1) levels of the free 3d walk are triple
+    "free lazy3d Q(0,4)": (lambda: (None, None, sw.truncated_operator(_lazy3d(0.0), None, 4)), 6),
+    "lazy3d stalls on two rows": (_stalling_lazy3d, 7),
     "volume below count": (_tiny_box, 10),
     "box ends mid-block": (_tiny_box, 6),
 }
@@ -335,35 +344,25 @@ def test_eigensolve_top_matches_eigvalsh(case):
 
 
 def test_eigensolve_top_returns_both_copies_of_a_double_eigenvalue():
-    # free simple2d on Q(0, 10): (cos(pi/22) + cos(2 pi/22)) / 2 twice
-    _, _, op = _free_simple2d()
-    sol = sw.eigensolve_top(op, 4)
+    # free simple2d on Q(0, 10): (cos(pi/22) + cos(2 pi/22)) / 2 twice; and the
+    # free simple 3d walk on Q(0, 4), whose (2,1,1) level
+    # (cos(2 pi/10) + 2 cos(pi/10)) / 3 is triple: each copy once, with orthogonal psi
     double = (math.cos(math.pi / 22) + math.cos(2 * math.pi / 22)) / 2
-    assert double == pytest.approx(0.97465721, abs=1e-8)
-    first, second = sol.by_value[1], sol.by_value[2]
-    assert abs(first.value - double) <= 1e-12 and abs(second.value - double) <= 1e-12
-    psi = [pair.phi / np.sqrt(op.dvec) for pair in (first, second)]
-    assert abs(float(psi[0] @ psi[1])) <= 1e-10
-    assert sol.by_value[3].value < double - 1e-3
-
-
-def test_eigensolve_top_returns_every_copy_of_a_triple_eigenvalue():
-    # free simple 3d walk on Q(0, 4): (cos(a pi/10) + cos(b pi/10) + cos(c pi/10)) / 3,
-    # so the (2,1,1) and (2,2,1) levels are triple; in exact arithmetic a
-    # two-row block finds only two copies of each
-    op = sw.truncated_operator(_lazy3d(0.0), None, 4)
     triple = (math.cos(2 * math.pi / 10) + 2 * math.cos(math.pi / 10)) / 3
-    next_triple = (2 * math.cos(2 * math.pi / 10) + math.cos(math.pi / 10)) / 3
+    assert double == pytest.approx(0.97465721, abs=1e-8)
     assert triple == pytest.approx(0.9037100090, abs=1e-10)
-    assert next_triple == pytest.approx(0.8563635017, abs=1e-10)
-    for count in (4, 6):
+    cases = (
+        (_free_simple2d()[2], 4, double, 2),
+        (sw.truncated_operator(_lazy3d(0.0), None, 4), 6, triple, 3),
+    )
+    for op, count, level, copies in cases:
         sol = sw.eigensolve_top(op, count)
-        copies = sol.by_value[1:4]
-        assert all(abs(pair.value - triple) <= 1e-12 for pair in copies)
-        psi = np.array([pair.phi / np.sqrt(op.dvec) for pair in copies])
+        repeat = sol.by_value[1 : 1 + copies]
+        assert all(abs(pair.value - level) <= 1e-12 for pair in repeat)
+        psi = np.array([pair.phi / np.sqrt(op.dvec) for pair in repeat])
         gram = psi @ psi.T
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-10
-    assert all(abs(pair.value - next_triple) <= 1e-12 for pair in sol.by_value[4:6])
+        assert sol.by_value[1 + copies].value < level - 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -385,9 +384,11 @@ class _WidthOperator(spectral.TruncatedOperator):
         (_anchored_simple2d_12, 6, [2]),
         # the double 0.97465721 repeats, so the two-row solve is rerun on 4 rows
         (_free_simple2d, 4, [2, 4]),
+        # the two-row solve stalls, so it is rerun on 7 rows
+        (_stalling_lazy3d, 7, [2, 7]),
     ],
 )
-def test_eigensolve_top_widens_its_block_only_at_a_repeat(make, count, widths):
+def test_eigensolve_top_widens_its_block_only_at_a_repeat_or_a_stall(make, count, widths):
     op = make()[2]
     op = _WidthOperator(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
     sw.eigensolve_top(op, count)
