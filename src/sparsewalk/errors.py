@@ -53,7 +53,8 @@ class CountNotInteger(SparseWalkError, TypeError):
 
 class ShapeMismatch(SparseWalkError, ValueError):
     """An array has the wrong shape: f on a box for P, phi for the Doob
-    transform, or the values of f on the end sites of Monte Carlo paths.
+    transform, the values of f on the end sites of Monte Carlo paths, or a
+    chain path whose rows are not d long.
 
     Also a ValueError, like NoSignChange.
     """
@@ -140,7 +141,11 @@ class NegativePotential(SparseWalkError, ValueError):
 
 
 class SiteOutsideBox(SparseWalkError, ValueError):
-    """A potential site outside the working box (also a ValueError)."""
+    """A potential site outside the working box, or a site of a chain path
+    outside the chain's box.
+
+    Also a ValueError, like NoSignChange.
+    """
 
 
 class BaseTooSmall(SparseWalkError, ValueError):

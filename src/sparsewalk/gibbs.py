@@ -32,6 +32,15 @@ K has the sparsity of p, so the chain keeps its rows on the band of the
 truncation (one column per kernel offset, zero weight for a neighbour
 outside the box): the transform, the prefix law and the path sampler all
 walk that band, and the dense matrix is only derived on request.
+
+A chain path costs its own length in memory and no more.  ``simulate_chain``
+stores it in the narrowest signed integer type that holds -(2m + 1), with
+m = max |center| + radius of the box (int8 for a 2d box of radius 22), so
+every difference of two sites fits and ``np.diff``, negation and ``abs``
+never wrap; other arithmetic on coordinates, such as a product or a
+squared distance, casts first.  Each block of steps writes its sites
+straight into the path, and ``occupation_distribution`` counts the path
+one block at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .errors import (
     RowDeficitTooLarge,
     SeedOutOfRange,
     ShapeMismatch,
+    SiteOutsideBox,
     StartOutsideBox,
     TooFewSamples,
 )
@@ -67,8 +77,9 @@ MC_CHUNK = 4096
 #: fewest samples fk_monte_carlo accepts
 MIN_SAMPLES = 1000
 
-#: uniforms drawn at a time by simulate_chain; the stream is the same as one
-#: draw of every step, the block only bounds memory
+#: uniforms drawn at a time by simulate_chain, and path rows counted at a time
+#: by occupation_distribution; the stream is the same as one draw of every
+#: step, the block only bounds memory
 SIM_BLOCK = 1 << 12
 
 #: seeds and streams are the two 64-bit words of the Philox key: [0, 2^64)
@@ -160,7 +171,15 @@ def doob_kernel(
 def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
     """Sample a path of the chain; deterministic given the seed.
 
-    Returns the visited sites as a (steps + 1, d) integer array.
+    Returns the visited sites as a (steps + 1, d) array, allocated once, in
+    the narrowest signed integer type that holds -(2m + 1), where m is
+    max |center| + radius of the box: every site lies in [-m, m], so every
+    difference of two sites lies in [-2m, 2m] and ``np.diff``, negation and
+    ``abs`` of the path never wrap (int8 up to m = 63, int16 up to 16383).
+    Other arithmetic on coordinates, such as a product or a squared
+    distance, casts first.  Each block of ``SIM_BLOCK`` steps writes its
+    sites straight into the path, so the memory of a path is the path
+    itself.
     """
     steps = _count(steps, "steps")
     if steps < 0:
@@ -174,21 +193,50 @@ def simulate_chain(chain: ChainKernel, x0, steps: int, seed: int) -> np.ndarray:
     # above that total still lands on a neighbour
     cum[cum == cum[:, -1:]] = 1.0
     cum_rows, col_rows = cum.tolist(), chain.cols.tolist()
+    extent = max(abs(c) for c in chain.box.center) + chain.box.radius
+    sites = chain.sites.astype(np.min_scalar_type(-(2 * extent + 1)))
     rng = counter_rng(seed)
-    path = np.empty(steps + 1, dtype=int)
-    cur = path[0] = chain.index(x0)
+    path = np.empty((steps + 1, chain.box.dim), dtype=sites.dtype)
+    cur = chain.index(x0)
+    path[0] = sites[cur]
     for start in range(0, steps, SIM_BLOCK):
-        block = []
-        for u in rng.random(min(SIM_BLOCK, steps - start)).tolist():
-            cur = col_rows[cur][bisect_right(cum_rows[cur], u)]
-            block.append(cur)
-        path[start + 1 : start + 1 + len(block)] = block
-    return chain.sites[path]
+        uniforms = rng.random(min(SIM_BLOCK, steps - start)).tolist()
+        block = [cur := col_rows[cur][bisect_right(cum_rows[cur], u)] for u in uniforms]
+        rows = path[start + 1 : start + 1 + len(block)]
+        sites.take(np.fromiter(block, np.intp, len(block)), axis=0, out=rows)
+    return path
 
 
 def occupation_distribution(chain: ChainKernel, path_sites: np.ndarray) -> np.ndarray:
-    """Empirical occupation over box indices from a simulated path."""
-    counts = np.bincount(chain.box.flat(path_sites), minlength=chain.box.volume)
+    """Empirical occupation over box indices from a simulated path.
+
+    ``path_sites`` is an (n, d) integer array of box sites, such as the path
+    of ``simulate_chain`` in the narrowest type that holds every difference
+    of two box sites.  It is counted ``SIM_BLOCK`` rows at a time: each
+    block's offsets from the box corner, taken in int64 against the int64
+    corner, give its row-major indices (those of ``box.flat``), and one
+    ``bincount`` per block is summed in int64.  So a narrow path is never
+    widened as a whole, and the memory is the path itself plus one block.
+    Rows that are not d long raise ShapeMismatch, and a site outside the
+    chain's box raises SiteOutsideBox before its block is counted.
+    """
+    box = chain.box
+    sites = np.asarray(path_sites)
+    if sites.ndim != 2 or sites.shape[1] != box.dim:
+        raise ShapeMismatch(f"path shape {sites.shape} is not (n, {box.dim})")
+    # the corner on every row of a block: a same-shape subtraction, which
+    # numpy runs several times faster than a broadcast over d-long rows
+    corners = np.tile(np.asarray(box.center) - box.radius, (SIM_BLOCK, 1))
+    strides = box.side ** np.arange(box.dim - 1, -1, -1)
+    counts = np.zeros(box.volume, dtype=np.int64)
+    for start in range(0, len(sites), SIM_BLOCK):
+        block = sites[start : start + SIM_BLOCK]
+        offsets = block - corners[: len(block)]
+        # the box is a cube: a site is inside when every offset is in [0, 2r]
+        if offsets.min() < 0 or offsets.max() > 2 * box.radius:
+            bad = block[((offsets < 0) | (offsets > 2 * box.radius)).any(axis=1)][0]
+            raise SiteOutsideBox(f"path site {tuple(bad.tolist())} outside {box}")
+        counts += np.bincount(offsets @ strides, minlength=box.volume)
     return counts / counts.sum()
 
 

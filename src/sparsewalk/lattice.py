@@ -510,12 +510,15 @@ def weyl_sequence_residual(kernel: WalkKernel, theta, n: int) -> float:
     u_n restricts exp(i theta . x) to the cube Q(0, n + r) and normalizes.
     The operator annihilates the wave in the bulk, so the residual comes
     from a boundary shell of width ~2r and scales like n^(-1/2) after
-    normalization, in every dimension.
+    normalization, in every dimension.  A theta that is not one frequency
+    per axis raises DimensionMismatch, as in ``char_function``.
     """
     n = _count(n, "n")
     if n < 1:
         raise WaveRadiusTooSmall(f"n must be >= 1, got {n}")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if th.shape != (kernel.dimension,):
+        raise DimensionMismatch(f"theta shape {th.shape} != ({kernel.dimension},)")
     lam = float(_char_eval(kernel.offset_array(), kernel.prob_array(), th[None, :])[0])
     r = kernel.reach
     box = LatticeBox.cube(n + 2 * r + 1, kernel.dimension)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -15,6 +16,7 @@ from sparsewalk.errors import (
     NonPositivePhi,
     SeedOutOfRange,
     ShapeMismatch,
+    SiteOutsideBox,
     SparseWalkError,
     StartOutsideBox,
     TooFewSamples,
@@ -108,6 +110,65 @@ def test_simulate_chain_path_does_not_depend_on_the_block(dim):
     x0 = (0,) * chain.box.dim
     path = sw.simulate_chain(chain, x0, steps, 12345)
     assert np.array_equal(path, _path_in_65536_blocks(chain, x0, steps, 12345))
+
+
+@pytest.mark.parametrize(
+    "build, dtype",
+    [
+        (lambda: _anchor_chain_2d(22), np.int8),
+        (lambda: _anchor_chain(L=63), np.int8),
+        (lambda: _anchor_chain(L=64), np.int16),
+        (lambda: _anchor_chain(L=100), np.int16),
+    ],
+    ids=["2d-L22", "1d-L63", "1d-L64", "1d-L100"],
+)
+def test_simulate_chain_path_is_narrow_and_exact(build, dtype):
+    _, _, _, chain = build()
+    x0 = (0,) * chain.box.dim
+    path = sw.simulate_chain(chain, x0, 20_000, 31)
+    ref = _path_in_65536_blocks(chain, x0, 20_000, 31)
+    assert path.dtype == dtype and ref.dtype == np.int64
+    assert np.array_equal(path, ref)
+    # every difference of two box sites fits, so diff, negation and abs never wrap
+    info = np.iinfo(path.dtype)
+    assert info.min < -2 * chain.box.radius and 2 * chain.box.radius <= info.max
+    assert np.array_equal(np.diff(path, axis=0), np.diff(ref, axis=0))
+    counts = np.bincount(chain.box.flat(ref), minlength=chain.box.volume)
+    assert np.array_equal(sw.occupation_distribution(chain, path), counts / counts.sum())
+
+
+def test_long_chain_costs_its_path_in_memory():
+    # the int8 path of 1M steps is 2 MB; the old int64 path and its
+    # temporaries came to about 40 MB
+    _, _, _, chain = _anchor_chain_2d()
+    steps = 1_000_000
+    tracemalloc.start()
+    try:
+        path = sw.simulate_chain(chain, (0, 0), steps, 5)
+        emp = sw.occupation_distribution(chain, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.nbytes == 2 * (steps + 1)
+    assert emp.sum() == pytest.approx(1.0)
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize(
+    "build, path, error",
+    [
+        (lambda: _anchor_chain(L=8), [[0], [9]], SiteOutsideBox),
+        (lambda: _anchor_chain_2d(4), [[0, 0], [0, 5]], SiteOutsideBox),
+        (lambda: _anchor_chain_2d(4), [[0]] * 5, ShapeMismatch),
+        (lambda: _anchor_chain(L=8), [[0]] * gibbs.SIM_BLOCK + [[-9]], SiteOutsideBox),
+    ],
+    ids=["1d-beyond-radius", "2d-wraps-to-next-row", "2d-rows-of-one", "1d-second-block"],
+)
+def test_occupation_distribution_rejects_paths_off_the_box(build, path, error):
+    _, _, _, chain = build()
+    with pytest.raises(error) as info:
+        sw.occupation_distribution(chain, np.array(path))
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
 class _TopUniforms:

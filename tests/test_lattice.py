@@ -718,6 +718,13 @@ def test_char_function_of_the_wrong_dimension_is_named():
     assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("theta", [0.0, np.zeros(3), np.zeros((1, 2))], ids=["scalar", "3-vector", "1x2"])
+def test_weyl_residual_of_the_wrong_dimension_is_named(theta):
+    with pytest.raises(DimensionMismatch) as info:
+        sw.weyl_sequence_residual(sw.simple2d(), theta, 5)
+    assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
+
+
 def test_weyl_residual_below_radius_one_is_named():
     with pytest.raises(WaveRadiusTooSmall) as info:
         sw.weyl_sequence_residual(sw.simple1d(), 0.0, 0)

@@ -7,10 +7,11 @@ seed), plus nineteen sections: ``bs2d``, the ``resolvent_via_bs`` residual
 and Frobenius norm and every ``neumann_invertibility`` certificate field
 for a fixed 3-site potential under the simple 2d walk; ``kernels``, the
 bottom of the spectrum ``WalkKernel.lower`` of six kernels in 1d, 2d and
-3d; ``chain2d``, the Perron pair, the Doob chain and the digest of a
+3d; ``chain2d``, the Perron pair, the Doob chain and the digests of a
 seeded path of the simple 2d walk on Q(0, 12) under an anchored geometric
-sparse potential; ``eigen2d``, the top ``eigensolve_top`` values by value
-and moduli by |value| of that operator, with their residuals;
+sparse potential and of its ``occupation_distribution``, so a change to the
+sampler or to the counting shows; ``eigen2d``, the top ``eigensolve_top``
+values by value and moduli by |value| of that operator, with their residuals;
 ``green_nd``, Green values in 2d and 3d: the level crossings of the
 simple 2d walk, ``g_lambda_quadrature`` of the simple 2d and lazy 3d
 walks, and a ``green_table`` of a 2d kernel with diagonal moves;
@@ -379,17 +380,19 @@ def chain2d_operator():
 
 
 def chain2d() -> dict:
-    """Reprs of the 2d Perron pair and Doob chain, and a path digest."""
+    """Reprs of the 2d Perron pair and Doob chain, and path and occupation digests."""
     kernel, spec, op = chain2d_operator()
     r, phi = sw.perron_pair(op)
     chain = sw.doob_kernel(kernel, spec, (r, phi), op.box)
     path = sw.simulate_chain(chain, (0, 0), CHAIN2D_STEPS, CHAIN2D_SEED)
+    emp = sw.occupation_distribution(chain, path)
     return {
         "perron_r": repr(r),
         "phi_min": repr(float(phi.min())),
         "row_deficit": repr(chain.row_deficit),
         "stationary_max": repr(float(chain.stationary.max())),
         "path_sha256": hashlib.sha256(path.astype(np.int64).tobytes()).hexdigest(),
+        "occupation_sha256": hashlib.sha256(emp.tobytes()).hexdigest(),
     }
 
 
