@@ -217,13 +217,16 @@ def occupation_distribution(chain: ChainKernel, path_sites: np.ndarray) -> np.nd
     corner, give its row-major indices (those of ``box.flat``), and one
     ``bincount`` per block is summed in int64.  So a narrow path is never
     widened as a whole, and the memory is the path itself plus one block.
-    Rows that are not d long raise ShapeMismatch, and a site outside the
-    chain's box raises SiteOutsideBox before its block is counted.
+    Rows that are not d long, and a path with no rows, raise ShapeMismatch;
+    a site outside the chain's box raises SiteOutsideBox before its block
+    is counted.
     """
     box = chain.box
     sites = np.asarray(path_sites)
     if sites.ndim != 2 or sites.shape[1] != box.dim:
         raise ShapeMismatch(f"path shape {sites.shape} is not (n, {box.dim})")
+    if len(sites) == 0:
+        raise ShapeMismatch(f"path of shape {sites.shape} has no rows to count")
     # the corner on every row of a block: a same-shape subtraction, which
     # numpy runs several times faster than a broadcast over d-long rows
     corners = np.tile(np.asarray(box.center) - box.radius, (SIM_BLOCK, 1))

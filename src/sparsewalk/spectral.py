@@ -15,13 +15,13 @@ P acts on the box through the slice stencil of ``lattice._stencil``, one
 shifted slice per kernel offset.  The top eigenpairs (thick-restart block
 Lanczos on a basis bounded by RESTART_BLOCKS, on blocks of two rows, the
 thinnest that can show a repeated eigenvalue, and rerun on blocks of
-`count` rows when a wanted one repeats or the two-row run stalls), power
-iteration, the spectral-projection fit and every eigen residual use these
-matrix-free products, at any box volume.  The truncation also keeps the
-band of P, one column per kernel offset (the box index of each neighbour
-and its P value, zero for a neighbour outside the box), for the readers of
-rows: the Doob chain and the dense M and S, built on first use, only up
-to DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
+`count` rows when a wanted one repeats), power iteration, the
+spectral-projection fit and every eigen residual use these matrix-free
+products, at any box volume.  The truncation also keeps the band of P,
+one column per kernel offset (the box index of each neighbour and its P
+value, zero for a neighbour outside the box), for the readers of rows:
+the Doob chain and the dense M and S, built on first use, only up to
+DENSE_CAP rows, where the whole spectrum or its bottom edge is needed.
 
 This module provides the truncation itself, a block Lanczos solver for the
 top eigenpairs, a power-iteration Perron solver (the positive ground state
@@ -163,7 +163,7 @@ class TruncatedOperator:
 
     def apply_S(self, f: np.ndarray) -> np.ndarray:
         """S f = D^(1/2) P D^(1/2) f; f is (n,) or (n, b)."""
-        sqd = np.sqrt(self.dvec).reshape(-1, *(1,) * (f.ndim - 1))
+        sqd = self.sqd.reshape(-1, *(1,) * (f.ndim - 1))
         return sqd * self._apply_P(sqd * f)
 
     def apply_M(self, f: np.ndarray) -> np.ndarray:
@@ -176,6 +176,11 @@ class TruncatedOperator:
         return _stencil(self.kernel.offsets, self.kernel.probs, g).reshape(f.shape)
 
     @cached_property
+    def sqd(self) -> np.ndarray:
+        """D^(1/2), read-only, built on first use."""
+        return _read_only(np.sqrt(self.dvec))
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Dense M = D P, read-only, built on first use."""
         return _read_only(self.dvec[:, None] * _band_dense(self.cols, self.probs))
@@ -183,8 +188,7 @@ class TruncatedOperator:
     @cached_property
     def sym(self) -> np.ndarray:
         """Dense S = D^(1/2) P D^(1/2), read-only, built on first use."""
-        sqd = np.sqrt(self.dvec)
-        return _read_only(sqd[:, None] * _band_dense(self.cols, self.probs) * sqd[None, :])
+        return _read_only(self.sqd[:, None] * _band_dense(self.cols, self.probs) * self.sqd)
 
     def residual(self, value: float, phi: np.ndarray) -> float:
         """Relative eigen residual ||M phi - value phi|| / ||phi|| over the band."""
@@ -243,7 +247,7 @@ class EigenSolution:
 
 
 def _make_pair(op: TruncatedOperator, value: float, psi: np.ndarray) -> EigenPair:
-    phi = np.sqrt(op.dvec) * psi
+    phi = op.sqd * psi
     phi = (np.sign(phi[int(np.argmax(np.abs(phi)))]) or 1.0) * phi
     return EigenPair(value=float(value), phi=phi, residual=op.residual(value, phi))
 
@@ -262,25 +266,17 @@ def eigensolve_top(op: TruncatedOperator, count: int = 6) -> EigenSolution:
     solve is rerun on blocks of `count` rows, which find every copy of an
     eigenvalue of multiplicity up to `count`.  That rerun guards a miss
     that rounding has so far always prevented: on free 2d, 3d and 4d boxes
-    at counts 3 to 10 the two-row run returned every copy, to 5e-15.  The
-    solve is also rerun when the two-row run stalls (NoConvergence), as it
-    does on free lazy 3d boxes, where its residuals floor just above
-    RITZ_TOL (2.5e-14 on Q(0, 4) with holding 0.3 at count 7) and the
-    `count` block converges.  Counts 1 and 2, and every rerun, are the
-    `count`-row solve.  The start block is seeded, so results repeat bit
-    for bit.  Free 2d and 3d boxes, whose top levels repeat by symmetry,
-    pay for the two-row run and the rerun.
+    at counts 3 to 10 the two-row run returned every copy, to 5e-15.
+    Counts 1 and 2, and every rerun, are the `count`-row solve.  The start
+    block is seeded, so results repeat bit for bit.  Free 2d and 3d boxes,
+    whose top levels repeat by symmetry, pay for the two-row run and the
+    rerun.
     """
     count = _count(count, "count")
     if not 1 <= count <= MAX_PAIRS:
         raise PairCountOutOfRange(f"count must lie in [1, {MAX_PAIRS}], got {count!r}")
     count = min(count, op.volume)
-    thin = None
-    if count > 2:
-        try:
-            thin = _lanczos(op, count, 2)
-        except NoConvergence:
-            pass
+    thin = _lanczos(op, count, 2) if count > 2 else None
     if thin is not None and not _repeats(thin[0], thin[1]):
         theta, want, vectors = thin
     else:
@@ -299,22 +295,29 @@ def _lanczos(
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Ritz values, wanted indices and wanted Ritz vectors on `block`-row blocks.
 
-    Each new block is orthogonalized against the whole basis, and once
-    more when rounding could have been amplified (REORTH_TOL); its row of
-    T = Q S Q^T is that full projection (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 13).  The basis holds at most RESTART_BLOCKS * max(count, 2)
-    rows; a box of fewer than that plus `block` sites is spanned whole
-    instead, with no restart, and the pairs are then exact.  When the basis
-    is full, Rayleigh-Ritz on T stops once every wanted pair (``_wanted``)
-    has residual ||B y_last|| <= RITZ_TOL max(1, max |theta|), B coupling
-    the pending block to the last one.  Otherwise the basis restarts from
-    the KEEP_BLOCKS * count Ritz vectors at each end, T from their values,
-    and the pending block follows; its projection couples it to every kept
-    vector (Wu & Simon).  A direction that breaks down is refilled with a
-    seeded random vector orthogonal to the basis.  NoConvergence is raised
-    when STALL_RESTARTS restarts in a row bring no new smallest worst
-    residual.  The wanted vectors come back as rows, in the order of the
-    indices.
+    Each new block S q is projected off the current and previous blocks
+    (after a restart, off every kept Ritz vector and the pending block),
+    the local three-term step, and then off the whole basis; its row of
+    T = Q S Q^T is the sum of both projections (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13).  The full pass alone lets the basis drift
+    from orthogonal on free lazy 3d boxes, where each block keeps about a
+    third of its norm, until the solve stalls.  A block of two rows that
+    keeps at least REORTH_TOL of its norm is orthonormalized in closed form
+    (``_thin_basis``).  Other widths, a last block cut short by the box,
+    and a block whose rounding could have been amplified take the SVD and
+    one more pass against the whole basis.  The basis holds at most
+    RESTART_BLOCKS * max(count, 2) rows; a box of fewer than that plus
+    `block` sites is spanned whole instead, with no restart, and the pairs
+    are then exact.  When the basis is full, Rayleigh-Ritz on T stops once
+    every wanted pair (``_wanted``) has residual ||B y_last|| <= RITZ_TOL
+    max(1, max |theta|), B coupling the pending block to the last one.
+    Otherwise the basis restarts from the KEEP_BLOCKS * count Ritz vectors
+    at each end, T from their values, and the pending block follows; its
+    projection couples it to every kept vector (Wu & Simon).  A direction
+    that breaks down is refilled with a seeded random vector orthogonal to
+    the basis.  NoConvergence is raised when STALL_RESTARTS restarts in a
+    row bring no new smallest worst residual.  The wanted vectors come back
+    as rows, in the order of the indices.
     """
     n = op.volume
     # a box less than one block beyond the cap is spanned whole, so no
@@ -326,7 +329,7 @@ def _lanczos(
     basis = np.empty((cap, n))  # orthonormal rows: kept Ritz vectors, then blocks
     T = np.zeros((cap, cap))  # Q S Q^T on the basis
     nxt = np.linalg.qr(rng.standard_normal((n, block)))[0].T
-    m = 0
+    m = near = 0  # basis[near:m]: the last two blocks, or every row after a restart
     best, stalled = math.inf, 0
     while True:
         lo, m = m, m + len(nxt)
@@ -334,27 +337,37 @@ def _lanczos(
         V = basis[:m]
         w = op.apply_S(nxt.T).T
         scale = np.linalg.norm(w)
+        # the local three-term pass, then the full one; T gets both
+        local = w @ V[near:].T
+        w = w - local @ V[near:]
         c = w @ V.T
+        w = w - c @ V
+        c[:, near:] += local
         T[lo:m, :lo] = c[:, :lo]
         T[:lo, lo:m] = c[:, :lo].T
         T[lo:m, lo:m] = 0.5 * (c[:, lo:] + c[:, lo:].T)
-        w = w - c @ V
         if m == n:
             B = np.zeros((0, len(w)))  # the basis spans the box: nothing couples out
         else:
             # next block: the row space of w, refilled at breakdown
-            u, sv, _ = np.linalg.svd(w.T, full_matrices=False)
-            nxt = u.T[: min(block, n - m)]
-            weak = sv[: len(nxt)] <= BREAKDOWN_TOL * scale
-            refill = bool(weak.any())
-            if refill:
-                nxt[weak] = rng.standard_normal((int(weak.sum()), n))
-            if refill or sv[len(nxt) - 1] < REORTH_TOL * scale:
-                nxt = nxt - (nxt @ V.T) @ V
-                nxt = np.linalg.qr(nxt.T)[0].T
-            B = nxt @ w.T
+            rows = min(block, n - m)
+            thin = _thin_basis(w, REORTH_TOL * scale) if rows == len(w) == 2 else None
+            if thin is not None:
+                nxt = thin[0]
+            else:
+                u, sv, _ = np.linalg.svd(w.T, full_matrices=False)
+                nxt = u.T[:rows]
+                weak = sv[:rows] <= BREAKDOWN_TOL * scale
+                refill = bool(weak.any())
+                if refill:
+                    nxt[weak] = rng.standard_normal((int(weak.sum()), n))
+                if refill or sv[rows - 1] < REORTH_TOL * scale:
+                    nxt = nxt - (nxt @ V.T) @ V
+                    nxt = np.linalg.qr(nxt.T)[0].T
             if m + len(nxt) <= cap:
+                near = lo
                 continue
+            B = nxt @ w.T
         theta, Y = np.linalg.eigh(T[:m, :m])
         want = _wanted(theta, count)
         worst = float(np.linalg.norm(B @ Y[lo:, want], axis=0).max())
@@ -368,8 +381,35 @@ def _lanczos(
         kept = np.r_[:keep, m - keep : m]
         basis[: 2 * keep] = Y[:, kept].T @ V
         T[: 2 * keep, : 2 * keep] = np.diag(theta[kept])
-        m = 2 * keep
+        m, near = 2 * keep, 0
     return theta, want, Y[:, want].T @ basis[:m]
+
+
+def _thin_basis(w: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal rows spanning the two rows of w, and w's singular values.
+
+    Two Gram-Schmidt passes give w = R Q with R = a [[1, 0], [b, d]], a, d >= 0,
+    whose singular values are closed-form: s_max = a (hypot(1 + d, b) +
+    hypot(1 - d, b)) / 2 and s_min = a^2 d / s_max, so nothing cancels.
+    None when s_min < floor or w is rank-deficient: the caller then takes
+    the SVD path, which refills and reorthogonalizes.
+    """
+    a = math.sqrt(float(w[0] @ w[0]))
+    if a == 0.0:
+        return None
+    q = w / a
+    b = 0.0
+    for _ in range(2):
+        t = float(q[0] @ q[1])
+        q[1] -= t * q[0]
+        b += t
+    d = math.sqrt(float(q[1] @ q[1]))
+    s_max = 0.5 * a * (math.hypot(1.0 + d, b) + math.hypot(1.0 - d, b))
+    s_min = a * a * d / s_max
+    if d == 0.0 or s_min < floor:
+        return None
+    q[1] /= d
+    return q, np.array([s_max, s_min])
 
 
 def _wanted(theta: np.ndarray, count: int) -> list[int]:
@@ -428,8 +468,7 @@ def perron_pair(op: TruncatedOperator, tol: float = 1e-10) -> tuple[float, np.nd
             resid = float(np.linalg.norm(spsi - rho * psi))
             point = float(np.max(np.abs(spsi / (rho * psi) - 1.0)))
             if resid <= tol * max(rho, 1.0) and point <= PERRON_POINTWISE_TOL:
-                phi = np.sqrt(op.dvec) * psi
-                return rho, phi
+                return rho, op.sqd * psi
     raise NoConvergence(f"power iteration did not reach tol={tol} in {PERRON_MAX_ITER} steps")
 
 
@@ -738,7 +777,7 @@ def spectral_report(
                 gap=gap,
                 abs_gap=float(r - second),
                 second_abs=second,
-                decay=axis_decay(op, np.sqrt(op.dvec) * top_psi, REPORT_FIT_WINDOW),
+                decay=axis_decay(op, op.sqd * top_psi, REPORT_FIT_WINDOW),
                 eigenvalues=w,
             )
         )

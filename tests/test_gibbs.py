@@ -171,6 +171,14 @@ def test_occupation_distribution_rejects_paths_off_the_box(build, path, error):
     assert isinstance(info.value, SparseWalkError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.filterwarnings("error")
+def test_occupation_distribution_rejects_an_empty_path():
+    # an empty path used to come back as NaNs, with numpy's divide warning
+    _, _, _, chain = _anchor_chain_2d(4)
+    with pytest.raises(ShapeMismatch, match="no rows"):
+        sw.occupation_distribution(chain, np.empty((0, 2), dtype=np.int8))
+
+
 class _TopUniforms:
     """Stands in for the generator: every uniform is the largest below 1."""
 

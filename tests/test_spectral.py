@@ -295,9 +295,16 @@ def _tiny_box():
 
 
 def _stalling_lazy3d():
-    # the two-row solve stalls here at Ritz residual 2.5e-14 for count 7, 8
-    # and 10; the `count`-row rerun converges
+    # without the local three-term pass the two-row solve stalls here (Ritz
+    # residual 2.5e-14 for count 7, 8 and 10); at count 7 the (2,1,1) and
+    # (2,2,1) levels, both triple, are wanted
     return None, None, sw.truncated_operator(_lazy3d(0.3), None, 4)
+
+
+def _free_lazy3d_half():
+    # each block keeps about a third of its norm, so one pass against the
+    # whole basis alone loses orthogonality and every count stalls
+    return None, None, sw.truncated_operator(_lazy3d(0.5), None, 4)
 
 
 def _anchored_simple2d_12():
@@ -320,6 +327,7 @@ PARITY_CASES = {
     # the (2,1,1) and (2,2,1) levels of the free 3d walk are triple
     "free lazy3d Q(0,4)": (lambda: (None, None, sw.truncated_operator(_lazy3d(0.0), None, 4)), 6),
     "lazy3d stalls on two rows": (_stalling_lazy3d, 7),
+    **{f"free lazy3d(0.5) Q(0,4) count {c}": (_free_lazy3d_half, c) for c in range(1, 9)},
     "volume below count": (_tiny_box, 10),
     "box ends mid-block": (_tiny_box, 6),
 }
@@ -384,7 +392,7 @@ class _WidthOperator(spectral.TruncatedOperator):
         (_anchored_simple2d_12, 6, [2]),
         # the double 0.97465721 repeats, so the two-row solve is rerun on 4 rows
         (_free_simple2d, 4, [2, 4]),
-        # the two-row solve stalls, so it is rerun on 7 rows
+        # two triple levels are wanted, so the two-row solve is rerun on 7 rows
         (_stalling_lazy3d, 7, [2, 7]),
     ],
 )
@@ -420,6 +428,44 @@ def test_eigensolve_top_refills_a_broken_down_block():
         assert abs(pair.value - 0.8) <= 1e-12 and pair.residual <= 1e-10
     psi = [pair.phi / np.sqrt(op.dvec) for pair in sol.by_value[:2]]
     assert abs(float(psi[0] @ psi[1])) <= 1e-10
+
+
+def _rows_of(seed, n, *mix):
+    """Rows mix[i] @ (a, b) of two random rows a, b of length n."""
+    ab = np.random.default_rng(seed).standard_normal((2, n))
+    return np.array(mix, dtype=float) @ ab
+
+
+THIN_BLOCKS = {
+    "random": (_rows_of(2, 300, [1.0, 0.0], [0.0, 1.0]), True),
+    "unequal norms": (_rows_of(3, 300, [1e-3, 0.0], [0.0, 7.0]), False),
+    "unequal but kept": (_rows_of(3, 300, [0.3, 0.0], [0.0, 1.0]), True),
+    "nearly dependent, kept": (_rows_of(4, 300, [1.0, 0.0], [1.0, 0.6]), True),
+    "nearly dependent": (_rows_of(5, 300, [1.0, 0.0], [1.0, 1e-3]), False),
+    "dependent": (_rows_of(6, 300, [1.0, 0.0], [-2.0, 0.0]), False),
+    "zero first row": (_rows_of(7, 300, [0.0, 0.0], [0.0, 1.0]), False),
+    "zero": (np.zeros((2, 300)), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THIN_BLOCKS))
+def test_thin_basis_agrees_with_the_svd_or_declines(case):
+    w, kept = THIN_BLOCKS[case]
+    floor = spectral.REORTH_TOL * np.linalg.norm(w)
+    sv = np.linalg.svd(w, compute_uv=False)
+    # every case lies clearly on one side of the floor
+    assert (sv[-1] >= 2 * floor) if kept else (sv[-1] <= 0.5 * floor)
+    thin = spectral._thin_basis(w, floor)
+    if not kept:
+        assert thin is None
+        return
+    q, s = thin
+    assert q.shape == w.shape
+    assert np.max(np.abs(s - sv) / sv) <= 1e-14
+    assert np.max(np.abs(q @ q.T - np.eye(len(w)))) <= 1e-14
+    # the same row space: the SVD's right singular vectors lie in the span of q
+    vt = np.linalg.svd(w, full_matrices=False)[2]
+    assert np.max(np.abs(vt - (vt @ q.T) @ q)) <= 1e-14
 
 
 @pytest.mark.parametrize("count", [0, 11, -1])

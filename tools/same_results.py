@@ -59,10 +59,9 @@ the setting of ``spectrum_anchor.json`` and on the lazy 1d walk
 walk at lambda = 1.05, 2 and -2 and |x| up to 1024, at pts 512; and
 ``eigen_degenerate``, the ``eigensolve_top`` values by value and their
 residuals on three free truncations whose solve is rerun on blocks of
-``count`` rows: the simple 2d walk on Q(0, 10) at count 4 (a double
-eigenvalue) and the simple 3d walk on Q(0, 4) at count 6 (two triple
-ones), where a wanted eigenvalue repeats, and the lazy 3d walk (q = 0.3)
-on Q(0, 4) at count 7, where the two-row solve stalls.
+``count`` rows because a wanted eigenvalue repeats: the simple 2d walk on
+Q(0, 10) at count 4 (a double eigenvalue), and the simple 3d walk and the
+lazy 3d walk (q = 0.3) on Q(0, 4) at counts 6 and 7 (two triple ones).
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -252,7 +251,7 @@ IRREDUCIBLE_MOVES = {
 REPORT1D_CONFIG = CONFIGS / "spectrum_anchor.json"
 REPORT1D_Q = 0.3
 #: the degenerate eigen case: (walk, L, count) of free truncations whose
-#: solve is rerun on `count`-row blocks, at a repeat or at a two-row stall
+#: solve is rerun on `count`-row blocks, since a wanted eigenvalue repeats
 EIGEN_DEGENERATE = {
     "simple2d L=10 count 4": (sw.simple2d, 10, 4),
     "lazy3d(0.0) L=4 count 6": (lambda: lazy3d(0.0), 4, 6),
