@@ -58,11 +58,13 @@ DENSE_CAP = 6000
 
 
 def _count(value, name: str) -> int:
-    """A count, radius or seed as an int; CountNotInteger for 2.5, "3" or None."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise CountNotInteger(f"{name} must be an integer, got {value!r}") from None
+    """A count, radius or seed as an int; CountNotInteger for 2.5, "3", None or True."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise CountNotInteger(f"{name} must be an integer, got {value!r}")
 
 
 def _as_offset(key, dim: int | None) -> Offset:

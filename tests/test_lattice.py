@@ -799,3 +799,11 @@ def test_counts_and_radii_must_be_integers(name):
         call(bad)
     assert isinstance(info.value, SparseWalkError) and isinstance(info.value, TypeError)
     np.testing.assert_array_equal(call(np.int64(good)), call(good))
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_counts_and_radii_must_not_be_booleans(name, flag):
+    # operator.index(True) is 1: a flag passed as a count must not run as one
+    with pytest.raises(CountNotInteger):
+        COUNT_CASES[name][0](flag)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import signal
@@ -111,11 +112,16 @@ class _BandOperator(spectral.TruncatedOperator):
     apply_M = _old_apply_M
 
 
-def _lazy3d(q):
-    raw = {(0, 0, 0): q}
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / 6.0
+def _lazy_walk(d, q):
+    """Holding q and (1 - q) / (2d) on each of +-e_i."""
+    raw = {(0,) * d: q}
+    for e in map(tuple, np.eye(d, dtype=int)):
+        raw[e] = raw[tuple(-c for c in e)] = (1.0 - q) / (2 * d)
     return sw.validate_kernel(raw)
+
+
+def _lazy3d(q):
+    return _lazy_walk(3, q)
 
 
 def _range2_2d():
@@ -297,7 +303,8 @@ def _tiny_box():
 def _stalling_lazy3d():
     # without the local three-term pass the two-row solve stalls here (Ritz
     # residual 2.5e-14 for count 7, 8 and 10); at count 7 the (2,1,1) and
-    # (2,2,1) levels, both triple, are wanted
+    # (2,2,1) levels, both triple, are wanted, and the two-row run finds
+    # every copy
     return None, None, sw.truncated_operator(_lazy3d(0.3), None, 4)
 
 
@@ -312,6 +319,12 @@ def _anchored_simple2d_12():
     kernel = sw.simple2d()
     spec = sw.build_geometric_sparse(2, 0.5, 3, box_radius=12, anchor=((1, -1), 1.6))
     return kernel, spec, sw.truncated_operator(kernel, spec, 12)
+
+
+def _symmetric_sparse_lazy1d():
+    # heights 2 at +-3^k: the symmetric potential leaves wanted values within 5e-13
+    kernel, spec = sw.lazy1d(0.25), sw.build_geometric_sparse(1, 2.0, 3, box_radius=100)
+    return kernel, spec, sw.truncated_operator(kernel, spec, 100)
 
 
 PARITY_CASES = {
@@ -330,6 +343,7 @@ PARITY_CASES = {
     **{f"free lazy3d(0.5) Q(0,4) count {c}": (_free_lazy3d_half, c) for c in range(1, 9)},
     "volume below count": (_tiny_box, 10),
     "box ends mid-block": (_tiny_box, 6),
+    "symmetric sparse lazy1d": (_symmetric_sparse_lazy1d, 6),
 }
 
 
@@ -373,6 +387,39 @@ def test_eigensolve_top_returns_both_copies_of_a_double_eigenvalue():
         assert sol.by_value[1 + copies].value < level - 1e-3
 
 
+def _free_box_levels(d, q, L):
+    """Sorted spectrum of the free walk _lazy_walk(d, q) on Q(0, L).
+
+    The truncation is a Kronecker sum of d path graphs on 2L + 1 sites, so
+    its eigenvalues are q + (1 - q)/d sum_i cos(pi j_i / (2L + 2)) for
+    j_i = 1 ... 2L + 1, each copy listed.
+    """
+    mu = np.cos(np.pi * np.arange(1, 2 * L + 2) / (2 * L + 2))
+    total = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), [mu] * d)
+    return np.sort(q + (1.0 - q) / d * total)
+
+
+@pytest.mark.parametrize(
+    "d, q, L, count",
+    [
+        # 9261 sites, past DENSE_CAP; the second and third levels are triple
+        (3, 0.5, 10, 6),
+        # 6561 sites; four- and six-fold levels among the top ten
+        (4, 0.0, 4, 10),
+    ],
+)
+def test_eigensolve_top_matches_the_free_box_spectrum(d, q, L, count):
+    w = _free_box_levels(d, q, L)
+    sol = sw.eigensolve_top(sw.truncated_operator(_lazy_walk(d, q), None, L), count)
+    assert len(w) == (2 * L + 1) ** d
+    # a missed copy would shift every later value down to the next level
+    by_value = np.array([p.value for p in sol.by_value])
+    assert np.max(np.abs(by_value - w[::-1][:count])) <= 1e-12
+    by_abs = np.array([p.value for p in sol.by_abs])
+    assert np.max(np.abs(np.abs(by_abs) - np.sort(np.abs(w))[::-1][:count])) <= 1e-12
+    assert all(np.min(np.abs(w - v)) <= 1e-12 for v in by_abs)
+
+
 @dataclasses.dataclass(frozen=True)
 class _WidthOperator(spectral.TruncatedOperator):
     """A truncation that records the column width of each ``apply_S`` call."""
@@ -385,24 +432,22 @@ class _WidthOperator(spectral.TruncatedOperator):
 
 
 @pytest.mark.parametrize(
-    "make, count, widths",
+    "make, count",
     [
-        (_anchored_simple2d_12, 1, [1]),
-        (_anchored_simple2d_12, 2, [2]),
-        (_anchored_simple2d_12, 6, [2]),
-        # the double 0.97465721 repeats, so the two-row solve is rerun on 4 rows
-        (_free_simple2d, 4, [2, 4]),
-        # two triple levels are wanted, so the two-row solve is rerun on 7 rows
-        (_stalling_lazy3d, 7, [2, 7]),
+        (_anchored_simple2d_12, 1),
+        (_anchored_simple2d_12, 2),
+        (_anchored_simple2d_12, 6),
+        # the double 0.97465721 is wanted
+        (_free_simple2d, 4),
+        # two triple levels are wanted
+        (_stalling_lazy3d, 7),
     ],
 )
-def test_eigensolve_top_widens_its_block_only_at_a_repeat_or_a_stall(make, count, widths):
+def test_eigensolve_top_is_one_run_on_blocks_of_at_most_two_rows(make, count):
     op = make()[2]
     op = _WidthOperator(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
     sw.eigensolve_top(op, count)
-    # one run, or a two-row run followed by a `count`-row run
-    assert op.widths == sorted(op.widths)
-    assert sorted(set(op.widths)) == widths
+    assert op.widths and set(op.widths) == {min(count, 2)}
 
 
 def test_eigensolve_top_is_deterministic():

@@ -58,10 +58,12 @@ the setting of ``spectrum_anchor.json`` and on the lazy 1d walk
 ``green_table`` values of the lazy 1d walk (q = 0.25) and the simple 1d
 walk at lambda = 1.05, 2 and -2 and |x| up to 1024, at pts 512; and
 ``eigen_degenerate``, the ``eigensolve_top`` values by value and their
-residuals on three free truncations whose solve is rerun on blocks of
-``count`` rows because a wanted eigenvalue repeats: the simple 2d walk on
-Q(0, 10) at count 4 (a double eigenvalue), and the simple 3d walk and the
-lazy 3d walk (q = 0.3) on Q(0, 4) at counts 6 and 7 (two triple ones).
+residuals on four truncations whose wanted eigenvalues repeat, so the
+two-row Lanczos run must find every copy: the simple 2d walk on Q(0, 10)
+at count 4 (a double eigenvalue), the simple 3d walk and the lazy 3d walk
+(q = 0.3) on Q(0, 4) at counts 6 and 7 (two triple ones), and the lazy 1d
+walk (q = 0.25) on Q(0, 100) under heights 2 at +-3^k at count 6 (wanted
+values within 5e-13 of each other).
 The package is imported from ``PYTHONPATH``, so two checkouts are compared
 by running this script against each and diffing the outputs:
 
@@ -250,12 +252,16 @@ IRREDUCIBLE_MOVES = {
 #: its kernel replaced by the lazy 1d walk at REPORT1D_Q
 REPORT1D_CONFIG = CONFIGS / "spectrum_anchor.json"
 REPORT1D_Q = 0.3
-#: the degenerate eigen case: (walk, L, count) of free truncations whose
-#: solve is rerun on `count`-row blocks, since a wanted eigenvalue repeats
+#: the degenerate eigen case: (walk, potential, L, count) of truncations
+#: whose wanted eigenvalues repeat, exactly on the free boxes and nearly under
+#: the symmetric sparse potential
 EIGEN_DEGENERATE = {
-    "simple2d L=10 count 4": (sw.simple2d, 10, 4),
-    "lazy3d(0.0) L=4 count 6": (lambda: lazy3d(0.0), 4, 6),
-    "lazy3d(0.3) L=4 count 7": (lambda: lazy3d(0.3), 4, 7),
+    "simple2d L=10 count 4": (sw.simple2d, None, 10, 4),
+    "lazy3d(0.0) L=4 count 6": (lambda: lazy3d(0.0), None, 4, 6),
+    "lazy3d(0.3) L=4 count 7": (lambda: lazy3d(0.3), None, 4, 7),
+    "lazy1d(0.25) +-3^k L=100 count 6": (
+        lambda: sw.lazy1d(0.25), sw.build_geometric_sparse(1, 2.0, 3, box_radius=100), 100, 6
+    ),
 }
 #: sections an older saved fingerprint may lack
 OPTIONAL = (
@@ -412,8 +418,8 @@ def eigen2d() -> dict:
 def eigen_degenerate() -> dict:
     """Reprs of the top values and residuals of the degenerate eigen case."""
     out = {}
-    for name, (walk, L, count) in EIGEN_DEGENERATE.items():
-        sol = sw.eigensolve_top(sw.truncated_operator(walk(), None, L), count)
+    for name, (walk, spec, L, count) in EIGEN_DEGENERATE.items():
+        sol = sw.eigensolve_top(sw.truncated_operator(walk(), spec, L), count)
         for i, pair in enumerate(sol.by_value):
             out[f"{name} by_value {i} value"] = repr(pair.value)
             out[f"{name} by_value {i} residual"] = repr(pair.residual)
